@@ -42,6 +42,10 @@ import time  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+#: Untimed set-up and operation rounds before an end-to-end run's clock
+#: starts.
+WARM_UP_ROUNDS = 2
+
 def host_facts() -> dict:
     import numpy as np
 
@@ -63,70 +67,110 @@ def peak_rss_mib() -> float:
     return max(own, children) / 1024.0
 
 
+def cpu_seconds() -> float:
+    """CPU seconds used so far by this process and by every child
+    process it waited for.
+
+    The timed figures are CPU time, not wall time: every workload runs
+    serially in this one process, so on an idle host the two agree, but
+    on a shared host wall time also counts the time the process waits
+    for a core.  Children count, so work moved into a subprocess is
+    still measured."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def run_end_to_end(workload, seed: int, seconds: float, checks):
-    """Set up and time the operation again and again, cycling through
-    the run's inputs, for at least ``seconds``.  Each operation follows
-    its own timed set-up, so set-ups spread over the whole run like the
-    operations do.  Every input runs at least once and the first one
-    twice, so each run checks that an input repeats.  Returns
-    ``(metrics, counts, attempted, quarantined)``."""
+    """Set up and time the operation again and again, each time on the
+    run's next input, for at least ``seconds`` of wall time.  Each
+    operation follows its own timed set-up, so set-ups spread over the
+    whole run like the operations do.  Afterwards the first input runs
+    once more, untimed, so each run checks that an input repeats.
+
+    The reference kernel runs between every two timed phases, and each
+    set-up and operation is scaled to the reference host's speed by the
+    kernel times on either side of it (see ``hostspeed.py``).  The
+    metrics are medians over the run of the scaled figures, so neither a
+    burst of load nor a slow stretch of the host moves them much.
+    Returns ``(metrics, counts, attempted, quarantined)``."""
+    import hostspeed
     import workloads as wl
 
     inputs = wl.make_inputs(workload, seed)
-    # Untimed warm-up: the first set-up in a process also pays lazy
-    # imports and module-level tables, which no later set-up repeats.
-    wl.setup(workload, inputs)
+    # Untimed warm-up on inputs no timed operation uses: the first
+    # rounds in a process also pay lazy imports, module-level tables and
+    # the first touch of the heap, which no later round repeats.
+    for index in range(1, WARM_UP_ROUNDS + 1):
+        wl.run_operation(
+            workload, wl.setup(workload, inputs), inputs.sample_seeds[-index]
+        )
+    kernels = [hostspeed.time_kernel()]
     setup_times: list[float] = []
-    rates: list[float] = []
-    summaries: dict[int, dict] = {}
+    op_times: list[float] = []
+    summaries: list[dict] = []
     mechanisms = set()
-    repeats_agree = True
     attempted = quarantined = 0
     started = time.perf_counter()
-    min_reps = wl.INPUTS_PER_RUN + 1
-    while len(rates) < min_reps or time.perf_counter() - started < seconds:
-        index = len(rates) % wl.INPUTS_PER_RUN
+    while len(op_times) < wl.MIN_OPERATIONS or (
+        time.perf_counter() - started < seconds
+        and len(op_times) < wl.INPUTS_PER_RUN - WARM_UP_ROUNDS
+    ):
+        index = len(op_times)
         compiled = result = None
         gc.collect()
-        t0 = time.perf_counter()
+        t0 = cpu_seconds()
         compiled = wl.setup(workload, inputs)
-        t1 = time.perf_counter()
+        setup_times.append(cpu_seconds() - t0)
+        kernels.append(hostspeed.time_kernel())
+        t0 = cpu_seconds()
         result = wl.run_operation(
             workload, compiled, inputs.sample_seeds[index]
         )
-        t2 = time.perf_counter()
-        setup_times.append(t1 - t0)
-        rates.append(workload.shots / (t2 - t1))
+        op_times.append(cpu_seconds() - t0)
+        kernels.append(hostspeed.time_kernel())
         if workload.surface:
             mechanisms.add(len(compiled.dem.mechanisms))
         summary = wl.outcome(workload, result)
-        if index in summaries:
-            repeats_agree &= summary == summaries[index]
-        else:
-            summaries[index] = summary
-            wl.check_operation(workload, summary, checks)
+        summaries.append(summary)
+        wl.check_operation(workload, summary, checks)
         more, failed = wl.operations(workload, summary)
         attempted += more
         quarantined += failed
-    checks.check("a repeated input gives the same output", repeats_agree)
+    compiled = result = None
+    gc.collect()
+    result = wl.run_operation(
+        workload, wl.setup(workload, inputs), inputs.sample_seeds[0]
+    )
+    repeat = wl.outcome(workload, result)
+    checks.check("a repeated input gives the same output",
+                 repeat == summaries[0])
+    more, failed = wl.operations(workload, repeat)
+    attempted += more
+    quarantined += failed
     counts = {
-        key: [summaries[i][key] for i in sorted(summaries)]
+        key: [summary[key] for summary in summaries[:wl.MIN_OPERATIONS]]
         for key in summaries[0]
     }
     if workload.surface:
         checks.check("every set-up builds the same DEM", len(mechanisms) == 1)
         counts["dem.mechanisms"] = mechanisms.pop()
+
+    # Set-up i sits between kernels 2i and 2i+1, operation i between
+    # kernels 2i+1 and 2i+2.
+    setups = hostspeed.scaled(setup_times, kernels[0::2], kernels[1::2])
+    ops = hostspeed.scaled(op_times, kernels[1::2], kernels[2::2])
     metrics = {
-        "shots_per_s": statistics.median(rates),
-        "setup_s": statistics.median(setup_times),
+        "shots_per_s": workload.shots / statistics.median(ops),
+        "setup_s": statistics.median(setups),
         "peak_rss_mb": peak_rss_mib(),
     }
     print(
-        f"{len(rates)} operations of {workload.shots} shots over "
-        f"{len(summaries)} inputs; "
-        f"shots/s min {min(rates):.1f} median {metrics['shots_per_s']:.1f} "
-        f"max {max(rates):.1f}; setup_s min {min(setup_times):.4f} "
-        f"median {metrics['setup_s']:.4f} max {max(setup_times):.4f}"
+        f"{len(op_times)} operations of {workload.shots} shots, one per "
+        f"input; host speed {hostspeed.REFERENCE_S / statistics.median(kernels):.3f}"
+        f" of the reference; CPU s per operation median "
+        f"{statistics.median(op_times):.4f} (scaled {statistics.median(ops):.4f}),"
+        f" per set-up median {statistics.median(setup_times):.4f} (scaled "
+        f"{metrics['setup_s']:.4f}, min {min(setups):.4f}, max {max(setups):.4f})"
     )
     return metrics, counts, attempted, quarantined
 

@@ -59,26 +59,32 @@ WORKLOADS = {
     for w in (
         Workload(
             "surface_d7_decode", "surface", sampler="frame",
-            decoder="compiled-matching", shots=8_192,
-            chunk_shots=8_192, distance=7, reference_ler=0.00092,
+            decoder="compiled-matching", shots=4_096,
+            chunk_shots=4_096, distance=7, reference_ler=0.00092,
         ),
         Workload(
             "surface_d5_chunked", "surface", sampler="symbolic",
-            decoder="compiled-matching", shots=131_072,
+            decoder="compiled-matching", shots=32_768,
             chunk_shots=512, distance=5, reference_ler=0.00263,
         ),
         Workload(
             "layered_fig3c", "layered", sampler="symbolic", decoder="none",
-            shots=20_000,
+            shots=5_000,
         ),
     )
 }
 
 
-#: Distinct sample seeds per run.  Operation ``i`` samples with seed
-#: ``i % INPUTS_PER_RUN``, so a run's median spans several inputs rather
-#: than one (the decode-bound workload's cost depends on its syndromes).
-INPUTS_PER_RUN = 6
+#: Distinct sample seeds a run can draw on.  Operation ``i`` samples with
+#: seed ``i``, so a run's median spans many inputs rather than a few (the
+#: decode-bound workload's cost depends on its syndromes); no run gets
+#: through this many operations.
+INPUTS_PER_RUN = 1024
+
+#: Operations every run makes, however short ``--seconds`` is.  Their
+#: exact counts are the ones a run prints, so the same seed prints the
+#: same counts whatever the host's speed.
+MIN_OPERATIONS = 3
 
 
 @dataclass(frozen=True)
