@@ -13,12 +13,11 @@ compiled decoder does all path-finding at **compile time** instead:
   mask* (the XOR of edge masks along the shortest path);
 * decoding a batch then dedupes identical syndromes, resolves the
   one- and two-defect syndromes (the bulk at QEC-relevant error rates)
-  with pure array gathers, and matches small defect sets (up to 10
-  nodes — virtually every remaining shot) by enumerating all perfect
-  pairings at once: one ``(rows, pairings)`` total-weight tensor per
-  defect-count group, built from vectorized distance lookups.  Blossom
-  matching over the NetworkX graph survives only as the fallback for
-  very large defect sets, unreachable pairs, and weight ties.
+  with pure array gathers, and matches defect sets of up to 20 nodes
+  exactly with one vectorized subset dynamic program per defect-count
+  group (:func:`_min_pairing`) over the dense distance submatrices.
+  Blossom matching over a NetworkX graph survives only as the fallback
+  for larger defect sets, unreachable pairs and weight ties.
 
 Both batch entry points — unpacked ``decode_batch`` and the packed-wire
 ``decode_batch_packed`` — reduce their unique rows to one CSR-style
@@ -29,10 +28,10 @@ uint64 words) predicts bit-for-bit what the unpacked path predicts.
 Predictions are bitwise identical to :class:`MatchingDecoder`: the CSR
 Dijkstra mirrors NetworkX's traversal exactly (same strictly-improving
 relaxation, insertion-order tie-breaking on equal distances, adjacency
-iteration in edge-insertion order); the enumerated matching is used
-only where its optimum is unique (or every near-optimal pairing
-predicts the same correction), and everything else goes through the
-same ``nx.max_weight_matching`` call the reference makes.
+iteration in edge-insertion order); the dynamic program's matching is
+used only where every near-optimal pairing predicts the same
+correction, and everything else goes through the same
+``nx.max_weight_matching`` call the reference makes.
 """
 
 from __future__ import annotations
@@ -59,49 +58,93 @@ def _count_decode_rows(total: int, nonzero: int, unique: int) -> None:
     obs.counter("repro_decode_nonzero_rows_total", pid=pid).inc(nonzero)
     obs.counter("repro_decode_unique_rows_total", pid=pid).inc(unique)
 
-# Defect sets with more nodes than this fall back to blossom matching:
-# the pairing count (k-1)!! reaches 10395 at k=12 — still one cheap
-# vectorized reduction per row slab — but grows factorially beyond.
-# (Each per-row blossom call costs ~ms of Python/NetworkX work, so at
-# QEC-relevant rates the k=11..12 tail dominated whole-batch decoding
-# when the ceiling sat at 10.)
-_MAX_ENUM_NODES = 12
-# Bound on elements materialized per enumeration slab, so one dense
+
+# Defect sets padding to more nodes than this fall back to blossom
+# matching: the dynamic program visits Fibonacci-many subsets (10,946 at
+# k=20, ~2.7x more per extra pair), and past 20 nodes a row costs it
+# as much as one blossom call or more.
+_MAX_DP_NODES = 20
+# Bound on elements materialized per dynamic-program slab, so one dense
 # defect-count group cannot blow up memory.  The largest intermediate
-# is the pre-sum gather of shape (rows, pairings, padded/2): 4M float64
-# ~= 32 MB.
-_ENUM_SLAB_ELEMENTS = 1 << 22
+# is one level's (states, candidates, rows) total-weight tensor: 4M
+# float64 ~= 32 MB.
+_DP_SLAB_ELEMENTS = 1 << 22
 # Two pairings closer than this in total weight are treated as tied;
 # float noise across differently-ordered sums is ~1e-13 at QEC weight
 # scales, while mathematically distinct totals differ by far more.
 _TIE_TOL = 1e-9
 
-_PAIRINGS: dict[int, np.ndarray] = {}
+_PLANS: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def _pairings(k: int) -> np.ndarray:
-    """All perfect pairings of ``k`` nodes: (pairings, k/2, 2) indices.
+def _plan(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The subset dynamic program's state plan for ``k`` nodes.
 
-    Each pairing always couples the lowest unpaired node first, so every
-    pairing appears exactly once.
+    A state is the set of still-unpaired nodes; each step pairs the
+    lowest of them with any other, so from the full set only
+    Fibonacci-many subsets are reachable (233 at k=12 against 10,395
+    pairings).  Level ``t`` holds the states with ``t`` pairs made, as
+    two ``(states, candidates)`` arrays: ``pair`` — the flat ``low * k
+    + j`` index of the candidate pair — and ``child`` — the index of the
+    remaining state in level ``t + 1``.  The last level leads to the
+    single empty state.  Built level by level with array operations.
     """
-    if k not in _PAIRINGS:
-        result: list[list[tuple[int, int]]] = []
+    if k not in _PLANS:
+        bits = np.int64(1) << np.arange(k, dtype=np.int64)
+        states = np.array([(1 << k) - 1], dtype=np.int64)
+        levels = []
+        while states[0]:
+            member = (states[:, None] & bits) != 0
+            low = member.argmax(axis=1)
+            member[np.arange(states.size), low] = False
+            partner = np.nonzero(member)[1].reshape(states.size, -1)
+            remaining = states[:, None] - bits[low][:, None] - bits[partner]
+            states, child = np.unique(remaining, return_inverse=True)
+            levels.append(
+                (low[:, None] * k + partner, child.reshape(partner.shape))
+            )
+        _PLANS[k] = levels
+    return _PLANS[k]
 
-        def recurse(avail: tuple[int, ...], acc: list) -> None:
-            if not avail:
-                result.append(acc)
-                return
-            first = avail[0]
-            for i in range(1, len(avail)):
-                recurse(
-                    avail[1:i] + avail[i + 1:],
-                    acc + [(first, avail[i])],
-                )
 
-        recurse(tuple(range(k)), [])
-        _PAIRINGS[k] = np.array(result, dtype=np.int64).reshape(-1, k // 2, 2)
-    return _PAIRINGS[k]
+def _min_pairing(
+    dist: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact minimum-weight perfect pairing of many rows at once.
+
+    ``dist`` is ``(rows, k, k)`` pair weights and ``masks`` the
+    ``(rows, k, k, n_observables)`` pair corrections (only ``i < j`` is
+    read).  Runs ``f[S] = min_j dist[low(S), j] + f[S - {low(S), j}]``
+    over :func:`_plan` from the empty set up, vectorized over rows, and
+    returns per row the optimal total, the correction of the pairings
+    within :data:`_TIE_TOL` of it (the XOR of their pairs' masks) and
+    an *ambiguous* flag.  A state is ambiguous when its near-optimal
+    candidates predict different corrections or one leads to an
+    ambiguous state, so an unflagged row's correction is the one every
+    pairing within ``_TIE_TOL`` of the optimum predicts (a flagged
+    row's is meaningless).  Rows with no finite pairing return an
+    infinite total.
+    """
+    rows, k = dist.shape[:2]
+    dist = dist.reshape(rows, k * k).T
+    masks = masks.reshape(rows, k * k, masks.shape[-1]).transpose(1, 2, 0)
+    masks = masks.astype(bool)
+    best = np.zeros((1, rows))
+    prediction = np.zeros((1, masks.shape[1], rows), dtype=bool)
+    ambiguous = np.zeros((1, rows), dtype=bool)
+    for pair, child in reversed(_plan(k)):
+        totals = dist[pair]
+        totals += best[child]
+        best = totals.min(axis=1)
+        near = totals <= best[:, None] + _TIE_TOL
+        # An unambiguous state's near candidates all agree, so the OR
+        # over them is its correction; no argmin is needed.
+        corrections = masks[pair] ^ prediction[child]
+        prediction = (near[:, :, None] & corrections).any(axis=1)
+        zeros = (near[:, :, None] & ~corrections).any(axis=1)
+        tied = (near & ambiguous[child]).any(axis=1)
+        ambiguous = (prediction & zeros).any(axis=1) | tied
+    return best[0], prediction[0].T.astype(np.uint8), ambiguous[0]
 
 
 class CompiledMatchingDecoder:
@@ -161,6 +204,11 @@ class CompiledMatchingDecoder:
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many detector samples: shape (shots, n_detectors)."""
         syndromes = np.asarray(syndromes, dtype=np.uint8)
+        if syndromes.ndim != 2 or syndromes.shape[1] != self.n_detectors:
+            raise ValueError(
+                f"expected syndromes of shape (shots, {self.n_detectors}), "
+                f"got {syndromes.shape}"
+            )
         out = np.zeros(
             (syndromes.shape[0], self.n_observables), dtype=np.uint8
         )
@@ -243,111 +291,63 @@ class CompiledMatchingDecoder:
                 pairs[finite, 0], pairs[finite, 1]
             ]
 
-        # Three or more defects: enumerate perfect pairings per
-        # defect-count group, vectorized over all rows of the group.
-        for padded in range(4, _MAX_ENUM_NODES + 2, 2):
-            self._enumerate_group(counts, offsets, flat, padded, decoded)
-        for row in np.nonzero(counts > _MAX_ENUM_NODES)[0]:
+        # Three or more defects: one exact dynamic program per padded
+        # defect-count group; per-row blossom for whatever it leaves.
+        fallback = [np.nonzero(counts > _MAX_DP_NODES)[0]]
+        for padded in range(4, _MAX_DP_NODES + 2, 2):
+            fallback.append(
+                self._match_group(counts, offsets, flat, padded, decoded)
+            )
+        fallback = np.concatenate(fallback)
+        if obs.is_metrics():
+            obs.counter(
+                "repro_decode_fallback_rows_total", pid=str(os.getpid())
+            ).inc(int(fallback.size))
+        for row in fallback:
             decoded[row] = self._match(
                 flat[offsets[row]: offsets[row] + counts[row]]
             )
         return decoded
 
-    def _enumerate_group(
+    def _match_group(
         self,
         counts: np.ndarray,
         offsets: np.ndarray,
         flat: np.ndarray,
         padded: int,
         decoded: np.ndarray,
-    ) -> None:
-        """Decode every row whose defect set pads to ``padded`` nodes."""
-        groups = []
-        (odd,) = np.nonzero(counts == padded - 1)
-        if odd.size:
-            defects = flat[offsets[odd][:, None] + np.arange(padded - 1)]
-            boundary = np.full((odd.size, 1), self._boundary, np.int64)
-            groups.append((odd, np.hstack([defects, boundary])))
-        (even,) = np.nonzero(counts == padded)
-        if even.size:
-            groups.append(
-                (even, flat[offsets[even][:, None] + np.arange(padded)])
-            )
-        if not groups:
-            return
-        rows = np.concatenate([g[0] for g in groups])
-        nodes = np.concatenate([g[1] for g in groups])
-
-        pairings = _pairings(padded)
-        # Slab the group so the (rows, pairings, pairs-per-pairing)
-        # gather stays memory-bounded; rows are independent, so
-        # slabbing cannot change any prediction.
-        slab = max(
-            1,
-            _ENUM_SLAB_ELEMENTS // (pairings.shape[0] * pairings.shape[1]),
-        )
-        for start in range(0, rows.size, slab):
-            self._enumerate_slab(
-                rows[start:start + slab],
-                nodes[start:start + slab],
-                pairings,
-                decoded,
-            )
-
-    def _enumerate_slab(
-        self,
-        rows: np.ndarray,
-        nodes: np.ndarray,
-        pairings: np.ndarray,
-        decoded: np.ndarray,
-    ) -> None:
-        """Vectorized minimum-weight pairing for one slab of rows."""
-        dist = self._dist[nodes[:, :, None], nodes[:, None, :]]
-        totals = dist[:, pairings[:, :, 0], pairings[:, :, 1]].sum(axis=2)
-        span = np.arange(rows.size)
-        best_index = totals.argmin(axis=1)
-        best = totals[span, best_index]
-        near = totals <= best[:, None] + _TIE_TOL
-
-        chosen = pairings[best_index]
-        a = np.take_along_axis(nodes, chosen[:, :, 0], axis=1)
-        b = np.take_along_axis(nodes, chosen[:, :, 1], axis=1)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        predictions = np.bitwise_xor.reduce(self._mask[lo, hi], axis=1)
-
-        finite = np.isfinite(best)
-        unsafe = ~finite | (near.sum(axis=1) > 1)
-        decoded[rows[~unsafe]] = predictions[~unsafe]
-        for r in np.nonzero(unsafe)[0]:
-            decoded[rows[r]] = self._resolve_tied(
-                nodes[r], pairings, near[r], finite[r]
-            )
-
-    def _resolve_tied(
-        self,
-        node_row: np.ndarray,
-        pairings: np.ndarray,
-        near_row: np.ndarray,
-        finite: bool,
     ) -> np.ndarray:
-        """A row with unreachable pairs or a weight tie.
-
-        If every near-optimal pairing predicts the same correction the
-        tie is harmless; otherwise (and for unreachable pairs, where
-        maximum-cardinality semantics kick in) defer to the same blossom
-        call the reference decoder makes, so tie-breaking agrees
-        bitwise.
-        """
-        defects = node_row[node_row != self._boundary]
-        if finite:
-            tied = pairings[np.nonzero(near_row)[0]]
-            a = node_row[tied[:, :, 0]]
-            b = node_row[tied[:, :, 1]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            predictions = np.bitwise_xor.reduce(self._mask[lo, hi], axis=1)
-            if not np.any(predictions != predictions[0]):
-                return predictions[0]
-        return self._match(defects)
+        """Decode every row whose defect set pads to ``padded`` nodes
+        with :func:`_min_pairing`; return the rows it leaves to blossom
+        (ambiguous or without a finite perfect pairing)."""
+        (rows,) = np.nonzero(counts + counts % 2 == padded)
+        if not rows.size:
+            return rows
+        # An odd defect set ends with the boundary (its extra slot's
+        # index is clamped in bounds, then replaced).  Defects ascend and
+        # the boundary is the largest node index, so local pair (i < j)
+        # reads the mask in the reference's direction.
+        slot = np.arange(padded)
+        index = np.minimum(offsets[rows][:, None] + slot, flat.size - 1)
+        nodes = np.where(
+            slot < counts[rows][:, None], flat[index], self._boundary
+        )
+        # Slab the group so one level's (states, candidates, rows)
+        # tensor stays memory-bounded; rows are independent, so slabbing
+        # cannot change any prediction.
+        widest = max(pair.size for pair, _ in _plan(padded))
+        slab = max(1, _DP_SLAB_ELEMENTS // widest)
+        unsettled = []
+        for start in range(0, rows.size, slab):
+            part, local = rows[start:start + slab], nodes[start:start + slab]
+            grid = (local[:, :, None], local[:, None, :])
+            best, prediction, ambiguous = _min_pairing(
+                self._dist[grid], self._mask[grid]
+            )
+            settled = np.isfinite(best) & ~ambiguous
+            decoded[part[settled]] = prediction[settled]
+            unsettled.append(part[~settled])
+        return np.concatenate(unsettled)
 
     # -- internals -------------------------------------------------------------
 

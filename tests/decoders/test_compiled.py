@@ -11,6 +11,7 @@ import pytest
 
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
 from repro.dem import DetectorErrorModel, ErrorMechanism
+from repro.gf2 import bitops
 from repro.qec import repetition_code_dem, surface_code_dem
 
 
@@ -64,7 +65,54 @@ class TestBitwiseEquivalence:
             ), f"defect count {int(row.sum())}"
 
 
+class TestDynamicProgramRange:
+    """d=7, r=7 at p=0.002: syndromes picked by defect count cover every
+    padded k from 14 to 24 — the dynamic program up to 20 nodes and
+    blossom matching above it."""
+
+    @pytest.fixture(scope="class")
+    def d7r7(self):
+        dem = surface_code_dem(7, rounds=7, probability=0.002)
+        syndromes, _ = dem.sample(4096, np.random.default_rng(0))
+        counts = syndromes.sum(axis=1)
+        picks = [np.flatnonzero(counts == k)[:1] for k in range(13, 25)]
+        assert all(pick.size for pick in picks)
+        return dem, syndromes[np.concatenate(picks)]
+
+    def test_unpacked_and_packed_match_reference(self, d7r7):
+        dem, syndromes = d7r7
+        compiled = CompiledMatchingDecoder(dem)
+        expected = MatchingDecoder(dem).decode_batch(syndromes)
+        assert np.array_equal(compiled.decode_batch(syndromes), expected)
+        assert np.array_equal(
+            compiled.decode_batch_packed(bitops.pack_rows(syndromes)),
+            bitops.pack_rows(expected),
+        )
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    def test_wrong_width_syndromes_rejected(self, width):
+        # An extra column used to be read as the boundary node and
+        # decode silently ([[1, 0, 1]] -> [[1]]); wider rows died with
+        # a bare IndexError.
+        dem = DetectorErrorModel(n_detectors=2, n_observables=1)
+        dem.add_group([ErrorMechanism(0.1, (0,), (0,))])
+        dem.add_group([ErrorMechanism(0.1, (0, 1), ())])
+        compiled = CompiledMatchingDecoder(dem)
+        syndromes = np.zeros((1, width), dtype=np.uint8)
+        syndromes[0, 0] = syndromes[0, -1] = 1
+        with pytest.raises(ValueError, match=rf"\(shots, 2\).*\(1, {width}\)"):
+            compiled.decode_batch(syndromes)
+        with pytest.raises(ValueError, match=r"\(shots, 2\)"):
+            compiled.decode(syndromes[0])
+
+    def test_one_dimensional_batch_rejected(self, surface_dems):
+        dem = surface_dems[3]
+        compiled = CompiledMatchingDecoder(dem)
+        with pytest.raises(ValueError, match="shape"):
+            compiled.decode_batch(np.zeros(dem.n_detectors, dtype=np.uint8))
+
     def test_zero_shots(self, surface_dems):
         dem = surface_dems[3]
         for decoder in (MatchingDecoder(dem), CompiledMatchingDecoder(dem)):
