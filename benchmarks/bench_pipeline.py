@@ -96,7 +96,6 @@ def run_bench(
     seed: int,
     backend: str,
     workers: int,
-    transport: str = "auto",
     engine_chunk_factor: int = 8,
 ) -> dict:
     circuit = surface_code_memory(
@@ -136,7 +135,6 @@ def run_bench(
         "host": host_info(),
         "backend": backend,
         "decoder": "compiled-matching",
-        "transport": transport,
         "shots_per_batch": shots,
         "repeats": repeats,
         "compile_seconds": compile_seconds,
@@ -181,7 +179,6 @@ def run_bench(
                 [task],
                 options=ExecutionOptions(
                     base_seed=seed, workers=pool_workers, chunk_shots=shots,
-                    transport=transport,
                 ),
             )[0]
             wall = time.perf_counter() - started
@@ -238,10 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", default="frame")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
-        "--transport", choices=["auto", "pickle", "shm"], default="auto",
-        help="engine-leg wire (same option as `repro collect --transport`)",
-    )
-    parser.add_argument(
         "--engine-chunk-factor", type=int, default=8,
         help=(
             "engine-leg budget in chunks (max_shots = shots * factor); "
@@ -277,7 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     result = run_bench(
         args.distance, args.rounds, args.p, args.shots, args.repeats,
         args.seed, args.backend, args.workers,
-        transport=args.transport,
         engine_chunk_factor=args.engine_chunk_factor,
     )
     # Single-core runners time-slice the pooled leg; their workers-2
@@ -324,8 +316,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{'-' if speedup is None else format(speedup, '.2f') + 'x'} "
           f"(errors identical: {result['errors_identical']})")
     efficiency = result["scaling_efficiency"]
-    print(f"scaling efficiency (workers={args.workers}, "
-          f"transport={args.transport}): "
+    print(f"scaling efficiency (workers={args.workers}): "
           f"{'-' if efficiency is None else format(efficiency, '.2f') + 'x'} "
           f"[{result['scaling_gate']}, "
           f"cpu_count={result['host']['cpu_count']}, "

@@ -262,7 +262,7 @@ class SourceIndex:
             binding = file.bindings.get(parts[0])
             if binding is not None and binding.attr is None:
                 # ``import repro.obs as obs; obs.reset()`` and deeper
-                # chains like ``repro.engine.shm.read_blob()``.
+                # chains like ``repro.engine.faults.install()``.
                 module = ".".join([binding.module] + parts[1:-1])
                 resolved = self._lookup(module, parts[-1])
                 if resolved:

@@ -224,7 +224,7 @@ class ForkSafetyRule(Rule):
             f"{name!r} ({how}) without a pool-initializer reset",
             hint=(
                 "reset the state in the pool initializer (like "
-                "obs.reset()/shm.detach_all() in enter_worker), or "
+                "obs.reset() in enter_worker), or "
                 "make the mutation an idempotent guarded memo"
             ),
         )

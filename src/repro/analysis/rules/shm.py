@@ -93,6 +93,6 @@ class ShmUnlinkRule(Rule):
                         "unlink in a finally/except in the creating "
                         "function, manage the segment with `with`, or "
                         "register a weakref.finalize backstop that "
-                        "unlinks (see repro.engine.shm.SlabArena)"
+                        "unlinks"
                     ),
                 )

@@ -1,13 +1,13 @@
 """WIRE001 — chunk specs stay header-only across the worker boundary.
 
-The pool wire (:mod:`repro.engine.workers` / :mod:`repro.engine.shm`)
-is deliberately header-only: a ``ChunkSpec``/``ShmChunkSpec`` carries
-strings, ints, and ``BlobRef``/``SlotRef`` names — never the payloads
-themselves.  Smuggling a closure (silently re-pickles its globals), a
-lock (unpicklable or, worse, fork-duplicated), or a live ndarray
-(copies megabytes per chunk through the pickle wire) into a spec
-defeats the shared-memory transport and can break or slow the pool in
-ways that only show up under load.  This rule tracks those three
+The pool wire (:mod:`repro.engine.workers`) pickles one ``ChunkSpec``
+per leased chunk, so a spec is deliberately header-only: it carries
+strings and ints — the circuit text, seeds, sizes — and workers rebuild
+every heavy object from them.  Smuggling a closure (silently re-pickles
+its globals), a lock (unpicklable or, worse, fork-duplicated), or a
+live ndarray (copies megabytes per chunk through the pickle wire) into
+a spec can break or slow the pool in ways that only show up under
+load.  This rule tracks those three
 provenances flow-sensitively and flags spec construction that receives
 one.
 """
@@ -89,9 +89,8 @@ class WireContractRule(FlowRule):
     severity = "error"
     title = "non-header value smuggled into a chunk spec"
     rationale = (
-        "ChunkSpec/ShmChunkSpec must stay header-only (str/int/"
-        "BlobRef/SlotRef); closures, locks, and live arrays defeat "
-        "the shared-memory transport contract."
+        "ChunkSpec must stay header-only (str/int fields); closures, "
+        "locks, and live arrays break or bloat the pickled pool wire."
     )
     version = 1
     domain = WireAnalysis
@@ -126,9 +125,8 @@ class WireContractRule(FlowRule):
                                 f"receives {_PROBLEMS[mark]} in "
                                 f"{info.qualname}()",
                                 hint=(
-                                    "ship headers only: stage payloads "
-                                    "as BlobRef/SlotRef through the "
-                                    "SlabArena (engine.shm) and "
-                                    "rebuild state worker-side"
+                                    "ship headers only: pass plain "
+                                    "str/int fields and rebuild state "
+                                    "worker-side"
                                 ),
                             )

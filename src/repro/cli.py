@@ -134,16 +134,13 @@ def add_seed_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _chunk_shots(value: str) -> "int | str":
-    """``--chunk-shots`` parser: a positive int, or ``auto`` to let the
-    adaptive sizer steer chunk sizes toward a target latency."""
-    if value == "auto":
-        return value
+def _chunk_shots(value: str) -> int:
+    """``--chunk-shots`` parser: a positive int."""
     try:
         shots = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
+            f"expected a positive integer, got {value!r}"
         ) from None
     if shots < 1:
         raise argparse.ArgumentTypeError("chunk shots must be positive")
@@ -157,20 +154,12 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "shots per derived-seed chunk (default 2000; part of the "
             "statistical protocol, keep fixed across runs sharing a "
-            "store), or 'auto' for adaptive latency-targeted sizing"
+            "store)"
         ),
     )
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (1 = serial; counts are identical either way)",
-    )
-    parser.add_argument(
-        "--transport", choices=["auto", "pickle", "shm"], default="auto",
-        help=(
-            "pooled-run wire: shared-memory slab arena (shm), classic "
-            "pickle, or auto-detect (default; REPRO_TRANSPORT env var "
-            "overrides).  Counts are bitwise identical either way"
-        ),
     )
     parser.add_argument(
         "--max-chunk-retries", type=int, default=2, metavar="N",
@@ -205,13 +194,10 @@ def _execution_options(args: argparse.Namespace, **extra):
     """Build :class:`ExecutionOptions` from parsed shared arguments."""
     from repro.study import ExecutionOptions
 
-    adaptive = args.chunk_shots == "auto"
     return ExecutionOptions(
         base_seed=args.seed,
         workers=args.workers,
-        chunk_shots=2_000 if adaptive else args.chunk_shots,
-        adaptive_chunks=adaptive,
-        transport=args.transport,
+        chunk_shots=args.chunk_shots,
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout_seconds=args.chunk_timeout,
         retry_backoff=args.retry_backoff,
@@ -435,8 +421,7 @@ def _print_recovery_profile() -> None:
     deaths = int(total("repro_worker_deaths_total"))
     expired = int(total("repro_lease_expired_total"))
     quarantined = int(total("repro_chunks_quarantined"))
-    degraded = int(total("repro_transport_degraded_total"))
-    if not (retries or deaths or expired or quarantined or degraded):
+    if not (retries or deaths or expired or quarantined):
         return
     print("recovery:")
     print(f"  {'chunk retries':<14} {retries:>8}  (re-leased and replayed)")
@@ -446,9 +431,6 @@ def _print_recovery_profile() -> None:
     if quarantined:
         print(f"  {'quarantined':<14} {quarantined:>8}  (chunks given up on; "
               f"see failure rows)")
-    if degraded:
-        print(f"  {'shm degraded':<14} {degraded:>8}  (runs fell back to "
-              f"pickle wire)")
 
 
 def _print_worker_profile() -> None:

@@ -18,25 +18,21 @@ Typical use::
 or from the command line: ``python -m repro collect --help``.
 """
 
-from repro.engine.adaptive import AdaptiveChunkSizer
 from repro.engine.cache import SamplerCache, shared_cache
 from repro.engine.collector import ResultStore, TaskStats, collect, fresh_base_seed
 from repro.engine.faults import FaultClause, FaultInjected, FaultPlan
 from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import Task
 from repro.engine.workers import (
-    TRANSPORTS,
     ChunkResult,
     ChunkRunner,
     ChunkSpec,
     plan_chunks,
-    plan_chunks_adaptive,
     run_chunk,
     warm_spec,
 )
 
 __all__ = [
-    "AdaptiveChunkSizer",
     "ChunkResult",
     "ChunkRunner",
     "ChunkSpec",
@@ -46,13 +42,11 @@ __all__ = [
     "FaultPlan",
     "ResultStore",
     "SamplerCache",
-    "TRANSPORTS",
     "Task",
     "TaskStats",
     "collect",
     "fresh_base_seed",
     "plan_chunks",
-    "plan_chunks_adaptive",
     "run_chunk",
     "shared_cache",
     "warm_spec",

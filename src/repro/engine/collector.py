@@ -27,15 +27,9 @@ import numpy as np
 
 import repro.obs as obs
 from repro.decoders.metrics import wilson_interval
-from repro.engine.adaptive import AdaptiveChunkSizer
 from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
 from repro.engine.tasks import Task
-from repro.engine.workers import (
-    ChunkRunner,
-    plan_chunks,
-    plan_chunks_adaptive,
-    warm_spec,
-)
+from repro.engine.workers import ChunkRunner, plan_chunks, warm_spec
 
 
 @dataclass
@@ -265,8 +259,6 @@ def collect(
     store: ResultStore | str | os.PathLike | None = UNSET,
     progress: Callable[[TaskStats], None] | None = UNSET,
     profile: bool = UNSET,
-    transport: str = UNSET,
-    adaptive_chunks: bool = UNSET,
     max_chunk_retries: int = UNSET,
     chunk_timeout_seconds: float | None = UNSET,
     retry_backoff: float = UNSET,
@@ -297,12 +289,6 @@ def collect(
     * ``profile`` — enable :mod:`repro.obs` metrics for this run
       (restored afterwards; the registry is left populated for the
       caller).  Observational only — counts are unaffected.
-    * ``transport`` — pooled-run wire: ``"pickle"``, ``"shm"``, or
-      ``"auto"`` (default).  Counts are bitwise identical either way.
-    * ``adaptive_chunks`` — steer chunk sizes toward
-      ``options.target_chunk_seconds`` instead of fixed
-      ``chunk_shots``; changes which shots are drawn, so off by
-      default (see :class:`~repro.engine.options.ExecutionOptions`).
     * ``max_chunk_retries`` / ``chunk_timeout_seconds`` /
       ``retry_backoff`` / ``fault_plan`` — fault-tolerance policy for
       pooled runs (lease deadlines, bounded-backoff retry, quarantine,
@@ -319,8 +305,6 @@ def collect(
         store=store,
         progress=progress,
         profile=profile,
-        transport=transport,
-        adaptive_chunks=adaptive_chunks,
         max_chunk_retries=max_chunk_retries,
         chunk_timeout_seconds=chunk_timeout_seconds,
         retry_backoff=retry_backoff,
@@ -356,7 +340,6 @@ def collect(
     try:
         with ChunkRunner(
             workers=options.workers,
-            transport=options.transport,
             max_chunk_retries=options.max_chunk_retries,
             chunk_timeout_seconds=options.chunk_timeout_seconds,
             retry_backoff=options.retry_backoff,
@@ -417,17 +400,7 @@ def _collect_one(
     max_errors = (
         task.max_errors if task.max_errors is not None else options.max_errors
     )
-    sizer = None
-    if options.adaptive_chunks:
-        sizer = AdaptiveChunkSizer(
-            initial=options.chunk_shots,
-            target_seconds=options.target_chunk_seconds,
-            min_shots=options.min_chunk_shots,
-            max_shots=options.max_chunk_shots,
-        )
-        specs = plan_chunks_adaptive(task, base_seed, sizer)
-    else:
-        specs = plan_chunks(task, base_seed, options.chunk_shots)
+    specs = plan_chunks(task, base_seed, options.chunk_shots)
     wall_start = time.perf_counter()
     with obs.span(
         "task", task=stats.task_id, decoder=task.decoder, sampler=task.sampler
@@ -448,8 +421,6 @@ def _collect_one(
                         base_seed=base_seed,
                     )
                 continue
-            if sizer is not None:
-                sizer.observe(result.shots, result.seconds)
             stats.shots += result.shots
             stats.errors += result.errors
             stats.chunks += 1

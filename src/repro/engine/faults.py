@@ -2,8 +2,7 @@
 
 A :class:`FaultPlan` is a small declarative script of process-level
 failures — *kill this worker right before chunk 2*, *stall chunk 5 for
-half a second*, *corrupt chunk 1's shared-memory result slot*, *raise
-inside chunk 3's decode* — that the executor's injection points consult
+half a second*, *raise inside chunk 3's decode* — that the executor's injection points consult
 on the hot path.  It exists so the supervision machinery
 (:mod:`repro.engine.supervise`) can be chaos-tested honestly: the chaos
 suite and the CI chaos leg run real sweeps with faults firing and
@@ -34,7 +33,6 @@ Syntax (comma-separated clauses)::
     kill@K            SIGKILL the worker right before it runs chunk K
     delay@K:SECONDS   sleep SECONDS before running chunk K
     raise@K           raise FaultInjected inside chunk K's decode stage
-    corrupt-slot@K    scribble garbage over chunk K's shm result slot
 
     any clause may append xN (fire on attempts < N) or x* (always).
 """
@@ -61,7 +59,7 @@ __all__ = [
 #: not pass an explicit plan.
 ENV_VAR = "REPRO_FAULTS"
 
-ACTIONS = ("kill", "delay", "raise", "corrupt-slot")
+ACTIONS = ("kill", "delay", "raise")
 
 
 class FaultInjected(RuntimeError):
@@ -229,10 +227,3 @@ def on_decode(chunk_index: int, attempt: int, in_worker: bool) -> None:
             f"attempt {attempt})"
         )
 
-
-def corrupt_slot(chunk_index: int, attempt: int, in_worker: bool) -> bool:
-    """Whether a ``corrupt-slot`` clause wants this chunk's shm result
-    slot scribbled (the writer substitutes garbage for the payload)."""
-    if not _armed(in_worker):
-        return False
-    return _ACTIVE.match("corrupt-slot", chunk_index, attempt) is not None

@@ -67,18 +67,6 @@ class ExecutionOptions:
       of the run (flags restored afterwards; the registry is left
       intact for the caller to read).  Purely observational: no effect
       on the collected counts.
-    * ``transport`` — parent-worker wire for pooled runs: ``"pickle"``,
-      ``"shm"`` (shared-memory slab arena, header-only pickles), or
-      ``"auto"`` (shm when the host supports it, overridable via the
-      ``REPRO_TRANSPORT`` environment variable).  Counts are bitwise
-      identical on every wire; this is purely a performance choice.
-    * ``adaptive_chunks`` — let an
-      :class:`~repro.engine.adaptive.AdaptiveChunkSizer` steer chunk
-      sizes toward ``target_chunk_seconds`` within
-      ``[min_chunk_shots, max_chunk_shots]``.  Changes *which* shots
-      are drawn (exactly like changing ``chunk_shots``), so it is
-      off by default and should stay consistently on or off across
-      runs that share a store.
     * ``max_chunk_retries`` — how many times a failed chunk lease
       (worker death, expired deadline, in-chunk exception) is retried
       before the chunk is quarantined as a structured failure row.
@@ -106,11 +94,6 @@ class ExecutionOptions:
         default=None, compare=False
     )
     profile: bool = False
-    transport: str = "auto"
-    adaptive_chunks: bool = False
-    target_chunk_seconds: float = 0.25
-    min_chunk_shots: int = 256
-    max_chunk_shots: int = 65_536
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
     retry_backoff: float = 0.1
@@ -123,17 +106,6 @@ class ExecutionOptions:
             raise ValueError("chunk_shots must be positive")
         if self.max_errors is not None and self.max_errors < 1:
             raise ValueError("max_errors must be positive when set")
-        if self.transport not in ("auto", "pickle", "shm"):
-            raise ValueError(
-                "transport must be 'auto', 'pickle' or 'shm', "
-                f"got {self.transport!r}"
-            )
-        if self.target_chunk_seconds <= 0:
-            raise ValueError("target_chunk_seconds must be positive")
-        if not 1 <= self.min_chunk_shots <= self.max_chunk_shots:
-            raise ValueError(
-                "need 1 <= min_chunk_shots <= max_chunk_shots"
-            )
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
         if (

@@ -87,13 +87,12 @@ def worker_main(
     Messages in: ``("chunk", token, index, payload)``,
     ``("warm", payload)``, ``("stop",)``.  Messages out:
     ``("result", token, index, ChunkResult)``,
-    ``("error", token, index, message, kind)``,
+    ``("error", token, index, message)``,
     ``("warm", pid, spans, metrics)``.
 
     A chunk that raises does **not** kill the worker: the error is
-    reported (with ``kind="shm"`` for transport failures, so the parent
-    can degrade the wire) and the loop continues — the parent decides
-    whether to retry or quarantine.  Only a ``stop`` message, a closed
+    reported and the loop continues — the parent decides whether to
+    retry or quarantine.  Only a ``stop`` message, a closed
     pipe, or an actual process death ends the loop.
     """
     # Imported lazily: workers imports this module at top level, and
@@ -127,11 +126,6 @@ def worker_main(
                 try:
                     result = workers.execute_chunk(payload)
                 except Exception as exc:
-                    error_kind = (
-                        "shm"
-                        if isinstance(exc, workers.ShmTransportError)
-                        else "exception"
-                    )
                     _send(
                         conn,
                         (
@@ -139,7 +133,6 @@ def worker_main(
                             token,
                             index,
                             f"{type(exc).__name__}: {exc}",
-                            error_kind,
                         ),
                     )
                 else:
@@ -346,9 +339,7 @@ class SupervisedPool:
         Graceful: send ``stop`` sentinels and give workers a bounded
         grace window to drain queued messages (so a clean exit never
         kills a worker mid-chunk), then escalate.  Non-graceful
-        (exception path): terminate immediately — the shared-memory
-        arena has already been unlinked by then, so even a worker stuck
-        attaching cannot pin segments.
+        (exception path): terminate immediately.
         """
         handles = [h for h in self._handles if h is not None]
         if graceful:

@@ -30,18 +30,9 @@ re-warms replacement workers after a crash), so ``backend.compile``
 runs once per worker per circuit before the first real chunk instead
 of serializing into it.
 
-Transport between parent and workers is selectable
-(``transport="pickle" | "shm" | "auto"``): the classic pickle wire
-ships each spec whole, while the shared-memory wire
-(:mod:`repro.engine.shm`) writes the circuit text into a slab arena
-once per fingerprint and pickles only a small header per chunk, with
-workers parking their telemetry payloads in preallocated result slots —
-per-chunk transport collapses to headers.  Counts are bitwise identical
-under every transport: the worker executes the same :func:`run_chunk`
-on the same derived-seed spec either way.  Mid-run arena failures
-(attach errors, slot corruption) degrade the wire to pickle instead of
-aborting — counts never travel through shared memory, only telemetry
-does.
+The parent-worker wire is the pipe itself: each leased chunk ships as a
+pickled :class:`ChunkSpec` and comes back as a pickled
+:class:`ChunkResult` (counts plus any buffered telemetry).
 """
 
 from __future__ import annotations
@@ -55,7 +46,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-import repro.engine.shm as shm
 import repro.obs as obs
 from repro.engine import faults
 from repro.engine.cache import shared_cache
@@ -63,11 +53,6 @@ from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
 from repro.gf2 import bitops
 from repro.rng import chunk_generator
-
-#: Transport choices ``ChunkRunner`` accepts; ``"auto"`` resolves to
-#: shared memory when the host supports it (overridable via the
-#: ``REPRO_TRANSPORT`` environment variable), else pickle.
-TRANSPORTS = ("auto", "pickle", "shm")
 
 #: Hard cap on the exponential retry backoff, whatever the attempt count.
 _MAX_BACKOFF_SECONDS = 30.0
@@ -103,34 +88,6 @@ class ChunkSpec:
     base_seed: int
     task_entropy: int
     attempt: int = 0
-
-
-@dataclass(frozen=True)
-class ShmChunkSpec:
-    """Header-only chunk spec: the circuit text lives in the arena.
-
-    The shared-memory wire format.  Identical to :class:`ChunkSpec`
-    except the ~KBs circuit text is replaced by a
-    :class:`~repro.engine.shm.BlobRef` into the parent's slab arena
-    (written once per fingerprint), and ``result_slot`` names the
-    preallocated slot the worker may park its telemetry payload in
-    (guarded by ``run_token`` against stale writes from abandoned
-    runs).  Workers rebuild a plain :class:`ChunkSpec` from it, so
-    execution — and therefore every count — is transport-independent.
-    """
-
-    task_id: str
-    fingerprint: str
-    circuit_ref: shm.BlobRef
-    decoder: str
-    sampler: str
-    chunk_index: int
-    shots: int
-    base_seed: int
-    task_entropy: int
-    attempt: int = 0
-    run_token: int = 0
-    result_slot: shm.SlotRef | None = None
 
 
 @dataclass(frozen=True)
@@ -185,10 +142,6 @@ class ChunkResult:
     error: str = ""
     spans: tuple = ()
     metrics: tuple = ()
-    # True when the worker parked its telemetry payload in a
-    # shared-memory result slot instead of the pickle wire; the runner
-    # reads the slot and clears the flag before finalizing.
-    slot_payload: bool = False
 
 
 def plan_chunks(
@@ -226,42 +179,6 @@ def plan_chunks(
         remaining -= shots
         index += 1
     return specs
-
-
-def plan_chunks_adaptive(
-    task: Task, base_seed: int, sizer
-) -> Iterator[ChunkSpec]:
-    """Lazily plan ``task``'s chunks with sizes the ``sizer`` steers.
-
-    Each spec's shot count is whatever
-    :meth:`~repro.engine.adaptive.AdaptiveChunkSizer.next_shots`
-    reports at plan time (capped by the remaining budget), so the split
-    reacts to the latencies the consumer feeds back via ``observe``.
-    Unlike :func:`plan_chunks` the split is machine-dependent — which
-    shots get drawn depends on it — so this path is opt-in
-    (``ExecutionOptions.adaptive_chunks``).
-    """
-    task_id = task.strong_id()
-    fingerprint = task.circuit_fingerprint()
-    text = task.circuit.to_text()
-    entropy = task.seed_entropy()
-    remaining = task.max_shots
-    index = 0
-    while remaining > 0:
-        shots = min(sizer.next_shots(), remaining)
-        yield ChunkSpec(
-            task_id=task_id,
-            fingerprint=fingerprint,
-            circuit_text=text,
-            decoder=task.decoder,
-            sampler=task.sampler,
-            chunk_index=index,
-            shots=shots,
-            base_seed=base_seed,
-            task_entropy=entropy,
-        )
-        remaining -= shots
-        index += 1
 
 
 def _build_sampler(spec: ChunkSpec, circuit):
@@ -465,49 +382,11 @@ def enter_worker(config) -> None:
     and its first ``flush_wire`` would re-ship them — every parent-side
     counter would double-count once per worker.  A worker's wire must
     carry only what the worker itself measured.
-
-    Inherited shared-memory attachments are dropped for the same
-    reason: a forked child starts with the parent's ``_ATTACHED`` map,
-    whose segments may belong to a previous run's arena and unlink
-    under the child at any time.  Each worker re-attaches on first
-    read, against the arena of *its* run.
     """
     global _IN_WORKER
     _IN_WORKER = True
     obs.reset()
     obs.configure(config)
-    shm.detach_all()
-
-
-class ShmTransportError(RuntimeError):
-    """A worker could not service a shared-memory payload (attach
-    failure, unlinked segment, torn blob).  The supervisor reacts by
-    degrading the run's wire to pickle and retrying the chunk — counts
-    never depend on the arena, only telemetry transport does."""
-
-
-def _spec_from_header(header: ShmChunkSpec) -> ChunkSpec:
-    """Rebuild a plain :class:`ChunkSpec` from a shared-memory header.
-
-    The circuit text is read from the arena only when this worker's
-    cache has not yet built the circuit — a warm worker never touches
-    the slab again.
-    """
-    text = ""
-    if ("circuit", header.fingerprint) not in shared_cache():
-        text = shm.read_blob(header.circuit_ref).decode()
-    return ChunkSpec(
-        task_id=header.task_id,
-        fingerprint=header.fingerprint,
-        circuit_text=text,
-        decoder=header.decoder,
-        sampler=header.sampler,
-        chunk_index=header.chunk_index,
-        shots=header.shots,
-        base_seed=header.base_seed,
-        task_entropy=header.task_entropy,
-        attempt=header.attempt,
-    )
 
 
 def _warm_cache(spec: ChunkSpec) -> None:
@@ -541,8 +420,6 @@ def warm_in_worker(payload) -> tuple:
     construction — ``workers`` warm tasks land on ``workers`` distinct
     processes.
     """
-    if isinstance(payload, ShmChunkSpec):
-        payload = _spec_from_header(payload)
     with obs.span(
         "warm",
         fingerprint=payload.fingerprint,
@@ -572,41 +449,11 @@ def warm_spec(task: Task, base_seed: int) -> ChunkSpec:
     )
 
 
-def execute_chunk(payload: "ChunkSpec | ShmChunkSpec") -> ChunkResult:
-    """Worker-side execution of one leased chunk.
-
-    Rebuilds shared-memory headers into plain specs (raising
-    :class:`ShmTransportError` when the arena is unreachable so the
-    parent can degrade the wire), fires the chunk-start fault hooks,
-    runs the chunk, and parks the telemetry payload — the bulk of a
-    profiled result — in the header's result slot when it fits,
-    collapsing the pickled reply to its numeric fields.
-    """
-    slot_ref = None
-    token = 0
-    if isinstance(payload, ShmChunkSpec):
-        slot_ref = payload.result_slot
-        token = payload.run_token
-        try:
-            spec = _spec_from_header(payload)
-        except Exception as exc:
-            raise ShmTransportError(
-                f"cannot rebuild chunk {payload.chunk_index} from its "
-                f"shared-memory header: {exc}"
-            ) from exc
-    else:
-        spec = payload
+def execute_chunk(spec: ChunkSpec) -> ChunkResult:
+    """Worker-side execution of one leased chunk: fire the chunk-start
+    fault hooks, then run the chunk."""
     faults.on_chunk_start(spec.chunk_index, spec.attempt, _IN_WORKER)
-    result = run_chunk(spec)
-    if slot_ref is not None and (result.spans or result.metrics):
-        data = pickle.dumps((result.spans, result.metrics))
-        if faults.corrupt_slot(spec.chunk_index, spec.attempt, _IN_WORKER):
-            data = b"\x00repro-fault: corrupted slot payload\x00" + data[:8]
-        if shm.write_slot(slot_ref, token, data):
-            result = replace(
-                result, spans=(), metrics=(), slot_payload=True
-            )
-    return result
+    return run_chunk(spec)
 
 
 @dataclass
@@ -617,8 +464,6 @@ class _Lease:
     attempt: int
     submitted: float  # perf_counter stamp, for the chunk timeline
     deadline: float | None  # monotonic expiry, None = no deadline
-    shm_slot: int  # arena result slot, -1 when on the pickle wire
-    transport: str  # wire this attempt actually used
 
 
 @dataclass
@@ -632,7 +477,6 @@ class _RunState:
     delayed: list = field(default_factory=list)  # (ready_monotonic, index)
     leases: dict[int, _Lease] = field(default_factory=dict)
     reorder: dict = field(default_factory=dict)
-    free_shm_slots: deque = field(default_factory=deque)
     submit_times: dict[int, float] = field(default_factory=dict)
     spec_sizes: dict[int, int] = field(default_factory=dict)
     next_submit: int = 0
@@ -651,22 +495,15 @@ class _RunState:
 
 class ChunkRunner:
     """Executes chunk specs, in-process (``workers <= 1``) or on a
-    supervised worker pool.  Context-managed so the workers — and,
-    under shared-memory transport, every ``/dev/shm`` segment — are
-    always reclaimed::
+    supervised worker pool.  Context-managed so the workers are always
+    reclaimed::
 
         with ChunkRunner(workers=4) as runner:
             for result in runner.run(specs):
                 ...
 
-    ``transport`` picks the parent-worker wire: ``"pickle"`` (ship the
-    whole spec), ``"shm"`` (slab-arena blobs + header-only pickles, see
-    :mod:`repro.engine.shm`; raises at ``__enter__`` when the host
-    cannot create segments), or ``"auto"`` (shm when available, else
-    pickle; the ``REPRO_TRANSPORT`` environment variable overrides the
-    preference).  Counts are bitwise identical under every transport,
-    and a mid-run arena failure degrades the wire to pickle instead of
-    aborting.
+    Pooled chunks travel as pickled :class:`ChunkSpec`s over each
+    worker's pipe and come back as pickled :class:`ChunkResult`s.
 
     Fault tolerance: each dispatched chunk is a *lease* on a specific
     worker.  A worker death (sentinel), a stalled heartbeat (opt-in via
@@ -683,8 +520,6 @@ class ChunkRunner:
     def __init__(
         self,
         workers: int = 1,
-        transport: str = "auto",
-        slot_bytes: int = 1 << 16,
         *,
         max_chunk_retries: int = 2,
         chunk_timeout_seconds: float | None = None,
@@ -694,61 +529,26 @@ class ChunkRunner:
         fault_plan: "faults.FaultPlan | str | None" = None,
     ):
         self.workers = max(1, int(workers))
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         if max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
         if chunk_timeout_seconds is not None and chunk_timeout_seconds <= 0:
             raise ValueError("chunk_timeout_seconds must be positive")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        self.transport = transport
         self.max_chunk_retries = int(max_chunk_retries)
         self.chunk_timeout_seconds = chunk_timeout_seconds
         self.retry_backoff = float(retry_backoff)
         self.heartbeat_interval_seconds = heartbeat_interval_seconds
         self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.fault_plan = fault_plan
-        self._slot_bytes = slot_bytes
-        self._mode = "inproc"
         self._pool: SupervisedPool | None = None
-        self._arena: shm.SlabArena | None = None
         # key -> template spec, kept so replacement workers spawned
         # after a crash can be re-warmed with the same payloads.
         self._warmed: dict[tuple[str, str, str], ChunkSpec] = {}
         self._run_token = 0
 
-    def _resolve_transport(self) -> str:
-        """The wire a pooled run will use, honoring explicit choices
-        strictly and degrading ``auto`` (or its env override) to pickle
-        when shared memory is unusable."""
-        requested = self.transport
-        if requested == "auto":
-            env = os.environ.get("REPRO_TRANSPORT", "").strip().lower()
-            if env in ("pickle", "shm"):
-                requested = env
-        if requested == "shm" and not shm.shm_available():
-            if self.transport == "shm":
-                raise RuntimeError(
-                    "transport='shm' requested but shared memory is "
-                    "unavailable on this host (pass 'auto' or 'pickle')"
-                )
-            return "pickle"
-        if requested == "auto":
-            return "shm" if shm.shm_available() else "pickle"
-        return requested
-
-    @property
-    def active_transport(self) -> str:
-        """The resolved wire: ``inproc`` (serial), ``pickle`` or
-        ``shm``.  Reports ``pickle`` after a mid-run degrade."""
-        return self._mode
-
     def __enter__(self) -> "ChunkRunner":
         if self.workers > 1:
-            self._mode = self._resolve_transport()
             self._pool = SupervisedPool(
                 self.workers,
                 wire_config=obs.wire_config(),
@@ -756,30 +556,10 @@ class ChunkRunner:
                 heartbeat_interval=self.heartbeat_interval_seconds,
             )
             self._pool.start()
-            if self._mode == "shm":
-                try:
-                    self._arena = shm.SlabArena(
-                        slot_count=2 * self.workers,
-                        slot_bytes=self._slot_bytes,
-                    )
-                except (RuntimeError, OSError, ValueError):
-                    # Probe said yes but creation failed (quota, races):
-                    # degrade to the pickle wire rather than dying.
-                    self._arena = None
-                    self._mode = "pickle"
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         try:
-            if exc_type is not None and self._arena is not None:
-                # Exception path: unlink the /dev/shm segments *before*
-                # stopping workers.  Unlinking only removes the names —
-                # attached workers keep their mappings until they exit —
-                # so this can never corrupt an in-flight chunk, but it
-                # guarantees no segment outlives the runner even if a
-                # worker refuses to die and terminate() below hangs.
-                self._arena.close()
-                self._arena = None
             if self._pool is not None:
                 # Clean shutdown waits (bounded) for in-flight chunks so
                 # forked children flush coverage data; the exception
@@ -787,63 +567,7 @@ class ChunkRunner:
                 self._pool.stop(graceful=exc_type is None)
                 self._pool = None
         finally:
-            # Segments are unlinked on *every* exit path — exception,
-            # KeyboardInterrupt, worker-join failure — so a dead run
-            # never leaks /dev/shm space.
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
             self._warmed.clear()
-            self._mode = "inproc"
-
-    def _header_for(
-        self, spec: ChunkSpec, slot_id: int = -1
-    ) -> ShmChunkSpec:
-        """The shared-memory header for one spec, writing the circuit
-        text into the slab arena on first encounter of its fingerprint."""
-        ref = self._arena.put_blob(
-            ("circuit", spec.fingerprint), spec.circuit_text.encode()
-        )
-        return ShmChunkSpec(
-            task_id=spec.task_id,
-            fingerprint=spec.fingerprint,
-            circuit_ref=ref,
-            decoder=spec.decoder,
-            sampler=spec.sampler,
-            chunk_index=spec.chunk_index,
-            shots=spec.shots,
-            base_seed=spec.base_seed,
-            task_entropy=spec.task_entropy,
-            attempt=spec.attempt,
-            run_token=self._run_token,
-            result_slot=(
-                self._arena.slot_ref(slot_id) if slot_id >= 0 else None
-            ),
-        )
-
-    def _degrade(self, reason: str) -> None:
-        """Fall back from the shm wire to pickle for the rest of this
-        runner's life (arena write failure, slot corruption, worker
-        attach failure).  Already-dispatched headers stay valid — the
-        arena itself is not closed until ``__exit__`` — but every later
-        dispatch ships whole specs.  Counts are unaffected either way.
-        """
-        if self._mode != "shm":
-            return
-        self._mode = "pickle"
-        if obs.is_metrics():
-            obs.counter("repro_transport_degraded_total").inc()
-        obs.event("transport degraded to pickle", reason=reason)
-
-    def _send_warm(self, slot: int, spec: ChunkSpec) -> bool:
-        payload: ChunkSpec | ShmChunkSpec = spec
-        if self._mode == "shm" and self._arena is not None:
-            try:
-                payload = self._header_for(spec)
-            except (RuntimeError, OSError, ValueError) as exc:
-                self._degrade(f"arena write failed during warm: {exc}")
-                payload = spec
-        return self._pool.send(slot, ("warm", payload))
 
     def warm(self, spec: ChunkSpec) -> bool:
         """Send "compile this fingerprint" to every pool worker.
@@ -874,7 +598,7 @@ class ChunkRunner:
             sent = [
                 slot
                 for slot in self._pool.live_slots()
-                if self._send_warm(slot, spec)
+                if self._pool.send(slot, ("warm", spec))
             ]
             acks = self._pool.drain_warm_acks(
                 sent, time.monotonic() + _WARM_TIMEOUT_SECONDS
@@ -1004,10 +728,7 @@ class ChunkRunner:
         per_worker = max(1, window // self.workers)
         self._run_token += 1
         state = _RunState(token=self._run_token)
-        if self._arena is not None and self._mode == "shm":
-            state.free_shm_slots.extend(range(self._arena.slot_count))
         spec_iter = iter(specs)
-        transports: dict[int, str] = {}
 
         def lease_capacity() -> list[tuple[int, int]]:
             """(load, slot) for live workers with lease headroom."""
@@ -1022,12 +743,6 @@ class ChunkRunner:
 
         def requeue(index: int, lease: _Lease, reason: str) -> None:
             """A lease failed: back off and retry, or quarantine."""
-            if lease.shm_slot >= 0:
-                # The slot is reusable immediately: any late write from
-                # the failed attempt carries this run's token, and a
-                # retried reader seeing it gets identical telemetry (or
-                # nothing) — counts never travel through slots.
-                state.free_shm_slots.append(lease.shm_slot)
             failed_attempts = lease.attempt + 1
             if failed_attempts > self.max_chunk_retries:
                 quarantine(index, failed_attempts, reason)
@@ -1086,7 +801,7 @@ class ChunkRunner:
             # delivers these warm tasks ahead of any later chunk, so it
             # never pays a compile inside a leased chunk's deadline.
             for template in self._warmed.values():
-                self._send_warm(slot, template)
+                pool.send(slot, ("warm", template))
             for index in mine:
                 lease = state.leases.pop(index)
                 requeue(
@@ -1106,26 +821,10 @@ class ChunkRunner:
                 attempt = state.attempts[index]
                 if spec.attempt != attempt:
                     spec = replace(spec, attempt=attempt)
-                payload: ChunkSpec | ShmChunkSpec = spec
-                shm_slot = -1
-                wire = "pickle"
-                if self._mode == "shm" and self._arena is not None:
-                    try:
-                        if state.free_shm_slots:
-                            shm_slot = state.free_shm_slots.popleft()
-                        payload = self._header_for(spec, shm_slot)
-                        wire = "shm"
-                    except (RuntimeError, OSError, ValueError) as exc:
-                        if shm_slot >= 0:
-                            state.free_shm_slots.append(shm_slot)
-                            shm_slot = -1
-                        self._degrade(f"arena write failed: {exc}")
-                        payload = spec
                 state.submit_times[index] = time.perf_counter()
                 if measure:
-                    state.spec_sizes[index] = len(pickle.dumps(payload))
-                if pool.send(slot, ("chunk", state.token, index, payload)):
-                    transports[index] = wire
+                    state.spec_sizes[index] = len(pickle.dumps(spec))
+                if pool.send(slot, ("chunk", state.token, index, spec)):
                     state.leases[index] = _Lease(
                         slot=slot,
                         attempt=attempt,
@@ -1135,44 +834,13 @@ class ChunkRunner:
                             if self.chunk_timeout_seconds
                             else None
                         ),
-                        shm_slot=shm_slot,
-                        transport=wire,
                     )
                     return True
                 # The worker died between poll and send.  The chunk was
                 # never leased (no retry charged); replace the worker
                 # and try the next candidate.
-                if shm_slot >= 0:
-                    state.free_shm_slots.append(shm_slot)
                 on_worker_down(slot)
                 capacity = lease_capacity()
-
-        def absorb_slot_payload(result: ChunkResult, lease: _Lease):
-            """Read a slot-parked telemetry payload; a torn payload
-            degrades the wire (telemetry is lossy, counts are not)."""
-            spans: tuple = ()
-            metrics: tuple = ()
-            data = (
-                self._arena.read_slot(lease.shm_slot, state.token)
-                if self._arena is not None and lease.shm_slot >= 0
-                else None
-            )
-            if data is not None:
-                try:
-                    spans, metrics = pickle.loads(data)
-                except Exception:
-                    self._degrade("corrupt result-slot payload")
-                else:
-                    if measure:
-                        obs.counter(
-                            "repro_shm_slot_payload_bytes_total"
-                        ).inc(len(data))
-            return replace(
-                result,
-                spans=tuple(spans),
-                metrics=tuple(metrics),
-                slot_payload=False,
-            )
 
         def on_message(payload: tuple) -> None:
             kind = payload[0]
@@ -1180,22 +848,16 @@ class ChunkRunner:
                 _, token, index, result = payload
                 if token != state.token or index not in state.leases:
                     return  # stale: abandoned run or already-requeued lease
-                lease = state.leases.pop(index)
+                del state.leases[index]
                 received = time.perf_counter()
                 result_bytes = (
                     len(pickle.dumps(result)) if measure else 0
                 )
-                if result.slot_payload:
-                    result = absorb_slot_payload(result, lease)
-                if lease.shm_slot >= 0:
-                    state.free_shm_slots.append(lease.shm_slot)
                 state.reorder[index] = (result, received, result_bytes)
             elif kind == "error":
-                _, token, index, message, error_kind = payload
+                _, token, index, message = payload
                 if token != state.token or index not in state.leases:
                     return
-                if error_kind == "shm":
-                    self._degrade(f"worker transport failure: {message}")
                 requeue(index, state.leases.pop(index), message)
             elif kind == "warm":
                 # Late warm ack from a re-warmed replacement worker.
@@ -1302,8 +964,6 @@ class ChunkRunner:
                             state.next_yield, 0
                         ),
                         result_bytes=result_bytes,
-                        transport=transports.pop(
-                            state.next_yield, self._mode
-                        ),
+                        transport="pickle",
                     )
                 state.next_yield += 1

@@ -47,8 +47,8 @@ class ChunkTimeline:
     yielded_at: float
     spec_bytes: int = 0
     result_bytes: int = 0
-    #: Which wire carried the chunk: ``"inproc"`` (serial), ``"pickle"``
-    #: or ``"shm"`` (header-only pickles, payloads via shared memory).
+    #: Which wire carried the chunk: ``"inproc"`` (serial) or
+    #: ``"pickle"`` (pooled).
     transport: str = "inproc"
     #: Which execution attempt produced the result (0 = first try; a
     #: nonzero value means earlier attempts were lost to a worker

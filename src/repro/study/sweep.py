@@ -213,13 +213,11 @@ class Sweep:
         """Run the grid through the collection engine.
 
         ``options`` carries the execution policy (workers, chunk size,
-        base seed, store, transport, adaptive sizing, ...); keyword
-        ``overrides`` patch it in place
+        base seed, store, ...); keyword ``overrides`` patch it in place
         (``sweep.collect(workers=4, store="out.jsonl")``).  Pooled runs
         warm every worker per distinct circuit before its chunks flow
-        (one broadcast compile), and the parent-worker wire follows
-        ``options.transport`` — counts are bitwise identical under
-        every transport and worker count.  Returns a
+        (one broadcast compile); counts are bitwise identical under
+        every worker count.  Returns a
         :class:`~repro.study.result.SweepResult` over one
         ``TaskStats`` per task.
         """

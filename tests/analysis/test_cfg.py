@@ -4,7 +4,8 @@ The snippet tests pin the tricky lowering semantics (finally inlining,
 loop else clauses, exceptional edges); the property test then asserts
 the two invariants the dataflow solver relies on — every block
 reachable from entry, every block reaching exit — over every function
-in the actual ``src/repro`` package.
+in the actual ``src/repro`` package and in the ``examples`` and
+``benchmarks`` trees that CI also analyzes (against the baseline).
 """
 
 import ast
@@ -15,7 +16,12 @@ import pytest
 
 from repro.analysis.cfg import build_cfg
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+#: Trees analyzed in CI besides ``src/repro``; their findings are
+#: allowlisted in ``analysis-baseline.json``, but the dataflow solver
+#: still builds a CFG for every function in them.
+EXTRA_TREES = (ROOT / "examples", ROOT / "benchmarks")
 
 
 def cfg_of(source):
@@ -218,14 +224,20 @@ class TestExceptHandlers:
         assert any(dst == handler_block.id for _, dst in cfg.exc_edges)
 
 
-def _real_functions():
-    for path in sorted(SRC.rglob("*.py")):
+def _functions_under(root, relative_to):
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield pytest.param(
-                    node, id=f"{path.relative_to(SRC)}::{node.name}"
+                    node, id=f"{path.relative_to(relative_to)}::{node.name}"
                 )
+
+
+def _real_functions():
+    yield from _functions_under(SRC, SRC)
+    for tree in EXTRA_TREES:
+        yield from _functions_under(tree, ROOT)
 
 
 @pytest.mark.parametrize("func", _real_functions())

@@ -475,10 +475,10 @@ class TestOBS001:
 class TestAPI001:
     def test_benchmark_deep_import_flagged(self, tmp_path):
         result = scan(tmp_path, {"benchmarks/bench_x.py": (
-            "from repro.engine.shm import SlabArena\n"
+            "from repro.engine.supervise import SupervisedPool\n"
         )})
         assert rules_found(result) == ["API001"]
-        assert "repro.engine.shm" in result.findings[0].message
+        assert "repro.engine.supervise" in result.findings[0].message
 
     def test_example_deep_import_flagged(self, tmp_path):
         result = scan(tmp_path, {"examples/demo.py": (
@@ -511,7 +511,8 @@ class TestAPI001:
 
     def test_suppression_comment(self, tmp_path):
         result = scan(tmp_path, {"benchmarks/bench_x.py": (
-            "from repro.engine.shm import SlabArena  # repro: ignore[API001]\n"
+            "from repro.engine.supervise import SupervisedPool  "
+            "# repro: ignore[API001]\n"
         )})
         assert result.findings == []
         assert [f.rule for f in result.suppressed] == ["API001"]

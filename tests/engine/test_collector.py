@@ -346,6 +346,24 @@ class TestExecutionOptions:
         with pytest.raises(ValueError):
             ExecutionOptions(max_errors=0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("transport", "pickle"),
+            ("adaptive_chunks", True),
+            ("target_chunk_seconds", 0.5),
+            ("min_chunk_shots", 100),
+            ("max_chunk_shots", 10_000),
+        ],
+    )
+    def test_removed_knobs_rejected(self, name, value):
+        """The transport and adaptive-sizing knobs are gone: passing one
+        is an error, never a silently ignored setting."""
+        with pytest.raises(TypeError, match=name):
+            ExecutionOptions(**{name: value})
+        with pytest.raises(TypeError, match=name):
+            collect([], **{name: value})
+
 
 class TestCacheIntegration:
     def test_chunks_share_one_compiled_sampler(self):

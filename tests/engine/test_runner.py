@@ -5,21 +5,37 @@ import time
 
 import pytest
 
-from repro.engine import ChunkRunner, plan_chunks
+import repro.obs as obs
+from repro.engine import ChunkRunner, plan_chunks, warm_spec
 from repro.engine.tasks import Task
 from repro.engine.workers import ChunkResult
 from repro.qec import repetition_code_memory
 
 
-def make_specs(n_chunks=8, chunk_shots=100):
+def make_task(
+    backend="frame", decoder="compiled-matching", max_shots=800, p=0.05
+):
+    # Vary ``p`` to get a fingerprint no other test compiled: forked
+    # workers inherit the parent's sampler cache, so a shared circuit
+    # would turn warm-broadcast compiles into hits.
     circuit = repetition_code_memory(
-        3, rounds=2, data_flip_probability=0.05, measure_flip_probability=0.05
+        3, rounds=2, data_flip_probability=p, measure_flip_probability=p
     )
-    task = Task(
-        circuit, decoder="compiled-matching",
-        max_shots=n_chunks * chunk_shots,
+    return Task(
+        circuit, decoder=decoder, sampler=backend, max_shots=max_shots
     )
+
+
+def make_specs(n_chunks=8, chunk_shots=100):
+    task = make_task("symbolic", max_shots=n_chunks * chunk_shots)
     return plan_chunks(task, 3, chunk_shots)
+
+
+GRID = [
+    (backend, decoder)
+    for backend in ("frame", "frame-interp", "symbolic")
+    for decoder in ("compiled-matching", "matching")
+]
 
 
 class TestSubmissionOrder:
@@ -36,8 +52,11 @@ class TestSubmissionOrder:
         assert [r.chunk_index for r in results] == list(range(len(specs)))
         assert all(isinstance(r, ChunkResult) for r in results)
 
-    def test_pooled_matches_serial_counts(self):
-        specs = make_specs(n_chunks=10)
+    @pytest.mark.parametrize("backend,decoder", GRID)
+    def test_pooled_matches_serial_counts(self, backend, decoder):
+        specs = plan_chunks(
+            make_task(backend, decoder, max_shots=1_000), 3, 100
+        )
         with ChunkRunner(workers=1) as serial:
             expected = [(r.chunk_index, r.shots, r.errors)
                         for r in serial.run(specs)]
@@ -121,6 +140,35 @@ class TestEarlyStopShutdown:
             assert not process.is_alive()
             assert process.exitcode == 0, process.exitcode
 
+    def test_exception_path_stops_workers_without_draining(
+        self, monkeypatch
+    ):
+        """An exception while later chunks sit in the reorder buffer
+        (leases still outstanding) stops the pool non-gracefully, and
+        no worker outlives the runner."""
+        specs = plan_chunks(make_task(max_shots=3000, p=0.04), 3, 100)
+        seen = {}
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            with ChunkRunner(workers=2) as runner:
+                pool = runner._pool
+                processes = [
+                    pool._handles[slot].process
+                    for slot in pool.live_slots()
+                ]
+                real_stop = pool.stop
+
+                def spying_stop(graceful=True):
+                    seen["graceful"] = graceful
+                    return real_stop(graceful=graceful)
+
+                monkeypatch.setattr(pool, "stop", spying_stop)
+                for result in runner.run(specs):
+                    if result.chunk_index >= 3:
+                        raise RuntimeError("mid-stream consumer failure")
+        assert seen["graceful"] is False
+        assert runner._pool is None
+        assert not any(process.is_alive() for process in processes)
+
     def test_stale_generator_cleanup_spares_newer_run(self):
         """Finalizing an abandoned older run() generator must not trip
         the stop event of a newer run on the same runner.
@@ -140,3 +188,79 @@ class TestEarlyStopShutdown:
             rest = list(newer)
         indices = [first.chunk_index] + [r.chunk_index for r in rest]
         assert indices == list(range(len(specs)))
+
+
+class TestOneWire:
+    @pytest.mark.parametrize("name,value", [
+        ("transport", "pickle"), ("slot_bytes", 4096),
+    ])
+    def test_removed_wire_knobs_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            ChunkRunner(workers=2, **{name: value})
+
+    def test_transport_env_var_is_not_read(self, monkeypatch):
+        """``REPRO_TRANSPORT`` no longer steers anything: a pooled run
+        under it stays on the pickle wire with serial-identical counts."""
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
+        obs.enable(tracing=True, metrics=True)
+        specs = make_specs(n_chunks=4)
+        with ChunkRunner(workers=1) as serial:
+            expected = [(r.chunk_index, r.shots, r.errors)
+                        for r in serial.run(specs)]
+        obs.drain_timelines()
+        with ChunkRunner(workers=2) as pooled:
+            observed = [(r.chunk_index, r.shots, r.errors)
+                        for r in pooled.run(specs)]
+        assert observed == expected
+        assert {t.transport for t in obs.drain_timelines()} == {"pickle"}
+
+
+class TestWarmWorkers:
+    def test_warm_compiles_once_per_worker(self):
+        """After a warm broadcast, sampler compile count == workers —
+        not chunks — and every chunk is a cache hit."""
+        obs.enable(tracing=False, metrics=True)
+        workers = 2
+        task = make_task(max_shots=800, p=0.041)
+        specs = plan_chunks(task, 3, 100)
+        # Explicit empty fault plan: under the CI chaos leg's
+        # REPRO_FAULTS a killed worker's replacement is re-warmed,
+        # which is one extra (correct) compile this count can't allow.
+        with ChunkRunner(workers=workers, fault_plan="") as runner:
+            assert runner.warm(warm_spec(task, 3))
+            # Idempotent: the same triple never broadcasts twice.
+            assert not runner.warm(warm_spec(task, 3))
+            list(runner.run(specs))
+        reg = obs.registry()
+        misses = sum(
+            m.value
+            for _, m in reg.select("repro_cache_misses_total", kind="sampler")
+        )
+        hits = sum(
+            m.value
+            for _, m in reg.select("repro_cache_hits_total", kind="sampler")
+        )
+        assert misses == workers
+        assert hits == len(specs)
+        assert reg.value("repro_warm_broadcasts_total") == 1
+
+    def test_warm_is_noop_in_process(self):
+        task = make_task()
+        with ChunkRunner(workers=1) as runner:
+            assert not runner.warm(warm_spec(task, 3))
+
+    def test_warm_works_on_pickle_wire(self):
+        """Warm payloads are whole pickled specs; the pool still
+        compiles exactly once per worker."""
+        obs.enable(tracing=False, metrics=True)
+        task = make_task(max_shots=400, p=0.043)
+        with ChunkRunner(workers=2, fault_plan="") as runner:
+            assert runner.warm(warm_spec(task, 3))
+            list(runner.run(plan_chunks(task, 3, 100)))
+        misses = sum(
+            m.value
+            for _, m in obs.registry().select(
+                "repro_cache_misses_total", kind="sampler"
+            )
+        )
+        assert misses == 2

@@ -132,6 +132,17 @@ class TestTransportAccounting:
             r.result_bytes for r in results
         )
 
+    @pytest.mark.parametrize(
+        "workers,wire", [(1, "inproc"), (2, "pickle")]
+    )
+    def test_timelines_name_the_wire(self, workers, wire):
+        """Serial chunks never leave the process; pooled chunks all ride
+        the one pickle wire."""
+        run_with_telemetry(workers, make_specs())
+        timelines = obs.drain_timelines()
+        assert timelines
+        assert {t.transport for t in timelines} == {wire}
+
     def test_pooled_metrics_arrive_from_worker_pids(self):
         run_with_telemetry(2, make_specs())
         import os

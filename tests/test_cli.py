@@ -197,6 +197,23 @@ class TestCollect:
         assert "repetition" in out
         assert "600" in out
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [("0", "must be positive"), ("auto", "positive integer")],
+    )
+    def test_chunk_shots_rejects_non_positive_int(
+        self, capsys, value, message
+    ):
+        args = self.ARGS[:-4] + ["--chunk-shots", value, "--seed", "3"]
+        with pytest.raises(SystemExit):
+            main(args)
+        assert message in capsys.readouterr().err
+
+    def test_transport_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.ARGS + ["--transport", "pickle"])
+        assert "--transport" in capsys.readouterr().err
+
     def test_profile_prints_stage_breakdown(self, capsys):
         assert main(self.ARGS + ["--profile"]) == 0
         out = capsys.readouterr().out
