@@ -88,10 +88,11 @@ def packed_detector_samples(
     """Packed samples from *any* sampler, old-protocol ones included.
 
     Calls ``sample_detectors_packed`` when the sampler answers it and
-    falls back to the :func:`pack_detector_samples` adapter otherwise,
-    so externally registered samplers that predate the packed protocol
-    keep working everywhere the engine and study layers sample packed
-    (identical RNG draws either way).
+    falls back to the :func:`pack_detector_samples` adapter otherwise
+    (identical RNG draws either way).  Every registered sampler answers
+    the protocol method, and the engine and study layers call it
+    directly; this wrapper stays because ``perfbench/traced.py``
+    imports it.
     """
     native = getattr(sampler, "sample_detectors_packed", None)
     if native is not None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import repro.obs as obs
 from repro.backends import (
@@ -79,41 +78,15 @@ fingerprint-keyed cache the samplers use).
 
 # -- shared argument helpers -------------------------------------------------
 
-_LEGACY_BACKEND_FLAGS = ("--simulator", "--sampler")
-
-
-class _BackendAction(argparse.Action):
-    """Stores the backend choice; warns when a legacy spelling is used."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string in _LEGACY_BACKEND_FLAGS:
-            warnings.warn(
-                f"{option_string} is deprecated; use --backend",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def add_backend_argument(
     parser: argparse.ArgumentParser, *, default: str = "symbolic"
 ) -> None:
-    """The one ``--backend`` argument every sampling command shares.
-
-    Registers the deprecated ``--simulator``/``--sampler`` aliases too
-    (each emits a :class:`DeprecationWarning` when used).
-    """
+    """The one ``--backend`` argument every sampling command shares."""
     parser.add_argument(
         "--backend",
-        *_LEGACY_BACKEND_FLAGS,
-        dest="backend",
-        action=_BackendAction,
         choices=backend_choices(),
         default=default,
-        help=(
-            f"sampler backend (default {default}; --simulator/--sampler "
-            f"are deprecated aliases)"
-        ),
+        help=f"sampler backend (default {default})",
     )
 
 
@@ -254,8 +227,6 @@ def _cmd_decoders(args: argparse.Namespace) -> int:
             flags.append("compile-once")
         if info.batched:
             flags.append("batched")
-        if info.packed:
-            flags.append("packed")
         if info.graphlike_only:
             flags.append("graphlike-only")
         if info.exact:
@@ -323,22 +294,6 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def build_sweep_tasks(args: argparse.Namespace) -> list:
-    """Deprecated shim: build the CLI's standard sweep as engine tasks.
-
-    Use :class:`repro.study.Sweep` instead — it produces identical
-    tasks (same ``strong_id``s, so existing result stores still
-    resume).
-    """
-    warnings.warn(
-        "cli.build_sweep_tasks is deprecated; build a repro.study.Sweep "
-        "instead (identical tasks and strong_ids)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _sweep_from_args(args).tasks()
-
-
 def _sweep_from_args(args: argparse.Namespace):
     """The CLI's standard sweep: (code family x distance x noise)."""
     from repro.study import Sweep
@@ -349,10 +304,7 @@ def _sweep_from_args(args: argparse.Namespace):
         probabilities=_parse_floats(args.probabilities),
         rounds=args.rounds,
         decoders=args.decoder,
-        # Old namespaces (pre-`add_backend_argument`) carried the
-        # backend under `sampler`; accept both for shim callers.
-        samplers=getattr(args, "backend", None)
-        or getattr(args, "sampler", "symbolic"),
+        samplers=args.backend,
         max_shots=args.max_shots,
         max_errors=args.max_errors,
     )

@@ -4,8 +4,9 @@ The paper motivates fast sampling with "evaluate the performance of a
 fault-tolerant gadget": draw millions of detector samples, decode them,
 count logical failures.  This package closes that loop.  Every decoder
 sits behind one protocol — ``compile_decoder(dem, name)`` returns an
-object answering ``decode(syndrome)`` and ``decode_batch(syndromes)`` —
-and is selected by registry name, mirroring :mod:`repro.backends`:
+object answering ``decode(syndrome)``, ``decode_batch(syndromes)`` and
+``decode_batch_packed(packed_syndromes)`` — and is selected by registry
+name, mirroring :mod:`repro.backends`:
 
 ``matching`` (alias ``mwpm``)
     Minimum-weight perfect matching on graphlike DEMs via per-shot
@@ -20,7 +21,8 @@ and is selected by registry name, mirroring :mod:`repro.backends`:
     enumerated fault weight).
 
 :func:`logical_error_rate` runs the loop end to end: sample, decode,
-score.
+score; :func:`count_logical_errors` is its packed counting step, the
+same one the collection engine runs per chunk.
 
 Decoder *classes* are imported lazily (PEP 562) and the registry
 factories defer their imports, so name resolution — CLI ``choices=``,
@@ -29,6 +31,7 @@ a matching decoder does.
 """
 
 from repro.decoders.metrics import (
+    count_logical_errors,
     logical_error_rate,
     shots_per_error,
     wilson_interval,
@@ -56,6 +59,7 @@ __all__ = [
     "build_decoding_graph",
     "canonical_name",
     "compile_decoder",
+    "count_logical_errors",
     "decoder_choices",
     "get_decoder",
     "logical_error_rate",
@@ -122,7 +126,6 @@ register_decoder(
         ),
         graphlike_only=True,
         batched=True,
-        packed=True,
     ),
     _compile_compiled_matching,
     aliases=("cmwpm", "batch-matching"),

@@ -45,6 +45,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
+from repro.decoders.registry import check_packed_syndromes, check_syndromes
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
 
@@ -203,12 +204,7 @@ class CompiledMatchingDecoder:
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many detector samples: shape (shots, n_detectors)."""
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
-        if syndromes.ndim != 2 or syndromes.shape[1] != self.n_detectors:
-            raise ValueError(
-                f"expected syndromes of shape (shots, {self.n_detectors}), "
-                f"got {syndromes.shape}"
-            )
+        syndromes = check_syndromes(syndromes, self.n_detectors)
         out = np.zeros(
             (syndromes.shape[0], self.n_observables), dtype=np.uint8
         )
@@ -221,25 +217,16 @@ class CompiledMatchingDecoder:
         return decoded[inverse]
 
     def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode packed syndromes; returns packed predictions.
-
-        Input and output use the packed wire format: shot-major uint64
-        rows — ``(shots, words_for(n_detectors))`` in,
-        ``(shots, words_for(n_observables))`` out — little-endian bit
-        order, padding bits zero.  All-zero rows (the bulk at low
-        physical error rates) short-circuit before dedupe, the surviving
-        rows dedupe through a contiguous void view, and defect indices
-        come straight from the nonzero words.  The unique rows then run
-        the same decode core as :meth:`decode_batch`, so predictions are
-        bitwise identical to packing that method's output.
+        """Decode packed syndromes natively; returns packed predictions
+        (the :class:`~repro.decoders.registry.SyndromeDecoder` wire
+        format).  All-zero rows (the bulk at low physical error rates)
+        short-circuit before dedupe, the surviving rows dedupe through
+        a contiguous void view, and defect indices come straight from
+        the nonzero words.  The unique rows then run the same decode
+        core as :meth:`decode_batch`, so predictions are bitwise
+        identical to packing that method's output.
         """
-        syndromes = np.asarray(syndromes, dtype=np.uint64)
-        n_words = bitops.words_for(self.n_detectors)
-        if syndromes.ndim != 2 or syndromes.shape[1] != n_words:
-            raise ValueError(
-                f"expected packed syndromes of shape (shots, {n_words}), "
-                f"got {syndromes.shape}"
-            )
+        syndromes = check_packed_syndromes(syndromes, self.n_detectors)
         out = np.zeros(
             (syndromes.shape[0], bitops.words_for(self.n_observables)),
             dtype=np.uint64,

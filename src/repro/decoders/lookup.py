@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.decoders.registry import check_syndromes, pack_decode_batch
 from repro.dem.model import DetectorErrorModel
 
 
@@ -61,12 +62,17 @@ class LookupDecoder:
         return correction.copy()
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        """Decode many detector samples: shape (shots, n_detectors)."""
+        syndromes = check_syndromes(syndromes, self.n_detectors)
         if syndromes.shape[0] == 0:
             return np.zeros(
                 (0, self.n_observables), dtype=np.uint8
             )
         return np.stack([self.decode(row) for row in syndromes])
+
+    def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
+        """Decode packed syndromes through the generic pack-adapter."""
+        return pack_decode_batch(self, syndromes)
 
     @property
     def n_syndromes(self) -> int:

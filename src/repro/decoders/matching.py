@@ -26,6 +26,7 @@ import math
 import networkx as nx
 import numpy as np
 
+from repro.decoders.registry import check_syndromes, pack_decode_batch
 from repro.dem.model import DetectorErrorModel
 
 BOUNDARY = "boundary"
@@ -151,7 +152,7 @@ class MatchingDecoder:
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many detector samples: shape (shots, n_detectors)."""
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        syndromes = check_syndromes(syndromes, self.n_detectors)
         out = np.zeros(
             (syndromes.shape[0], self.n_observables), dtype=np.uint8
         )
@@ -161,6 +162,10 @@ class MatchingDecoder:
         decoded = np.stack([self.decode(row) for row in unique])
         out[:] = decoded[inverse]
         return out
+
+    def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
+        """Decode packed syndromes through the generic pack-adapter."""
+        return pack_decode_batch(self, syndromes)
 
     # -- internals -------------------------------------------------------------
 

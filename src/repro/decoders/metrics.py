@@ -1,5 +1,9 @@
 """End-to-end logical-error-rate estimation: sample, decode, score.
 
+:func:`count_logical_errors` is the one scoring step every caller —
+the engine's chunks, ``CompiledCircuit.logical_error_rate`` and
+:func:`logical_error_rate` — runs on packed samples.
+
 Also the statistics used by the collection engine's aggregation:
 :func:`wilson_interval` (score confidence interval on a binomial
 proportion — well-behaved at zero counts, unlike the normal
@@ -15,6 +19,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.core import CompiledSampler, SymPhaseSimulator
+from repro.gf2 import bitops
 from repro.rng import as_generator
 
 
@@ -61,6 +66,25 @@ def shots_per_error(errors: int, shots: int) -> float:
     return shots / errors
 
 
+def count_logical_errors(decoder, detectors, observables) -> int:
+    """Shots whose decoded prediction misses the observable flips.
+
+    ``detectors`` and ``observables`` are packed uint64 rows (the
+    ``sample_detectors_packed`` wire format); predictions come from
+    ``decoder.decode_batch_packed``, and a shot fails when its
+    prediction row differs from its observable row.  ``decoder=None``
+    skips decoding: any raw observable flip counts as an error (the
+    engine's ``none`` decoder).  Equal to the unpacked count
+    ``(decode_batch(det) != obs).any(axis=1).sum()``, bit for bit.
+    """
+    if decoder is None:
+        return int(bitops.nonzero_rows_packed(observables).size)
+    predictions = decoder.decode_batch_packed(detectors)
+    return int(
+        np.count_nonzero(bitops.xor_rows_any(predictions, observables))
+    )
+
+
 def logical_error_rate(
     circuit: Circuit,
     decoder,
@@ -77,7 +101,5 @@ def logical_error_rate(
     """
     rng = as_generator(seed_or_rng)
     sampler = CompiledSampler(SymPhaseSimulator.from_circuit(circuit))
-    detectors, observables = sampler.sample_detectors(shots, rng)
-    predictions = decoder.decode_batch(detectors)
-    failures = (predictions != observables).any(axis=1)
-    return float(failures.mean())
+    detectors, observables = sampler.sample_detectors_packed(shots, rng)
+    return count_logical_errors(decoder, detectors, observables) / shots

@@ -15,11 +15,19 @@ from typing import Callable, Iterable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.dem.model import DetectorErrorModel
+from repro.gf2 import bitops
 
 
 @runtime_checkable
 class SyndromeDecoder(Protocol):
-    """What every compiled decoder must answer."""
+    """What every compiled decoder must answer.
+
+    Both batch entry points raise ``ValueError`` on a batch whose shape
+    does not match the decoder's DEM (see :func:`check_syndromes`).
+    """
+
+    n_detectors: int
+    n_observables: int
 
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predicted observable flips: uint8 array of shape (n_obs,)."""
@@ -29,6 +37,68 @@ class SyndromeDecoder(Protocol):
         """Predictions for a (shots, n_detectors) batch of syndromes:
         uint8 array of shape (shots, n_observables)."""
         ...
+
+    def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
+        """Predictions for packed syndromes, as packed rows.
+
+        The packed wire format of
+        :meth:`repro.backends.Sampler.sample_detectors_packed`:
+        ``(shots, words_for(n_detectors))`` uint64 rows in,
+        ``(shots, words_for(n_observables))`` out, little-endian bit
+        order, padding bits zero.  Bitwise identical to packing
+        ``decode_batch``'s output.  This is the one entry the engine's
+        sample -> decode -> count path uses; a decoder that does not
+        work in the packed domain natively answers it with the
+        :func:`pack_decode_batch` adapter.
+        """
+        ...
+
+
+def _checked(array: np.ndarray, width: int, what: str) -> np.ndarray:
+    if array.ndim != 2 or array.shape[1] != width:
+        raise ValueError(
+            f"expected {what} of shape (shots, {width}), got {array.shape}"
+        )
+    return array
+
+
+def check_syndromes(syndromes, n_detectors: int) -> np.ndarray:
+    """``syndromes`` as a uint8 ``(shots, n_detectors)`` batch.
+
+    Raises ``ValueError`` on any other shape (a 1-D row, a width off by
+    one) instead of decoding garbage.
+    """
+    return _checked(
+        np.asarray(syndromes, dtype=np.uint8), n_detectors, "syndromes"
+    )
+
+
+def check_packed_syndromes(syndromes, n_detectors: int) -> np.ndarray:
+    """``syndromes`` as a uint64 ``(shots, words_for(n_detectors))``
+    packed batch; ``ValueError`` on any other shape."""
+    return _checked(
+        np.asarray(syndromes, dtype=np.uint64),
+        bitops.words_for(n_detectors),
+        "packed syndromes",
+    )
+
+
+def pack_decode_batch(
+    decoder: SyndromeDecoder, syndromes: np.ndarray
+) -> np.ndarray:
+    """Generic pack-adapter: unpack, ``decode_batch``, pack.
+
+    The decoding mirror of
+    :func:`repro.backends.protocol.pack_detector_samples`: decoders
+    that only decode unpacked rows (the per-shot reference ones)
+    implement ``decode_batch_packed`` with this helper, so predictions
+    are bitwise ``pack_rows(decode_batch(unpack_rows(syndromes)))``.
+    """
+    syndromes = check_packed_syndromes(syndromes, decoder.n_detectors)
+    predictions = decoder.decode_batch(
+        bitops.unpack_rows(syndromes, decoder.n_detectors)
+    )
+    return bitops.pack_rows(predictions)
 
 
 @dataclass(frozen=True)
@@ -42,23 +112,21 @@ class DecoderInfo:
     ``batched`` — ``decode_batch`` is vectorized across shots rather
     than a Python loop over ``decode``.
 
-    ``packed`` — the decoder answers ``decode_batch_packed``: packed
-    uint64 syndromes in, packed predictions out, bitwise identical to
-    packing ``decode_batch``'s output.  The engine's hot path routes
-    through it when set, never materializing unpacked uint8 matrices.
-
     ``exact`` — maximum-likelihood over the mechanisms it enumerates
     (the lookup table), as opposed to the matching approximation.
 
     ``compile_once`` — construction does all path-finding/enumeration
     up front; decoding afterwards never re-analyzes the DEM.
+
+    No flag chooses between packed and unpacked decoding: every decoder
+    answers ``decode_batch_packed`` (natively, or through
+    :func:`pack_decode_batch`), so callers never have to ask.
     """
 
     name: str
     description: str
     graphlike_only: bool = False
     batched: bool = False
-    packed: bool = False
     exact: bool = False
     compile_once: bool = True
 

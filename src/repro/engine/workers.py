@@ -44,14 +44,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
-import numpy as np
-
 import repro.obs as obs
+from repro.decoders.metrics import count_logical_errors
 from repro.engine import faults
 from repro.engine.cache import shared_cache
 from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
-from repro.gf2 import bitops
 from repro.rng import chunk_generator
 
 #: Hard cap on the exponential retry backoff, whatever the attempt count.
@@ -200,18 +198,6 @@ def _build_decoder(spec: ChunkSpec, circuit):
     return compile_decoder(dem, spec.decoder)
 
 
-def _decoder_is_packed(name: str) -> bool:
-    from repro.decoders import get_decoder
-
-    return get_decoder(name).info.packed
-
-
-def _sample_packed(sampler, shots: int, rng):
-    from repro.backends.protocol import packed_detector_samples
-
-    return packed_detector_samples(sampler, shots, rng)
-
-
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
     """Sample + decode one chunk (runs in a worker or in-process).
 
@@ -219,14 +205,14 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
     ``(base_seed, task_entropy, chunk_index)`` triple — never from the
     attempt number, so a retried chunk replays the same shots.
 
-    The hot path stays in the packed domain end to end whenever the
-    decoder speaks it (or there is no decoder): packed syndromes from
-    ``sample_detectors_packed`` flow into ``decode_batch_packed``, and
-    the error count is a row-any over ``predictions XOR observables`` —
-    no unpacked uint8 matrix is ever materialized.  Counts are bitwise
-    identical to the unpacked path because the packed and unpacked views
-    draw the same RNG stream and the packed decoder predicts
-    identically; unpacked-only decoders take the original route.
+    One path for every sampler and decoder: one
+    ``sample_detectors_packed`` call, then (unless the decoder is
+    ``none``) :func:`~repro.decoders.metrics.count_logical_errors` over
+    ``decode_batch_packed``.  Decoders that are not packed-native
+    answer that through the registry's pack-adapter.  Counts are
+    bitwise those of the unpacked pipeline: the packed and unpacked
+    views of one seed are the same sample, and packed predictions are
+    the unpacked ones, packed.
     """
     from repro.circuit.circuit import Circuit
 
@@ -257,56 +243,20 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
         )
+        with obs.span("sample", chunk=spec.chunk_index) as sp:
+            sample_started = time.perf_counter()
+            detectors, observables = sampler.sample_detectors_packed(
+                spec.shots, rng
+            )
+            sample_seconds = time.perf_counter() - sample_started
+            sp.set(
+                detector_bytes=int(detectors.nbytes),
+                observable_bytes=int(observables.nbytes),
+            )
         decode_seconds = 0.0
         if spec.decoder == "none":
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                _, observables = _sample_packed(sampler, spec.shots, rng)
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(observable_bytes=int(observables.nbytes))
-            errors = int(bitops.nonzero_rows_packed(observables).size)
-        elif _decoder_is_packed(spec.decoder):
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                detectors, observables = _sample_packed(
-                    sampler, spec.shots, rng
-                )
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(
-                    detector_bytes=int(detectors.nbytes),
-                    observable_bytes=int(observables.nbytes),
-                )
-            if obs.is_tracing():
-                decoder_key = ("decoder", spec.fingerprint, spec.decoder)
-                chunk_sp.set(
-                    decoder_cache="hit" if decoder_key in cache else "miss"
-                )
-            decoder = cache.get_or_build(
-                ("decoder", spec.fingerprint, spec.decoder),
-                lambda: _build_decoder(spec, circuit),
-            )
-            faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
-            with obs.span("decode", chunk=spec.chunk_index) as sp:
-                decode_started = time.perf_counter()
-                predictions = decoder.decode_batch_packed(detectors)
-                errors = int(
-                    np.count_nonzero(
-                        bitops.xor_rows_any(predictions, observables)
-                    )
-                )
-                decode_seconds = time.perf_counter() - decode_started
-                sp.set(prediction_bytes=int(predictions.nbytes), packed=True)
+            errors = count_logical_errors(None, detectors, observables)
         else:
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                detectors, observables = sampler.sample_detectors(
-                    spec.shots, rng
-                )
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(
-                    detector_bytes=int(detectors.nbytes),
-                    observable_bytes=int(observables.nbytes),
-                )
             if obs.is_tracing():
                 decoder_key = ("decoder", spec.fingerprint, spec.decoder)
                 chunk_sp.set(
@@ -317,12 +267,12 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
                 lambda: _build_decoder(spec, circuit),
             )
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
-            with obs.span("decode", chunk=spec.chunk_index) as sp:
+            with obs.span("decode", chunk=spec.chunk_index):
                 decode_started = time.perf_counter()
-                predictions = decoder.decode_batch(detectors)
-                errors = int((predictions != observables).any(axis=1).sum())
+                errors = count_logical_errors(
+                    decoder, detectors, observables
+                )
                 decode_seconds = time.perf_counter() - decode_started
-                sp.set(prediction_bytes=int(predictions.nbytes), packed=False)
         chunk_sp.set(errors=errors)
     finished = time.perf_counter()
     seconds = finished - started

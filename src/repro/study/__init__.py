@@ -10,7 +10,9 @@ small composable objects:
     lazily builds and caches the backend sampler, the merged DEM and
     the compiled decoder, with ``.sample()``, ``.detect()``,
     ``.decode()``, their packed-domain twins ``.detect_packed()`` /
-    ``.decode_packed()`` and ``.logical_error_rate()``.
+    ``.decode_packed()`` (packed uint64 rows, the pipeline's native
+    format, with every sampler and decoder) and
+    ``.logical_error_rate()``.
 :class:`Sweep`
     A declarative (code x distance x probability x ...) grid of engine
     tasks with consistent metadata, plus ``.add_task()`` for custom

@@ -149,31 +149,22 @@ class CompiledCircuit:
         little-endian bit order, padding bits zero.  For any seed this
         is bit-for-bit the packed view of :meth:`detect`: frame backends
         produce it natively without ever materializing uint8 matrices,
-        the others (including externally registered samplers that
-        predate the packed protocol) pack an unpacked sample.
+        the others pack an unpacked sample through the backends'
+        pack-adapter.
         """
-        from repro.backends.protocol import packed_detector_samples
-
-        return packed_detector_samples(
-            self.sampler, shots, as_generator(seed_or_rng)
+        return self.sampler.sample_detectors_packed(
+            shots, as_generator(seed_or_rng)
         )
 
     def decode_packed(self, shots: int, seed_or_rng=None):
         """Sample and decode one batch entirely in the packed domain.
 
-        Returns packed ``(predictions, observables)``.  Requires a
-        decoder that speaks the packed wire format (the registry's
-        ``packed`` capability, e.g. ``compiled-matching``); predictions
-        are bitwise identical to packing :meth:`decode`'s output.
+        Returns packed ``(predictions, observables)``, with every
+        decoder: ``compiled-matching`` decodes packed rows natively,
+        the reference decoders through the registry's pack-adapter.
+        Predictions are bitwise identical to packing :meth:`decode`'s
+        output.
         """
-        from repro.decoders import get_decoder
-
-        if not get_decoder(self.decoder_name).info.packed:
-            raise ValueError(
-                f"decoder {self.decoder_name!r} has no packed batch "
-                f"path; use decode() or compile with a packed-capable "
-                f"decoder such as 'compiled-matching'"
-            )
         detectors, observables = self.detect_packed(shots, seed_or_rng)
         return self.decoder.decode_batch_packed(detectors), observables
 
@@ -275,25 +266,16 @@ class CompiledCircuit:
                     f"samples one in-process batch, outside the engine's "
                     f"chunked early-stopping path"
                 )
-            # The in-process batch stays in the packed domain end to
-            # end when it can (same hot path the engine workers run);
-            # the packed and unpacked views of one stream are bitwise
-            # identical, so the estimate is unchanged either way.
-            from repro.decoders import get_decoder
-            from repro.gf2 import bitops
+            # The in-process batch is scored exactly like an engine
+            # chunk: one packed sample, one packed error count.
+            from repro.decoders.metrics import count_logical_errors
 
-            if self.decoder_name == NO_DECODER:
-                _, observables = self.detect_packed(shots, seed)
-                return float(
-                    bitops.nonzero_rows_packed(observables).size / shots
-                )
-            if get_decoder(self.decoder_name).info.packed:
-                predictions, observables = self.decode_packed(shots, seed)
-                failures = bitops.xor_rows_any(predictions, observables)
-                return float(failures.mean())
-            predictions, observables = self.decode(shots, seed)
-            failures = (predictions != observables).any(axis=1)
-            return float(failures.mean())
+            detectors, observables = self.detect_packed(shots, seed)
+            decoder = (
+                None if self.decoder_name == NO_DECODER else self.decoder
+            )
+            errors = count_logical_errors(decoder, detectors, observables)
+            return errors / shots
         stats = self.collect(
             ExecutionOptions(base_seed=seed).replace(
                 **{k: v for k, v in passed.items() if k != "max_errors"}

@@ -5,7 +5,9 @@ never a single bit: for any circuit and seed,
 ``sample_detectors_packed`` must equal the row-packing of
 ``sample_detectors``, and ``decode_batch_packed`` must equal the
 row-packing of ``decode_batch`` — including the zero-shot and
-all-zero-syndrome edges the hot path short-circuits.
+all-zero-syndrome edges the hot path short-circuits.  Every registered
+decoder answers the packed entry, natively or through the registry's
+pack-adapter.
 """
 
 import numpy as np
@@ -13,14 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import available_backends, compile_backend, get_backend
-from repro.decoders import available_decoders, compile_decoder, get_decoder
+from repro.decoders import SyndromeDecoder, available_decoders, compile_decoder
 from repro.gf2 import bitops
 from repro.qec import repetition_code_memory, surface_code_dem
 from tests.helpers import append_random_annotations, random_clifford_circuit
-
-PACKED_DECODERS = tuple(
-    name for name in available_decoders() if get_decoder(name).info.packed
-)
 
 
 def random_annotated_circuit(seed: int):
@@ -75,7 +73,7 @@ class TestSamplerPackedEquivalence:
 class TestDecoderPackedEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
+    @pytest.mark.parametrize("decoder_name", available_decoders())
     def test_packed_equals_packing_unpacked(self, decoder_name, seed):
         dem = surface_code_dem(3, 2, 0.01)
         decoder = compile_decoder(dem, decoder_name)
@@ -88,7 +86,7 @@ class TestDecoderPackedEquivalence:
         packed = decoder.decode_batch_packed(bitops.pack_rows(syndromes))
         assert np.array_equal(bitops.pack_rows(reference), packed)
 
-    @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
+    @pytest.mark.parametrize("decoder_name", available_decoders())
     def test_zero_shot_edge(self, decoder_name):
         dem = surface_code_dem(3, 2, 0.01)
         decoder = compile_decoder(dem, decoder_name)
@@ -97,7 +95,7 @@ class TestDecoderPackedEquivalence:
         assert out.shape == (0, bitops.words_for(dem.n_observables))
         assert out.dtype == np.uint64
 
-    @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
+    @pytest.mark.parametrize("decoder_name", available_decoders())
     def test_all_zero_syndromes_edge(self, decoder_name):
         dem = surface_code_dem(3, 2, 0.01)
         decoder = compile_decoder(dem, decoder_name)
@@ -109,7 +107,7 @@ class TestDecoderPackedEquivalence:
         )
         assert np.array_equal(bitops.pack_rows(reference), out)
 
-    @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
+    @pytest.mark.parametrize("decoder_name", available_decoders())
     def test_wrong_width_rejected(self, decoder_name):
         dem = surface_code_dem(3, 2, 0.01)
         decoder = compile_decoder(dem, decoder_name)
@@ -119,10 +117,8 @@ class TestDecoderPackedEquivalence:
                 np.zeros((4, n_words + 1), np.uint64)
             )
 
-    def test_registry_flag_matches_capability(self):
-        for name in available_decoders():
-            dem = surface_code_dem(3, 2, 0.01)
-            decoder = compile_decoder(dem, name)
-            assert get_decoder(name).info.packed == hasattr(
-                decoder, "decode_batch_packed"
-            ), name
+    @pytest.mark.parametrize("decoder_name", available_decoders())
+    def test_every_decoder_answers_the_packed_protocol(self, decoder_name):
+        decoder = compile_decoder(surface_code_dem(3, 2, 0.01), decoder_name)
+        assert isinstance(decoder, SyndromeDecoder)
+        assert callable(decoder.decode_batch_packed)

@@ -17,6 +17,8 @@ from repro.decoders import (
 )
 from repro.decoders.registry import SyndromeDecoder
 from repro.dem import DetectorErrorModel, ErrorMechanism
+from repro.gf2 import bitops
+from repro.qec import surface_code_dem
 
 
 def line_dem() -> DetectorErrorModel:
@@ -93,3 +95,34 @@ class TestRegistration:
             assert single.shape == (dem.n_observables,)
             batch = decoder.decode_batch(syndrome[None, :])
             assert np.array_equal(batch[0], single)
+
+
+class TestMalformedSyndromes:
+    @pytest.mark.parametrize("name", available_decoders())
+    def test_wrong_shape_raises_value_error(self, name):
+        """Every decoder rejects a batch that does not match its DEM —
+        width off by one, a 1-D row, a wrong packed word count —
+        instead of decoding garbage or failing deep inside a solver."""
+        dem = surface_code_dem(3, 2, 0.01)
+        n = dem.n_detectors
+        decoder = compile_decoder(dem, name)
+        for bad in (
+            np.zeros((4, n - 1), np.uint8),
+            np.zeros((4, n + 1), np.uint8),
+            np.zeros(n, np.uint8),
+        ):
+            with pytest.raises(
+                ValueError, match=r"expected syndromes of shape \(shots, "
+            ):
+                decoder.decode_batch(bad)
+        n_words = bitops.words_for(n)
+        for bad in (
+            np.zeros((4, n_words + 1), np.uint64),
+            np.zeros((4, n_words - 1), np.uint64),
+            np.zeros(n_words, np.uint64),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=r"expected packed syndromes of shape \(shots, ",
+            ):
+                decoder.decode_batch_packed(bad)

@@ -13,8 +13,12 @@ from repro.engine import (
     plan_chunks,
     run_chunk,
 )
+from repro.backends import compile_backend
+from repro.decoders import compile_decoder
+from repro.dem import extract_dem
 from repro.engine.cache import reset_shared_cache, shared_cache
 from repro.qec import repetition_code_memory
+from repro.rng import chunk_generator
 
 SEED = 11
 
@@ -417,6 +421,39 @@ class TestCacheIntegration:
         )
         stats = collect([task], base_seed=SEED, chunk_shots=500)[0]
         assert 0 < stats.errors <= 500
+
+
+class TestOnePackedPath:
+    @pytest.mark.parametrize("sampler", ["frame", "symbolic"])
+    @pytest.mark.parametrize("decoder", ["matching", "lookup"])
+    def test_counts_equal_manual_unpacked_pipeline(self, sampler, decoder):
+        """Reference decoders reach the engine's packed path through the
+        pack-adapter; per chunk, the count must be the unpacked
+        sample -> decode_batch -> compare pipeline on the same stream."""
+        task = Task(
+            repetition_code_memory(
+                3, rounds=2,
+                data_flip_probability=0.08, measure_flip_probability=0.08,
+            ),
+            decoder=decoder,
+            sampler=sampler,
+            max_shots=1_500,
+        )
+        stats = collect([task], base_seed=SEED, workers=1, chunk_shots=500)[0]
+        compiled_sampler = compile_backend(task.circuit, sampler)
+        compiled_decoder = compile_decoder(extract_dem(task.circuit), decoder)
+        expected = 0
+        for spec in plan_chunks(task, SEED, 500):
+            rng = chunk_generator(
+                spec.base_seed, spec.task_entropy, spec.chunk_index
+            )
+            detectors, observables = compiled_sampler.sample_detectors(
+                spec.shots, rng
+            )
+            predictions = compiled_decoder.decode_batch(detectors)
+            expected += int((predictions != observables).any(axis=1).sum())
+        assert stats.shots == 1_500
+        assert stats.errors == expected > 0
 
 
 class TestWilsonAggregation:

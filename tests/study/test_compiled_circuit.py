@@ -225,12 +225,15 @@ class TestPackedStudyPath:
         assert np.array_equal(bitops.pack_rows(predictions), packed_pred)
         assert np.array_equal(bitops.pack_rows(observables), packed_obs)
 
-    def test_decode_packed_requires_packed_decoder(self):
-        compiled = make_circuit().compile(
-            sampler="frame", decoder="matching"
-        )
-        with pytest.raises(ValueError, match="packed"):
-            compiled.decode_packed(10, SEED)
+    @pytest.mark.parametrize("decoder", ["matching", "lookup"])
+    def test_decode_packed_works_for_reference_decoders(self, decoder):
+        from repro.gf2 import bitops
+
+        compiled = make_circuit().compile(sampler="frame", decoder=decoder)
+        predictions, observables = compiled.decode(200, SEED)
+        packed_pred, packed_obs = compiled.decode_packed(200, SEED)
+        assert np.array_equal(bitops.pack_rows(predictions), packed_pred)
+        assert np.array_equal(bitops.pack_rows(observables), packed_obs)
 
     def test_generator_rate_unchanged_by_packed_rewire(self):
         """The packed Generator path must reproduce the historical

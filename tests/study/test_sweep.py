@@ -13,7 +13,7 @@ SEED = 5
 
 
 def cli_default_namespace(**overrides):
-    """The `repro collect` defaults, as build_sweep_tasks consumed them."""
+    """The `repro collect` defaults, as `_sweep_from_args` consumes them."""
     values = dict(
         code="both",
         distances="3,5",
@@ -30,29 +30,17 @@ def cli_default_namespace(**overrides):
 
 class TestCliParity:
     def test_default_grid_strong_ids_unchanged(self):
-        """Sweep() reproduces build_sweep_tasks' tasks exactly — same
-        order, same strong_ids — so existing result stores resume."""
-        from repro.cli import build_sweep_tasks
+        """The `repro collect` default grid is Sweep()'s grid exactly —
+        same order, same strong_ids — so existing result stores resume."""
+        from repro.cli import _sweep_from_args
 
-        with pytest.deprecated_call():
-            legacy = build_sweep_tasks(cli_default_namespace())
+        cli_tasks = _sweep_from_args(cli_default_namespace()).tasks()
         fresh = Sweep().tasks()
-        assert len(legacy) == len(fresh) == 12  # 2 codes x 2 d x 3 p
-        for old, new in zip(legacy, fresh):
+        assert len(cli_tasks) == len(fresh) == 12  # 2 codes x 2 d x 3 p
+        for old, new in zip(cli_tasks, fresh):
             assert old.strong_id() == new.strong_id()
             assert old.metadata == new.metadata
             assert (old.decoder, old.sampler) == (new.decoder, new.sampler)
-
-    def test_legacy_sampler_namespace_still_supported(self):
-        """Pre-redesign namespaces carried the backend under `sampler`."""
-        from repro.cli import build_sweep_tasks
-
-        namespace = cli_default_namespace(backend=None)
-        namespace.sampler = "frame"
-        del namespace.backend
-        with pytest.deprecated_call():
-            legacy = build_sweep_tasks(namespace)
-        assert all(task.sampler == "frame" for task in legacy)
 
     def test_metadata_keys_are_canonical(self):
         task = Sweep(codes="repetition", distances=3, probabilities=0.01).tasks()[0]

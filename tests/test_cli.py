@@ -67,13 +67,14 @@ class TestSeedAndAliasHelpers:
         assert parser.parse_args(["--seed", "3"]).seed == 3
 
     @pytest.mark.parametrize("flag", ["--simulator", "--sampler"])
-    def test_legacy_backend_spellings_warn(self, circuit_file, capsys, flag):
-        with pytest.deprecated_call():
-            assert main([
-                "sample", circuit_file, "--shots", "3", "--seed", "0",
-                flag, "frame",
-            ]) == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+    def test_removed_backend_spellings_are_usage_errors(
+        self, circuit_file, capsys, flag
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", circuit_file, "--shots", "3", flag, "frame"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"unrecognized arguments: {flag}" in err
 
     def test_canonical_backend_flag_does_not_warn(self, circuit_file, capsys):
         import warnings
@@ -84,21 +85,6 @@ class TestSeedAndAliasHelpers:
                 "sample", circuit_file, "--shots", "3", "--seed", "0",
                 "--backend", "frame",
             ]) == 0
-
-    def test_build_sweep_tasks_shim_warns_and_delegates(self):
-        import argparse
-
-        from repro.cli import build_sweep_tasks
-
-        namespace = argparse.Namespace(
-            code="repetition", distances="3", probabilities="0.05",
-            rounds=2, decoder="compiled-matching", backend="symbolic",
-            max_shots=100, max_errors=None,
-        )
-        with pytest.deprecated_call():
-            tasks = build_sweep_tasks(namespace)
-        assert len(tasks) == 1
-        assert tasks[0].metadata["code"] == "repetition"
 
 
 class TestDetect:
@@ -137,6 +123,8 @@ class TestDecoders:
         assert "lookup" in out
         assert "batched" in out
         assert "exact" in out
+        # Every decoder takes packed rows: there is no packed flag to list.
+        assert "packed" not in out
 
 
 class TestDecode:
