@@ -183,6 +183,15 @@ def run_bench(
             )[0]
             wall = time.perf_counter() - started
             reg = obs.registry()
+            sample_seconds, decode_seconds = (
+                sum(
+                    metric.value
+                    for _, metric in reg.select(
+                        "repro_stage_seconds_total", stage=stage
+                    )
+                )
+                for stage in ("sample", "decode")
+            )
             per_worker_decode = {
                 pid: reg.value(
                     "repro_stage_seconds_total", stage="decode", pid=pid
@@ -203,8 +212,8 @@ def run_bench(
             "errors": stats.errors,
             "wall_seconds": wall,
             "shots_per_sec": obs.safe_rate(stats.shots, wall),
-            "sample_seconds": stats.sample_seconds,
-            "decode_seconds": stats.decode_seconds,
+            "sample_seconds": sample_seconds,
+            "decode_seconds": decode_seconds,
             "queue_wait_seconds": stats.queue_wait_seconds,
             "hold_seconds": stats.hold_seconds,
             "transport": {

@@ -310,13 +310,36 @@ def _sweep_from_args(args: argparse.Namespace):
     )
 
 
-def _print_profile(results) -> None:
-    """Per-stage time breakdown from the stats workers already stream.
+def _stage_seconds(reg, stage: str, **labels: str) -> float:
+    """Total ``repro_stage_seconds_total`` of one stage (every span of
+    that name feeds it), summed over the series matching ``labels``."""
+    return sum(
+        metric.value
+        for _, metric in reg.select(
+            "repro_stage_seconds_total", stage=stage, **labels
+        )
+    )
 
-    ``sample``/``decode`` are the in-worker hot stages, ``setup/agg``
-    is everything else the workers spent (first-chunk compiles, cache
-    lookups, counting),
-    and ``pool overhead`` is wall time not covered by busy time spread
+
+def _compile_seconds(reg, **labels: str) -> float:
+    """Summed ``cache.build.<kind>`` stage time (first-chunk compiles)."""
+    return sum(
+        metric.value
+        for series, metric in reg.select(
+            "repro_stage_seconds_total", **labels
+        )
+        if series["stage"].startswith("cache.build.")
+    )
+
+
+def _print_profile(results) -> None:
+    """Per-stage time breakdown from the run's metrics registry.
+
+    Every span feeds ``repro_stage_seconds_total``: ``worker-busy`` is
+    the ``chunk`` stage, ``sample``/``decode`` its two hot stages, and
+    ``setup/agg`` everything else the workers spent inside chunks
+    (first-chunk compiles, cache lookups, counting).
+    ``pool overhead`` is wall time not covered by busy time spread
     over the chunks (scheduling, result pickling, pool spin-up).
     Resumed rows carry no fresh timings and are skipped.
     """
@@ -324,11 +347,12 @@ def _print_profile(results) -> None:
     if not fresh:
         print("profile: every task resumed from the store; nothing timed")
         return
+    reg = obs.registry()
     shots = sum(s.shots for s in fresh)
     wall = sum(s.seconds for s in fresh)
-    busy = sum(s.worker_seconds for s in fresh)
-    sample = sum(s.sample_seconds for s in fresh)
-    decode = sum(s.decode_seconds for s in fresh)
+    busy = _stage_seconds(reg, "chunk")
+    sample = _stage_seconds(reg, "sample")
+    decode = _stage_seconds(reg, "decode")
     aggregate = max(busy - sample - decode, 0.0)
     # Busy time is summed across workers, so on a pool it can exceed
     # wall; overhead is only meaningful as the wall time left over.
@@ -343,8 +367,8 @@ def _print_profile(results) -> None:
         share = value / busy if busy else 0.0
         print(f"  {label:<14} {value:>8.2f}s  {share:>6.1%} of worker-busy")
     print(f"  {'pool overhead':<14} {overhead:>8.2f}s  (wall - worker-busy)")
-    queue_wait = sum(s.queue_wait_seconds for s in fresh)
-    hold = sum(s.hold_seconds for s in fresh)
+    queue_wait = _stage_seconds(reg, "chunk.queue")
+    hold = _stage_seconds(reg, "chunk.hold")
     transport = sum(s.transport_bytes for s in fresh)
     if queue_wait or hold or transport:
         print(f"  {'queue wait':<14} {queue_wait:>8.2f}s  "
@@ -389,10 +413,11 @@ def _print_worker_profile() -> None:
     """Per-worker, per-stage table from the run's metrics registry.
 
     Only prints when the registry holds worker series (i.e. the run was
-    profiled).  ``compile`` is the cache-build share of each worker's
-    ``other`` time — the per-worker price of the first chunk of every
-    distinct circuit — split out so a pool that re-compiles per worker
-    is visibly different from one that is queue-bound.
+    profiled).  ``other`` is ``chunk - sample - decode``; ``compile``
+    (the summed ``cache.build.*`` stages) is split out of it — the
+    per-worker price of the first chunk of every distinct circuit — so
+    a pool that re-compiles per worker is visibly different from one
+    that is queue-bound.
     """
     reg = obs.registry()
     pids = reg.label_values("repro_chunks_total", "pid")
@@ -405,22 +430,11 @@ def _print_worker_profile() -> None:
     for pid in pids:
         chunks = int(reg.value("repro_chunks_total", pid=pid) or 0)
         shots = int(reg.value("repro_shots_total", pid=pid) or 0)
-        sample = reg.value(
-            "repro_stage_seconds_total", stage="sample", pid=pid
-        ) or 0.0
-        decode = reg.value(
-            "repro_stage_seconds_total", stage="decode", pid=pid
-        ) or 0.0
-        other = reg.value(
-            "repro_stage_seconds_total", stage="other", pid=pid
-        ) or 0.0
-        compiled = sum(
-            metric.value
-            for _, metric in reg.select(
-                "repro_cache_build_seconds_total", pid=pid
-            )
-        )
-        busy = reg.value("repro_worker_seconds_total", pid=pid) or 0.0
+        busy = _stage_seconds(reg, "chunk", pid=pid)
+        sample = _stage_seconds(reg, "sample", pid=pid)
+        decode = _stage_seconds(reg, "decode", pid=pid)
+        other = max(busy - sample - decode, 0.0)
+        compiled = _compile_seconds(reg, pid=pid)
         print(f"  {pid:>8} {chunks:>6} {shots:>9} {compiled:>8.2f}s "
               f"{sample:>8.2f}s {decode:>8.2f}s "
               f"{max(other - compiled, 0.0):>8.2f}s {busy:>8.2f}s "
@@ -483,14 +497,11 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             _print_profile(result.stats)
         if args.trace is not None:
             spans = obs.drain_spans()
-            timelines = obs.drain_timelines()
             if args.trace.endswith(".jsonl"):
                 count = obs.write_spans_jsonl(spans, args.trace)
                 print(f"trace: wrote {count} span(s) to {args.trace}")
             else:
-                count = obs.write_chrome_trace(
-                    spans, args.trace, timelines=timelines
-                )
+                count = obs.write_chrome_trace(spans, args.trace)
                 print(f"trace: wrote {count} event(s) to {args.trace} "
                       f"(load in chrome://tracing or Perfetto)")
         if args.metrics_out is not None:
@@ -616,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     collect_parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help=(
-            "record spans and chunk timelines; write a "
+            "record spans (scheduler queue/hold included); write a "
             "chrome://tracing-loadable JSON to PATH (or span JSONL "
             "when PATH ends in .jsonl)"
         ),

@@ -280,20 +280,25 @@ class CompiledMatchingDecoder:
 
         # Three or more defects: one exact dynamic program per padded
         # defect-count group; per-row blossom for whatever it leaves.
+        # Each tier is one span per batch (stages decode.dp and
+        # decode.blossom in repro_stage_seconds_total).
         fallback = [np.nonzero(counts > _MAX_DP_NODES)[0]]
-        for padded in range(4, _MAX_DP_NODES + 2, 2):
-            fallback.append(
-                self._match_group(counts, offsets, flat, padded, decoded)
-            )
+        with obs.span("decode.dp"):
+            for padded in range(4, _MAX_DP_NODES + 2, 2):
+                fallback.append(
+                    self._match_group(counts, offsets, flat, padded, decoded)
+                )
         fallback = np.concatenate(fallback)
         if obs.is_metrics():
             obs.counter(
                 "repro_decode_fallback_rows_total", pid=str(os.getpid())
             ).inc(int(fallback.size))
-        for row in fallback:
-            decoded[row] = self._match(
-                flat[offsets[row]: offsets[row] + counts[row]]
-            )
+        if fallback.size:
+            with obs.span("decode.blossom", rows=int(fallback.size)):
+                for row in fallback:
+                    decoded[row] = self._match(
+                        flat[offsets[row]: offsets[row] + counts[row]]
+                    )
         return decoded
 
     def _match_group(

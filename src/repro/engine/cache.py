@@ -17,7 +17,6 @@ initialization at most once per distinct circuit it touches.
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -58,11 +57,10 @@ class SamplerCache:
         on a miss (evicting the least recently used entry if full).
 
         When :mod:`repro.obs` metrics are on, hits and misses count
-        into ``repro_cache_{hits,misses}_total{kind,pid}`` and build
-        time into ``repro_cache_build_seconds_total{kind,pid}`` — the
-        per-worker compile column of ``repro collect --profile``; when
-        tracing is on each miss's build runs inside a ``cache.build``
-        span.
+        into ``repro_cache_{hits,misses}_total{kind,pid}``.  Each
+        miss's build runs inside a ``cache.build.<kind>`` span, so its
+        time lands in ``repro_stage_seconds_total`` — the per-worker
+        compile column of ``repro collect --profile``.
         """
         if key in self._entries:
             self.hits += 1
@@ -74,22 +72,13 @@ class SamplerCache:
             self._entries.move_to_end(key)
             return self._entries[key]
         self.misses += 1
-        if not (obs.is_metrics() or obs.is_tracing()):
+        kind = _key_kind(key)
+        if obs.is_metrics():
+            obs.counter(
+                "repro_cache_misses_total", kind=kind, pid=str(os.getpid())
+            ).inc()
+        with obs.span(f"cache.build.{kind}"):
             value = build()
-        else:
-            kind = _key_kind(key)
-            pid = str(os.getpid())
-            if obs.is_metrics():
-                obs.counter(
-                    "repro_cache_misses_total", kind=kind, pid=pid
-                ).inc()
-            started = time.perf_counter()
-            with obs.span("cache.build", kind=kind):
-                value = build()
-            if obs.is_metrics():
-                obs.counter(
-                    "repro_cache_build_seconds_total", kind=kind, pid=pid
-                ).inc(time.perf_counter() - started)
         self._entries[key] = value
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

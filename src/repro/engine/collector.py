@@ -38,16 +38,18 @@ class TaskStats:
 
     ``seconds`` is the task's wall-clock collection time;
     ``worker_seconds`` sums the chunks' in-worker time (across all
-    workers, so it can exceed wall time on a pool), and
-    ``sample_seconds`` / ``decode_seconds`` split that busy time into
-    the two hot stages — the numbers behind ``repro collect --profile``.
+    workers, so it can exceed wall time on a pool).  The per-stage
+    split of that time lives in the metrics registry
+    (``repro_stage_seconds_total``), not here.
 
     ``queue_wait_seconds`` (submit -> worker start) and
     ``hold_seconds`` (result received -> yielded past the reorder
     buffer) sum the runner's scheduling overheads across the task's
     chunks, and ``transport_bytes`` the pickled spec+result payloads
-    both ways; all three stay 0 for in-process runs and for runs
-    without telemetry (they are observations, not part of the counts).
+    both ways.  All three stay 0 for runs without telemetry (they are
+    observations, not part of the counts).  In-process runs with
+    telemetry measure small but nonzero queue wait and hold (the
+    runner's own bookkeeping between stamps) and no transport bytes.
 
     ``failed_chunks`` counts quarantined chunks — chunks that exhausted
     their retry budget.  Their shots are *not* in ``shots``: the task's
@@ -66,8 +68,6 @@ class TaskStats:
     base_seed: int | None = None
     resumed: bool = False
     worker_seconds: float = 0.0
-    sample_seconds: float = 0.0
-    decode_seconds: float = 0.0
     queue_wait_seconds: float = 0.0
     hold_seconds: float = 0.0
     transport_bytes: int = 0
@@ -107,10 +107,10 @@ class TaskStats:
             base_seed=row.get("base_seed"),
             resumed=True,
             worker_seconds=float(row.get("worker_seconds", 0.0)),
-            sample_seconds=float(row.get("sample_seconds", 0.0)),
-            decode_seconds=float(row.get("decode_seconds", 0.0)),
             # Telemetry fields arrived after the first store format;
-            # older rows resume with them at zero.
+            # older rows resume with them at zero.  Rows from before the
+            # stage split moved to the metrics registry also carry
+            # sample_seconds/decode_seconds, which are ignored.
             queue_wait_seconds=float(row.get("queue_wait_seconds", 0.0)),
             hold_seconds=float(row.get("hold_seconds", 0.0)),
             transport_bytes=int(row.get("transport_bytes", 0)),
@@ -424,9 +424,7 @@ def _collect_one(
             stats.shots += result.shots
             stats.errors += result.errors
             stats.chunks += 1
-            stats.worker_seconds += result.seconds
-            stats.sample_seconds += result.sample_seconds
-            stats.decode_seconds += result.decode_seconds
+            stats.worker_seconds += result.finished_at - result.started_at
             stats.queue_wait_seconds += result.queue_wait_seconds
             stats.hold_seconds += result.hold_seconds
             stats.transport_bytes += result.spec_bytes + result.result_bytes

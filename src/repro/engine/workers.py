@@ -92,15 +92,11 @@ class ChunkSpec:
 class ChunkResult:
     """Counts streamed back from a worker for one chunk.
 
-    ``seconds`` is the chunk's whole in-worker time;
-    ``sample_seconds`` / ``decode_seconds`` split out the two hot
-    stages (the remainder is setup + aggregation), so per-stage
-    profiles (``repro collect --profile``) come free with every run.
-
     ``started_at``/``finished_at`` are the worker's ``perf_counter``
-    stamps (comparable with the parent's on one machine) and ``pid``
-    the process that ran the chunk; together with the scheduler's own
-    stamps they become the chunk's :class:`repro.obs.ChunkTimeline`.
+    stamps (comparable with the parent's on one machine; their
+    difference is the chunk's in-worker time) and ``pid`` the process
+    that ran the chunk.  Per-stage times come from the ``obs`` spans
+    (``repro collect --profile`` reads them from the metrics registry).
     ``queue_wait_seconds`` (submit -> worker start) and
     ``hold_seconds`` (result received -> yielded past the reorder
     buffer) are filled in by :meth:`ChunkRunner.run` on the way out;
@@ -125,9 +121,6 @@ class ChunkResult:
     chunk_index: int
     shots: int
     errors: int
-    seconds: float
-    sample_seconds: float = 0.0
-    decode_seconds: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
     pid: int = 0
@@ -244,16 +237,13 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             spec.base_seed, spec.task_entropy, spec.chunk_index
         )
         with obs.span("sample", chunk=spec.chunk_index) as sp:
-            sample_started = time.perf_counter()
             detectors, observables = sampler.sample_detectors_packed(
                 spec.shots, rng
             )
-            sample_seconds = time.perf_counter() - sample_started
             sp.set(
                 detector_bytes=int(detectors.nbytes),
                 observable_bytes=int(observables.nbytes),
             )
-        decode_seconds = 0.0
         if spec.decoder == "none":
             errors = count_logical_errors(None, detectors, observables)
         else:
@@ -268,38 +258,24 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             )
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index):
-                decode_started = time.perf_counter()
                 errors = count_logical_errors(
                     decoder, detectors, observables
                 )
-                decode_seconds = time.perf_counter() - decode_started
         chunk_sp.set(errors=errors)
     finished = time.perf_counter()
-    seconds = finished - started
     if obs.is_metrics():
         worker = str(pid)
         obs.counter("repro_chunks_total", pid=worker).inc()
         obs.counter("repro_shots_total", pid=worker).inc(spec.shots)
         obs.counter("repro_errors_total", pid=worker).inc(errors)
-        obs.counter("repro_worker_seconds_total", pid=worker).inc(seconds)
-        obs.counter(
-            "repro_stage_seconds_total", stage="sample", pid=worker
-        ).inc(sample_seconds)
-        obs.counter(
-            "repro_stage_seconds_total", stage="decode", pid=worker
-        ).inc(decode_seconds)
-        obs.counter(
-            "repro_stage_seconds_total", stage="other", pid=worker
-        ).inc(max(seconds - sample_seconds - decode_seconds, 0.0))
-        obs.histogram("repro_chunk_seconds", pid=worker).observe(seconds)
+        obs.histogram("repro_chunk_seconds", pid=worker).observe(
+            finished - started
+        )
     return ChunkResult(
         task_id=spec.task_id,
         chunk_index=spec.chunk_index,
         shots=spec.shots,
         errors=errors,
-        seconds=seconds,
-        sample_seconds=sample_seconds,
-        decode_seconds=decode_seconds,
         started_at=started,
         finished_at=finished,
         pid=pid,
@@ -412,7 +388,7 @@ class _Lease:
 
     slot: int  # worker slot holding the lease
     attempt: int
-    submitted: float  # perf_counter stamp, for the chunk timeline
+    submitted: float  # perf_counter stamp, for the chunk.queue span
     deadline: float | None  # monotonic expiry, None = no deadline
 
 
@@ -572,12 +548,13 @@ class ChunkRunner:
         result_bytes: int = 0,
         transport: str = "inproc",
     ) -> ChunkResult:
-        """Complete a chunk's timeline on the way out of the runner.
+        """Complete a chunk's telemetry on the way out of the runner.
 
         Absorbs any piggybacked worker telemetry into the parent's
         buffers, derives queue wait (submit -> worker start) and
-        reorder-buffer hold (received -> yielded), records the chunk's
-        :class:`~repro.obs.ChunkTimeline`, and strips the wire payload
+        reorder-buffer hold (received -> yielded), records them as the
+        ``chunk.queue``/``chunk.hold`` spans on the scheduler's ``pid
+        0`` track (``tid`` = chunk index), and strips the wire payload
         from the yielded result.  A single no-op when telemetry is off.
         """
         if not (obs.is_tracing() or obs.is_metrics()):
@@ -589,33 +566,29 @@ class ChunkRunner:
         yielded = time.perf_counter()
         queue_wait = max(result.started_at - submitted, 0.0)
         hold = max(yielded - received, 0.0)
-        if obs.is_metrics():
-            obs.counter("repro_queue_wait_seconds_total").inc(queue_wait)
-            obs.counter("repro_hold_seconds_total").inc(hold)
-            if spec_bytes or result_bytes:
-                obs.counter("repro_transport_spec_bytes_total").inc(
-                    spec_bytes
-                )
-                obs.counter("repro_transport_result_bytes_total").inc(
-                    result_bytes
-                )
-        obs.record_timeline(
-            obs.ChunkTimeline(
-                task_id=result.task_id,
-                chunk_index=result.chunk_index,
-                shots=result.shots,
-                pid=result.pid,
-                submitted_at=submitted,
-                started_at=result.started_at,
-                finished_at=result.finished_at,
-                received_at=received,
-                yielded_at=yielded,
-                spec_bytes=spec_bytes,
-                result_bytes=result_bytes,
-                transport=transport,
-                attempt=result.attempt,
+        if obs.is_metrics() and (spec_bytes or result_bytes):
+            obs.counter("repro_transport_spec_bytes_total").inc(spec_bytes)
+            obs.counter("repro_transport_result_bytes_total").inc(
+                result_bytes
             )
+        attrs = dict(
+            task=result.task_id,
+            chunk=result.chunk_index,
+            shots=result.shots,
+            worker_pid=result.pid,
+            spec_bytes=spec_bytes,
+            result_bytes=result_bytes,
+            transport=transport,
+            attempt=result.attempt,
         )
+        for name, start, duration in (
+            ("chunk.queue", submitted, queue_wait),
+            ("chunk.hold", received, hold),
+        ):
+            obs.record_span(
+                name, start, duration, pid=0, tid=result.chunk_index,
+                **attrs,
+            )
         return replace(
             result,
             queue_wait_seconds=queue_wait,
@@ -728,7 +701,6 @@ class ChunkRunner:
                     chunk_index=spec.chunk_index,
                     shots=spec.shots,
                     errors=0,
-                    seconds=0.0,
                     attempt=tries - 1,
                     failed=True,
                     error=f"quarantined after {tries} attempts: {reason}",
@@ -900,8 +872,8 @@ class ChunkRunner:
                     state.next_yield
                 )
                 if result.failed:
-                    # Quarantined: no worker stamps to build a timeline
-                    # from; yield the structured failure as-is.
+                    # Quarantined: no worker stamps to build the
+                    # scheduler spans from; yield the failure as-is.
                     yield result
                 else:
                     yield self._finalize(

@@ -1,21 +1,18 @@
-"""``repro.obs`` — tracing, metrics and per-chunk timelines.
+"""``repro.obs`` — tracing and metrics.
 
-The pipeline's observability layer, in four small parts:
+The pipeline's observability layer, in three small parts:
 
 :mod:`~repro.obs.core`
-    ``span("sample", chunk=3)``-style context managers producing
-    structured :class:`SpanRecord`\\ s (wall/CPU time, parent link,
-    pid/tid, free-form attributes) with near-zero overhead when
-    disabled.
+    ``span("sample", chunk=3)``-style context managers, the one stage
+    timer: each produces a structured :class:`SpanRecord` (wall/CPU
+    time, parent link, pid/tid, free-form attributes) when tracing is
+    on and adds its duration to ``repro_stage_seconds_total{stage,pid}``
+    when metrics are on, with near-zero overhead when both are off.
 :mod:`~repro.obs.metrics`
     A per-process :class:`MetricsRegistry` of counters, gauges and
     fixed-bucket histograms; engine workers update theirs locally and
     ship deltas back piggybacked on each ``ChunkResult``
     (:func:`flush_wire` / :func:`merge_wire`).
-:mod:`~repro.obs.timeline`
-    :class:`ChunkTimeline` — submit/start/finish/receive/yield stamps
-    per chunk, deriving queue wait, worker busy time and reorder-buffer
-    hold.
 :mod:`~repro.obs.export`
     JSONL span sink, Chrome ``chrome://tracing`` trace-event writer,
     Prometheus text exposition (validated by :mod:`~repro.obs.schema`).
@@ -27,8 +24,7 @@ Typical use — trace one collection run::
 
     obs.enable(tracing=True, metrics=True)
     Sweep(codes="repetition").collect(ExecutionOptions(workers=2))
-    obs.write_chrome_trace(obs.drain_spans(), "trace.json",
-                           timelines=obs.drain_timelines())
+    obs.write_chrome_trace(obs.drain_spans(), "trace.json")
     print(obs.prometheus_text(obs.registry()))
     obs.reset()
 
@@ -39,11 +35,9 @@ a flag test per probe when disabled (CI-guarded by
 """
 
 from repro.obs import core as _core
-from repro.obs import timeline as _timeline
 from repro.obs.core import (
     SpanRecord,
     absorb_spans,
-    add_record,
     configure,
     disable,
     drain_spans,
@@ -52,6 +46,7 @@ from repro.obs.core import (
     event,
     is_metrics,
     is_tracing,
+    record_span,
     span,
     spans_from_wire,
     spans_to_wire,
@@ -79,15 +74,8 @@ from repro.obs.metrics import (
     registry,
     safe_rate,
 )
-from repro.obs.timeline import (
-    ChunkTimeline,
-    drain_timelines,
-    peek_timelines,
-    record_timeline,
-)
 
 __all__ = [
-    "ChunkTimeline",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -95,13 +83,11 @@ __all__ = [
     "MetricsRegistry",
     "SpanRecord",
     "absorb_spans",
-    "add_record",
     "chrome_trace_events",
     "configure",
     "counter",
     "disable",
     "drain_spans",
-    "drain_timelines",
     "drain_wire_spans",
     "enable",
     "event",
@@ -112,9 +98,8 @@ __all__ = [
     "is_metrics",
     "is_tracing",
     "merge_wire",
-    "peek_timelines",
     "prometheus_text",
-    "record_timeline",
+    "record_span",
     "registry",
     "reset",
     "safe_rate",
@@ -132,10 +117,8 @@ def reset() -> None:
     """Disable everything and drop all buffered telemetry.
 
     The clean-slate teardown between independent runs (and tests):
-    flags off, span buffer cleared, timelines cleared, metrics registry
-    emptied.
+    flags off, span buffer cleared, metrics registry emptied.
     """
     disable()
     _core._clear()
-    _timeline._clear()
     registry().clear()

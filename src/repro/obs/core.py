@@ -1,17 +1,22 @@
-"""Tracing core: structured spans with near-zero disabled overhead.
+"""Tracing core: the pipeline's one stage timer.
 
 A span is one timed region of the pipeline — ``with span("sample",
-chunk=3): ...`` — recorded as a :class:`SpanRecord` carrying wall and
-CPU time, the process/thread that ran it, a parent link (spans nest via
-a thread-local stack), and free-form attributes (task ``strong_id``,
-chunk index, payload byte sizes, cache hit/miss tags).
+chunk=3): ...``.  Its exit takes one clock reading, which feeds both
+outputs: with tracing on, a :class:`SpanRecord` carrying wall and CPU
+time, the process/thread that ran it, a parent link (spans nest via a
+thread-local stack), and free-form attributes (task ``strong_id``,
+chunk index, payload byte sizes, cache hit/miss tags); with metrics
+on, the duration added to ``repro_stage_seconds_total{stage=<name>,
+pid}``.  :func:`record_span` does the same for an interval measured
+from existing stamps (the scheduler's ``chunk.queue``/``chunk.hold``).
+Events are zero-duration records and are not counted.
 
 The design constraint is the *disabled* path: collection hot loops call
-:func:`span` unconditionally, so when tracing is off it must cost a
-single flag test plus returning a shared no-op context manager — no
-clocks, no allocation beyond the call's own kwargs.  The engine's
-overhead gate (``benchmarks/bench_obs_overhead.py``) holds this to
-measurement.
+:func:`span` unconditionally, so when both tracing and metrics are off
+it must cost a single flag test plus returning a shared no-op context
+manager — no clocks, no allocation beyond the call's own kwargs.  The
+engine's overhead gate (``benchmarks/bench_obs_overhead.py``) holds
+this to measurement.
 
 Worker processes buffer their finished spans locally;
 :func:`drain_wire_spans` converts the buffer to a picklable tuple that
@@ -30,6 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.obs.metrics import counter
+
 __all__ = [
     "SpanRecord",
     "absorb_spans",
@@ -41,6 +48,7 @@ __all__ = [
     "event",
     "is_metrics",
     "is_tracing",
+    "record_span",
     "span",
     "spans_from_wire",
     "spans_to_wire",
@@ -107,11 +115,17 @@ class SpanRecord:
 
 
 class _State:
-    __slots__ = ("tracing", "metrics")
+    __slots__ = ("tracing", "metrics", "timing")
 
     def __init__(self) -> None:
         self.tracing = False
         self.metrics = False
+        self.timing = False  # tracing or metrics: the span gate
+
+    def set(self, tracing: bool, metrics: bool) -> None:
+        self.tracing = bool(tracing)
+        self.metrics = bool(metrics)
+        self.timing = self.tracing or self.metrics
 
 
 _state = _State()
@@ -137,15 +151,13 @@ def enable(*, tracing: bool = True, metrics: bool = True) -> None:
     Flags only — existing buffered spans and metric values survive, so
     enabling mid-run never discards telemetry.
     """
-    _state.tracing = bool(tracing)
-    _state.metrics = bool(metrics)
+    _state.set(tracing, metrics)
 
 
 def disable() -> None:
     """Turn both tracing and metrics off (buffers are kept; see
     :func:`repro.obs.reset` to also clear them)."""
-    _state.tracing = False
-    _state.metrics = False
+    _state.set(False, False)
 
 
 def wire_config() -> tuple[bool, bool]:
@@ -155,9 +167,7 @@ def wire_config() -> tuple[bool, bool]:
 
 def configure(config: tuple[bool, bool]) -> None:
     """Apply a :func:`wire_config` snapshot (worker-side initializer)."""
-    tracing, metrics = config
-    _state.tracing = bool(tracing)
-    _state.metrics = bool(metrics)
+    _state.set(*config)
 
 
 def _stack() -> list:
@@ -195,7 +205,7 @@ class _Span:
     def __init__(self, name: str, attrs: dict[str, Any]):
         self.name = name
         self.attrs = attrs
-        self.span_id = _next_id()
+        self.span_id: str | None = None  # set when entered traced
         self.parent_id: str | None = None
         self._start = 0.0
         self._cpu = 0.0
@@ -206,34 +216,50 @@ class _Span:
         return self
 
     def __enter__(self) -> "_Span":
-        stack = _stack()
-        if stack:
-            self.parent_id = stack[-1].span_id
-        stack.append(self)
-        self._cpu = time.process_time()
+        if _state.tracing:
+            self.span_id = _next_id()
+            stack = _stack()
+            if stack:
+                self.parent_id = stack[-1].span_id
+            stack.append(self)
+            self._cpu = time.process_time()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
         duration = time.perf_counter() - self._start
-        cpu = time.process_time() - self._cpu
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        record = SpanRecord(
-            name=self.name,
-            start=self._start,
-            duration=duration,
-            cpu=cpu,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            attrs=self.attrs,
-        )
-        with _lock:
-            _finished.append(record)
+        if self.span_id is not None:
+            cpu = time.process_time() - self._cpu
+            stack = _stack()
+            if stack and stack[-1] is self:
+                stack.pop()
+            _append(
+                SpanRecord(
+                    name=self.name,
+                    start=self._start,
+                    duration=duration,
+                    cpu=cpu,
+                    pid=os.getpid(),
+                    tid=threading.get_ident(),
+                    span_id=self.span_id,
+                    parent_id=self.parent_id,
+                    attrs=self.attrs,
+                )
+            )
+        if _state.metrics:
+            _count_stage(self.name, duration, os.getpid())
         return False
+
+
+def _append(record: SpanRecord) -> None:
+    with _lock:
+        _finished.append(record)
+
+
+def _count_stage(name: str, duration: float, pid: int) -> None:
+    counter("repro_stage_seconds_total", stage=name, pid=str(pid)).inc(
+        duration
+    )
 
 
 def span(name: str, **attrs: Any):
@@ -242,36 +268,64 @@ def span(name: str, **attrs: Any):
     Attributes are free-form JSON-compatible values; more can be added
     inside the region via ``.set(**attrs)`` on the yielded span.
     """
-    if not _state.tracing:
+    if not _state.timing:
         return _NOOP
     return _Span(name, attrs)
 
 
+def record_span(
+    name: str,
+    start: float,
+    duration: float,
+    *,
+    pid: int | None = None,
+    tid: int | None = None,
+    **attrs: Any,
+) -> None:
+    """Record an interval measured from existing ``perf_counter`` stamps.
+
+    Feeds the same two outputs as :func:`span`: a trace record when
+    tracing is on, ``repro_stage_seconds_total{stage=name, pid}`` when
+    metrics are on.  ``pid``/``tid`` default to the calling process and
+    thread; the scheduler passes ``pid=0`` (its pseudo-track) and the
+    chunk index as ``tid``.
+    """
+    pid = os.getpid() if pid is None else pid
+    if _state.tracing:
+        _append(
+            SpanRecord(
+                name=name,
+                start=start,
+                duration=duration,
+                cpu=0.0,
+                pid=pid,
+                tid=threading.get_ident() if tid is None else tid,
+                span_id=_next_id(),
+                attrs=attrs,
+            )
+        )
+    if _state.metrics:
+        _count_stage(name, duration, pid)
+
+
 def event(name: str, **attrs: Any) -> None:
-    """Record an instantaneous (zero-duration) span."""
+    """Record an instantaneous (zero-duration, uncounted) span."""
     if not _state.tracing:
         return
-    now = time.perf_counter()
     stack = _stack()
-    record = SpanRecord(
-        name=name,
-        start=now,
-        duration=0.0,
-        cpu=0.0,
-        pid=os.getpid(),
-        tid=threading.get_ident(),
-        span_id=_next_id(),
-        parent_id=stack[-1].span_id if stack else None,
-        attrs=attrs,
+    _append(
+        SpanRecord(
+            name=name,
+            start=time.perf_counter(),
+            duration=0.0,
+            cpu=0.0,
+            pid=os.getpid(),
+            tid=threading.get_ident(),
+            span_id=_next_id(),
+            parent_id=stack[-1].span_id if stack else None,
+            attrs=attrs,
+        )
     )
-    with _lock:
-        _finished.append(record)
-
-
-def add_record(record: SpanRecord) -> None:
-    """Append an externally built span record (timeline-derived spans)."""
-    with _lock:
-        _finished.append(record)
 
 
 def drain_spans() -> list[SpanRecord]:

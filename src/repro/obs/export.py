@@ -7,10 +7,10 @@ Three output formats for the telemetry :mod:`repro.obs` buffers:
   :mod:`repro.obs.schema`);
 * :func:`write_chrome_trace` — the Trace Event Format JSON that
   ``chrome://tracing`` / Perfetto load directly: every span becomes a
-  complete (``"ph": "X"``) event on its process/thread track, and chunk
-  timelines add scheduler-side ``chunk.queue`` / ``chunk.hold`` events
-  on a pseudo-track so queue waits and reorder stalls are *visible*
-  next to the worker spans they surround;
+  complete (``"ph": "X"``) event on its process/thread track; the
+  scheduler's ``chunk.queue`` / ``chunk.hold`` spans sit on a ``pid 0``
+  pseudo-track so queue waits and reorder stalls are *visible* next to
+  the worker spans they surround;
 * :func:`prometheus_text` — the text exposition format of the metrics
   registry, the exact payload a future ``repro serve`` health endpoint
   returns.
@@ -24,7 +24,6 @@ from typing import Iterable
 
 from repro.obs.core import SpanRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import ChunkTimeline
 
 __all__ = [
     "chrome_trace_events",
@@ -47,11 +46,8 @@ def write_spans_jsonl(
     return count
 
 
-def chrome_trace_events(
-    spans: Iterable[SpanRecord],
-    timelines: Iterable[ChunkTimeline] = (),
-) -> list[dict]:
-    """Spans (+ optional chunk timelines) as Trace Event Format dicts.
+def chrome_trace_events(spans: Iterable[SpanRecord]) -> list[dict]:
+    """Spans as Trace Event Format dicts.
 
     Timestamps are ``perf_counter`` seconds scaled to microseconds —
     the format only needs a consistent timebase, and ``perf_counter``
@@ -75,30 +71,15 @@ def chrome_trace_events(
                 ),
             }
         )
-    for timeline in timelines:
-        for record in timeline.to_spans():
-            events.append(
-                {
-                    "name": record.name,
-                    "ph": "X",
-                    "ts": record.start * 1e6,
-                    "dur": record.duration * 1e6,
-                    "pid": record.pid,
-                    "tid": record.tid,
-                    "args": dict(record.attrs, span_id=record.span_id),
-                }
-            )
     return events
 
 
 def write_chrome_trace(
-    spans: Iterable[SpanRecord],
-    path: str | os.PathLike,
-    timelines: Iterable[ChunkTimeline] = (),
+    spans: Iterable[SpanRecord], path: str | os.PathLike
 ) -> int:
     """Write a ``chrome://tracing``-loadable JSON file; returns the
     number of trace events written."""
-    events = chrome_trace_events(spans, timelines)
+    events = chrome_trace_events(spans)
     with open(path, "w") as handle:
         json.dump(
             {"traceEvents": events, "displayTimeUnit": "ms"},

@@ -9,10 +9,12 @@ between equal-weight paths (middle-of-the-code defects genuinely tie).
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
 from repro.dem import DetectorErrorModel, ErrorMechanism
+from repro.engine import Task, collect
 from repro.gf2 import bitops
-from repro.qec import repetition_code_dem, surface_code_dem
+from repro.qec import repetition_code_dem, surface_code_dem, surface_code_memory
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +195,51 @@ class TestParallelEdgeProbabilities:
         dem.add_group([ErrorMechanism(0.275, (1,), ())])
         for decoder in (MatchingDecoder(dem), CompiledMatchingDecoder(dem)):
             assert decoder.decode(np.array([1, 1])).tolist() == [0]
+
+
+class TestDecodeTierStages:
+    """The subset DP and the blossom fallback each run inside one span
+    per batch, so their time shows up as ``decode.dp`` and
+    ``decode.blossom`` in ``repro_stage_seconds_total``."""
+
+    @staticmethod
+    def stage_totals():
+        totals = {}
+        for labels, metric in obs.registry().select(
+            "repro_stage_seconds_total"
+        ):
+            totals[labels["stage"]] = (
+                totals.get(labels["stage"], 0.0) + metric.value
+            )
+        return totals
+
+    def test_tiers_within_decode_stage_at_d5_r5(self):
+        circuit = surface_code_memory(
+            5, rounds=5,
+            after_clifford_depolarization=0.005,
+            before_measure_flip_probability=0.005,
+        )
+        task = Task(circuit, decoder="compiled-matching", sampler="frame",
+                    max_shots=1024)
+        collect([task], base_seed=7, chunk_shots=512, profile=True)
+        totals = self.stage_totals()
+        assert "decode.dp" in totals
+        tiers = totals["decode.dp"] + totals.get("decode.blossom", 0.0)
+        assert tiers <= totals["decode"]
+
+    def test_blossom_span_only_when_rows_fall_back(self, surface_dems):
+        dem = surface_dems[7]
+        compiled = CompiledMatchingDecoder(dem)
+        syndromes = np.zeros((2, dem.n_detectors), dtype=np.uint8)
+        syndromes[1, np.random.default_rng(0).choice(
+            dem.n_detectors, size=23, replace=False
+        )] = 1
+        obs.enable(tracing=True, metrics=True)
+        compiled.decode_batch(syndromes[:1])
+        assert "decode.blossom" not in {r.name for r in obs.drain_spans()}
+        compiled.decode_batch(syndromes)
+        (blossom,) = [
+            r for r in obs.drain_spans() if r.name == "decode.blossom"
+        ]
+        assert blossom.attrs == {"rows": 1}
+        assert self.stage_totals()["decode.blossom"] == blossom.duration

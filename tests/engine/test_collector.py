@@ -197,6 +197,18 @@ class TestResume:
         assert loaded.hold_seconds == 0.125
         assert loaded.transport_bytes == 4096
 
+    def test_new_rows_carry_no_stage_split(self, tmp_path):
+        """Stage seconds live in the metrics registry, not the store:
+        new rows drop the old sample/decode split, and a row that
+        still has it round-trips to the same stats."""
+        stats = TaskStats("t1", "matching", "symphase", shots=10,
+                          worker_seconds=0.5)
+        row = stats.to_row()
+        assert "sample_seconds" not in row
+        assert "decode_seconds" not in row
+        legacy = dict(row, sample_seconds=0.2, decode_seconds=0.3)
+        assert TaskStats.from_row(legacy) == TaskStats.from_row(row)
+
     def test_missing_store_loads_empty(self, tmp_path):
         assert ResultStore(tmp_path / "absent.jsonl").load() == {}
 

@@ -175,6 +175,25 @@ def test_worker_death_metrics_recorded():
     assert reg.value("repro_chunk_retries_total") >= 1.0
 
 
+def test_retried_chunk_spans_carry_attempt():
+    """A chunk replayed after its worker died shows up in the trace as
+    a retry: its scheduler spans carry the attempt that produced it."""
+    obs.enable(tracing=True, metrics=True)
+    task = make_task()
+    stats = collect(
+        [task], base_seed=3, workers=2, chunk_shots=500,
+        fault_plan="kill@1", retry_backoff=0.01,
+    )
+    assert stats[0].failed_chunks == 0
+    queue = {
+        r.attrs["chunk"]: r
+        for r in obs.drain_spans()
+        if r.name == "chunk.queue"
+    }
+    assert sorted(queue) == list(range(8))
+    assert queue[1].attrs["attempt"] >= 1
+
+
 def test_lease_expiry_metrics_recorded():
     obs.enable(tracing=False, metrics=True)
     task = make_task()

@@ -207,12 +207,16 @@ class TestOneWire:
         with ChunkRunner(workers=1) as serial:
             expected = [(r.chunk_index, r.shots, r.errors)
                         for r in serial.run(specs)]
-        obs.drain_timelines()
+        obs.drain_spans()
         with ChunkRunner(workers=2) as pooled:
             observed = [(r.chunk_index, r.shots, r.errors)
                         for r in pooled.run(specs)]
         assert observed == expected
-        assert {t.transport for t in obs.drain_timelines()} == {"pickle"}
+        assert {
+            r.attrs["transport"]
+            for r in obs.drain_spans()
+            if r.name == "chunk.queue"
+        } == {"pickle"}
 
 
 class TestWarmWorkers:

@@ -1,34 +1,58 @@
-"""Per-chunk timeline invariants from the instrumented scheduler.
+"""Per-chunk scheduler spans from the instrumented runner.
 
-These tests exercise the telemetry the scheduler attaches to every
-``ChunkResult`` when metrics are on: the submit→start→finish→receive→
-yield stamps must be monotone, the derived queue-wait/hold seconds
-non-negative, and none of it may leak into runs with telemetry off.
+With telemetry on, the runner records two spans per chunk on the
+scheduler's ``pid 0`` track: ``chunk.queue`` (submit -> worker start)
+and ``chunk.hold`` (result received -> yielded past the reorder
+buffer).  Together with the worker's own ``chunk`` span they must lay
+out monotonically, their durations must be non-negative and mirrored
+on the yielded results, and none of it may leak into runs with
+telemetry off (or into the span buffer of a metrics-only run).  Every
+span feeds ``repro_stage_seconds_total`` from the same clock reading.
 """
 
 import pytest
 
 import repro.obs as obs
-from repro.engine import ChunkRunner, plan_chunks
+from repro.engine import ChunkRunner, collect, plan_chunks
 from repro.engine.tasks import Task
 from repro.qec import repetition_code_memory
 
 
-def make_specs(n_chunks=6, chunk_shots=200):
+def make_task(n_chunks=6, chunk_shots=200):
     circuit = repetition_code_memory(
         3, rounds=2, data_flip_probability=0.05, measure_flip_probability=0.05
     )
-    task = Task(
+    return Task(
         circuit, decoder="compiled-matching",
         max_shots=n_chunks * chunk_shots,
     )
-    return plan_chunks(task, 3, chunk_shots)
+
+
+def make_specs(n_chunks=6, chunk_shots=200):
+    return plan_chunks(make_task(n_chunks, chunk_shots), 3, chunk_shots)
 
 
 def run_with_telemetry(workers, specs):
     obs.enable(tracing=True, metrics=True)
     with ChunkRunner(workers=workers) as runner:
         return list(runner.run(specs))
+
+
+def spans_by_chunk(records, name):
+    """``chunk index -> span`` for every span called ``name``."""
+    found = [r for r in records if r.name == name]
+    by_chunk = {r.attrs["chunk"]: r for r in found}
+    assert len(by_chunk) == len(found), f"duplicate {name} spans"
+    return by_chunk
+
+
+def stage_total(stage):
+    return sum(
+        metric.value
+        for _, metric in obs.registry().select(
+            "repro_stage_seconds_total", stage=stage
+        )
+    )
 
 
 class TestTelemetryOff:
@@ -42,56 +66,84 @@ class TestTelemetryOff:
             assert result.result_bytes == 0
             assert result.spans == ()
             assert result.metrics == ()
-        assert obs.drain_timelines() == []
+        assert obs.drain_spans() == []
 
-    def test_pooled_off_records_no_timelines(self):
+    def test_pooled_off_records_no_spans(self):
         with ChunkRunner(workers=2) as runner:
             list(runner.run(make_specs()))
-        assert obs.drain_timelines() == []
+        assert obs.drain_spans() == []
+        assert len(obs.registry()) == 0
+
+
+class TestMetricsOnly:
+    def test_profiled_runs_buffer_no_span_records(self):
+        """Metrics alone time every stage but buffer nothing: repeated
+        profiled runs with tracing off leave the span buffer empty."""
+        task = make_task(n_chunks=10)
+        for _ in range(3):
+            collect([task], base_seed=1, chunk_shots=200, profile=True)
+            assert obs.drain_spans() == []
+        assert not obs.is_tracing()
+
+    def test_stage_counters_fed_without_tracing(self):
+        obs.enable(tracing=False, metrics=True)
+        with ChunkRunner(workers=1) as runner:
+            results = list(runner.run(make_specs()))
+        for stage in ("chunk", "sample", "decode", "chunk.queue",
+                      "chunk.hold"):
+            assert stage_total(stage) > 0.0, stage
+        assert stage_total("chunk.queue") == pytest.approx(
+            sum(r.queue_wait_seconds for r in results), abs=1e-9
+        )
+        assert obs.drain_spans() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-class TestTimelineInvariants:
-    def test_one_timeline_per_chunk(self, workers):
+class TestSchedulerSpanInvariants:
+    def test_one_queue_and_hold_span_per_chunk(self, workers):
         specs = make_specs()
         run_with_telemetry(workers, specs)
-        timelines = obs.drain_timelines()
-        assert sorted(t.chunk_index for t in timelines) == list(
-            range(len(specs))
-        )
-        assert all(t.task_id == specs[0].task_id for t in timelines)
-        assert all(t.shots == specs[0].shots for t in timelines)
+        records = obs.drain_spans()
+        for name in ("chunk.queue", "chunk.hold"):
+            by_chunk = spans_by_chunk(records, name)
+            assert sorted(by_chunk) == list(range(len(specs)))
+            for index, record in by_chunk.items():
+                assert record.pid == 0  # scheduler pseudo-track
+                assert record.tid == index
+                assert record.attrs["task"] == specs[0].task_id
+                assert record.attrs["shots"] == specs[0].shots
+                assert record.attrs["attempt"] == 0
 
     def test_stamps_monotone(self, workers):
-        run_with_telemetry(workers, make_specs())
-        for t in obs.drain_timelines():
-            assert t.submitted_at <= t.started_at <= t.finished_at
-            assert t.finished_at <= t.received_at <= t.yielded_at
+        specs = make_specs()
+        run_with_telemetry(workers, specs)
+        records = obs.drain_spans()
+        queue = spans_by_chunk(records, "chunk.queue")
+        hold = spans_by_chunk(records, "chunk.hold")
+        work = spans_by_chunk(records, "chunk")
+        for index in range(len(specs)):
+            q, w, h = queue[index], work[index], hold[index]
+            assert q.attrs["worker_pid"] == w.pid
+            assert q.start <= q.start + q.duration <= w.start
+            assert w.start + w.duration <= h.start <= h.start + h.duration
 
-    def test_derived_seconds_non_negative_and_consistent(self, workers):
+    def test_waits_non_negative(self, workers):
         run_with_telemetry(workers, make_specs())
-        for t in obs.drain_timelines():
-            for value in (
-                t.queue_wait_seconds, t.worker_seconds,
-                t.return_seconds, t.hold_seconds,
-            ):
-                assert value >= 0.0
-            parts = (
-                t.queue_wait_seconds + t.worker_seconds
-                + t.return_seconds + t.hold_seconds
-            )
-            assert parts == pytest.approx(t.latency_seconds, abs=1e-9)
+        for record in obs.drain_spans():
+            if record.name in ("chunk.queue", "chunk.hold"):
+                assert record.duration >= 0.0
 
-    def test_results_mirror_timelines(self, workers):
+    def test_results_mirror_spans(self, workers):
         results = run_with_telemetry(workers, make_specs())
-        by_chunk = {t.chunk_index: t for t in obs.drain_timelines()}
+        records = obs.drain_spans()
+        queue = spans_by_chunk(records, "chunk.queue")
+        hold = spans_by_chunk(records, "chunk.hold")
         for result in results:
-            timeline = by_chunk[result.chunk_index]
             assert result.queue_wait_seconds == pytest.approx(
-                timeline.queue_wait_seconds
+                queue[result.chunk_index].duration
             )
             assert result.hold_seconds == pytest.approx(
-                timeline.hold_seconds
+                hold[result.chunk_index].duration
             )
             # Worker piggyback payloads are consumed by the scheduler,
             # never re-yielded to the caller.
@@ -107,10 +159,23 @@ class TestTimelineInvariants:
             for _, metric in reg.select("repro_shots_total")
         )
         assert shots == sum(r.shots for r in results)
-        queue_wait = reg.value("repro_queue_wait_seconds_total")
-        assert queue_wait == pytest.approx(
+        assert stage_total("chunk.queue") == pytest.approx(
             sum(r.queue_wait_seconds for r in results)
         )
+        assert stage_total("chunk.hold") == pytest.approx(
+            sum(r.hold_seconds for r in results)
+        )
+
+    @pytest.mark.parametrize(
+        "stage", ["chunk", "sample", "decode", "chunk.queue"]
+    )
+    def test_stage_counter_is_the_span_clock(self, workers, stage):
+        """One clock reading feeds both outputs: each stage's counter
+        total equals the summed durations of that run's spans."""
+        run_with_telemetry(workers, make_specs())
+        durations = [r.duration for r in obs.drain_spans() if r.name == stage]
+        assert durations
+        assert stage_total(stage) == pytest.approx(sum(durations), abs=1e-9)
 
 
 class TestTransportAccounting:
@@ -135,13 +200,13 @@ class TestTransportAccounting:
     @pytest.mark.parametrize(
         "workers,wire", [(1, "inproc"), (2, "pickle")]
     )
-    def test_timelines_name_the_wire(self, workers, wire):
+    def test_spans_name_the_wire(self, workers, wire):
         """Serial chunks never leave the process; pooled chunks all ride
         the one pickle wire."""
         run_with_telemetry(workers, make_specs())
-        timelines = obs.drain_timelines()
-        assert timelines
-        assert {t.transport for t in timelines} == {wire}
+        queue = spans_by_chunk(obs.drain_spans(), "chunk.queue")
+        assert queue
+        assert {r.attrs["transport"] for r in queue.values()} == {wire}
 
     def test_pooled_metrics_arrive_from_worker_pids(self):
         run_with_telemetry(2, make_specs())

@@ -78,6 +78,61 @@ class TestEnabledSpans:
         assert record.name == "boom"
 
 
+class TestStageTimer:
+    """Every span feeds ``repro_stage_seconds_total`` when metrics are on."""
+
+    def stage(self, name):
+        return obs.registry().value(
+            "repro_stage_seconds_total", stage=name, pid=str(os.getpid())
+        )
+
+    def test_metrics_only_span_counts_without_a_record(self):
+        obs.enable(tracing=False, metrics=True)
+        span = obs.span("work")
+        assert span is not _NOOP
+        with span:
+            pass
+        assert self.stage("work") >= 0.0
+        assert obs.drain_spans() == []
+
+    def test_traced_span_and_counter_share_one_reading(self):
+        obs.enable(tracing=True, metrics=True)
+        for _ in range(3):
+            with obs.span("work"):
+                pass
+        records = obs.drain_spans()
+        assert self.stage("work") == sum(r.duration for r in records)
+
+    def test_tracing_only_counts_nothing(self):
+        obs.enable(tracing=True, metrics=False)
+        with obs.span("work"):
+            pass
+        assert len(obs.drain_spans()) == 1
+        assert len(obs.registry()) == 0
+
+    def test_record_span_feeds_both_outputs(self):
+        obs.enable(tracing=True, metrics=True)
+        obs.record_span("chunk.queue", 2.0, 0.25, pid=0, tid=5, chunk=5)
+        (record,) = obs.drain_spans()
+        assert (record.start, record.duration) == (2.0, 0.25)
+        assert (record.pid, record.tid, record.cpu) == (0, 5, 0.0)
+        assert record.attrs == {"chunk": 5}
+        assert obs.registry().value(
+            "repro_stage_seconds_total", stage="chunk.queue", pid="0"
+        ) == 0.25
+
+    def test_record_span_disabled_is_silent(self):
+        obs.record_span("chunk.queue", 0.0, 1.0, pid=0, tid=0)
+        assert obs.drain_spans() == []
+        assert len(obs.registry()) == 0
+
+    def test_events_are_not_counted(self):
+        obs.enable(tracing=True, metrics=True)
+        obs.event("mark")
+        assert len(obs.drain_spans()) == 1
+        assert self.stage("mark") is None
+
+
 class TestWireTransport:
     def test_round_trip_preserves_records(self):
         obs.enable(tracing=True, metrics=False)
@@ -115,15 +170,9 @@ class TestReset:
         with obs.span("gone"):
             pass
         obs.counter("gone_total").inc()
-        obs.record_timeline(
-            obs.ChunkTimeline(
-                task_id="t", chunk_index=0, shots=1, pid=1,
-                submitted_at=0.0, started_at=0.0, finished_at=0.0,
-                received_at=0.0, yielded_at=0.0,
-            )
-        )
+        obs.record_span("chunk.queue", 0.0, 0.5, pid=0, tid=0, chunk=0)
         obs.reset()
         assert not obs.is_tracing() and not obs.is_metrics()
         assert obs.drain_spans() == []
-        assert obs.drain_timelines() == []
         assert obs.registry().value("gone_total") is None
+        assert len(obs.registry()) == 0

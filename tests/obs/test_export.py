@@ -21,14 +21,19 @@ def _span(name="work", **attrs):
     )
 
 
-def _timeline(**overrides):
-    fields = dict(
-        task_id="abcdef0123456789", chunk_index=3, shots=100, pid=10,
-        submitted_at=1.0, started_at=1.2, finished_at=1.8,
-        received_at=1.9, yielded_at=2.0, spec_bytes=50, result_bytes=70,
-    )
-    fields.update(overrides)
-    return obs.ChunkTimeline(**fields)
+def _scheduler_spans(chunk=3):
+    """One chunk's ``chunk.queue``/``chunk.hold`` pair, as the runner
+    records them on the ``pid 0`` scheduler track."""
+    attrs = dict(task="abcdef0123456789", chunk=chunk, shots=100,
+                 worker_pid=10, spec_bytes=50, result_bytes=70,
+                 transport="pickle", attempt=0)
+    return [
+        SpanRecord(name=name, start=start, duration=duration, cpu=0.0,
+                   pid=0, tid=chunk, span_id=f"0:{name}", attrs=attrs)
+        for name, start, duration in (
+            ("chunk.queue", 1.0, 0.2), ("chunk.hold", 1.9, 0.1),
+        )
+    ]
 
 
 class TestJsonl:
@@ -62,8 +67,8 @@ class TestChromeTrace:
         assert event["args"]["span_id"] == "10:1"
         validate_chrome_event(event)
 
-    def test_timelines_become_scheduler_events(self):
-        events = obs.chrome_trace_events([], timelines=[_timeline()])
+    def test_scheduler_spans_land_on_pseudo_track(self):
+        events = obs.chrome_trace_events(_scheduler_spans())
         names = {e["name"] for e in events}
         assert names == {"chunk.queue", "chunk.hold"}
         for event in events:
@@ -75,9 +80,7 @@ class TestChromeTrace:
 
     def test_write_and_validate_file(self, tmp_path):
         path = tmp_path / "trace.json"
-        count = obs.write_chrome_trace(
-            [_span()], path, timelines=[_timeline()]
-        )
+        count = obs.write_chrome_trace([_span(), *_scheduler_spans()], path)
         assert count == 3
         assert validate_trace_file(str(path)) == 3
         doc = json.loads(path.read_text())
@@ -126,19 +129,22 @@ class TestSpanSchema:
         assert main([str(bad)]) == 1
 
 
-class TestTimelineDerivations:
-    def test_derived_quantities(self):
-        timeline = _timeline()
-        assert timeline.queue_wait_seconds == pytest.approx(0.2)
-        assert timeline.worker_seconds == pytest.approx(0.6)
-        assert timeline.return_seconds == pytest.approx(0.1)
-        assert timeline.hold_seconds == pytest.approx(0.1)
-        assert timeline.latency_seconds == pytest.approx(1.0)
-        assert timeline.transport_bytes == 120
-
-    def test_clock_skew_clamped_to_zero(self):
-        timeline = _timeline(started_at=0.5)  # "started before submitted"
-        assert timeline.queue_wait_seconds == 0.0
+class TestRecordedSchedulerSpans:
+    def test_runner_stamps_export_and_validate(self, tmp_path):
+        """``record_span`` output round-trips through both exporters."""
+        obs.enable(tracing=True, metrics=False)
+        obs.record_span("chunk.queue", 1.0, 0.2, pid=0, tid=3, chunk=3,
+                        transport="inproc", attempt=1)
+        records = obs.drain_spans()
+        path = tmp_path / "sched.json"
+        assert obs.write_chrome_trace(records, path) == 1
+        assert validate_trace_file(str(path)) == 1
+        (event,) = json.loads(path.read_text())["traceEvents"]
+        assert (event["pid"], event["tid"]) == (0, 3)
+        assert event["args"]["attempt"] == 1
+        jsonl = tmp_path / "sched.jsonl"
+        obs.write_spans_jsonl(records, jsonl)
+        assert validate_trace_file(str(jsonl)) == 1
 
 
 class TestPrometheus:
