@@ -10,7 +10,7 @@ introduction describes.
 import numpy as np
 import pytest
 
-from repro.core import CompiledSampler, SymPhaseSimulator
+from repro.core import compile_sampler
 from repro.decoders import compile_decoder
 from repro.dem import extract_dem
 from repro.qec import repetition_code_memory
@@ -25,7 +25,7 @@ def pipeline():
         data_flip_probability=0.02,
         measure_flip_probability=0.02,
     )
-    sampler = CompiledSampler(SymPhaseSimulator.from_circuit(circuit))
+    sampler = compile_sampler(circuit)
     dem = extract_dem(sampler)
     decoder = compile_decoder(dem, "matching")
     rng = np.random.default_rng(0)
@@ -36,9 +36,7 @@ def pipeline():
 def test_stage_analyze(benchmark, pipeline):
     benchmark.group = "gadget-eval-stages"
     circuit = pipeline[0]
-    benchmark(
-        lambda: CompiledSampler(SymPhaseSimulator.from_circuit(circuit))
-    )
+    benchmark(compile_sampler, circuit)
 
 
 def test_stage_sample(benchmark, pipeline):

@@ -1,7 +1,7 @@
 """Rule-based static analysis for the repro codebase.
 
 The repo's correctness contracts — the derived-seed RNG scheme, fork
-safety of pool workers, SharedMemory unlink discipline, the packed
+safety of pool workers, resource release on every path, the packed
 uint64 wire format, capability-flagged registries, telemetry
 granularity, and the study facade boundary — are invariants the type
 system can't see.  This package makes them machine-checkable: parse

@@ -37,10 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "::error/::warning annotations",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run rules on N forked workers (default: 1, serial)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the incremental dataflow cache",
     )
@@ -101,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
             ignore=_split_ids(args.ignore),
             baseline=baseline,
             include_context=not args.no_context,
-            jobs=max(args.jobs, 1),
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
         )

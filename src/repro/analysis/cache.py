@@ -17,10 +17,10 @@ hashes:
   unless the resolved summaries actually changed.
 
 Entries are JSON, written atomically (temp file + ``os.replace``) so
-parallel ``--jobs`` workers can race on the same key harmlessly.  The
-cache is an accelerator only: every read validates shape and any
-IO/parse problem falls back to recomputation, and a cold run and a
-warm run produce byte-identical reports.
+concurrent runs sharing a cache directory can race on the same key
+harmlessly.  The cache is an accelerator only: every read validates
+shape and any IO/parse problem falls back to recomputation, and a cold
+run and a warm run produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ CACHE_DIR_NAME = ".repro-analysis-cache"
 
 #: Bumped whenever any cached payload's meaning changes; part of every
 #: key, so stale layouts miss instead of deserializing garbage.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def content_hash(data: bytes | str) -> str:

@@ -3,8 +3,8 @@
 The dataflow rules (:mod:`repro.analysis.dataflow`) need to follow a
 value through branches, loops, ``try``/``except``/``finally``, ``with``
 blocks and early returns — precision a flat ``ast.walk`` cannot give.
-:func:`build_cfg` lowers one function body into basic blocks of
-*elements*:
+:func:`build_cfg` lowers one function body (or a module's top-level
+statements) into basic blocks of *elements*:
 
 * simple statements (``Assign``, ``Return``, ``Expr``, ...) appear
   whole;
@@ -64,11 +64,11 @@ class Block:
 
 
 class CFG:
-    """The control-flow graph of one function definition."""
+    """The control-flow graph of one function definition (or module)."""
 
     def __init__(
         self,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
+        func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
         blocks: dict[int, Block],
         entry: int,
         exit: int,
@@ -146,7 +146,9 @@ class _Frame:
 
 
 class _Builder:
-    def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef):
+    def __init__(
+        self, func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
+    ):
         self.func = func
         self.blocks: dict[int, Block] = {}
         self._next = 0
@@ -439,6 +441,9 @@ class _Builder:
         }
 
 
-def build_cfg(func: ast.FunctionDef | ast.AsyncFunctionDef) -> CFG:
-    """Lower one function definition into its control-flow graph."""
+def build_cfg(
+    func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
+) -> CFG:
+    """Lower one function definition (or a module's top level) into its
+    control-flow graph."""
     return _Builder(func).build()

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: reporters and future tooling can prioritize.
 SEVERITIES = ("error", "warning")
 
-#: ``# repro: ignore[RNG001]`` / ``# repro: ignore[RNG001, PACK001]``.
+#: ``# repro: ignore[RNG001]`` / ``# repro: ignore[RNG001, PACK002]``.
 #: The comment must sit on the finding's own line.
 _SUPPRESSION = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_*,\s-]+)\]")
 

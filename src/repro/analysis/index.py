@@ -272,9 +272,21 @@ class SourceIndex:
         return []
 
     def _lookup(self, module: str, name: str) -> list[FunctionInfo]:
-        target = self.by_module.get(module)
-        if target is not None and name in target.functions:
-            return [target.functions[name]]
+        """The function ``module.name`` denotes, following re-exports
+        (``repro.core.compile_sampler`` is defined in
+        ``repro.core.compiled_sampler`` and imported by the package)."""
+        seen: set[tuple[str, str]] = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            target = self.by_module.get(module)
+            if target is None:
+                return []
+            if name in target.functions:
+                return [target.functions[name]]
+            binding = target.bindings.get(name)
+            if binding is None or binding.attr is None:
+                return []
+            module, name = binding.module, binding.attr
         return []
 
     def reachable(

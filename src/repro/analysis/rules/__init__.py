@@ -1,8 +1,9 @@
 """The rule registry: every shipped invariant check, by id.
 
 Adding a rule is one entry here — the runner, the CLI's
-``--select``/``--ignore``, the reporters and the README rule table all
-derive from :func:`all_rules`.
+``--select``/``--ignore``, ``--list-rules`` and the reporters all
+derive from :func:`all_rules`; the README rule table is kept in step by
+hand (a test asserts the two list the same ids).
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from repro.analysis.rules.api import FacadeRule
 from repro.analysis.rules.exceptions import SilentExceptionRule
 from repro.analysis.rules.fork import ForkSafetyRule
 from repro.analysis.rules.obs_rules import ObsGranularityRule
-from repro.analysis.rules.pack import PackedFlowRule, PackedWireRule
+from repro.analysis.rules.pack import PackedFlowRule
 from repro.analysis.rules.parse import ParseFailureRule
 from repro.analysis.rules.reg import RegistryRule
 from repro.analysis.rules.res import ResourcePathRule
 from repro.analysis.rules.rng import GlobalRngRule, SeedContractRule
 from repro.analysis.rules.seed import SeedTaintRule
-from repro.analysis.rules.shm import ShmUnlinkRule
 from repro.analysis.rules.wire import WireContractRule
 
 __all__ = ["all_rules", "rule_ids", "select_rules"]
@@ -33,8 +33,6 @@ def all_rules() -> list[Rule]:
         SeedTaintRule(),
         ForkSafetyRule(),
         SilentExceptionRule(),
-        ShmUnlinkRule(),
-        PackedWireRule(),
         PackedFlowRule(),
         RegistryRule(),
         ObsGranularityRule(),

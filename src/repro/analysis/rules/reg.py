@@ -1,7 +1,7 @@
 """REG001 — backends/decoders go through their registries.
 
 PR 2/PR 3 put every sampler and decoder behind name-keyed registries
-with capability flags (``packed``, ``batched``, ``graphlike_only``…):
+with capability flags (``packed_native``, ``batched``, ``graphlike_only``…):
 the engine, CLI, harness and examples all resolve by name, so adding
 an implementation is one ``register_*`` call.  Direct instantiation
 outside the registry bypasses alias canonicalization, capability
@@ -25,9 +25,10 @@ def _registered_impls(index: SourceIndex) -> dict[str, set[str]]:
 
     Discovered statically: every ``register_decoder``/``register_backend``
     call is located, its factory argument (a lambda or a same-module
-    function) is walked, and class names instantiated inside become the
-    registered implementations.  Allowed modules: the registering
-    module and the module defining the class.
+    function) is walked, and class names instantiated inside it, or
+    inside a function it calls, become the registered implementations.
+    Allowed modules: the registering module and the module defining the
+    class.
     """
     impls: dict[str, set[str]] = {}
     for file in index.files:
@@ -54,6 +55,9 @@ def _registered_impls(index: SourceIndex) -> dict[str, set[str]]:
 def _factory_classes(
     index: SourceIndex, file: SourceFile, factory: ast.expr | None
 ) -> Iterator[str]:
+    """Classes a factory instantiates, directly or through one call to
+    an indexed function (``compile_sampler(circuit)`` builds a
+    ``CompiledSampler``)."""
     if factory is None:
         return
     body: ast.AST | None = None
@@ -65,6 +69,14 @@ def _factory_classes(
             body = info.node
     if body is None:
         return
+    yield from _instantiated(index, body)
+    for sub in ast.walk(body):
+        if isinstance(sub, ast.Call):
+            for callee in index.resolve_call(file, sub):
+                yield from _instantiated(index, callee.node)
+
+
+def _instantiated(index: SourceIndex, body: ast.AST) -> Iterator[str]:
     for sub in ast.walk(body):
         if isinstance(sub, ast.Call):
             tail = dotted_tail(sub.func)

@@ -1,13 +1,13 @@
 """RES001 — resources must be released on every CFG path.
 
-Generalizes SHM001's with/finally pattern-match: a handle acquired in
-a function (``SharedMemory``, a worker pool, a file object) must, on
-*every* path to the function's exit, either be released (``close``/
-``unlink``/``terminate``/...), be managed by a ``with`` block, or have
-its ownership escape — returned, stored on an object, registered with
-a finalizer, passed to another call.  A path where a live handle
-simply falls off the end (an early return between acquire and release,
-say) leaks the resource.
+A handle acquired in a function (``SharedMemory``, a worker pool, a
+file object) must, on *every* path to the function's exit, either be
+released (``close``/``unlink``/``terminate``/...), be managed by a
+``with`` block, or have its ownership escape — returned, stored on an
+object, registered with a finalizer, passed to another call.  A path
+where a live handle simply falls off the end (an early return between
+acquire and release, say) leaks the resource; a leaked
+``SharedMemory`` segment outlives the process in ``/dev/shm``.
 
 Ownership is deliberately coarse: any *direct* use of the handle name
 as a call argument, return/yield value, raise operand, container

@@ -8,8 +8,10 @@ its globals), a lock (unpicklable or, worse, fork-duplicated), or a
 live ndarray (copies megabytes per chunk through the pickle wire) into
 a spec can break or slow the pool in ways that only show up under
 load.  This rule tracks those three
-provenances flow-sensitively and flags spec construction that receives
-one.
+provenances flow-sensitively within each function and flags spec
+construction that receives one.  It runs without interprocedural
+summaries: none of its fixtures is caught only through a helper's
+return value.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.core import Finding
+from repro.analysis.dataflow import EMPTY_MARKS, MarkAnalysis
 from repro.analysis.index import SourceFile, SourceIndex, dotted_tail
 from repro.analysis.rules.flow import (
     FlowRule,
@@ -27,10 +30,10 @@ from repro.analysis.rules.flow import (
     resolved_callable,
 )
 from repro.analysis.rules.pack import PACKED_PRODUCERS, UNPACKED_PRODUCERS
-from repro.analysis.summaries import DataflowContext, SummaryAnalysis
+from repro.analysis.summaries import DataflowContext
 
 #: Spec constructors crossing the worker boundary.
-SPEC_TAILS = frozenset({"ChunkSpec", "ShmChunkSpec", "WarmSpec"})
+SPEC_TAILS = frozenset({"ChunkSpec"})
 
 #: Synchronization primitives (fork-hostile, often unpicklable).
 _LOCK_TAILS = frozenset({
@@ -52,15 +55,13 @@ _ARRAY_PRODUCERS = (PACKED_PRODUCERS | UNPACKED_PRODUCERS) - frozenset({
 })
 
 
-class WireAnalysis(SummaryAnalysis):
-    """Marks: ``closure``, ``lock``, ``array``."""
+class WireAnalysis(MarkAnalysis):
+    """Local-only marks: ``closure``, ``lock``, ``array``."""
 
-    domain_name = "wire"
-    domain_version = 1
+    def __init__(self, file: SourceFile):
+        self.file = file
 
-    def intrinsic_call_marks(
-        self, state, call: ast.Call
-    ) -> frozenset[str] | None:
+    def call_marks(self, state, call: ast.Call) -> frozenset[str]:
         tail = dotted_tail(call.func)
         if tail in _LOCK_TAILS:
             return frozenset({"lock"})
@@ -69,7 +70,11 @@ class WireAnalysis(SummaryAnalysis):
         module, fn = resolved_callable(self.file, call)
         if module == "numpy" and fn in _ARRAY_FUNCTIONS:
             return frozenset({"array"})
-        return None
+        if isinstance(call.func, ast.Attribute):
+            # Method call: assume the result keeps the receiver's marks
+            # (buf.reshape(...), rows.copy(), ...).
+            return self.expr_marks(state, call.func.value)
+        return EMPTY_MARKS
 
     def def_marks(self, node: ast.AST) -> frozenset[str]:
         return frozenset({"closure"})
@@ -92,8 +97,8 @@ class WireContractRule(FlowRule):
         "ChunkSpec must stay header-only (str/int fields); closures, "
         "locks, and live arrays break or bloat the pickled pool wire."
     )
-    version = 1
-    domain = WireAnalysis
+    version = 2
+    domain = None  # the marks never cross function boundaries
 
     def check_file(
         self,
@@ -103,7 +108,7 @@ class WireContractRule(FlowRule):
         resolved,
     ) -> Iterator[Finding]:
         for info in file.functions.values():
-            analysis = WireAnalysis(file, index, resolved)
+            analysis = WireAnalysis(file)
             cfg = context.cfg(info)
             for element, state in analysis.walk(cfg):
                 for call in calls_in(element_exprs(element)):

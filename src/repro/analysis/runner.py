@@ -7,16 +7,11 @@ subtree is analyzed), run the selected rules over the shared index,
 then partition raw findings into reported / inline-suppressed /
 baselined.
 
-Two accelerators, both transparent to the output (a cold run and a
-warm run produce identical findings in identical order):
-
-* the incremental cache (:mod:`repro.analysis.cache`) — attached to
-  the index so the dataflow rules can reuse per-module summaries and
-  per-file findings across runs;
-* ``jobs > 1`` — rules partitioned over a ``fork`` worker pool.  The
-  parent warms the shared dataflow context (CFGs + summary tables)
-  *before* forking so children inherit it copy-on-write; platforms
-  without ``fork`` silently fall back to serial.
+Rules run serially in one process.  The incremental cache
+(:mod:`repro.analysis.cache`) is attached to the index so the dataflow
+rules can reuse per-module summaries and per-file findings across
+runs; it is transparent to the output (a cold run and a warm run
+produce identical findings in identical order).
 """
 
 from __future__ import annotations
@@ -26,11 +21,9 @@ from pathlib import Path
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.cache import CACHE_DIR_NAME, AnalysisCache
-from repro.analysis.core import AnalysisResult, Finding, is_suppressed
+from repro.analysis.core import AnalysisResult, is_suppressed
 from repro.analysis.index import IndexBuilder, SourceIndex, repro_source_root
 from repro.analysis.rules import select_rules
-from repro.analysis.rules.flow import FlowRule
-from repro.analysis.summaries import get_context
 
 
 def build_index(
@@ -49,44 +42,6 @@ def build_index(
     return IndexBuilder(root=root, targets=targets, context=context).build()
 
 
-#: Fork-inherited state for ``--jobs`` workers (set just before the
-#: pool spawns, cleared after; never used serially).
-_PARALLEL_INDEX: SourceIndex | None = None
-
-
-def _check_one_rule(rule_id: str) -> list[Finding]:
-    rules = {rule.id: rule for rule in select_rules(select=(rule_id,))}
-    return list(rules[rule_id].check(_PARALLEL_INDEX))
-
-
-def _check_parallel(rules, index: SourceIndex, jobs: int):
-    """Findings per rule, computed on a fork pool; None when the
-    platform cannot fork (caller runs serially)."""
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    # Warm the shared dataflow state parent-side: children inherit the
-    # parsed index, CFGs and resolved summary tables copy-on-write
-    # instead of recomputing them once per worker.
-    flow_context = get_context(index)
-    for rule in rules:
-        if isinstance(rule, FlowRule) and rule.domain is not None:
-            flow_context.summaries(rule.domain)
-    global _PARALLEL_INDEX
-    _PARALLEL_INDEX = index
-    try:
-        with context.Pool(processes=min(jobs, len(rules))) as pool:
-            per_rule = pool.map(
-                _check_one_rule, [rule.id for rule in rules], chunksize=1
-            )
-    finally:
-        _PARALLEL_INDEX = None
-    return per_rule
-
-
 def analyze(
     paths: list[str | Path],
     select: tuple[str, ...] = (),
@@ -94,7 +49,6 @@ def analyze(
     baseline: Baseline | None = None,
     root: str | Path | None = None,
     include_context: bool = True,
-    jobs: int = 1,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
 ) -> AnalysisResult:
@@ -118,13 +72,8 @@ def analyze(
         files_analyzed=len(lines_by_rel),
         rules_run=tuple(rule.id for rule in rules),
     )
-    per_rule = None
-    if jobs > 1 and len(rules) > 1:
-        per_rule = _check_parallel(rules, index, jobs)
-    if per_rule is None:
-        per_rule = [list(rule.check(index)) for rule in rules]
-    for findings in per_rule:
-        for finding in findings:
+    for rule in rules:
+        for finding in rule.check(index):
             if is_suppressed(finding, lines_by_rel.get(finding.path, [])):
                 result.suppressed.append(finding)
             elif baseline is not None and baseline.matches(finding):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.core import CompiledSampler, SymPhaseSimulator
+from repro.core import compile_sampler
 from repro.gf2 import bitops
 from repro.rng import as_generator
 
@@ -100,6 +100,6 @@ def logical_error_rate(
     ``seed_or_rng`` may be an int seed, a Generator, or ``None``.
     """
     rng = as_generator(seed_or_rng)
-    sampler = CompiledSampler(SymPhaseSimulator.from_circuit(circuit))
+    sampler = compile_sampler(circuit)
     detectors, observables = sampler.sample_detectors_packed(shots, rng)
     return count_logical_errors(decoder, detectors, observables) / shots

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.core.compiled_sampler import CompiledSampler
-from repro.core.simulator import SymPhaseSimulator
+from repro.core.compiled_sampler import CompiledSampler, compile_sampler
 from repro.dem.model import DetectorErrorModel, ErrorMechanism
 from repro.gf2 import bitops
 
@@ -35,7 +34,7 @@ def extract_dem(
     group per site; exact joint sampling).
     """
     if isinstance(source, Circuit):
-        sampler = CompiledSampler(SymPhaseSimulator.from_circuit(source))
+        sampler = compile_sampler(source)
     else:
         sampler = source
 

@@ -227,6 +227,10 @@ class TestExceptHandlers:
 def _functions_under(root, relative_to):
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        # PACK002 also lowers each module's top level.
+        yield pytest.param(
+            tree, id=f"{path.relative_to(relative_to)}::<module>"
+        )
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield pytest.param(
@@ -242,9 +246,10 @@ def _real_functions():
 
 @pytest.mark.parametrize("func", _real_functions())
 def test_every_real_function_cfg_is_well_formed(func):
-    """Property test over the actual tree: every block is reachable
-    from entry AND reaches exit, edges are symmetric, and exceptional
-    edges are real edges between live blocks."""
+    """Property test over the actual tree (every function and module
+    top level): every block is reachable from entry AND reaches exit,
+    edges are symmetric, and exceptional edges are real edges between
+    live blocks."""
     cfg = build_cfg(func)
     ids = set(cfg.blocks)
     assert cfg.entry in ids and cfg.exit in ids

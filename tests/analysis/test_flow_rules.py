@@ -230,7 +230,7 @@ class TestRES001:
             "from multiprocessing.shared_memory import SharedMemory\n"
             "def grab(size, limit):\n"
             "    seg = SharedMemory(create=True, size=size)  "
-            "# repro: ignore[RES001, SHM001]\n"
+            "# repro: ignore[RES001]\n"
             "    if size > limit:\n"
             "        return False\n"
             "    seg.close()\n"
@@ -257,7 +257,7 @@ class TestWIRE001:
             "import numpy as np\n"
             "def make(chunk_id, n):\n"
             "    buf = np.zeros(n)\n"
-            "    return ShmChunkSpec(payload=buf, chunk_id=chunk_id)\n"
+            "    return ChunkSpec(payload=buf, chunk_id=chunk_id)\n"
         )})
         assert rules_found(result) == ["WIRE001"]
         assert "ndarray" in result.findings[0].message

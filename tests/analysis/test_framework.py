@@ -1,6 +1,8 @@
 """Framework plumbing: suppressions, baselines, reporters, CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.analysis import (
 )
 from repro.analysis.__main__ import main
 from repro.analysis.core import is_suppressed, sort_findings, suppressed_rules
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 VIOLATION = (
     "import numpy as np\n"
@@ -48,11 +52,16 @@ class TestRuleRegistry:
             assert rule.rationale
 
     def test_expected_rule_set(self):
-        assert set(rule_ids()) >= {
-            "RNG001", "RNG002", "FORK001", "SHM001",
-            "PACK001", "REG001", "OBS001", "API001",
-            "PARSE000", "SEED001", "PACK002", "RES001", "WIRE001",
+        assert set(rule_ids()) == {
+            "RNG001", "RNG002", "FORK001", "REG001", "OBS001", "API001",
+            "PARSE000", "SEED001", "PACK002", "RES001", "WIRE001", "EXC001",
         }
+
+    def test_readme_rule_table_matches_registry(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Static analysis", 1)[1].split("\n### ")[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, re.M)
+        assert sorted(documented) == sorted(rule_ids())
 
     def test_select_and_ignore(self):
         assert [r.id for r in select_rules(select=("RNG001",))] == ["RNG001"]
@@ -75,24 +84,24 @@ class TestSuppressionParsing:
 
     def test_comma_list(self):
         assert suppressed_rules(
-            "x = 1  # repro: ignore[RNG001, PACK001]"
-        ) == {"RNG001", "PACK001"}
+            "x = 1  # repro: ignore[RNG001, PACK002]"
+        ) == {"RNG001", "PACK002"}
 
     def test_wildcard(self):
         line = "x = 1  # repro: ignore[*]"
         assert suppressed_rules(line) == {"*"}
-        finding = Finding("SHM001", "error", "f.py", 1, "m")
+        finding = Finding("RES001", "error", "f.py", 1, "m")
         assert is_suppressed(finding, [line])
 
     def test_plain_comment_is_not_a_suppression(self):
         assert suppressed_rules("x = 1  # ignore this") == frozenset()
 
     def test_wrong_rule_does_not_suppress(self):
-        finding = Finding("SHM001", "error", "f.py", 1, "m")
+        finding = Finding("RES001", "error", "f.py", 1, "m")
         assert not is_suppressed(finding, ["x  # repro: ignore[RNG001]"])
 
     def test_line_out_of_range(self):
-        finding = Finding("SHM001", "error", "f.py", 99, "m")
+        finding = Finding("RES001", "error", "f.py", 99, "m")
         assert not is_suppressed(finding, ["x  # repro: ignore[*]"])
 
 
@@ -118,7 +127,7 @@ class TestBaseline:
         baseline = Baseline(entries=[self.entry()])
         assert baseline.matches(self.finding())
         assert not baseline.matches(self.finding(path="other.py"))
-        assert not baseline.matches(self.finding(rule="SHM001"))
+        assert not baseline.matches(self.finding(rule="RES001"))
         assert baseline.stale_entries() == []
 
     def test_symbol_and_contains_narrow_the_match(self):
@@ -195,7 +204,7 @@ class TestReporters:
         assert "line=3" in lines[0]
         assert "title=RNG001" in lines[0]
         assert "::" in lines[0].split("title=RNG001", 1)[1]
-        assert lines[-1] == "1 finding(s) in 1 file(s), 14 rule(s)"
+        assert lines[-1] == "1 finding(s) in 1 file(s), 12 rule(s)"
 
     def test_github_annotation_escaping(self):
         finding = Finding(
@@ -224,14 +233,14 @@ class TestReporters:
     def test_sort_findings_orders_by_path_line_rule(self):
         unordered = [
             Finding("RNG001", "error", "b.py", 2, "m"),
-            Finding("SHM001", "error", "a.py", 9, "m"),
+            Finding("RES001", "error", "a.py", 9, "m"),
             Finding("API001", "warning", "a.py", 9, "m"),
             Finding("RNG001", "error", "a.py", 1, "m"),
         ]
         ordered = sort_findings(unordered)
         assert [(f.path, f.line, f.rule) for f in ordered] == [
             ("a.py", 1, "RNG001"), ("a.py", 9, "API001"),
-            ("a.py", 9, "SHM001"), ("b.py", 2, "RNG001"),
+            ("a.py", 9, "RES001"), ("b.py", 2, "RNG001"),
         ]
 
 

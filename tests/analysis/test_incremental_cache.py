@@ -55,11 +55,6 @@ class TestColdWarmIdentity:
         uncached = render_json(run(tmp_path, FILES, use_cache=False))
         assert cached == uncached
 
-    def test_jobs_run_matches_serial_run(self, tmp_path):
-        serial = render_json(run(tmp_path, FILES))
-        parallel = render_json(run(tmp_path, FILES, jobs=4))
-        assert serial == parallel
-
 
 class TestInvalidation:
     def test_edit_changes_the_verdict(self, tmp_path):

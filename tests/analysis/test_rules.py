@@ -216,7 +216,9 @@ class TestFORK001:
         assert [f.rule for f in result.suppressed] == ["FORK001"]
 
 
-class TestSHM001:
+class TestRES001SharedMemory:
+    """Shared-memory segments: RES001 owns the create/unlink discipline."""
+
     def test_create_without_unlink_flagged(self, tmp_path):
         result = scan(tmp_path, {"seg.py": (
             "from multiprocessing.shared_memory import SharedMemory\n"
@@ -224,9 +226,8 @@ class TestSHM001:
             "    seg = SharedMemory(create=True, size=size)\n"
             "    return seg.name\n"
         )})
-        # The syntactic rule and the flow-sensitive path rule both see
-        # this leak (returning seg.name keeps the handle captive).
-        assert rules_found(result) == ["RES001", "SHM001"]
+        # Returning seg.name keeps the handle captive: a leak.
+        assert rules_found(result) == ["RES001"]
 
     def test_unlink_in_finally_clean(self, tmp_path):
         result = scan(tmp_path, {"seg.py": (
@@ -270,25 +271,22 @@ class TestSHM001:
             "from multiprocessing.shared_memory import SharedMemory\n"
             "def grab(size):\n"
             "    seg = SharedMemory(create=True, size=size)  "
-            "# repro: ignore[SHM001]\n"
+            "# repro: ignore[RES001]\n"
             "    return seg.name\n"
         )})
-        # Suppressing SHM001 does not blanket-silence the overlapping
-        # flow-sensitive RES001 finding on the same acquisition.
-        assert rules_found(result) == ["RES001"]
-        assert [f.rule for f in result.suppressed] == ["SHM001"]
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["RES001"]
 
 
-class TestPACK001:
-    """PACK001 now covers only module-level (import-time) statements;
-    function bodies moved to the flow-sensitive PACK002."""
+class TestPACK002ModuleLevel:
+    """Module-level (import-time) statements are PACK002's own scope."""
 
     def test_module_level_mix_flagged(self, tmp_path):
         result = scan(tmp_path, {"wire.py": (
             "rows = sample_detectors(1024)\n"
             "counts = popcount_rows(rows)\n"
         )})
-        assert rules_found(result) == ["PACK001"]
+        assert rules_found(result) == ["PACK002"]
         assert "module level" in result.findings[0].message
 
     def test_module_level_conversion_clean(self, tmp_path):
@@ -299,21 +297,23 @@ class TestPACK001:
         )})
         assert result.findings == []
 
-    def test_function_body_left_to_pack002(self, tmp_path):
+    def test_function_body_reported_once(self, tmp_path):
         result = scan(tmp_path, {"mix.py": (
             "def run(sampler, decoder, shots):\n"
             "    rows = sampler.sample_detectors(shots)\n"
             "    return decoder.decode_batch_packed(rows)\n"
         )})
-        assert "PACK001" not in rules_found(result)
+        # The module scope does not descend into def bodies.
+        assert [f.rule for f in result.findings] == ["PACK002"]
+        assert result.findings[0].message.endswith("in run()")
 
     def test_suppression_comment(self, tmp_path):
         result = scan(tmp_path, {"wire.py": (
             "rows = sample_detectors(1024)\n"
-            "counts = popcount_rows(rows)  # repro: ignore[PACK001]\n"
+            "counts = popcount_rows(rows)  # repro: ignore[PACK002]\n"
         )})
         assert result.findings == []
-        assert [f.rule for f in result.suppressed] == ["PACK001"]
+        assert [f.rule for f in result.suppressed] == ["PACK002"]
 
 
 class TestPACK002:
@@ -391,6 +391,37 @@ class TestREG001:
         assert "REG001" in rules_found(result)
         reg = [f for f in result.findings if f.rule == "REG001"]
         assert reg[0].path.endswith("offender.py")
+
+    def test_factory_through_helper_function_flagged(self, tmp_path):
+        # The registry reaches the helper through a package re-export,
+        # the way the symbolic backend reaches repro.core.compile_sampler.
+        result = scan(tmp_path, {
+            "pkg/__init__.py": "from pkg.impls import compile_fancy\n",
+            "pkg/impls.py": (
+                "class FancySampler:\n"
+                "    def __init__(self, circuit):\n"
+                "        self.circuit = circuit\n"
+                "def compile_fancy(circuit):\n"
+                "    return FancySampler(circuit)\n"
+            ),
+            "pkg/registry.py": (
+                "_REGISTRY = {}\n"
+                "def register_backend(name, factory):\n"
+                "    _REGISTRY[name] = factory\n"
+                "def _compile_fancy(circuit):\n"
+                "    from pkg import compile_fancy\n"
+                "    return compile_fancy(circuit)\n"
+                "register_backend('fancy', _compile_fancy)\n"
+            ),
+            "pkg/offender.py": (
+                "from pkg.impls import FancySampler\n"
+                "def build(circuit):\n"
+                "    return FancySampler(circuit)\n"
+            ),
+        })
+        reg = [f for f in result.findings if f.rule == "REG001"]
+        assert [f.path for f in reg] == ["pkg/offender.py"]
+        assert "FancySampler" in reg[0].message
 
     def test_registry_and_defining_modules_allowed(self, tmp_path):
         result = scan(tmp_path, {**self.REGISTRY_PKG, "pkg/maker.py": (
