@@ -94,7 +94,7 @@ register_backend(
             "compile-once vectorized Pauli-frame program (fused op list, "
             "packed record buffer, no per-qubit dispatch)"
         ),
-        rng_stream="frame",
+        rng_stream="frame-hits-v2",
         packed_native=True,
     ),
     _compile_frame,
@@ -107,7 +107,7 @@ register_backend(
             "per-instruction interpreted Pauli frames (pre-compilation "
             "baseline; bitwise-identical samples to 'frame')"
         ),
-        rng_stream="frame",
+        rng_stream="frame-hits-v2",
         compile_once=False,
         packed_native=True,
     ),
@@ -121,7 +121,7 @@ register_backend(
             "phase symbolization + Eq. 4 GF(2) matmul sampling (the "
             "paper's Algorithm 1; cost independent of gate count)"
         ),
-        rng_stream="symbolic",
+        rng_stream="symbolic-hits-v2",
     ),
     _compile_symbolic,
     aliases=("symphase",),

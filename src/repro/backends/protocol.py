@@ -108,7 +108,10 @@ class BackendInfo:
     the same non-``None`` token draw from the generator in the same
     order and therefore produce **bitwise-identical** samples for the
     same seed (e.g. compiled and interpreted frame programs).  Distinct
-    tokens mean only *distributional* agreement can be expected.
+    tokens mean only *distributional* agreement can be expected.  A
+    change to a backend's consumption order gets a new token; the token
+    is part of :meth:`repro.engine.Task.strong_id`, so a result store
+    never mixes rows drawn by two schemes.
 
     ``per_shot_cost`` is ``"batch"`` when sampling is vectorized across
     shots and ``"shot"`` when every shot is a full circuit traversal

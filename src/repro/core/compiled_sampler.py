@@ -4,14 +4,20 @@
 the packed measurement matrix ``M`` (one bit-vector per measurement), the
 detector/observable matrices derived from it, and the symbol table.  Each
 ``sample`` call draws the symbol-value matrix ``B`` and evaluates
-``M_samples = M · Bᵀ`` with one of two kernels:
+``M_samples = M · Bᵀ``.  Drawing ``B`` costs in proportion to the noise
+symbols that are *set*: each channel cluster's non-identity outcomes come
+from one sparse hit draw (:func:`repro.noise.channels.sample_hits`), and
+only the fair measurement coins are drawn bit for bit.  Eq. 4 then runs
+one of two kernels:
 
 * **dense** — packed parity-of-AND matmul, cost O(n_smp · n_m · n_s / 64);
 * **sparse** — per-measurement XOR of the symbol rows of ``B``
   (the paper's sparse implementation), cost O(n_smp · nnz(M) / 64).
 
 ``strategy="auto"`` picks sparse when the average support is small, which
-is the regime of QEC circuits (each outcome depends on few faults).
+is the regime of QEC circuits (each outcome depends on few faults).  The
+sparse kernel's per-row supports are read from the nonzero packed words
+of ``M``, once per compiled sampler.
 """
 
 from __future__ import annotations
@@ -73,9 +79,13 @@ class CompiledSampler:
             self._supports = self._compute_supports(self.measurement_matrix)
         return self._supports
 
-    def _compute_supports(self, matrix: np.ndarray) -> list[np.ndarray]:
-        dense = bitops.unpack_rows(matrix, self.width)
-        return [np.nonzero(row)[0] for row in dense]
+    @staticmethod
+    def _compute_supports(matrix: np.ndarray) -> list[np.ndarray]:
+        """One sorted symbol-index array per row, read from the nonzero
+        packed words (never the unpacked matrix)."""
+        rows, cols = bitops.nonzero_bits(matrix)
+        bounds = np.searchsorted(rows, np.arange(1, matrix.shape[0]))
+        return np.split(cols, bounds) if matrix.shape[0] else []
 
     def _derived(self) -> np.ndarray:
         """Stacked detector+observable matrix (built once, reused)."""
@@ -98,7 +108,7 @@ class CompiledSampler:
     def average_support(self) -> float:
         if self.n_measurements == 0:
             return 0.0
-        return float(np.mean([s.size for s in self.supports()]))
+        return float(bitops.popcount_rows(self.measurement_matrix).mean())
 
     def choose_strategy(self) -> str:
         """The auto rule: sparse unless supports are a sizable fraction of n_s."""

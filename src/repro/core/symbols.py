@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gf2 import bitops
-from repro.noise.channels import SymbolGroup, sample_patterns_batch
+from repro.noise.channels import SymbolGroup, sample_hits
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ class SymbolTable:
         constant, all ones).
 
         Groups sharing one joint distribution (e.g. every DEPOLARIZE1(p)
-        site in the circuit) are drawn in a single vectorized call, so
-        the cost is dominated by the random bits themselves rather than
-        per-site Python overhead.
+        site in the circuit) form one cluster, drawn by a single
+        :func:`~repro.noise.channels.sample_hits` call: at QEC noise
+        strengths the cost follows the few non-identity outcomes, and
+        the hits are ORed into ``B`` word by word.
         """
         n_words = bitops.words_for(n_shots)
         out = np.zeros((self.width, n_words), dtype=np.uint64)
@@ -100,22 +101,20 @@ class SymbolTable:
             if group.kind != "measurement":
                 clusters.setdefault(group.probabilities, []).append(index)
 
-        # Bound the uniform-draw slab to ~4M elements so the temporaries
-        # stay cache/page friendly even for millions of noise sites.
-        max_slab_rows = max(1, 4_000_000 // max(n_shots, 1))
         for probabilities, indices in clusters.items():
             n_symbols = self.groups[indices[0]].n_symbols
             offsets = np.array(
                 [self.group_offsets[gi] for gi in indices], dtype=np.int64
             )
-            for start in range(0, len(indices), max_slab_rows):
-                chunk = offsets[start: start + max_slab_rows]
-                patterns = sample_patterns_batch(
-                    probabilities, (chunk.size, n_shots), rng
+            for sites, shot_indices, patterns in sample_hits(
+                probabilities, offsets.size, n_shots, rng
+            ):
+                word_sites, word_cols, words = bitops.pack_sorted_bits(
+                    sites, shot_indices, patterns, n_symbols
                 )
+                rows = offsets[word_sites]
                 for j in range(n_symbols):
-                    bits = (patterns >> j) & 1
-                    out[chunk + j] = bitops.pack_rows(bits)
+                    out[rows + j, word_cols] |= words[j]
         return out
 
     def sample_shot_major(

@@ -8,11 +8,11 @@ distance, physical error rate, ...) that rides along into the result
 store.
 
 Identity is content-based: :meth:`Task.strong_id` hashes the circuit's
-canonical fingerprint together with the decoder and sampler choice and
-the metadata, so the same sweep regenerated by a different process maps
-onto the same result-store rows, and circuits that flatten to the same
-execution stream share one :class:`~repro.engine.cache.SamplerCache`
-entry.
+canonical fingerprint together with the decoder and sampler choice, the
+sampler's RNG stream token and the metadata, so the same sweep
+regenerated by a different process maps onto the same result-store rows,
+and circuits that flatten to the same execution stream share one
+:class:`~repro.engine.cache.SamplerCache` entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.backends import available_backends, canonical_name
+from repro.backends import available_backends, canonical_name, get_backend
 from repro.circuit.circuit import Circuit
 from repro.decoders import registry as decoder_registry
 from repro.rng import entropy_from_hex
@@ -114,7 +114,9 @@ class Task:
 
         Deliberately excludes the shot budget: budgets describe *how
         long* to collect, not *what* is being measured, so resuming with
-        a different budget still finds the row.
+        a different budget still finds the row.  Includes the sampler's
+        ``rng_stream`` token, so rows drawn under an older RNG
+        consumption scheme are never resumed into.
         """
         if self._strong_id is not None:
             return self._strong_id
@@ -123,6 +125,7 @@ class Task:
                 "circuit": self.circuit_fingerprint(),
                 "decoder": self.decoder,
                 "sampler": self.sampler,
+                "rng_stream": get_backend(self.sampler).info.rng_stream,
                 "metadata": self.metadata,
             },
             sort_keys=True,

@@ -42,9 +42,10 @@ from repro.frame.program import (
     FrameProgram,
     _symplectic,
     disjoint_runs,
+    fault_rows,
 )
 from repro.gf2 import bitops
-from repro.noise.channels import noise_groups, sample_patterns_batch
+from repro.noise.channels import noise_groups
 from repro.rng import as_generator
 from repro.tableau.simulator import reference_sample
 
@@ -286,16 +287,16 @@ class FrameSimulator:
         if not groups:
             return
         # All sites of one instruction share the same joint distribution,
-        # so draw every site's pattern in a single vectorized call.
-        all_patterns = sample_patterns_batch(
-            groups[0].probabilities, (len(groups), shots), rng
+        # so one draw covers them (the compiled NoiseOp's call).
+        faults = fault_rows(
+            groups[0].probabilities, groups[0].n_symbols, len(groups),
+            shots, rng,
         )
-        for group, patterns in zip(groups, all_patterns):
+        for site, group in enumerate(groups):
             for j, action in enumerate(group.actions):
-                bits = ((patterns >> j) & 1).astype(np.uint8)
-                if not bits.any():
+                packed = faults[j, site]
+                if not packed.any():
                     continue
-                packed = bitops.pack_bits(bits)
                 for letter, qubit in action:
                     if letter in ("X", "Y"):
                         x_frame[qubit] ^= packed

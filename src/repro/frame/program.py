@@ -24,8 +24,9 @@ Lowering performs these fusions:
   zeroes reset qubits with one scatter, and re-randomizes all measured
   ``Z`` rows with a single batched draw;
 * noise instructions carry pre-resolved symbol groups and pre-built
-  XOR-scatter index plans, so each channel costs one vectorized
-  categorical draw plus at most ``n_symbols`` packed scatters.
+  XOR-scatter index plans, so each channel costs one hit draw
+  (:func:`~repro.noise.channels.sample_hits`, proportional to the
+  non-identity outcomes) plus at most ``n_symbols`` packed scatters.
 
 The op stream consumes the RNG in exactly the same order as the
 interpreted :class:`~repro.frame.frame_simulator.FrameSimulator` path,
@@ -44,7 +45,7 @@ from repro.circuit.instructions import Instruction, RecTarget
 from repro.circuit.transforms import resolve_record_annotations
 from repro.gates.database import get_gate
 from repro.gf2 import bitops
-from repro.noise.channels import noise_groups, sample_patterns_batch
+from repro.noise.channels import noise_groups, sample_hits
 from repro.rng import as_generator
 
 _U64 = np.uint64
@@ -232,22 +233,37 @@ class NoiseOp:
             np.bitwise_xor.at(frame, qubits, rows)
 
     def run(self, st: _RunState) -> None:
-        if self.n_sites == 0:
-            return
-        patterns = sample_patterns_batch(
-            self.probabilities, (self.n_sites, st.shots), st.rng
+        faults = fault_rows(
+            self.probabilities, len(self.plans), self.n_sites,
+            st.shots, st.rng,
         )
-        if not patterns.any():
-            return
-        for j, (x_plan, z_plan) in enumerate(self.plans):
-            bits = (patterns >> j) & 1
-            if not bits.any():
-                continue
-            packed = bitops.pack_rows(bits)
+        for j in np.flatnonzero(faults.any(axis=(1, 2))):
+            x_plan, z_plan = self.plans[j]
             if x_plan is not None:
-                self._scatter(st.x, x_plan, packed)
+                self._scatter(st.x, x_plan, faults[j])
             if z_plan is not None:
-                self._scatter(st.z, z_plan, packed)
+                self._scatter(st.z, z_plan, faults[j])
+
+
+def fault_rows(
+    probabilities, n_symbols: int, n_sites: int, shots: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Packed per-symbol fault rows of ``n_sites`` equal-channel sites.
+
+    ``out[j, s]`` holds, bit per shot, whether site ``s`` sets symbol
+    ``j``: one :func:`~repro.noise.channels.sample_hits` draw, so the
+    compiled and interpreted frame paths consume the RNG identically.
+    """
+    out = np.zeros((n_symbols, n_sites, bitops.words_for(shots)), dtype=_U64)
+    for sites, shot_indices, patterns in sample_hits(
+        probabilities, n_sites, shots, rng
+    ):
+        word_sites, word_cols, words = bitops.pack_sorted_bits(
+            sites, shot_indices, patterns, n_symbols
+        )
+        out[:, word_sites, word_cols] = words
+    return out
 
 
 class FeedbackOp:

@@ -199,6 +199,39 @@ def nonzero_bits(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[word_row], words[word_row] * WORD_BITS + bit_position
 
 
+def pack_sorted_bits(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n_planes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group row-major sorted bit coordinates into packed words.
+
+    The scatter counterpart of :func:`nonzero_bits`: ``(rows[i],
+    cols[i])`` are bit coordinates in row-major order, and ``values[i]``
+    carries ``n_planes`` bits for coordinate ``i``.  Returns
+    ``(word_rows, word_cols, words)`` with one entry per packed word
+    that holds a coordinate; ``words[b, k]`` has bit ``b`` of each value
+    set at its column's bit position.  Every ``(row, word)`` pair occurs
+    once, so ``matrix[word_rows, word_cols] |= words[b]`` scatters plane
+    ``b`` exactly.  Cost is O(coordinates): one ``reduceat`` per plane.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    word_cols = cols >> 6
+    if rows.size == 0:
+        return rows, word_cols, np.zeros((n_planes, 0), dtype=_U64)
+    key = rows * (int(word_cols.max()) + 1) + word_cols
+    step = np.diff(key)
+    if step.size and step.min() < 0:
+        raise ValueError("pack_sorted_bits needs row-major sorted coordinates")
+    starts = np.flatnonzero(np.concatenate(([True], step != 0)))
+    masks = _ONE << (cols & (WORD_BITS - 1)).astype(_U64)
+    values = np.asarray(values)
+    words = np.stack([
+        np.bitwise_or.reduceat(masks * ((values >> b) & 1), starts)
+        for b in range(n_planes)
+    ])
+    return rows[starts], word_cols[starts], words
+
+
 def parity_words(words: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Overall GF(2) parity of the set bits (optionally along ``axis``)."""
     counts = np.bitwise_count(np.asarray(words, dtype=_U64))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,28 +58,76 @@ def sample_patterns_batch(
     For the small outcome counts of Pauli channels (<= 16) this beats
     ``Generator.choice`` with a probability vector by a wide margin: one
     uniform draw plus ``len(probabilities) - 1`` vectorized comparisons.
+    Batch samplers do not call this per site and shot:
+    :func:`sample_hits` draws only the non-identity outcomes.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     thresholds = np.cumsum(probs / probs.sum())[:-1]
     uniforms = rng.random(size)
     patterns = np.zeros(size, dtype=np.uint8)  # <= 16 outcomes fit easily
-    if thresholds.size == 0:
-        return patterns
-    # Identical output either way; only the scan strategy differs.  The
-    # dense path touches the whole array once per threshold; the sparse
-    # path touches it once and then classifies only the entries past the
-    # first threshold — at QEC noise strengths (first outcome carries
-    # almost all mass) that is a handful of entries per million.
-    if (1.0 - thresholds[0]) * thresholds.size < 0.5:
-        hot = uniforms >= thresholds[0]
-        if hot.any():
-            patterns[hot] = np.searchsorted(
-                thresholds, uniforms[hot], side="right"
-            ).astype(np.uint8)
-        return patterns
     for threshold in thresholds:
         patterns += uniforms >= threshold
     return patterns
+
+
+#: Expected hits one slab of :func:`sample_hits` draws, so the
+#: temporaries stay cache/page friendly even for millions of noise sites.
+_SLAB_ELEMENTS = 4_000_000
+
+
+def sample_hits(
+    probabilities: tuple[float, ...] | np.ndarray,
+    n_sites: int,
+    shots: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Non-identity outcomes of ``n_sites`` i.i.d. sites over ``shots`` shots.
+
+    Every site draws pattern ``k`` with probability ``probabilities[k]``
+    in every shot, and pattern 0 is the identity.  Yields, per slab of
+    sites, ``(sites, shot_indices, patterns)`` for the outcomes that are
+    *not* the identity, sorted by ``(site, shot)``; the slabs come in
+    site order.  Hit positions in the flattened ``(site, shot)`` grid
+    come from geometric gaps, then each hit's pattern from the
+    conditional distribution ``probabilities[1:] / p_hit``, so the cost
+    follows the number of hits, not of sites.
+    """
+    probs = np.asarray(probabilities, dtype=np.float64)
+    probs = probs / probs.sum()
+    # Not 1 - probs[0]: exact at tiny p.  Clipped so a certain fault's
+    # rounding cannot push it past 1.
+    p_hit = min(probs[1:].sum(), 1.0)
+    if n_sites == 0 or shots == 0 or p_hit <= 0.0:
+        return
+    slab_sites = max(1, int(_SLAB_ELEMENTS // max(shots * p_hit, 1.0)))
+    for start in range(0, n_sites, slab_sites):
+        n_cells = min(slab_sites, n_sites - start) * shots
+        cells = _hit_positions(n_cells, p_hit, rng)
+        patterns = 1 + sample_patterns_batch(probs[1:], (cells.size,), rng)
+        sites, shot_indices = np.divmod(cells, shots)
+        yield sites + start, shot_indices, patterns
+
+
+def _hit_positions(n_cells: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted Bernoulli(``p``) hit positions in ``[0, n_cells)``.
+
+    Consecutive hits are separated by geometric gaps, so the draw costs
+    O(hits): batches of gaps sized a few sigma above the expected count,
+    topped up until the running position passes the end.
+    """
+    batches = []
+    last = -1
+    while True:
+        expected = (n_cells - 1 - last) * p
+        gaps = rng.geometric(p, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        # A gap past the end is as good as any longer one; clipping keeps
+        # the running sum from overflowing at vanishing p.
+        positions = last + np.cumsum(np.minimum(gaps, n_cells + 1))
+        if positions[-1] >= n_cells:
+            batches.append(positions[: np.searchsorted(positions, n_cells)])
+            return np.concatenate(batches)
+        batches.append(positions)
+        last = int(positions[-1])
 
 
 def pattern_bits(patterns: np.ndarray, symbol: int) -> np.ndarray:

@@ -53,14 +53,40 @@ def detector_counts(sampler, shots, seed) -> dict[int, int]:
     return counts_by_record(np.concatenate([detectors, observables], axis=1))
 
 
+#: Multi-qubit CORRELATED_ERROR sites, a repeated qubit within one
+#: instruction (an unsafe scatter), a biased Pauli channel and every
+#: channel family, at low noise strengths (p <= 0.03).  Every
+#: detector is deterministic without noise (two Bell pairs read out in
+#: the Z and X bases, two |0> qubits), so each one sees the noise.
+LOW_NOISE_MIXED = """
+H 0 4
+CX 0 1 4 5
+DEPOLARIZE2(0.03) 0 1 4 5
+CORRELATED_ERROR(0.03) X1 Z4 Y2
+DEPOLARIZE1(0.03) 0 0 1 2 3 5
+X_ERROR(0.03) 2
+PAULI_CHANNEL_1(0.005, 0.01, 0.02) 3 5
+CORRELATED_ERROR(0.02) Z5 X0 X3
+CX 2 3
+M 0 1 2 3
+MX 4 5
+DETECTOR rec[-5] rec[-6]
+DETECTOR rec[-4]
+DETECTOR rec[-3]
+DETECTOR rec[-1] rec[-2]
+OBSERVABLE_INCLUDE(0) rec[-3] rec[-4]
+"""
+
+
 class TestBitwiseFrameModes:
+    @pytest.mark.parametrize("noise_strength", [0.3, 0.01])
     @pytest.mark.parametrize("seed", range(10))
-    def test_samples_identical(self, seed):
+    def test_samples_identical(self, seed, noise_strength):
         rng = np.random.default_rng(3000 + seed)
         circuit = random_clifford_circuit(
             rng, int(rng.integers(2, 6)), depth=25,
             p_noise=0.2, p_measure=0.15, p_reset=0.1, p_feedback=0.1,
-            final_measure=True,
+            noise_strength=noise_strength, final_measure=True,
         )
         compiled = compile_backend(circuit, "frame")
         interpreted = compile_backend(circuit, "frame-interp")
@@ -81,6 +107,18 @@ class TestBitwiseFrameModes:
         )
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 2000])
+    def test_correlated_error_low_noise_identical(self, shots):
+        circuit = Circuit.from_text(LOW_NOISE_MIXED)
+        for seed in range(3):
+            a = compile_backend(circuit, "frame").sample_detectors(
+                shots, np.random.default_rng(seed)
+            )
+            b = compile_backend(circuit, "frame-interp").sample_detectors(
+                shots, np.random.default_rng(seed)
+            )
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_mode_survives_odd_batch_sizes(self):
         circuit = Circuit().h(0).cx(0, 1).depolarize1(0.1, 0, 1).m(0, 1)
@@ -176,3 +214,18 @@ class TestDistributionalAgreement:
         )
         statistic, threshold = chi_square_two_sample(tableau, symbolic)
         assert statistic < threshold
+
+    def test_low_noise_vs_tableau_oracle(self):
+        """The sparse-hit draw against the per-shot oracle, which keeps
+        drawing one pattern per site and shot."""
+        circuit = Circuit.from_text(LOW_NOISE_MIXED)
+        oracle = detector_counts(compile_backend(circuit, "tableau"), 4000, 21)
+        for backend in ("frame", "symbolic"):
+            fast = detector_counts(
+                compile_backend(circuit, backend), 40_000, 22
+            )
+            statistic, threshold = chi_square_two_sample(fast, oracle)
+            assert statistic < threshold, (
+                f"{backend} vs tableau diverged: "
+                f"chi2={statistic:.1f} >= {threshold:.1f}"
+            )

@@ -21,12 +21,12 @@ from repro.qec import repetition_code_memory, surface_code_dem
 from tests.helpers import append_random_annotations, random_clifford_circuit
 
 
-def random_annotated_circuit(seed: int):
+def random_annotated_circuit(seed: int, noise_strength: float = 0.3):
     rng = np.random.default_rng(seed)
     circuit = random_clifford_circuit(
         rng, int(rng.integers(2, 5)), depth=12,
         p_noise=0.25, p_measure=0.12, p_reset=0.06,
-        final_measure=True,
+        noise_strength=noise_strength, final_measure=True,
     )
     return append_random_annotations(circuit, rng, n_detectors=3)
 
@@ -34,8 +34,11 @@ def random_annotated_circuit(seed: int):
 class TestSamplerPackedEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_packed_equals_packing_unpacked_all_backends(self, seed):
-        circuit = random_annotated_circuit(seed)
+    @pytest.mark.parametrize("noise_strength", [0.3, 0.01])
+    def test_packed_equals_packing_unpacked_all_backends(
+        self, noise_strength, seed
+    ):
+        circuit = random_annotated_circuit(seed, noise_strength)
         for name in available_backends():
             sampler = compile_backend(circuit, name)
             shots = 8 if get_backend(name).info.per_shot_cost == "shot" else 130

@@ -79,6 +79,14 @@ class TestRegistry:
             != get_backend("symbolic").info.rng_stream
         )
 
+    def test_hit_draw_streams_are_versioned(self):
+        """The batch samplers draw noise as sparse hits; their tokens
+        differ from the per-site-uniform scheme's ("frame", "symbolic")
+        so no store row from that scheme is resumed into."""
+        assert get_backend("frame").info.rng_stream == "frame-hits-v2"
+        assert get_backend("frame-interp").info.rng_stream == "frame-hits-v2"
+        assert get_backend("symbolic").info.rng_stream == "symbolic-hits-v2"
+
     def test_custom_backend_registration(self):
         calls = []
 

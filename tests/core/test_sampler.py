@@ -5,6 +5,8 @@ import pytest
 
 from repro.circuit import Circuit
 from repro.core import compile_sampler
+from repro.core.compiled_sampler import CompiledSampler
+from repro.gf2 import bitops
 
 
 def bell_with_noise(p=0.3):
@@ -31,6 +33,26 @@ class TestStrategiesAgree:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             compile_sampler(bell_with_noise()).sample(0)
+
+
+class TestEq4Replay:
+    """``sample(shots, seed)`` is ``draw_symbols`` followed by Eq. 4:
+    replaying Eq. 4 on the drawn ``B`` gives the same records bitwise."""
+
+    @pytest.mark.parametrize("strategy", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("shots", [1, 64, 65, 700])
+    def test_replay_matches_sample(self, strategy, shots):
+        from repro.workloads.layered import layered_random_circuit
+
+        circuit = layered_random_circuit(
+            16, n_layers=12, cnot_pairs_per_layer=6,
+            depolarize_probability=0.01, seed=3,
+        )
+        sampler = compile_sampler(circuit)
+        direct = sampler.sample(shots, 41, strategy=strategy)
+        symbols = sampler.draw_symbols(shots, 41)
+        replay = sampler.sample(shots, strategy=strategy, symbol_values=symbols)
+        assert np.array_equal(direct, replay)
 
 
 class TestStatistics:
@@ -126,3 +148,53 @@ class TestStrategySelection:
     def test_supports_cached(self):
         sampler = compile_sampler(bell_with_noise())
         assert sampler.supports() is sampler.supports()
+
+
+class TestSupportsFromPackedWords:
+    """``_compute_supports`` reads the nonzero packed words; it must give
+    exactly the per-row ``np.nonzero`` of the unpacked matrix."""
+
+    @staticmethod
+    def reference(matrix, n_cols):
+        return [np.nonzero(row)[0] for row in bitops.unpack_rows(matrix, n_cols)]
+
+    @pytest.mark.parametrize("n_cols", [63, 64, 65, 300])
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.5])
+    def test_matches_unpack_nonzero(self, rng, n_cols, density):
+        dense = (rng.random((40, n_cols)) < density).astype(np.uint8)
+        dense[::7] = 0  # all-zero rows, including the first and last
+        dense[-1] = 0
+        matrix = bitops.pack_rows(dense)
+        supports = CompiledSampler._compute_supports(matrix)
+        expected = self.reference(matrix, n_cols)
+        assert len(supports) == len(expected) == 40
+        for got, want in zip(supports, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_words", [0, 1, 3])
+    def test_zero_rows_give_zero_supports(self, n_words):
+        matrix = np.zeros((0, n_words), dtype=np.uint64)
+        assert CompiledSampler._compute_supports(matrix) == []
+
+    def test_single_zero_row(self):
+        supports = CompiledSampler._compute_supports(
+            np.zeros((1, 2), dtype=np.uint64)
+        )
+        assert len(supports) == 1 and supports[0].size == 0
+
+    def test_average_support_is_mean_support_size(self):
+        c = Circuit()
+        for q in range(80):
+            c.depolarize1(0.01, q).h(q).cx(q, (q + 1) % 80).mr(q)
+        sampler = compile_sampler(c)
+        sizes = [s.size for s in sampler.supports()]
+        assert sampler.average_support() == pytest.approx(np.mean(sizes))
+
+    def test_zero_row_observable_matrix(self):
+        sampler = compile_sampler(
+            Circuit.from_text("X_ERROR(0.1) 0\nM 0\nDETECTOR rec[-1]")
+        )
+        assert sampler.n_observables == 0
+        assert sampler._supports_for(sampler.observable_matrix) == []
+        derived = sampler._supports_for(sampler._derived())
+        assert [s.tolist() for s in derived] == [[1]]

@@ -19,6 +19,7 @@ from repro.dem import extract_dem
 from repro.engine.cache import reset_shared_cache, shared_cache
 from repro.qec import repetition_code_memory
 from repro.rng import chunk_generator
+from tests.helpers import swap_rng_stream
 
 SEED = 11
 
@@ -144,6 +145,27 @@ class TestResume:
         )
         assert again[0].resumed
         assert first[0].base_seed == SEED
+
+    def test_row_from_an_older_rng_stream_is_not_resumed(
+        self, tmp_path, monkeypatch
+    ):
+        """A row drawn under another ``rng_stream`` token has another
+        task id, so the current scheme collects afresh beside it."""
+        store_path = tmp_path / "results.jsonl"
+        with monkeypatch.context() as patch:
+            swap_rng_stream(patch, "symbolic", "an-older-scheme")
+            old = collect(
+                [make_task(0.05)], base_seed=SEED, chunk_shots=500,
+                store=store_path,
+            )
+        current = collect(
+            [make_task(0.05)], base_seed=SEED, chunk_shots=500,
+            store=store_path,
+        )
+        assert not current[0].resumed
+        assert current[0].task_id != old[0].task_id
+        rows = [json.loads(line) for line in store_path.read_text().splitlines()]
+        assert len(rows) == 2
 
     def test_store_keeps_latest_duplicate(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")

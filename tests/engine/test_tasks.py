@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Task, plan_chunks
 from repro.qec import repetition_code_memory
+from tests.helpers import swap_rng_stream
 
 
 def make_circuit(p=0.05):
@@ -45,6 +46,13 @@ class TestTask:
             Task(make_circuit(0.06)).strong_id(),
         }
         assert len(ids) == 5
+
+    @pytest.mark.parametrize("sampler", ["symbolic", "frame"])
+    def test_strong_id_follows_the_rng_stream(self, monkeypatch, sampler):
+        current = Task(make_circuit(), sampler=sampler).strong_id()
+        swap_rng_stream(monkeypatch, sampler, "an-older-scheme")
+        older = Task(make_circuit(), sampler=sampler).strong_id()
+        assert older != current
 
     def test_describe_uses_metadata(self):
         task = Task(make_circuit(), metadata={"d": 3, "p": 0.05})

@@ -108,6 +108,49 @@ class TestBitAccess:
             assert np.array_equal(bitops.get_column(packed, col), bits[:, col])
 
 
+class TestPackSortedBits:
+    @pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 200])
+    def test_matches_packing_each_dense_plane(self, rng, n_cols):
+        cells = np.unique(rng.integers(0, 9 * n_cols, 300))  # sorted
+        rows, cols = np.divmod(cells, n_cols)
+        values = rng.integers(0, 8, cells.size).astype(np.uint8)
+        word_rows, word_cols, words = bitops.pack_sorted_bits(
+            rows, cols, values, 3
+        )
+        assert words.shape == (3, word_rows.size)
+        assert np.unique(word_rows * 1000 + word_cols).size == word_rows.size
+        for b in range(3):
+            dense = np.zeros((9, n_cols), dtype=np.uint8)
+            dense[rows, cols] = (values >> b) & 1
+            packed = np.zeros((9, bitops.words_for(n_cols)), dtype=np.uint64)
+            packed[word_rows, word_cols] |= words[b]
+            assert np.array_equal(packed, bitops.pack_rows(dense))
+
+    def test_round_trips_nonzero_bits(self, rng):
+        bits = (rng.random((7, 130)) < 0.2).astype(np.uint8)
+        rows, cols = bitops.nonzero_bits(bitops.pack_rows(bits))
+        word_rows, word_cols, words = bitops.pack_sorted_bits(
+            rows, cols, np.ones(rows.size, dtype=np.uint8), 1
+        )
+        packed = np.zeros((7, 3), dtype=np.uint64)
+        packed[word_rows, word_cols] = words[0]
+        assert np.array_equal(packed, bitops.pack_rows(bits))
+
+    def test_empty_coordinates(self):
+        empty = np.zeros(0, dtype=np.int64)
+        word_rows, word_cols, words = bitops.pack_sorted_bits(
+            empty, empty, np.zeros(0, dtype=np.uint8), 2
+        )
+        assert word_rows.size == word_cols.size == 0
+        assert words.shape == (2, 0)
+
+    def test_rejects_unsorted_coordinates(self):
+        with pytest.raises(ValueError, match="sorted"):
+            bitops.pack_sorted_bits(
+                np.array([1, 0]), np.array([0, 0]), np.ones(2, np.uint8), 1
+            )
+
+
 class TestParityPopcount:
     def test_popcount(self):
         words = np.array([0, 1, 3, 2**64 - 1], dtype=np.uint64)

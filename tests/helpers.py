@@ -152,3 +152,18 @@ def append_random_annotations(
     lookbacks = rng.choice(n_m, size=size, replace=False)
     circuit.observable_include(0, *(-int(k) - 1 for k in lookbacks))
     return circuit
+
+
+def swap_rng_stream(monkeypatch, backend: str, token: str) -> None:
+    """Re-register ``backend`` under another ``rng_stream`` token for the
+    duration of a test (as if its RNG consumption scheme had changed)."""
+    import dataclasses
+
+    from repro.backends import registry
+
+    entry = registry.get_backend(backend)
+    info = dataclasses.replace(entry.info, rng_stream=token)
+    monkeypatch.setitem(
+        registry._REGISTRY, entry.info.name,
+        dataclasses.replace(entry, info=info),
+    )
