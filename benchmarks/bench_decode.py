@@ -7,8 +7,16 @@ measures decode_batch throughput for every registered matching-class
 decoder, verifies the predictions agree, and records the numbers to a
 JSON file the trajectory can track across PRs.
 
+A second leg times the decode *tail*: the defect sets of d=7 and d=9
+memory syndromes (rounds = d) that pad past the subset dynamic
+program's ceiling go to the compiled decoder's array-native blossom
+matcher.  It times that matcher against ``nx.max_weight_matching`` on
+the same dense distance submatrices, checks that the matchings are
+identical, and records the d=9 ``decode_batch_packed`` throughput.
+
 Run:  PYTHONPATH=src python benchmarks/bench_decode.py \\
-          [--distance 7] [--shots 1024] [--out benchmarks/results/bench_decode.json]
+          [--distance 7] [--shots 1024] [--min-speedup 4] \\
+          [--min-tail-speedup 3] [--out benchmarks/results/bench_decode.json]
 """
 
 from __future__ import annotations
@@ -18,14 +26,21 @@ import json
 import os
 import time
 
+import networkx as nx
 import numpy as np
 
 from repro.decoders import compile_decoder
+from repro.decoders.blossom import min_weight_matching
+from repro.decoders.compiled import _MAX_DP_NODES
+from repro.gf2 import bitops
 from repro.obs import format_rate, safe_rate
 from repro.qec import surface_code_dem
 
 DECODERS = ("matching", "compiled-matching")
 REFERENCE = "matching"
+# Tail leg: shots sampled per distance (rounds = d), enough for tens
+# (d=7) to hundreds (d=9) of defect sets past the ceiling.
+TAIL_SHOTS = {7: 8192, 9: 1024}
 
 
 def _best_of(callable_, repeats: int):
@@ -97,6 +112,74 @@ def run_bench(
     return result
 
 
+def _networkx_matching(dist: np.ndarray) -> set:
+    """The reference decoder's matching call on one dense submatrix."""
+    graph = nx.Graph()
+    k = dist.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.isfinite(dist[i, j]):
+                graph.add_edge(i, j, weight=-dist[i, j])
+    matching = nx.max_weight_matching(graph, maxcardinality=True)
+    return {tuple(sorted(pair)) for pair in matching}
+
+
+def _pairs(mate: np.ndarray) -> set:
+    return {(i, int(j)) for i, j in enumerate(mate) if j > i}
+
+
+def run_tail(p: float, repeats: int, seed: int) -> dict:
+    """Blossom matcher vs NetworkX on the defect sets past the DP."""
+    result = {"p": p, "max_dp_nodes": _MAX_DP_NODES, "distances": {}}
+    matcher_total = networkx_total = 0.0
+    for distance, shots in TAIL_SHOTS.items():
+        dem = surface_code_dem(distance, distance, p)
+        decoder = compile_decoder(dem, "compiled-matching")
+        syndromes, _ = dem.sample(shots, np.random.default_rng(seed))
+        submatrices = []
+        for row in np.unique(syndromes, axis=0):
+            nodes = np.flatnonzero(row)
+            if nodes.size % 2:
+                nodes = np.append(nodes, decoder._boundary)
+            if nodes.size > _MAX_DP_NODES:
+                submatrices.append(decoder._dist[np.ix_(nodes, nodes)])
+        rows = len(submatrices)
+        matcher_s, mates = _best_of(
+            lambda: [min_weight_matching(sub) for sub in submatrices],
+            repeats,
+        )
+        networkx_s, expected = _best_of(
+            lambda: [_networkx_matching(sub) for sub in submatrices],
+            repeats,
+        )
+        matcher_total += matcher_s
+        networkx_total += networkx_s
+        leg = {
+            "rounds": distance,
+            "shots": shots,
+            "n_detectors": dem.n_detectors,
+            "tail_rows": rows,
+            "max_nodes": max((sub.shape[0] for sub in submatrices), default=0),
+            "matcher_ms_per_row": 1e3 * matcher_s / max(rows, 1),
+            "networkx_ms_per_row": 1e3 * networkx_s / max(rows, 1),
+            "matchings_identical": all(
+                _pairs(mate) == pairs for mate, pairs in zip(mates, expected)
+            ),
+        }
+        if distance == max(TAIL_SHOTS):
+            packed = bitops.pack_rows(syndromes)
+            decode_s, _ = _best_of(
+                lambda: decoder.decode_batch_packed(packed), repeats
+            )
+            leg["decode_batch_packed_seconds"] = decode_s
+            leg["decode_batch_packed_shots_per_sec"] = safe_rate(
+                shots, decode_s
+            )
+        result["distances"][str(distance)] = leg
+    result["speedup"] = safe_rate(networkx_total, matcher_total)
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--distance", type=int, default=7)
@@ -119,12 +202,18 @@ def main(argv: list[str] | None = None) -> int:
         "--min-speedup", type=float, default=None,
         help="exit nonzero unless compiled/reference >= this ratio",
     )
+    parser.add_argument(
+        "--min-tail-speedup", type=float, default=None,
+        help="exit nonzero unless NetworkX/blossom matcher time on the "
+        "tail defect sets >= this ratio",
+    )
     args = parser.parse_args(argv)
 
     result = run_bench(
         args.distance, args.rounds, args.shots, args.p, args.repeats,
         args.seed,
     )
+    result["tail"] = tail = run_tail(args.p, args.repeats, args.seed)
 
     print(f"d={args.distance} surface-code DEM "
           f"({result['dem']['n_detectors']} detectors, "
@@ -140,6 +229,22 @@ def main(argv: list[str] | None = None) -> int:
     speedup = result["compiled_matching_speedup"]
     print(f"compiled matching speedup over per-shot reference: "
           f"{'-' if speedup is None else format(speedup, '.2f') + 'x'}")
+    print(f"tail: defect sets past {_MAX_DP_NODES} nodes, rounds = d, "
+          f"p={args.p}, best of {args.repeats}")
+    print(f"{'d':>3} {'shots':>6} {'rows':>5} {'max k':>6} "
+          f"{'blossom ms/row':>15} {'networkx ms/row':>16} {'identical':>10}")
+    for distance, leg in tail["distances"].items():
+        print(f"{distance:>3} {leg['shots']:>6} {leg['tail_rows']:>5} "
+              f"{leg['max_nodes']:>6} {leg['matcher_ms_per_row']:>15.3f} "
+              f"{leg['networkx_ms_per_row']:>16.3f} "
+              f"{str(leg['matchings_identical']):>10}")
+        if "decode_batch_packed_seconds" in leg:
+            print(f"    d={distance} decode_batch_packed: "
+                  f"{format_rate(leg['shots'], leg['decode_batch_packed_seconds'])}"
+                  f" shots/sec")
+    tail_speedup = tail["speedup"]
+    print(f"blossom matcher speedup over NetworkX on the tail: "
+          f"{'-' if tail_speedup is None else format(tail_speedup, '.2f') + 'x'}")
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -156,6 +261,16 @@ def main(argv: list[str] | None = None) -> int:
         speedup is None or speedup < args.min_speedup
     ):
         print(f"FAIL: speedup below required {args.min_speedup}x")
+        return 1
+    if not all(
+        leg["matchings_identical"] for leg in tail["distances"].values()
+    ):
+        print("FAIL: blossom matchings diverge from NetworkX")
+        return 1
+    if args.min_tail_speedup is not None and (
+        tail_speedup is None or tail_speedup < args.min_tail_speedup
+    ):
+        print(f"FAIL: tail speedup below required {args.min_tail_speedup}x")
         return 1
     return 0
 

@@ -13,11 +13,13 @@ compiled decoder does all path-finding at **compile time** instead:
   mask* (the XOR of edge masks along the shortest path);
 * decoding a batch then dedupes identical syndromes, resolves the
   one- and two-defect syndromes (the bulk at QEC-relevant error rates)
-  with pure array gathers, and matches defect sets of up to 20 nodes
+  with pure array gathers, and matches defect sets of up to 18 nodes
   exactly with one vectorized subset dynamic program per defect-count
-  group (:func:`_min_pairing`) over the dense distance submatrices.
-  Blossom matching over a NetworkX graph survives only as the fallback
-  for larger defect sets, unreachable pairs and weight ties.
+  group (:func:`_min_pairing`) over the dense distance submatrices;
+* larger defect sets, weight ties and unreachable pairs go, one row at
+  a time, to an exact blossom matcher on the same dense submatrix
+  (:func:`~repro.decoders.blossom.min_weight_matching`): lists indexed
+  by vertex, no graph objects.
 
 Both batch entry points — unpacked ``decode_batch`` and the packed-wire
 ``decode_batch_packed`` — reduce their unique rows to one CSR-style
@@ -30,8 +32,9 @@ Dijkstra mirrors NetworkX's traversal exactly (same strictly-improving
 relaxation, insertion-order tie-breaking on equal distances, adjacency
 iteration in edge-insertion order); the dynamic program's matching is
 used only where every near-optimal pairing predicts the same
-correction, and everything else goes through the same
-``nx.max_weight_matching`` call the reference makes.
+correction, and everything else goes through a port of the
+``nx.max_weight_matching`` call the reference makes that scans in the
+reference's order, so it returns the same matching, ties included.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ import os
 from heapq import heappop, heappush
 from itertools import count
 
-import networkx as nx
 import numpy as np
 
 import repro.obs as obs
+from repro.decoders.blossom import min_weight_matching
 from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
 from repro.decoders.registry import check_packed_syndromes, check_syndromes
 from repro.dem.model import DetectorErrorModel
@@ -60,11 +63,14 @@ def _count_decode_rows(total: int, nonzero: int, unique: int) -> None:
     obs.counter("repro_decode_unique_rows_total", pid=pid).inc(unique)
 
 
-# Defect sets padding to more nodes than this fall back to blossom
-# matching: the dynamic program visits Fibonacci-many subsets (10,946 at
-# k=20, ~2.7x more per extra pair), and past 20 nodes a row costs it
-# as much as one blossom call or more.
-_MAX_DP_NODES = 20
+# Defect sets padding to more nodes than this go to the blossom
+# matcher.  The dynamic program visits Fibonacci-many subsets (4,181 at
+# k=18, ~2.6x more per extra pair); measured per row at chunk-sized
+# batches, it still beats the matcher at 18 nodes on the d=7 decode
+# workload (~0.27 vs ~0.67 ms) but loses at 20 on both surface
+# workloads (d=7: ~0.99 vs ~0.64 ms; d=5, 512-shot chunks: ~3.5 vs
+# ~1.2 ms).
+_MAX_DP_NODES = 18
 # Bound on elements materialized per dynamic-program slab, so one dense
 # defect-count group cannot blow up memory.  The largest intermediate
 # is one level's (states, candidates, rows) total-weight tensor: 4M
@@ -279,8 +285,9 @@ class CompiledMatchingDecoder:
             ]
 
         # Three or more defects: one exact dynamic program per padded
-        # defect-count group; per-row blossom for whatever it leaves.
-        # Each tier is one span per batch (stages decode.dp and
+        # defect-count group; the blossom matcher for whatever it leaves
+        # (sets past the ceiling, near-ties, unreachable pairs).  Each
+        # tier is one span per batch (stages decode.dp and
         # decode.blossom in repro_stage_seconds_total).
         fallback = [np.nonzero(counts > _MAX_DP_NODES)[0]]
         with obs.span("decode.dp"):
@@ -290,9 +297,15 @@ class CompiledMatchingDecoder:
                 )
         fallback = np.concatenate(fallback)
         if obs.is_metrics():
-            obs.counter(
-                "repro_decode_fallback_rows_total", pid=str(os.getpid())
-            ).inc(int(fallback.size))
+            # Per-tier row counters: of the rows with three or more
+            # defects, the DP settled all but the blossom rows.
+            pid = str(os.getpid())
+            obs.counter("repro_decode_dp_rows_total", pid=pid).inc(
+                int(np.count_nonzero(counts > 2)) - int(fallback.size)
+            )
+            obs.counter("repro_decode_fallback_rows_total", pid=pid).inc(
+                int(fallback.size)
+            )
         if fallback.size:
             with obs.span("decode.blossom", rows=int(fallback.size)):
                 for row in fallback:
@@ -344,33 +357,19 @@ class CompiledMatchingDecoder:
     # -- internals -------------------------------------------------------------
 
     def _match(self, defects: np.ndarray) -> np.ndarray:
-        """Blossom-match >= 3 defects over precomputed pair distances."""
-        nodes = [int(d) for d in defects]
-        labels: list = list(nodes)
-        idx = list(nodes)
-        if len(nodes) % 2 == 1:
-            labels.append(BOUNDARY)
-            idx.append(self._boundary)
-        sub = self._dist[np.ix_(idx, idx)]
-
-        complete = nx.Graph()
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                if np.isfinite(sub[i, j]):
-                    complete.add_edge(labels[i], labels[j], weight=-sub[i, j])
-        matching = nx.max_weight_matching(complete, maxcardinality=True)
-
-        prediction = np.zeros(self.n_observables, dtype=np.uint8)
-        for u, v in matching:
-            a = self._boundary if u == BOUNDARY else u
-            b = self._boundary if v == BOUNDARY else v
-            # The reference XORs the path found from the pair's earlier
-            # node in defect order (the smaller index; boundary last) —
-            # read the mask from the same direction.
-            if a > b:
-                a, b = b, a
-            prediction ^= self._mask[a, b]
-        return prediction
+        """Exactly match >= 3 defects over precomputed pair distances
+        (:func:`~repro.decoders.blossom.min_weight_matching`, the
+        reference's blossom matching without graph objects)."""
+        nodes = np.asarray(defects, dtype=np.int64)
+        if nodes.size % 2:
+            nodes = np.append(nodes, self._boundary)
+        mate = min_weight_matching(self._dist[np.ix_(nodes, nodes)])
+        (first,) = np.nonzero(mate > np.arange(nodes.size))
+        # The reference XORs the path found from the pair's earlier node
+        # in defect order (the smaller index; boundary last) — nodes
+        # ascend, so the mask is read from the same direction.
+        pairs = self._mask[nodes[first], nodes[mate[first]]]
+        return np.bitwise_xor.reduce(pairs, axis=0)
 
     def _dijkstra(self, source: int):
         """NetworkX-identical Dijkstra over the CSR arrays.

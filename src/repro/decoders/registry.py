@@ -23,7 +23,9 @@ class SyndromeDecoder(Protocol):
     """What every compiled decoder must answer.
 
     Both batch entry points raise ``ValueError`` on a batch whose shape
-    does not match the decoder's DEM (see :func:`check_syndromes`).
+    does not match the decoder's DEM (see :func:`check_syndromes`), and
+    the packed one on a row with a padding bit set (see
+    :func:`check_packed_syndromes`).
     """
 
     n_detectors: int
@@ -75,12 +77,28 @@ def check_syndromes(syndromes, n_detectors: int) -> np.ndarray:
 
 def check_packed_syndromes(syndromes, n_detectors: int) -> np.ndarray:
     """``syndromes`` as a uint64 ``(shots, words_for(n_detectors))``
-    packed batch; ``ValueError`` on any other shape."""
-    return _checked(
+    packed batch.
+
+    Raises ``ValueError`` on any other shape, and on a row with a
+    padding bit (at or above ``n_detectors`` in its last word) set:
+    the wire format keeps padding zero, and a decoder would otherwise
+    read such a bit as a detector that does not exist.
+    """
+    syndromes = _checked(
         np.asarray(syndromes, dtype=np.uint64),
         bitops.words_for(n_detectors),
         "packed syndromes",
     )
+    used = n_detectors % 64
+    if used:
+        padding = ~np.uint64((1 << used) - 1)
+        (stray,) = np.nonzero(syndromes[:, -1] & padding)
+        if stray.size:
+            raise ValueError(
+                f"packed syndrome row {stray[0]} sets padding bits (bit "
+                f">= n_detectors = {n_detectors}); padding must be zero"
+            )
+    return syndromes
 
 
 def pack_decode_batch(

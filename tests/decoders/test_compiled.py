@@ -69,7 +69,7 @@ class TestBitwiseEquivalence:
 
 class TestDynamicProgramRange:
     """d=7, r=7 at p=0.002: syndromes picked by defect count cover every
-    padded k from 14 to 24 — the dynamic program up to 20 nodes and
+    padded k from 14 to 24 — the dynamic program up to 18 nodes and
     blossom matching above it."""
 
     @pytest.fixture(scope="class")

@@ -29,6 +29,16 @@ def line_dem() -> DetectorErrorModel:
     return dem
 
 
+def chain_dem(n: int) -> DetectorErrorModel:
+    """``n`` detectors on a path, with a boundary edge at each end."""
+    dem = DetectorErrorModel(n_detectors=n, n_observables=1)
+    dem.add_group([ErrorMechanism(0.1, (0,), (0,))])
+    for i in range(n - 1):
+        dem.add_group([ErrorMechanism(0.1, (i, i + 1), ())])
+    dem.add_group([ErrorMechanism(0.1, (n - 1,), ())])
+    return dem
+
+
 class TestResolution:
     def test_builtins_registered(self):
         assert {"matching", "compiled-matching", "lookup"} <= set(
@@ -125,4 +135,29 @@ class TestMalformedSyndromes:
                 ValueError,
                 match=r"expected packed syndromes of shape \(shots, ",
             ):
+                decoder.decode_batch_packed(bad)
+
+    @pytest.mark.parametrize("width", [63, 64, 65])
+    @pytest.mark.parametrize("name", available_decoders())
+    def test_padding_bits_raise_value_error(self, name, width):
+        """A packed row with a bit set at or above ``n_detectors`` is
+        rejected by every decoder.  Before, ``compiled-matching`` read
+        the first padding bit as the boundary node (and failed with a
+        bare IndexError further up) while the pack adapter of
+        ``matching`` and ``lookup`` silently dropped them."""
+        decoder = compile_decoder(chain_dem(width), name)
+        rows = np.zeros((3, bitops.words_for(width)), np.uint64)
+        rows[1, 0] = 0b11
+        # The top detector lives in the last word; it is no padding.
+        rows[2, -1] = np.uint64(1) << np.uint64((width - 1) % 64)
+        assert np.array_equal(
+            decoder.decode_batch_packed(rows),
+            bitops.pack_rows(
+                decoder.decode_batch(bitops.unpack_rows(rows, width))
+            ),
+        )
+        for bit in range(width % 64, 64 if width % 64 else 0):
+            bad = rows.copy()
+            bad[2, -1] |= np.uint64(1) << np.uint64(bit)
+            with pytest.raises(ValueError, match="row 2 sets padding bits"):
                 decoder.decode_batch_packed(bad)

@@ -16,6 +16,7 @@ import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
 from repro.decoders.compiled import _TIE_TOL, _min_pairing, _plan
 from repro.dem import DetectorErrorModel, ErrorMechanism
+from repro.gf2 import bitops
 
 
 def all_pairings(nodes):
@@ -163,6 +164,16 @@ def cycle_dem():
     return dem
 
 
+def path_dem():
+    """Five detectors on a path with a boundary edge at each end."""
+    dem = DetectorErrorModel(n_detectors=5, n_observables=1)
+    dem.add_group([ErrorMechanism(0.1, (0,), (0,))])
+    for edge in ((0, 1), (1, 2), (2, 3), (3, 4)):
+        dem.add_group([ErrorMechanism(0.1, edge, ())])
+    dem.add_group([ErrorMechanism(0.1, (4,), ())])
+    return dem
+
+
 class TestFallback:
     def test_planted_tie_ends_in_blossom(self):
         dem = cycle_dem()
@@ -198,20 +209,36 @@ class TestFallback:
         compiled = CompiledMatchingDecoder(cycle_dem())
         pid = str(os.getpid())
         name = "repro_decode_fallback_rows_total"
+        dp = "repro_decode_dp_rows_total"
         compiled.decode_batch(np.array([[1, 1, 0, 0]], dtype=np.uint8))
         assert obs.registry().value(name, pid=pid) == 0
+        assert obs.registry().value(dp, pid=pid) == 0
         compiled.decode_batch(np.ones((3, 4), dtype=np.uint8))
         assert obs.registry().value(name, pid=pid) == 1
+        assert obs.registry().value(dp, pid=pid) == 0
         compiled.decode_batch_packed(np.array([[0b1111]], dtype=np.uint64))
+        assert obs.registry().value(name, pid=pid) == 2
+        assert obs.registry().value(dp, pid=pid) == 0
+        # On a path the pairing {01, 23} is the unique optimum: the DP
+        # settles those rows (once per unique row), blossom none.
+        path = CompiledMatchingDecoder(path_dem())
+        rows = np.array([[1, 1, 1, 1, 0], [1, 1, 1, 1, 0], [0, 1, 1, 1, 1],
+                         [1, 1, 0, 0, 0]], dtype=np.uint8)
+        path.decode_batch(rows)
+        assert obs.registry().value(dp, pid=pid) == 2
+        assert obs.registry().value(name, pid=pid) == 2
+        path.decode_batch_packed(bitops.pack_rows(rows))
+        assert obs.registry().value(dp, pid=pid) == 4
         assert obs.registry().value(name, pid=pid) == 2
 
     def test_fallback_rows_not_counted_without_metrics(self):
         compiled = CompiledMatchingDecoder(cycle_dem())
         compiled.decode_batch(np.ones((1, 4), dtype=np.uint8))
-        obs.enable(tracing=False, metrics=True)
-        assert (
-            obs.registry().value(
-                "repro_decode_fallback_rows_total", pid=str(os.getpid())
-            )
-            is None
+        CompiledMatchingDecoder(path_dem()).decode_batch(
+            np.ones((1, 5), dtype=np.uint8)
         )
+        obs.enable(tracing=False, metrics=True)
+        for name in (
+            "repro_decode_fallback_rows_total", "repro_decode_dp_rows_total"
+        ):
+            assert obs.registry().value(name, pid=str(os.getpid())) is None
