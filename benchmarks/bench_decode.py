@@ -14,9 +14,17 @@ matcher.  It times that matcher against ``nx.max_weight_matching`` on
 the same dense distance submatrices, checks that the matchings are
 identical, and records the d=9 ``decode_batch_packed`` throughput.
 
+A third leg times the decoder *compile* on d=5, 7 and 9 memory DEMs
+(rounds = d): the vectorized all-pairs build (one min-plus relaxation
+over a slab of sources, exact Dijkstra only for sources whose tied
+shortest paths disagree) against the exact per-source path (the
+NetworkX-identical Dijkstra from every node), checks that both give
+bitwise identical distance and mask tables, and records both times.
+
 Run:  PYTHONPATH=src python benchmarks/bench_decode.py \\
           [--distance 7] [--shots 1024] [--min-speedup 4] \\
-          [--min-tail-speedup 3] [--out benchmarks/results/bench_decode.json]
+          [--min-tail-speedup 3] [--min-compile-speedup 3] \\
+          [--out benchmarks/results/bench_decode.json]
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ REFERENCE = "matching"
 # Tail leg: shots sampled per distance (rounds = d), enough for tens
 # (d=7) to hundreds (d=9) of defect sets past the ceiling.
 TAIL_SHOTS = {7: 8192, 9: 1024}
+# Compile leg: memory DEM distances (rounds = d); the gate reads the last.
+COMPILE_DISTANCES = (5, 7, 9)
 
 
 def _best_of(callable_, repeats: int):
@@ -180,6 +190,40 @@ def run_tail(p: float, repeats: int, seed: int) -> dict:
     return result
 
 
+def run_compile(p: float, repeats: int) -> dict:
+    """Vectorized all-pairs build vs the exact per-source Dijkstra."""
+    result = {"p": p, "distances": {}}
+    for distance in COMPILE_DISTANCES:
+        dem = surface_code_dem(distance, distance, p)
+        compile_s, decoder = _best_of(
+            lambda: compile_decoder(dem, "compiled-matching"), repeats
+        )
+        vectorized_s, (dist, mask, exact) = _best_of(
+            decoder._all_pairs, repeats
+        )
+        exact_s, (exact_dist, exact_mask) = _best_of(
+            decoder._exact_tables, repeats
+        )
+        result["distances"][str(distance)] = {
+            "rounds": distance,
+            "n_nodes": int(dist.shape[0]),
+            "csr_slots": int(decoder._indices.size),
+            "compile_seconds": compile_s,
+            "all_pairs_seconds": vectorized_s,
+            "exact_seconds": exact_s,
+            "exact_sources": exact,
+            "speedup": safe_rate(exact_s, vectorized_s),
+            "tables_identical": bool(
+                dist.tobytes() == exact_dist.tobytes()
+                and np.array_equal(mask, exact_mask)
+            ),
+        }
+    result["speedup"] = result["distances"][str(COMPILE_DISTANCES[-1])][
+        "speedup"
+    ]
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--distance", type=int, default=7)
@@ -207,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
         help="exit nonzero unless NetworkX/blossom matcher time on the "
         "tail defect sets >= this ratio",
     )
+    parser.add_argument(
+        "--min-compile-speedup", type=float, default=None,
+        help="exit nonzero unless exact per-source / vectorized all-pairs "
+        f"build time at d={COMPILE_DISTANCES[-1]} >= this ratio",
+    )
     args = parser.parse_args(argv)
 
     result = run_bench(
@@ -214,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed,
     )
     result["tail"] = tail = run_tail(args.p, args.repeats, args.seed)
+    result["compile"] = compiled = run_compile(args.p, args.repeats)
 
     print(f"d={args.distance} surface-code DEM "
           f"({result['dem']['n_detectors']} detectors, "
@@ -245,6 +295,18 @@ def main(argv: list[str] | None = None) -> int:
     tail_speedup = tail["speedup"]
     print(f"blossom matcher speedup over NetworkX on the tail: "
           f"{'-' if tail_speedup is None else format(tail_speedup, '.2f') + 'x'}")
+    print(f"compile: memory DEMs, rounds = d, p={args.p}, best of "
+          f"{args.repeats}")
+    print(f"{'d':>3} {'nodes':>6} {'compile (s)':>12} {'all-pairs (s)':>14} "
+          f"{'exact (s)':>10} {'exact rows':>11} {'identical':>10}")
+    for distance, leg in compiled["distances"].items():
+        print(f"{distance:>3} {leg['n_nodes']:>6} {leg['compile_seconds']:>12.3f} "
+              f"{leg['all_pairs_seconds']:>14.3f} {leg['exact_seconds']:>10.3f} "
+              f"{leg['exact_sources']:>11} {str(leg['tables_identical']):>10}")
+    compile_speedup = compiled["speedup"]
+    print(f"vectorized all-pairs speedup over per-source Dijkstra at "
+          f"d={COMPILE_DISTANCES[-1]}: "
+          f"{'-' if compile_speedup is None else format(compile_speedup, '.2f') + 'x'}")
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -271,6 +333,17 @@ def main(argv: list[str] | None = None) -> int:
         tail_speedup is None or tail_speedup < args.min_tail_speedup
     ):
         print(f"FAIL: tail speedup below required {args.min_tail_speedup}x")
+        return 1
+    if not all(
+        leg["tables_identical"] for leg in compiled["distances"].values()
+    ):
+        print("FAIL: vectorized all-pairs tables diverge from exact Dijkstra")
+        return 1
+    if args.min_compile_speedup is not None and (
+        compile_speedup is None or compile_speedup < args.min_compile_speedup
+    ):
+        print(f"FAIL: compile speedup below required "
+              f"{args.min_compile_speedup}x")
         return 1
     return 0
 

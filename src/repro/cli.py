@@ -377,6 +377,16 @@ def _print_profile(results) -> None:
               f"(result received -> yielded, summed)")
         print(f"  {'transport':<14} {transport:>9,} B  "
               f"(pickled specs + results, both ways)")
+    graph = _stage_seconds(reg, "decoder.graph")
+    all_pairs = _stage_seconds(reg, "decoder.all_pairs")
+    if graph or all_pairs:
+        exact = sum(
+            metric.value
+            for _, metric in reg.select("repro_decoder_exact_sources_total")
+        )
+        print(f"  {'decoder build':<14} {graph + all_pairs:>8.2f}s  "
+              f"(graph + CSR {graph:.2f}s, all-pairs {all_pairs:.2f}s; "
+              f"{int(exact)} source rows by exact Dijkstra)")
     _print_recovery_profile()
     _print_worker_profile()
 

@@ -8,9 +8,13 @@ compiled decoder does all path-finding at **compile time** instead:
 * the decoding graph (shared construction — see
   :func:`~repro.decoders.matching.build_decoding_graph`) is lowered into
   flat CSR adjacency arrays;
-* Dijkstra runs once from every node, producing an all-pairs distance
-  matrix and, via the predecessor trees, a per-pair *path observable
-  mask* (the XOR of edge masks along the shortest path);
+* an all-pairs distance matrix and a per-pair *path observable mask*
+  (the XOR of edge masks along the shortest path) are built with array
+  operations over slabs of sources at once: a min-plus Bellman-Ford
+  relaxation for the distances, masks spread along shortest-path edges
+  and then checked against every tied shortest path.  Only sources whose
+  tied paths carry different masks (12 of 337 at d=7, rounds = 7) run
+  the exact per-source Dijkstra, which picks the path NetworkX picks;
 * decoding a batch then dedupes identical syndromes, resolves the
   one- and two-defect syndromes (the bulk at QEC-relevant error rates)
   with pure array gathers, and matches defect sets of up to 18 nodes
@@ -27,7 +31,8 @@ defect view and share a single decode core, so the packed path (zero-row
 short-circuit, void-view dedupe, defect extraction straight from the
 uint64 words) predicts bit-for-bit what the unpacked path predicts.
 
-Predictions are bitwise identical to :class:`MatchingDecoder`: the CSR
+Predictions are bitwise identical to :class:`MatchingDecoder`: the
+vectorized tables equal the CSR Dijkstra's bit for bit, and that
 Dijkstra mirrors NetworkX's traversal exactly (same strictly-improving
 relaxation, insertion-order tie-breaking on equal distances, adjacency
 iteration in edge-insertion order); the dynamic program's matching is
@@ -39,7 +44,9 @@ reference's order, so it returns the same matching, ties included.
 
 from __future__ import annotations
 
+import math
 import os
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 
@@ -80,6 +87,12 @@ _DP_SLAB_ELEMENTS = 1 << 22
 # float noise across differently-ordered sums is ~1e-13 at QEC weight
 # scales, while mathematically distinct totals differ by far more.
 _TIE_TOL = 1e-9
+# Bytes of one (CSR slots, sources) float64 or uint64 temporary in the
+# all-pairs compile; the live set peaks at about twice that plus byte
+# masks, so the compile adds ~1 MB to peak memory however large the
+# graph.  Measured at d=9, r=9 memory, sources per slab (8 here) barely
+# move the compile time once past a few.
+_ALL_PAIRS_SLAB_BYTES = 1 << 19
 
 _PLANS: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -160,9 +173,20 @@ class CompiledMatchingDecoder:
     def __init__(self, dem: DetectorErrorModel):
         self.n_detectors = dem.n_detectors
         self.n_observables = dem.n_observables
-        graph = build_decoding_graph(dem)
+        # The two compile phases are spans (inside the engine's
+        # cache.build.decoder), so --profile and the stage-seconds
+        # series split the compile.
+        with obs.span("decoder.graph"):
+            self._lower(build_decoding_graph(dem))
+        with obs.span("decoder.all_pairs"):
+            self._dist, self._mask, exact = self._all_pairs()
+        if obs.is_metrics():
+            obs.counter(
+                "repro_decoder_exact_sources_total", pid=str(os.getpid())
+            ).inc(exact)
 
-        # -- CSR lowering: detectors 0..n-1, boundary -> index n --------
+    def _lower(self, graph) -> None:
+        """CSR lowering: detectors 0..n-1, boundary -> index n."""
         n_nodes = self.n_detectors + 1
         self._boundary = self.n_detectors
         index_of = {BOUNDARY: self._boundary}
@@ -184,22 +208,184 @@ class CompiledMatchingDecoder:
         self._indptr = indptr
         self._indices = np.array(indices, dtype=np.int64)
         self._weights = np.array(weights, dtype=np.float64)
-        if edge_masks:
-            csr_masks = np.stack(edge_masks).astype(np.uint8)
-        else:
-            csr_masks = np.zeros((0, self.n_observables), dtype=np.uint8)
-
-        # -- all-pairs Dijkstra at compile time -------------------------
-        self._dist = np.full((n_nodes, n_nodes), np.inf, dtype=np.float64)
-        self._mask = np.zeros(
-            (n_nodes, n_nodes, self.n_observables), dtype=np.uint8
+        # The node whose adjacency row holds each CSR slot.
+        self._owner = np.repeat(np.arange(n_nodes), np.diff(indptr))
+        # Edge observable masks packed into uint64 words, so paths XOR
+        # whole words; one word up to 64 observables.
+        self._edge_words = bitops.pack_rows(
+            np.stack(edge_masks) if edge_masks
+            else np.zeros((0, self.n_observables), dtype=np.uint8)
         )
-        for source in range(n_nodes):
-            dist, pred, pred_edge, order = self._dijkstra(source)
-            self._dist[source] = dist
-            row = self._mask[source]
-            for v in order[1:]:
-                row[v] = row[pred[v]] ^ csr_masks[pred_edge[v]]
+
+    # -- all-pairs tables ------------------------------------------------------
+
+    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """All-pairs distances and path masks, plus the number of source
+        rows the exact Dijkstra resolved.
+
+        Sources go in slabs sized so one ``(CSR slots, sources)``
+        temporary stays within :data:`_ALL_PAIRS_SLAB_BYTES`: distances
+        by :meth:`_relax`, masks by :meth:`_spread_masks`, and the rows
+        whose shortest paths tie with different masks by
+        :meth:`_exact_row`.  The result is bitwise identical to running
+        :meth:`_exact_row` from every node (:meth:`_exact_tables`).
+        """
+        n_nodes, n_words = self._indptr.size - 1, self._edge_words.shape[1]
+        dist = np.empty((n_nodes, n_nodes), dtype=np.float64)
+        mask = np.empty((n_nodes, n_nodes, self.n_observables), np.uint8)
+        width = 8 * max(self._indices.size, n_nodes * n_words, 1)
+        slab = max(1, _ALL_PAIRS_SLAB_BYTES // width)
+        exact = 0
+        for start in range(0, n_nodes, slab):
+            sources = np.arange(start, min(start + slab, n_nodes))
+            part = self._relax(sources)
+            words, tied = self._spread_masks(part, sources)
+            for column in np.flatnonzero(tied):
+                part[:, column], words[:, :, column] = self._exact_row(
+                    int(sources[column])
+                )
+            exact += int(np.count_nonzero(tied))
+            dist[sources] = part.T
+            mask[sources] = self._unpack(words.transpose(2, 1, 0))
+        return dist, mask, exact
+
+    def _relax(self, sources: np.ndarray) -> np.ndarray:
+        """``(nodes, sources)`` shortest distances from a slab of sources.
+
+        Bellman-Ford min-plus over the CSR slots, every source at once:
+        each round relaxes the slots leaving a node whose distance
+        changed in the round before (``dist[v] + w``) and takes the
+        minimum per target row with ``np.minimum.reduceat``, until no
+        distance improves.  With ``w >= 0``
+        (:func:`~repro.decoders.matching.build_decoding_graph` rejects
+        negative weights) both this fixpoint and Dijkstra are the
+        minimum over paths of the left-to-right float sum — rounding is
+        monotone, so adding an edge never lowers a sum — hence the same
+        floats.
+        """
+        indices, owner = self._indices, self._owner
+        dist = np.full((self._indptr.size - 1, sources.size), np.inf)
+        dist[sources, np.arange(sources.size)] = 0.0
+        changed = np.zeros(dist.shape[0], dtype=bool)
+        changed[sources] = True
+        # One candidate buffer for every round, so rounds never hold two.
+        buffer = np.empty((indices.size, sources.size))
+        while True:
+            # Slots are grouped by target row, so the active ones are too.
+            (active,) = np.nonzero(changed[indices])
+            if not active.size:
+                return dist
+            target = owner[active]
+            first = np.flatnonzero(np.diff(target, prepend=-1))
+            target = target[first]
+            # mode="clip" writes straight into ``out`` (the default
+            # "raise" buffers a copy); every index is in range anyway.
+            candidates = np.take(
+                dist, indices[active], axis=0, out=buffer[:active.size],
+                mode="clip",
+            )
+            candidates += self._weights[active, None]
+            best = np.minimum.reduceat(candidates, first, axis=0)
+            current = np.take(dist, target, axis=0)
+            improved = (best < current).any(axis=1)
+            dist[target] = np.minimum(current, best)
+            changed[:] = False
+            changed[target[improved]] = True
+
+    def _spread_masks(
+        self, dist: np.ndarray, sources: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(words, nodes, sources)`` packed path masks for
+        :meth:`_relax`'s distances, and per source whether they need the
+        exact Dijkstra (``tied``).
+
+        A slot is *tight* when ``dist[v] + w == dist[u]``; Dijkstra's
+        predecessor edges are all tight.  Each reached node takes a tight
+        slot from a strictly nearer node as parent (none, and mask 0,
+        when zero-weight edges leave it none), and the masks XOR up that
+        tree by pointer doubling.  Then every tight slot is checked:
+        ``mask[v] ^ m == mask[u]``.  When all agree, every shortest path
+        has the same mask, so the one NetworkX picks does too — whichever
+        parents were taken (by induction along Dijkstra's own tree, from
+        ``mask[source] = 0``).  A source with a disagreeing slot is
+        flagged.
+        """
+        indices, owner = self._indices, self._owner
+        n_nodes, n_words = dist.shape[0], self._edge_words.shape[1]
+        width = sources.size
+        words = np.zeros((n_words, n_nodes * width), dtype=np.uint64)
+        tied = np.zeros(width, dtype=bool)
+        if indices.size and n_words:
+            # Tight slots as flat (node, source) cells u <- v: a few per
+            # reached cell, against ~10 slots per row.  Found a quarter
+            # of the slots at a time to bound the float temporaries;
+            # inf - inf is nan, so unreached rows have no tight slot.
+            found = []
+            step = -(-indices.size // 4)
+            for start in range(0, indices.size, step):
+                block = slice(start, start + step)
+                gap = np.take(dist, indices[block], axis=0)
+                gap += self._weights[block, None]
+                with np.errstate(invalid="ignore"):
+                    gap -= np.take(dist, owner[block], axis=0)
+                slot, column = np.nonzero(gap == 0)
+                found.append((slot + start, column))
+            slot, column = (np.concatenate(part) for part in zip(*found))
+            u = owner[slot] * width + column
+            v = indices[slot] * width + column
+            flat = dist.ravel()
+            nearer = flat[v] < flat[u]
+
+            parent = np.arange(n_nodes * width)
+            parent[u[nearer]] = v[nearer]
+            edge_words = self._edge_words.T
+            words[:, u[nearer]] = edge_words[:, slot[nearer]]
+            while True:
+                grand = np.take(parent, parent)
+                if np.array_equal(grand, parent):
+                    break
+                words ^= np.take(words, parent, axis=1)
+                parent = grand
+
+            for word, edge in zip(words, edge_words):
+                disagree = (word[v] ^ edge[slot]) != word[u]
+                tied[column[disagree]] = True
+        return words.reshape(n_words, n_nodes, width), tied
+
+    def _exact_row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """One source's distances and ``(words, nodes)`` packed path
+        masks from the NetworkX-identical :meth:`_dijkstra`.  The mask of
+        a node is the XOR of the edge masks up its predecessor tree,
+        accumulated by pointer doubling (about log2(depth) array
+        rounds)."""
+        dist, pred_edge = self._dijkstra(source)
+        pred_edge = np.array(pred_edge, dtype=np.int64)
+        (reached,) = np.nonzero(pred_edge >= 0)
+        parent = np.arange(pred_edge.size)
+        parent[reached] = self._owner[pred_edge[reached]]
+        words = np.zeros((pred_edge.size, self._edge_words.shape[1]), np.uint64)
+        words[reached] = self._edge_words[pred_edge[reached]]
+        while (parent != parent[parent]).any():
+            words ^= words[parent]
+            parent = parent[parent]
+        return np.array(dist), words.T
+
+    def _exact_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-source reference build: :meth:`_exact_row` from every
+        node.  :meth:`_all_pairs` must reproduce it bit for bit."""
+        n_nodes = self._indptr.size - 1
+        rows = [self._exact_row(source) for source in range(n_nodes)]
+        dist = np.stack([row[0] for row in rows])
+        words = np.stack([row[1] for row in rows])
+        return dist, self._unpack(words.transpose(0, 2, 1))
+
+    def _unpack(self, words: np.ndarray) -> np.ndarray:
+        """``(sources, nodes, words)`` packed masks -> 0/1 mask rows."""
+        rows = words.shape[0] * words.shape[1]
+        bits = bitops.unpack_rows(
+            words.reshape(rows, words.shape[2]), self.n_observables
+        )
+        return bits.reshape(words.shape[0], words.shape[1], self.n_observables)
 
     # -- decoding -----------------------------------------------------------
 
@@ -371,22 +557,31 @@ class CompiledMatchingDecoder:
         pairs = self._mask[nodes[first], nodes[mate[first]]]
         return np.bitwise_xor.reduce(pairs, axis=0)
 
-    def _dijkstra(self, source: int):
+    @cached_property
+    def _adjacency(self) -> tuple[list[int], list[int], list[float]]:
+        """The CSR arrays as Python lists, made once for
+        :meth:`_dijkstra` (list reads are far cheaper than NumPy
+        scalar reads in its inner loop)."""
+        return (
+            self._indptr.tolist(), self._indices.tolist(),
+            self._weights.tolist(),
+        )
+
+    def _dijkstra(self, source: int) -> tuple[list[float], list[int]]:
         """NetworkX-identical Dijkstra over the CSR arrays.
 
-        Returns (distances, predecessor node, predecessor CSR edge slot,
-        finalization order).  Ties on the heap resolve by insertion
+        Returns (distances, predecessor CSR edge slot; -1 for the source
+        and unreachable nodes).  Ties on the heap resolve by insertion
         order and relaxation is strictly-improving only, matching
         ``nx.single_source_dijkstra`` so path choices (and therefore
         observable masks) agree with the reference decoder even between
         equal-weight paths.
         """
-        n_nodes = self._indptr.size - 1
-        dist = np.full(n_nodes, np.inf, dtype=np.float64)
-        pred = np.full(n_nodes, -1, dtype=np.int64)
-        pred_edge = np.full(n_nodes, -1, dtype=np.int64)
-        final = np.zeros(n_nodes, dtype=bool)
-        order: list[int] = []
+        indptr, indices, weights = self._adjacency
+        n_nodes = len(indptr) - 1
+        dist = [math.inf] * n_nodes
+        pred_edge = [-1] * n_nodes
+        final = [False] * n_nodes
         seen: dict[int, float] = {source: 0.0}
         tiebreak = count()
         fringe: list[tuple[float, int, int]] = [(0.0, next(tiebreak), source)]
@@ -396,13 +591,11 @@ class CompiledMatchingDecoder:
                 continue
             final[v] = True
             dist[v] = d
-            order.append(v)
-            for slot in range(self._indptr[v], self._indptr[v + 1]):
-                u = int(self._indices[slot])
-                vu = d + self._weights[slot]
+            for slot in range(indptr[v], indptr[v + 1]):
+                u = indices[slot]
+                vu = d + weights[slot]
                 if not final[u] and (u not in seen or vu < seen[u]):
                     seen[u] = vu
                     heappush(fringe, (vu, next(tiebreak), u))
-                    pred[u] = v
                     pred_edge[u] = slot
-        return dist, pred, pred_edge, order
+        return dist, pred_edge

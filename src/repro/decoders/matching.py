@@ -69,6 +69,10 @@ def build_decoding_graph(dem: DetectorErrorModel) -> nx.Graph:
       the dropped mechanism's probability mass is ignored rather than
       folded in, which slightly overweights the surviving edge.  Exact
       handling would need a multigraph-aware matcher.
+
+    An edge whose probability ends up above 0.5 would carry a negative
+    weight, which shortest-path matching cannot handle; it raises
+    ``ValueError`` naming the edge.  ``p = 0.5`` (weight 0) is legal.
     """
     graph = nx.Graph()
     graph.add_node(BOUNDARY)
@@ -101,6 +105,21 @@ def build_decoding_graph(dem: DetectorErrorModel) -> nx.Graph:
             graph.add_edge(
                 u, v, probability=p, weight=edge_weight(p), mask=mask
             )
+    # Walk the adjacency, not graph.edges: the cached EdgeView holds the
+    # graph, and that cycle would keep every graph alive until a full
+    # garbage collection.
+    for u, neighbors in graph.adj.items():
+        for v, data in neighbors.items():
+            if data["weight"] < 0:
+                if u == BOUNDARY:
+                    u, v = v, u  # name the detector first
+                v = v if v == BOUNDARY else f"D{v}"
+                raise ValueError(
+                    f"decoding-graph edge (D{u}, {v}) has probability "
+                    f"{data['probability']:g} > 0.5 (weight "
+                    f"{data['weight']:g}); matching decoders need edge "
+                    f"probabilities <= 0.5"
+                )
     return graph
 
 

@@ -41,12 +41,46 @@ class DetectorErrorModel:
     (the patterns of one noise site); mechanisms in different groups are
     independent.  Sampling with the group structure is exact; the
     flattened independent-mechanism view is the usual DEM approximation.
+
+    Construction rejects (``ValueError``) a mechanism that is not in
+    exactly one group and detector or observable indices outside the
+    model.
     """
 
     n_detectors: int
     n_observables: int
     mechanisms: list[ErrorMechanism] = field(default_factory=list)
     groups: list[list[int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # Sampling, merging and decoding walk ``groups`` only, so a
+        # mechanism outside every group would be silently dropped.
+        memberships = [0] * len(self.mechanisms)
+        for group in self.groups:
+            for index in group:
+                if not 0 <= index < len(memberships):
+                    raise ValueError(
+                        f"group member {index} is not a mechanism index "
+                        f"(the model has {len(memberships)} mechanisms)"
+                    )
+                memberships[index] += 1
+        for index, count in enumerate(memberships):
+            if count != 1:
+                raise ValueError(
+                    f"mechanism {index} is in {count} groups; every "
+                    f"mechanism must be in exactly one"
+                )
+        for index, mechanism in enumerate(self.mechanisms):
+            for kind, targets, bound in (
+                ("detector", mechanism.detectors, self.n_detectors),
+                ("observable", mechanism.observables, self.n_observables),
+            ):
+                for target in targets:
+                    if not 0 <= target < bound:
+                        raise ValueError(
+                            f"mechanism {index} ({mechanism}) flips {kind} "
+                            f"{target}, but the model has {bound} {kind}s"
+                        )
 
     def add_group(self, mechanisms: list[ErrorMechanism]) -> None:
         start = len(self.mechanisms)

@@ -1,18 +1,20 @@
 """CompiledMatchingDecoder: bitwise equivalence with the reference.
 
 The compiled decoder's whole contract is "same predictions, much
-faster": all-pairs Dijkstra at compile time must reproduce the
+faster": the all-pairs tables built at compile time must reproduce the
 reference's per-shot path-finding exactly, including tie-breaking
 between equal-weight paths (middle-of-the-code defects genuinely tie).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
 from repro.dem import DetectorErrorModel, ErrorMechanism
 from repro.engine import Task, collect
+from repro.engine.cache import reset_shared_cache
 from repro.gf2 import bitops
 from repro.qec import repetition_code_dem, surface_code_dem, surface_code_memory
 
@@ -243,3 +245,229 @@ class TestDecodeTierStages:
         ]
         assert blossom.attrs == {"rows": 1}
         assert self.stage_totals()["decode.blossom"] == blossom.duration
+
+
+def _grid_dem(width: int, height: int, probability: float = 0.1):
+    """A ``width`` x ``height`` grid of detectors with equal-weight
+    edges, boundary edges on the left (flipping L0) and right columns:
+    every middle-column node is equally far from both boundaries along
+    paths with different masks."""
+    dem = DetectorErrorModel(n_detectors=width * height, n_observables=1)
+    for y in range(height):
+        for x in range(width):
+            node = y * width + x
+            if x + 1 < width:
+                dem.add_group([ErrorMechanism(probability, (node, node + 1), ())])
+            if y + 1 < height:
+                dem.add_group(
+                    [ErrorMechanism(probability, (node, node + width), ())]
+                )
+        dem.add_group([ErrorMechanism(probability, (y * width,), (0,))])
+        dem.add_group(
+            [ErrorMechanism(probability, (y * width + width - 1,), ())]
+        )
+    return dem
+
+
+def _assert_tables_exact(decoder: CompiledMatchingDecoder) -> None:
+    dist, mask = decoder._exact_tables()
+    assert decoder._dist.tobytes() == dist.tobytes()
+    assert decoder._mask.shape == mask.shape
+    assert np.array_equal(decoder._mask, mask)
+
+
+def _all_syndromes(n_detectors: int) -> np.ndarray:
+    index = np.arange(1 << n_detectors)
+    return ((index[:, None] >> np.arange(n_detectors)) & 1).astype(np.uint8)
+
+
+class TestVectorizedCompile:
+    """The all-pairs tables come from a min-plus relaxation over slabs of
+    sources plus a tight-edge mask check; they must equal the per-source
+    NetworkX-identical Dijkstra bit for bit."""
+
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_tables_match_per_source_dijkstra(self, distance):
+        dem = surface_code_dem(distance, rounds=distance, probability=0.002)
+        _assert_tables_exact(CompiledMatchingDecoder(dem))
+
+    def test_exact_rows_match_networkx(self):
+        # Anchor the exact path itself: distances and path masks from
+        # nx.single_source_dijkstra, the reference decoder's call.
+        import networkx as nx
+
+        from repro.decoders.matching import BOUNDARY
+
+        dem = surface_code_dem(3, rounds=3, probability=0.002)
+        reference = MatchingDecoder(dem)
+        compiled = CompiledMatchingDecoder(dem)
+        nodes = list(range(dem.n_detectors)) + [BOUNDARY]
+        for source_index, source in enumerate(nodes):
+            lengths, paths = nx.single_source_dijkstra(
+                reference.graph, source, weight="weight"
+            )
+            for target_index, target in enumerate(nodes):
+                assert compiled._dist[source_index, target_index] == lengths[target]
+                expected = np.zeros(dem.n_observables, dtype=np.uint8)
+                path = paths[target]
+                for a, b in zip(path[:-1], path[1:]):
+                    expected ^= reference.graph[a][b]["mask"]
+                assert np.array_equal(
+                    compiled._mask[source_index, target_index], expected
+                )
+
+    def test_tied_sources_take_exact_fallback(self):
+        dem = _grid_dem(5, 3)
+        compiled = CompiledMatchingDecoder(dem)
+        _, _, exact = compiled._all_pairs()
+        assert exact >= 1
+        _assert_tables_exact(compiled)
+        syndromes = _all_syndromes(dem.n_detectors)[::97]
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            MatchingDecoder(dem).decode_batch(syndromes),
+        )
+
+    def test_disconnected_component_is_infinite(self):
+        dem = DetectorErrorModel(n_detectors=5, n_observables=1)
+        dem.add_group([ErrorMechanism(0.1, (0, 1), (0,))])
+        dem.add_group([ErrorMechanism(0.1, (1,), ())])
+        dem.add_group([ErrorMechanism(0.2, (2, 3), ())])
+        dem.add_group([ErrorMechanism(0.2, (3, 4), (0,))])
+        compiled = CompiledMatchingDecoder(dem)
+        assert np.isinf(compiled._dist[0, 2])
+        assert np.isinf(compiled._dist[2, compiled._boundary])
+        _assert_tables_exact(compiled)
+        syndromes = _all_syndromes(dem.n_detectors)
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            MatchingDecoder(dem).decode_batch(syndromes),
+        )
+
+    def test_half_probability_edge_has_zero_weight(self):
+        dem = DetectorErrorModel(n_detectors=4, n_observables=1)
+        dem.add_group([ErrorMechanism(0.5, (0, 1), (0,))])
+        dem.add_group([ErrorMechanism(0.1, (1, 2), ())])
+        dem.add_group([ErrorMechanism(0.1, (2, 3), (0,))])
+        dem.add_group([ErrorMechanism(0.1, (0,), ())])
+        dem.add_group([ErrorMechanism(0.1, (3,), ())])
+        compiled = CompiledMatchingDecoder(dem)
+        assert compiled._dist[0, 1] == 0.0
+        # D1 sits at distance 0 from D0 with no strictly nearer
+        # neighbor, so only the exact path settles its mask.
+        _, _, exact = compiled._all_pairs()
+        assert exact >= 1
+        _assert_tables_exact(compiled)
+        syndromes = _all_syndromes(dem.n_detectors)
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            MatchingDecoder(dem).decode_batch(syndromes),
+        )
+
+    @pytest.mark.parametrize("n_observables", [0, 2, 65])
+    def test_observable_widths(self, n_observables):
+        # 65 observables need two packed mask words per path.
+        rng = np.random.default_rng(n_observables)
+        dem = DetectorErrorModel(n_detectors=6, n_observables=n_observables)
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 4),
+                 (2, 5), (0,), (5,), (2,)]
+        for detectors in pairs:
+            flips = rng.random(n_observables) < 0.4
+            dem.add_group([ErrorMechanism(
+                0.1, detectors, tuple(int(o) for o in np.flatnonzero(flips))
+            )])
+        compiled = CompiledMatchingDecoder(dem)
+        assert compiled._mask.shape == (7, 7, n_observables)
+        _assert_tables_exact(compiled)
+        syndromes = _all_syndromes(dem.n_detectors)
+        expected = MatchingDecoder(dem).decode_batch(syndromes)
+        assert np.array_equal(compiled.decode_batch(syndromes), expected)
+        assert np.array_equal(
+            compiled.decode_batch_packed(bitops.pack_rows(syndromes)),
+            bitops.pack_rows(expected),
+        )
+
+    def test_slabbing_does_not_change_tables(self, monkeypatch):
+        import repro.decoders.compiled as compiled_module
+
+        dem = _grid_dem(5, 4)
+        whole = CompiledMatchingDecoder(dem)
+        # One source per slab.
+        monkeypatch.setattr(compiled_module, "_ALL_PAIRS_SLAB_BYTES", 1)
+        sliced = CompiledMatchingDecoder(dem)
+        assert whole._dist.tobytes() == sliced._dist.tobytes()
+        assert np.array_equal(whole._mask, sliced._mask)
+
+
+_TIE_PROBABILITIES = (0.05, 0.1, 0.2)
+
+
+@st.composite
+def _tie_heavy_dems(draw):
+    n_detectors = draw(st.integers(1, 7))
+    n_observables = draw(st.integers(1, 2))
+    detector = st.integers(0, n_detectors - 1)
+    dem = DetectorErrorModel(n_detectors, n_observables)
+    for _ in range(draw(st.integers(1, 14))):
+        detectors = tuple(sorted(draw(
+            st.sets(detector, min_size=1, max_size=min(2, n_detectors))
+        )))
+        observables = tuple(sorted(draw(
+            st.sets(st.integers(0, n_observables - 1), max_size=n_observables)
+        )))
+        probability = draw(st.sampled_from(_TIE_PROBABILITIES))
+        dem.add_group([ErrorMechanism(probability, detectors, observables)])
+    return dem
+
+
+@settings(max_examples=60, deadline=None)
+@given(dem=_tie_heavy_dems())
+def test_fuzz_compiled_matches_reference_on_tie_heavy_dems(dem):
+    """Probabilities from a three-value set force equal-weight paths
+    with different masks; every syndrome decodes as the reference."""
+    compiled = CompiledMatchingDecoder(dem)
+    _assert_tables_exact(compiled)
+    syndromes = _all_syndromes(dem.n_detectors)
+    assert np.array_equal(
+        compiled.decode_batch(syndromes),
+        MatchingDecoder(dem).decode_batch(syndromes),
+    )
+
+
+class TestCompileStages:
+    """The compile's two phases are spans inside the engine's
+    ``cache.build.decoder``; the rows left to exact Dijkstra count into
+    ``repro_decoder_exact_sources_total``."""
+
+    def test_phases_nest_in_decoder_build(self):
+        circuit = surface_code_memory(
+            3, rounds=3,
+            after_clifford_depolarization=0.01,
+            before_measure_flip_probability=0.01,
+        )
+        task = Task(circuit, decoder="compiled-matching", sampler="frame",
+                    max_shots=256)
+        reset_shared_cache()  # build here, not in an earlier test
+        obs.enable(tracing=True, metrics=True)
+        collect([task], base_seed=3, chunk_shots=256)
+        spans = obs.drain_spans()
+        (build,) = [r for r in spans if r.name == "cache.build.decoder"]
+        for name in ("decoder.graph", "decoder.all_pairs"):
+            (phase,) = [r for r in spans if r.name == name]
+            assert phase.parent_id == build.span_id
+        exact = [
+            metric.value for _, metric in obs.registry().select(
+                "repro_decoder_exact_sources_total"
+            )
+        ]
+        assert len(exact) == 1
+
+    def test_exact_counter_counts_tied_sources(self):
+        dem = _grid_dem(5, 3)
+        _, _, exact = CompiledMatchingDecoder(dem)._all_pairs()
+        obs.enable(metrics=True)
+        CompiledMatchingDecoder(dem)
+        ((_, metric),) = obs.registry().select(
+            "repro_decoder_exact_sources_total"
+        )
+        assert metric.value == exact >= 1

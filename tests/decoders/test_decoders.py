@@ -56,6 +56,52 @@ class TestMatchingDecoderBasics:
         assert decoder.decode(np.array([1, 1])).tolist() == [0]
 
 
+class TestNegativeWeightEdges:
+    """An edge with p > 0.5 has a negative weight: both matching
+    decoders refuse it at compile time with the same message (the
+    reference used to die inside NetworkX, the compiled decoder to
+    decode silently)."""
+
+    @pytest.mark.parametrize("name", ["matching", "compiled-matching"])
+    def test_edge_above_half_rejected(self, name):
+        dem = DetectorErrorModel(n_detectors=2, n_observables=1)
+        dem.add_group([ErrorMechanism(0.1, (0,), ())])
+        dem.add_group([ErrorMechanism(0.6, (0, 1), (0,))])
+        with pytest.raises(
+            ValueError, match=r"edge \(D0, D1\) has probability 0\.6 > 0\.5"
+        ):
+            dem.compile_decoder(name)
+
+    @pytest.mark.parametrize("name", ["matching", "compiled-matching"])
+    def test_boundary_edge_named(self, name):
+        dem = DetectorErrorModel(n_detectors=1, n_observables=1)
+        dem.add_group([ErrorMechanism(0.75, (0,), (0,))])
+        with pytest.raises(ValueError, match=r"\(D0, boundary\)"):
+            dem.compile_decoder(name)
+
+    def test_validation_leaves_no_reference_cycle(self):
+        # The compiled decoder drops the graph after lowering it; a
+        # cycle (e.g. through the cached graph.edges view) would keep
+        # it alive until a full garbage collection.
+        import gc
+        import weakref
+
+        from repro.decoders.matching import build_decoding_graph
+
+        gc.disable()
+        try:
+            graph = weakref.ref(build_decoding_graph(tiny_dem()))
+            assert graph() is None
+        finally:
+            gc.enable()
+
+    def test_half_probability_edge_allowed(self):
+        dem = DetectorErrorModel(n_detectors=2, n_observables=1)
+        dem.add_group([ErrorMechanism(0.5, (0, 1), (0,))])
+        dem.add_group([ErrorMechanism(0.1, (0,), ())])
+        assert MatchingDecoder(dem).graph[0][1]["weight"] == 0.0
+
+
 class TestLookupDecoder:
     def test_exact_on_tiny_dem(self):
         decoder = LookupDecoder(tiny_dem(), max_weight=2)

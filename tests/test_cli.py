@@ -209,6 +209,18 @@ class TestCollect:
         for stage in ("sample", "decode", "setup/agg", "pool overhead"):
             assert stage in out, stage
 
+    def test_profile_splits_decoder_build(self, capsys):
+        from repro.engine.cache import reset_shared_cache
+
+        # The in-process cache would otherwise serve an earlier test's
+        # decoder without building it.
+        reset_shared_cache()
+        assert main(self.ARGS + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [l for l in out.splitlines() if "decoder build" in l]
+        assert "graph + CSR" in line and "all-pairs" in line
+        assert "source rows by exact Dijkstra" in line
+
     def test_profile_notes_fully_resumed_runs(self, tmp_path, capsys):
         store = str(tmp_path / "rows.jsonl")
         assert main(self.ARGS + ["--out", store]) == 0
