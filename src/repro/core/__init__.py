@@ -12,7 +12,7 @@ from repro.core.compiled_sampler import CompiledSampler, compile_sampler
 from repro.core.expression import SymbolicExpression
 from repro.core.phase_matrix import PhaseMatrix
 from repro.core.simulator import SymPhaseSimulator
-from repro.core.symbols import SymbolInfo, SymbolTable
+from repro.core.symbols import SymbolRecord, SymbolTable
 from repro.core.verification import (
     concrete_replay,
     random_assignment,
@@ -26,7 +26,7 @@ __all__ = [
     "CompiledSampler",
     "PhaseMatrix",
     "SymbolicExpression",
-    "SymbolInfo",
+    "SymbolRecord",
     "SymbolTable",
     "SymPhaseSimulator",
     "compile_sampler",

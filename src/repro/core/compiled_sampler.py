@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro.obs as obs
 from repro.circuit.circuit import Circuit
 from repro.core.simulator import SymPhaseSimulator
 from repro.gf2 import bitops
@@ -206,5 +207,11 @@ class CompiledSampler:
 
 def compile_sampler(circuit: Circuit) -> CompiledSampler:
     """Run Algorithm 1's Initialization on ``circuit`` and return the
-    reusable sampler (Algorithm 1's Sampling procedure)."""
-    return CompiledSampler(SymPhaseSimulator.from_circuit(circuit))
+    reusable sampler (Algorithm 1's Sampling procedure).
+
+    Traced as ``core.symbolic_pass`` (the traversal) and
+    ``core.sampler_build`` (the matrices of Eq. 4)."""
+    with obs.span("core.symbolic_pass"):
+        simulator = SymPhaseSimulator.from_circuit(circuit)
+    with obs.span("core.sampler_build"):
+        return CompiledSampler(simulator)

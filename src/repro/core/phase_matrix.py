@@ -50,6 +50,16 @@ class PhaseMatrix:
         word, mask = bitops.bit_to_word(symbol)
         self.words[rows, word] ^= mask
 
+    def xor_block(self, first: int, block: np.ndarray) -> None:
+        """XOR the 0/1 columns of ``block`` (``n_rows x m``) into symbol
+        columns ``first .. first + m - 1`` (one noise instruction's faults)."""
+        self.ensure_width(first + block.shape[1])
+        word, shift = divmod(first, bitops.WORD_BITS)
+        aligned = np.zeros((self.n_rows, shift + block.shape[1]), dtype=np.uint8)
+        aligned[:, shift:] = block
+        packed = bitops.pack_rows(aligned)
+        self.words[:, word: word + packed.shape[1]] ^= packed
+
     def xor_rows(self, dst_rows: np.ndarray, src_row: int) -> None:
         """Phase(dst) ^= Phase(src) for every dst (symbolic rowsum part)."""
         self.words[dst_rows] ^= self.words[src_row]

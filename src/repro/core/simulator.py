@@ -4,10 +4,14 @@ One forward traversal of the circuit executes the three initialization
 rules of §3.2.2:
 
 * **Init-C** — Clifford gates update the X/Z bit blocks exactly as in
-  Aaronson–Gottesman; deterministic sign flips land in the constant
+  Aaronson–Gottesman, evaluated as the gate's ANF kernel
+  (:mod:`repro.gates.anf`) on the gathered columns of every target at
+  once; the XOR of the per-target sign flips lands in the constant
   column of the phase matrix.
-* **Init-P** — each Pauli-fault site allocates fresh bit-symbols and
-  XORs them into the phases of the rows the fault anticommutes with.
+* **Init-P** — a noise instruction allocates one record of fresh
+  bit-symbols for all of its sites and XORs one column block into the
+  phase matrix: each symbol's column marks the rows its Pauli
+  anticommutes with.
 * **Init-M** — measurements run A-G's control flow (which never inspects
   phases — Fact 2); random outcomes mint a fresh fair-coin symbol ``s``
   and apply ``X^s``, determinate outcomes are read off as the XOR of
@@ -25,9 +29,10 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
 from repro.core.phase_matrix import PhaseMatrix
 from repro.core.symbols import SymbolTable
+from repro.gates.anf import gate_kernel
 from repro.gates.database import get_gate
 from repro.gf2 import bitops
-from repro.noise.channels import measurement_group, noise_groups
+from repro.noise.channels import noise_channel
 from repro.tableau.tableau import g_exponents
 
 _BASIS_CONJUGATION = {"X": "H", "Y": "H_YZ"}
@@ -77,7 +82,7 @@ class SymPhaseSimulator:
         return np.nonzero(bits)[0]
 
     def measurement_expression(self, index: int) -> str:
-        """Human-readable symbolic expression, e.g. ``"s3 ^ s5"``."""
+        """Human-readable symbolic expression, e.g. ``"X3 ^ m5(q0)"``."""
         support = self.measurement_support(index)
         if support.size == 0:
             return "0"
@@ -126,28 +131,21 @@ class SymPhaseSimulator:
     # -- Init-C: Clifford gates --------------------------------------------
 
     def _apply_gate(self, name: str, targets: tuple[int, ...]) -> None:
-        table = get_gate(name).table
-        if table.n_qubits == 1:
-            for qubit in targets:
-                x, z = self.xs[:, qubit], self.zs[:, qubit]
-                nx, nz, flip = table.apply_1q(x, z)
-                self.xs[:, qubit] = nx
-                self.zs[:, qubit] = nz
-                flipped = np.nonzero(flip)[0]
-                if flipped.size:
-                    self.phases.xor_constant(flipped)
-        else:
-            for a, b in zip(targets[0::2], targets[1::2]):
-                x1, z1 = self.xs[:, a], self.zs[:, a]
-                x2, z2 = self.xs[:, b], self.zs[:, b]
-                nx1, nz1, nx2, nz2, flip = table.apply_2q(x1, z1, x2, z2)
-                self.xs[:, a] = nx1
-                self.zs[:, a] = nz1
-                self.xs[:, b] = nx2
-                self.zs[:, b] = nz2
-                flipped = np.nonzero(flip)[0]
-                if flipped.size:
-                    self.phases.xor_constant(flipped)
+        kernel = gate_kernel(get_gate(name).name)
+        arity = kernel.n_qubits
+        for run in _distinct_runs(targets, arity):
+            sites = np.asarray(run, dtype=np.int64).reshape(-1, arity)
+            columns = [sites[:, slot] for slot in range(arity)]
+            inputs = []
+            for qubits in columns:
+                inputs += [self.xs[:, qubits], self.zs[:, qubits]]
+            *outputs, flip = kernel.evaluate(inputs)
+            for slot, qubits in enumerate(columns):
+                self.xs[:, qubits] = outputs[2 * slot]
+                self.zs[:, qubits] = outputs[2 * slot + 1]
+            flipped = np.nonzero(np.bitwise_xor.reduce(flip, axis=1))[0]
+            if flipped.size:
+                self.phases.xor_constant(flipped)
 
     def _apply_feedback(self, instruction: Instruction) -> None:
         """Classically-controlled Pauli: ``P^m`` with a *symbolic* exponent.
@@ -175,36 +173,38 @@ class SymPhaseSimulator:
 
     # -- Init-P: symbolic Pauli faults ----------------------------------------
 
-    def _anticommuting_rows(self, letter: str, qubit: int) -> np.ndarray:
+    def _anticommuting_mask(self, letter: str, qubits) -> np.ndarray:
+        """0/1 mask of the rows anticommuting with ``letter`` on ``qubits``
+        (one column per qubit when ``qubits`` is an array)."""
         if letter == "X":
-            mask = self.zs[:, qubit]
-        elif letter == "Z":
-            mask = self.xs[:, qubit]
-        elif letter == "Y":
-            mask = self.xs[:, qubit] ^ self.zs[:, qubit]
-        else:
-            raise ValueError(f"invalid Pauli letter {letter!r}")
-        return np.nonzero(mask)[0]
+            return self.zs[:, qubits]
+        if letter == "Z":
+            return self.xs[:, qubits]
+        if letter == "Y":
+            return self.xs[:, qubits] ^ self.zs[:, qubits]
+        raise ValueError(f"invalid Pauli letter {letter!r}")
 
-    def apply_symbolic_pauli(self, letter: str, qubit: int, symbol: int) -> None:
-        """Apply ``P^s`` — XOR symbol ``s`` into every anticommuting row."""
-        rows = self._anticommuting_rows(letter, qubit)
-        if rows.size:
-            self.phases.xor_symbol(rows, symbol)
-        else:
-            # Still make the column addressable so sampling stays aligned.
-            self.phases.ensure_width(symbol + 1)
+    def _anticommuting_rows(self, letter: str, qubit: int) -> np.ndarray:
+        return np.nonzero(self._anticommuting_mask(letter, qubit))[0]
 
     def _apply_noise(self, instruction: Instruction) -> None:
-        for group in noise_groups(instruction):
-            labels = [
-                "*".join(f"{letter}{qubit}" for letter, qubit in action) or "I"
-                for action in group.actions
-            ]
-            indices = self.symbols.allocate(group, labels)
-            for symbol, action in zip(indices, group.actions):
-                for letter, qubit in action:
-                    self.apply_symbolic_pauli(letter, qubit, symbol)
+        """Apply ``P^s`` for every symbol of every site in one block XOR.
+
+        Noise leaves the X/Z bits alone, so every site reads the same
+        tableau and repeated targets need no ordering."""
+        channel = noise_channel(instruction)
+        if not channel.n_sites:
+            return
+        first = self.symbols.allocate_noise(channel)
+        block = np.zeros(
+            (2 * self.n, channel.n_sites, len(channel.columns)), dtype=np.uint8
+        )
+        for j, column in enumerate(channel.columns):
+            for letter, slot in column:
+                block[:, :, j] ^= self._anticommuting_mask(
+                    letter, channel.qubits[:, slot]
+                )
+        self.phases.xor_block(first, block.reshape(2 * self.n, -1))
 
     # -- Init-M: measurements --------------------------------------------------
 
@@ -241,8 +241,9 @@ class SymPhaseSimulator:
             self.zs[p] = 0
             self.zs[p, qubit] = 1
             self.phases.clear_row(p)
-            label = f"m{len(self.measurements)}(q{qubit})"
-            symbol = self.symbols.allocate(measurement_group(), [label])[0]
+            symbol = self.symbols.allocate_measurement(
+                len(self.measurements), qubit
+            )
             # The symbolic analogue of A-G's coin flip is r_p := s — only
             # the freshly collapsed stabilizer row carries the new symbol.
             # (The paper words this as "apply X^s", but a literal Pauli
@@ -323,3 +324,19 @@ class SymPhaseSimulator:
                 self._resolve_lookbacks(instruction.targets)
             )
         # TICK / QUBIT_COORDS / SHIFT_COORDS carry no simulation semantics.
+
+
+def _distinct_runs(targets: tuple[int, ...], arity: int) -> list[tuple[int, ...]]:
+    """Split a gate's targets into maximal runs of whole operations that
+    touch no qubit twice, so each run updates its columns at once."""
+    if len(set(targets)) == len(targets):
+        return [targets]
+    runs, seen, start = [], set(), 0
+    for index in range(0, len(targets), arity):
+        operation = targets[index: index + arity]
+        if seen.intersection(operation):
+            runs.append(targets[start:index])
+            seen, start = set(), index
+        seen.update(operation)
+    runs.append(targets[start:])
+    return runs

@@ -1,49 +1,83 @@
 """Symbol allocation and joint sampling of symbol values.
 
 Symbol index 0 is the constant 1 (the paper's ``s_0``); real symbols are
-numbered from 1.  Symbols are allocated in *groups* (one group per noise
-site or per random measurement) carrying the joint categorical
-distribution over the group's bit patterns.
+numbered from 1.  Symbols are allocated one *record* at a time: a noise
+instruction allocates one record covering all of its sites, a random
+measurement one record for its fair coin.  A record's sites share one
+joint categorical distribution over their symbols' bit patterns, so
+sampling reads cluster offsets straight off the records, and per-symbol
+views (labels, per-site tuples) are derived only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.gf2 import bitops
-from repro.noise.channels import SymbolGroup, sample_hits
+from repro.noise.channels import NoiseChannel, measurement_group, sample_hits
+
+_FAIR_COIN = measurement_group().probabilities
 
 
-@dataclass(frozen=True)
-class SymbolInfo:
-    """Provenance of one symbol (for readable expressions / fault analysis)."""
+class SymbolRecord(NamedTuple):
+    """``n_sites`` sites of ``symbols_per_site`` symbols each, numbered
+    site by site from ``first``, every site drawn from ``probabilities``.
 
-    index: int
+    ``source`` is the :class:`NoiseChannel` of a noise record, or the
+    ``(measurement index, qubit)`` of a random measurement's coin.
+    """
+
+    first: int
+    n_sites: int
+    symbols_per_site: int
+    probabilities: tuple[float, ...]
     kind: str  # "noise" or "measurement"
-    label: str  # e.g. "X[q3]" or "M[q0]#5"
+    source: NoiseChannel | tuple[int, int]
+
+    @property
+    def stop(self) -> int:
+        """One past the record's last symbol index."""
+        return self.first + self.n_sites * self.symbols_per_site
+
+    def offsets(self) -> np.ndarray:
+        """First symbol index of every site."""
+        return self.first + self.symbols_per_site * np.arange(
+            self.n_sites, dtype=np.int64
+        )
 
 
 class SymbolTable:
     """Allocates bit-symbols and samples their joint values."""
 
     def __init__(self) -> None:
-        self.groups: list[SymbolGroup] = []
-        self.group_offsets: list[int] = []  # first symbol index of each group
-        self.infos: list[SymbolInfo] = []  # one per symbol, in index order
+        self.records: list[SymbolRecord] = []
+        self._firsts: list[int] = []  # records[i].first, for bisection
         self.n_symbols = 0  # excludes the constant s_0
 
-    def allocate(self, group: SymbolGroup, labels: list[str] | None = None) -> range:
-        """Allocate ``group.n_symbols`` fresh symbols; returns their indices."""
+    def _allocate(self, n_sites, symbols_per_site, probabilities, kind, source) -> int:
         first = self.n_symbols + 1
-        self.groups.append(group)
-        self.group_offsets.append(first)
-        for j in range(group.n_symbols):
-            label = labels[j] if labels else f"s{first + j}"
-            self.infos.append(SymbolInfo(first + j, group.kind, label))
-        self.n_symbols += group.n_symbols
-        return range(first, first + group.n_symbols)
+        self.records.append(
+            SymbolRecord(first, n_sites, symbols_per_site, probabilities, kind, source)
+        )
+        self._firsts.append(first)
+        self.n_symbols += n_sites * symbols_per_site
+        return first
+
+    def allocate_noise(self, channel: NoiseChannel) -> int:
+        """Allocate the symbols of every site of ``channel``; returns the
+        first index (site ``i``'s symbol ``j`` is ``first + k i + j``)."""
+        return self._allocate(
+            channel.n_sites, len(channel.columns), channel.probabilities,
+            "noise", channel,
+        )
+
+    def allocate_measurement(self, measurement: int, qubit: int) -> int:
+        """Allocate the fair coin of a random outcome; returns its index."""
+        return self._allocate(1, 1, _FAIR_COIN, "measurement", (measurement, qubit))
 
     @property
     def width(self) -> int:
@@ -51,16 +85,36 @@ class SymbolTable:
         return self.n_symbols + 1
 
     def label(self, index: int) -> str:
+        """Readable name of a symbol: ``"1"`` for the constant, the fault's
+        Paulis for noise (``"X3"``, ``"X1*Z2"``) and ``"m5(q0)"`` for the
+        coin of random measurement 5 on qubit 0."""
         if index == 0:
             return "1"
-        return self.infos[index - 1].label
+        if not 0 < index <= self.n_symbols:
+            raise IndexError(f"symbol index {index} out of range")
+        record = self.records[bisect_right(self._firsts, index) - 1]
+        if record.kind == "measurement":
+            measurement, qubit = record.source
+            return f"m{measurement}(q{qubit})"
+        site, symbol = divmod(index - record.first, record.symbols_per_site)
+        action = record.source.actions(site)[symbol]
+        return "*".join(f"{letter}{qubit}" for letter, qubit in action) or "I"
 
     def noise_symbol_indices(self) -> np.ndarray:
         """Indices of all noise-induced symbols."""
-        return np.array(
-            [info.index for info in self.infos if info.kind == "noise"],
-            dtype=np.int64,
-        )
+        ranges = [
+            np.arange(record.first, record.stop, dtype=np.int64)
+            for record in self.records
+            if record.kind == "noise"
+        ]
+        return np.concatenate(ranges) if ranges else np.zeros(0, dtype=np.int64)
+
+    def sites(self) -> Iterator[tuple[int, int, tuple[float, ...], str]]:
+        """``(first symbol, symbols, probabilities, kind)`` of every noise
+        site and random measurement, in allocation order."""
+        for record in self.records:
+            for first in range(record.first, record.stop, record.symbols_per_site):
+                yield first, record.symbols_per_site, record.probabilities, record.kind
 
     # -- sampling (the "b" vectors of §3.2.3) ------------------------------
 
@@ -73,7 +127,7 @@ class SymbolTable:
         row ``j`` holds symbol ``j``'s value in every shot (row 0 is the
         constant, all ones).
 
-        Groups sharing one joint distribution (e.g. every DEPOLARIZE1(p)
+        Sites sharing one joint distribution (e.g. every DEPOLARIZE1(p)
         site in the circuit) form one cluster, drawn by a single
         :func:`~repro.noise.channels.sample_hits` call: at QEC noise
         strengths the cost follows the few non-identity outcomes, and
@@ -86,26 +140,22 @@ class SymbolTable:
         out[0] = bitops.pack_bits(np.ones(n_shots, dtype=np.uint8))
 
         measurement_rows = [
-            offset
-            for group, offset in zip(self.groups, self.group_offsets)
-            if group.kind == "measurement"
+            record.first for record in self.records if record.kind == "measurement"
         ]
         if measurement_rows:
             out[measurement_rows] = bitops.random_packed(
                 (len(measurement_rows), n_words), n_shots, rng
             )
 
-        # Cluster noise groups by their joint distribution.
-        clusters: dict[tuple[float, ...], list[int]] = {}
-        for index, group in enumerate(self.groups):
-            if group.kind != "measurement":
-                clusters.setdefault(group.probabilities, []).append(index)
+        # Cluster noise records by their joint distribution.
+        clusters: dict[tuple[float, ...], list[SymbolRecord]] = {}
+        for record in self.records:
+            if record.kind != "measurement":
+                clusters.setdefault(record.probabilities, []).append(record)
 
-        for probabilities, indices in clusters.items():
-            n_symbols = self.groups[indices[0]].n_symbols
-            offsets = np.array(
-                [self.group_offsets[gi] for gi in indices], dtype=np.int64
-            )
+        for probabilities, records in clusters.items():
+            n_symbols = records[0].symbols_per_site
+            offsets = np.concatenate([record.offsets() for record in records])
             for sites, shot_indices, patterns in sample_hits(
                 probabilities, offsets.size, n_shots, rng
             ):

@@ -59,33 +59,26 @@ def concrete_replay(
     (valid because A-G's control flow is phase-independent — Fact 2).
     """
     assignment = np.asarray(assignment, dtype=np.uint8) & 1
-    table = simulator.symbols
-    group_pointer = 0
+    sites = simulator.symbols.sites()
 
-    def next_group():
-        nonlocal group_pointer
-        group = table.groups[group_pointer]
-        offset = table.group_offsets[group_pointer]
-        group_pointer += 1
-        return group, offset
-
-    def random_outcome() -> int:
-        group, offset = next_group()
-        if group.kind != "measurement":
+    def next_site(kind: str) -> int:
+        offset, _, _, site_kind = next(sites)
+        if site_kind != kind:
             raise AssertionError(
                 "symbol allocation order diverged between symbolic and "
                 "concrete execution"
             )
-        return int(assignment[offset])
+        return offset
+
+    def random_outcome() -> int:
+        return int(assignment[next_site("measurement")])
 
     concrete = TableauSimulator(max(circuit.n_qubits, 1))
     for instruction in circuit.flattened():
         gate = instruction.gate
         if gate.kind == "noise":
             for group in noise_groups(instruction):
-                expected, offset = next_group()
-                if expected.kind != "noise":
-                    raise AssertionError("group order diverged")
+                offset = next_site("noise")
                 pattern = 0
                 for j in range(group.n_symbols):
                     pattern |= int(assignment[offset + j]) << j

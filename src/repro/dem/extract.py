@@ -17,10 +17,10 @@ def extract_dem(
 ) -> DetectorErrorModel:
     """Build the detector error model of a noisy circuit.
 
-    For every noise site (symbol group) and every non-identity joint
-    pattern of its symbols, the mechanism's syndrome is the XOR of the
-    pattern's symbol columns in the detector matrix — read directly off
-    the compiled sampler, no simulation.  Patterns with probability at or
+    For every noise site and every non-identity joint pattern of its
+    symbols, the mechanism's syndrome is the XOR of the pattern's symbol
+    columns in the detector matrix — read directly off the compiled
+    sampler, no simulation.  Patterns with probability at or
     below ``min_probability`` are dropped.
 
     Distinct fault patterns frequently share one (detectors,
@@ -44,16 +44,16 @@ def extract_dem(
     observable_bits = bitops.unpack_rows(sampler.observable_matrix, width)
 
     dem = DetectorErrorModel(sampler.n_detectors, sampler.n_observables)
-    for group, offset in zip(table.groups, table.group_offsets):
-        if group.kind != "noise":
+    for offset, n_symbols, probabilities, kind in table.sites():
+        if kind != "noise":
             continue
         mechanisms = []
-        for pattern, probability in enumerate(group.probabilities):
+        for pattern, probability in enumerate(probabilities):
             if pattern == 0 or probability <= min_probability:
                 continue
             det = np.zeros(dem.n_detectors, dtype=np.uint8)
             obs = np.zeros(dem.n_observables, dtype=np.uint8)
-            for j in range(group.n_symbols):
+            for j in range(n_symbols):
                 if (pattern >> j) & 1:
                     det ^= detector_bits[:, offset + j]
                     obs ^= observable_bits[:, offset + j]

@@ -18,8 +18,6 @@ import numpy as np
 
 from repro.gates.tables import conjugation_table
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def moebius_transform(values: np.ndarray) -> np.ndarray:
     """Truth table (indexed by input bits) -> ANF monomial coefficients.
@@ -56,18 +54,16 @@ class GateKernel:
     monomials: tuple[tuple[tuple[int, ...], ...], ...]
 
     def evaluate(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
-        """Apply the kernel to packed input words; returns output words."""
+        """Apply the kernel to input bit arrays (packed words or 0/1
+        bytes, any shape); returns output arrays of the same dtype."""
         outputs = []
         for terms in self.monomials:
             acc = np.zeros_like(inputs[0])
             for term in terms:
-                if not term:
-                    acc = acc ^ _ALL_ONES
-                    continue
                 prod = inputs[term[0]]
                 for var in term[1:]:
                     prod = prod & inputs[var]
-                acc = acc ^ prod
+                acc ^= prod
             outputs.append(acc)
         return outputs
 
@@ -102,4 +98,8 @@ def gate_kernel(name: str) -> GateKernel:
                 )
                 terms.append(term)
         monomials.append(tuple(terms))
+    if any(() in terms for terms in monomials):
+        # A Clifford maps I to +I, so no output has a constant term, and
+        # evaluate() relies on that.
+        raise AssertionError(f"{name} conjugation table has a constant term")
     return GateKernel(table.n_qubits, tuple(monomials))

@@ -1,4 +1,4 @@
-"""Normalization of noise instructions into symbol groups."""
+"""Normalization of noise instructions into channels and symbol groups."""
 
 from __future__ import annotations
 
@@ -140,39 +140,48 @@ def measurement_group() -> SymbolGroup:
     return SymbolGroup(actions=((),), probabilities=(0.5, 0.5), kind="measurement")
 
 
-def _two_symbol_xz(qubit: int) -> tuple[tuple[tuple[str, int], ...], ...]:
-    return ((("X", qubit),), (("Z", qubit),))
+@dataclass(frozen=True)
+class NoiseChannel:
+    """What every site of one noise instruction shares, plus its sites.
+
+    ``qubits`` holds one row of target qubits per site.  Symbol ``j`` of
+    a site applies the Paulis ``(letter, qubits[site, slot])`` for each
+    ``(letter, slot)`` in ``columns[j]``; ``probabilities`` is the joint
+    distribution of one site's symbols, shared by all sites.
+    """
+
+    qubits: np.ndarray
+    columns: tuple[tuple[tuple[str, int], ...], ...]
+    probabilities: tuple[float, ...]
+
+    @property
+    def n_sites(self) -> int:
+        return self.qubits.shape[0]
+
+    def actions(self, site: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """The ``(letter, qubit)`` actions of each symbol of one site."""
+        row = self.qubits[site]
+        return tuple(
+            tuple((letter, int(row[slot])) for letter, slot in column)
+            for column in self.columns
+        )
 
 
-def _single_qubit_group(
-    qubit: int, px: float, py: float, pz: float
-) -> SymbolGroup:
+_XZ_COLUMNS = ((("X", 0),), (("Z", 0),))
+_PAIR_COLUMNS = ((("X", 0),), (("Z", 0),), (("X", 1),), (("Z", 1),))
+
+
+def _single_qubit_probabilities(
+    px: float, py: float, pz: float
+) -> tuple[float, ...]:
     """General 1-qubit Pauli channel as X^{s1} Z^{s2} with joint probs."""
     p_rest = 1.0 - px - py - pz
     # Pattern bit 0 = X symbol, bit 1 = Z symbol; Y sets both.
-    probabilities = (p_rest, px, pz, py)
-    return SymbolGroup(_two_symbol_xz(qubit), probabilities, "noise")
+    return (p_rest, px, pz, py)
 
 
-def _flip_group(qubit: int, letter: str, p: float) -> SymbolGroup:
-    """Single-symbol X_ERROR / Y_ERROR / Z_ERROR."""
-    return SymbolGroup(
-        actions=(((letter, qubit),),),
-        probabilities=(1.0 - p, p),
-        kind="noise",
-    )
-
-
-def _two_qubit_group(
-    qubit_a: int, qubit_b: int, pair_probs: dict[str, float]
-) -> SymbolGroup:
+def _two_qubit_probabilities(pair_probs: dict[str, float]) -> tuple[float, ...]:
     """General 2-qubit Pauli channel: 4 symbols (Xa, Za, Xb, Zb)."""
-    actions = (
-        (("X", qubit_a),),
-        (("Z", qubit_a),),
-        (("X", qubit_b),),
-        (("Z", qubit_b),),
-    )
     probabilities = [0.0] * 16
     total = 0.0
     for pair, prob in pair_probs.items():
@@ -182,11 +191,17 @@ def _two_qubit_group(
         probabilities[pattern] += prob
         total += prob
     probabilities[0] += 1.0 - total
-    return SymbolGroup(actions, tuple(probabilities), "noise")
+    return tuple(probabilities)
 
 
-def noise_groups(instruction: Instruction) -> list[SymbolGroup]:
-    """Decompose a noise instruction into one SymbolGroup per site.
+def _sites(targets: tuple, arity: int) -> np.ndarray:
+    """Target qubits as one row per site (a trailing partial site drops)."""
+    qubits = np.asarray(targets[: len(targets) // arity * arity], dtype=np.int64)
+    return qubits.reshape(-1, arity)
+
+
+def noise_channel(instruction: Instruction) -> NoiseChannel:
+    """Decompose a noise instruction into its sites and shared channel.
 
     Sites are single qubits (1-qubit channels), qubit pairs (2-qubit
     channels) or the whole target list (CORRELATED_ERROR).
@@ -196,16 +211,18 @@ def noise_groups(instruction: Instruction) -> list[SymbolGroup]:
     targets = instruction.targets
 
     if name in ("X_ERROR", "Y_ERROR", "Z_ERROR"):
-        letter = name[0]
-        return [_flip_group(q, letter, args[0]) for q in targets]
+        return NoiseChannel(
+            _sites(targets, 1), (((name[0], 0),),), (1.0 - args[0], args[0])
+        )
 
     if name == "DEPOLARIZE1":
         p = args[0]
-        return [_single_qubit_group(q, p / 3, p / 3, p / 3) for q in targets]
+        probabilities = _single_qubit_probabilities(p / 3, p / 3, p / 3)
+        return NoiseChannel(_sites(targets, 1), _XZ_COLUMNS, probabilities)
 
     if name == "PAULI_CHANNEL_1":
-        px, py, pz = args
-        return [_single_qubit_group(q, px, py, pz) for q in targets]
+        probabilities = _single_qubit_probabilities(*args)
+        return NoiseChannel(_sites(targets, 1), _XZ_COLUMNS, probabilities)
 
     if name == "DEPOLARIZE2":
         p = args[0]
@@ -215,28 +232,29 @@ def noise_groups(instruction: Instruction) -> list[SymbolGroup]:
             for b in "IXYZ"
             if a + b != "II"
         }
-        return [
-            _two_qubit_group(a, b, pair_probs)
-            for a, b in zip(targets[0::2], targets[1::2])
-        ]
+        probabilities = _two_qubit_probabilities(pair_probs)
+        return NoiseChannel(_sites(targets, 2), _PAIR_COLUMNS, probabilities)
 
     if name == "PAULI_CHANNEL_2":
-        pair_probs = dict(zip(_PC2_ORDER, args))
-        return [
-            _two_qubit_group(a, b, pair_probs)
-            for a, b in zip(targets[0::2], targets[1::2])
-        ]
+        probabilities = _two_qubit_probabilities(dict(zip(_PC2_ORDER, args)))
+        return NoiseChannel(_sites(targets, 2), _PAIR_COLUMNS, probabilities)
 
     if name == "CORRELATED_ERROR":
-        action = tuple(
-            (t.pauli, t.qubit) for t in targets if isinstance(t, PauliTarget)
+        paulis = [t for t in targets if isinstance(t, PauliTarget)]
+        return NoiseChannel(
+            np.array([[t.qubit for t in paulis]], dtype=np.int64),
+            (tuple((t.pauli, slot) for slot, t in enumerate(paulis)),),
+            (1.0 - args[0], args[0]),
         )
-        return [
-            SymbolGroup(
-                actions=(action,),
-                probabilities=(1.0 - args[0], args[0]),
-                kind="noise",
-            )
-        ]
 
     raise ValueError(f"{name} is not a noise instruction")
+
+
+def noise_groups(instruction: Instruction) -> list[SymbolGroup]:
+    """One SymbolGroup per site of a noise instruction (see
+    :func:`noise_channel`)."""
+    channel = noise_channel(instruction)
+    return [
+        SymbolGroup(channel.actions(site), channel.probabilities, "noise")
+        for site in range(channel.n_sites)
+    ]

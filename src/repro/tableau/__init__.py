@@ -9,17 +9,14 @@ source of the *reference sample* for the Pauli-frame baseline.
 """
 
 from repro.tableau.clifford_map import CliffordMap
-from repro.tableau.packed import PackedTableau, simulate_hybrid
 from repro.tableau.sampler import TableauSampler
 from repro.tableau.simulator import TableauSimulator, reference_sample
 from repro.tableau.tableau import Tableau
 
 __all__ = [
     "CliffordMap",
-    "PackedTableau",
     "Tableau",
     "TableauSampler",
     "TableauSimulator",
     "reference_sample",
-    "simulate_hybrid",
 ]

@@ -36,7 +36,7 @@ class TestPaperSection31Example:
         return SymPhaseSimulator.from_circuit(c)
 
     def test_symbol_inventory(self, sim):
-        kinds = [info.kind for info in sim.symbols.infos]
+        kinds = [kind for *_, kind in sim.symbols.sites()]
         assert kinds == ["noise", "noise", "measurement"]
 
     def test_m1_is_fresh_coin(self, sim):
@@ -91,7 +91,7 @@ class TestPaperFig1Example:
         assert phase_supports == [{1}, {2}, {2, 3}, {3, 4}]
 
     def test_symbols_are_all_noise(self, sim):
-        assert [info.kind for info in sim.symbols.infos] == ["noise"] * 4
+        assert [kind for *_, kind in sim.symbols.sites()] == ["noise"] * 4
 
 
 class TestControlFlowFacts:

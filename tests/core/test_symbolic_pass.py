@@ -1,0 +1,215 @@
+"""The array-native symbolic pass: bitwise identity and linearity.
+
+Init-C evaluates each gate's ANF kernel on every target at once and
+Init-P XORs one column block per noise instruction.  The digests below
+were recorded with the earlier per-site implementation of the pass (one
+table lookup per gate target, one symbol group per noise site), so they
+pin the matrices, the symbol order, probabilities and labels, and the
+RNG stream of ``sample`` bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.noise.channels as channels
+import repro.obs as obs
+from benchmarks.bench_symbolic_pass import grid, pass_digests
+from repro.backends import compile_backend
+from repro.circuit import Circuit
+from repro.core import (
+    CompiledSampler,
+    SymbolTable,
+    SymPhaseSimulator,
+    concrete_replay,
+    random_assignment,
+    substituted_record,
+)
+from repro.gates.unitaries import UNITARIES_1Q, UNITARIES_2Q
+
+DIGESTS = {
+    "fig3c_n128": {
+        "matrices": "d8596302445b50830c7d3cc587648e74a660a06d7e3d8821082852d7e10a7a2c",
+        "symbols": "042152558ce882f5b02f855d22eb4279fe222c8f4cb5de9ff92512eef9303b73",
+        "sample": "808ed51496b97d2c56b170c34c30927be22ecd09a7d13cc583ef9b00edf369ad",
+    },
+    "surface_d3": {
+        "matrices": "32a76d5d05f49cf0451553b2c4a4981e772c75d64c164382375d9f4560caf956",
+        "symbols": "6d840f55959ef7bea04e64f06c15a027e94022aa0a92dbb521706cf6d7b7cb1b",
+        "sample": "186a23f010392c86f5fb1833b2b7959da938339a71a60114b50ced9679884f6e",
+    },
+    "surface_d5": {
+        "matrices": "b09deb02d29d8a8c0a87cf4dbdaa5cc14c1f28c0681a4de05a2cedf6e2089379",
+        "symbols": "9a372cadbd422f9516094f13ad690367451b8232323c5bccb67a6b916626456b",
+        "sample": "1e9d49826f6021b15dfb36060eacace825b9416ac25ecca58e66010b0c4ab191",
+    },
+    "surface_d7": {
+        "matrices": "b908a1542bf88e6fd99e5f71fe49fe3cac25397df4b9b017c3b38c5e6e6e01a4",
+        "symbols": "dc05f2862f78a0df0d1abdce474c5071f183dd366156d3e97f2353aef9855978",
+        "sample": "c2abac6da6c982f8a032d1b46068468f25171607e5cb8c506378a6bc13d4080d",
+    },
+    "mixed": {
+        "matrices": "0b72ddbfaf3eb5139632205b59cb228c5f70b75da9e389ed3d255462640fa658",
+        "symbols": "66062dbc0645843f9fabb61369bac600bf7cf5b372e41a21dcc9ef2ee4689872",
+        "sample": "da41c598af386f81dfb88bf15600e92bb67c842a3e97c801ab5ef33515a2ede3",
+    },
+}
+
+NOISE_1Q = ("X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1")
+MEASURES = ("M", "MX", "MY", "R", "RX", "RY", "MR", "MRX", "MRY")
+
+
+def mixed_circuit(rng: np.random.Generator, n_qubits: int, depth: int) -> Circuit:
+    """Random multi-target instructions over every unitary gate, noise
+    channel, measurement and reset, with repeated targets and ``rec``
+    feedback.  1-qubit instructions may repeat a qubit; 2-qubit ones
+    repeat qubits across pairs (never within one)."""
+
+    def qubits(k):
+        return " ".join(str(q) for q in rng.integers(0, n_qubits, k))
+
+    def pairs(k):
+        return " ".join(
+            " ".join(str(q) for q in rng.choice(n_qubits, 2, replace=False))
+            for _ in range(k)
+        )
+
+    def p():
+        return round(float(rng.uniform(0.01, 0.2)), 3)
+
+    lines, measured = [], 0
+    for _ in range(depth):
+        kind = int(rng.integers(0, 8))
+        size = int(rng.integers(1, 5))
+        if kind == 0:
+            lines.append(f"{rng.choice(sorted(UNITARIES_1Q))} {qubits(size)}")
+        elif kind == 1:
+            lines.append(f"{rng.choice(sorted(UNITARIES_2Q))} {pairs(size)}")
+        elif kind == 2:
+            lines.append(f"{rng.choice(NOISE_1Q)}({p()}) {qubits(size)}")
+        elif kind == 3:
+            px, py, pz = (round(p() / 3, 4) for _ in range(3))
+            lines.append(f"PAULI_CHANNEL_1({px}, {py}, {pz}) {qubits(size)}")
+        elif kind == 4:
+            if rng.random() < 0.5:
+                lines.append(f"DEPOLARIZE2({p()}) {pairs(size)}")
+            else:
+                args = ", ".join(str(round(p() / 15, 4)) for _ in range(15))
+                lines.append(f"PAULI_CHANNEL_2({args}) {pairs(size)}")
+        elif kind == 5:
+            paulis = " ".join(
+                f"{rng.choice(('X', 'Y', 'Z'))}{q}"
+                for q in rng.integers(0, n_qubits, size)
+            )
+            lines.append(f"CORRELATED_ERROR({p()}) {paulis}")
+        elif kind == 6:
+            name = str(rng.choice(MEASURES))
+            lines.append(f"{name} {qubits(size)}")
+            if name.startswith("M"):
+                measured += size
+        elif measured:
+            controls = " ".join(
+                f"rec[-{rng.integers(1, min(measured, 4) + 1)}] "
+                f"{rng.integers(0, n_qubits)}"
+                for _ in range(size)
+            )
+            lines.append(f"{rng.choice(('CX', 'CY', 'CZ'))} {controls}")
+    lines.append("M " + " ".join(str(q) for q in range(n_qubits)))
+    return Circuit.from_text("\n".join(lines))
+
+
+def assert_linear(circuit: Circuit, rng: np.random.Generator, assignments=3):
+    """Substituting symbol values equals the concrete replay."""
+    simulator = SymPhaseSimulator.from_circuit(circuit)
+    for _ in range(assignments):
+        assignment = random_assignment(simulator, rng)
+        assert np.array_equal(
+            substituted_record(simulator, assignment),
+            concrete_replay(circuit, simulator, assignment),
+        )
+
+
+class TestDigests:
+    @pytest.mark.parametrize(
+        "name", ["fig3c_n128", "surface_d3", "surface_d5", "surface_d7"]
+    )
+    def test_pass_reproduces_recorded_digests(self, name):
+        sampler = compile_backend(grid()[name], "symbolic")
+        assert pass_digests(sampler) == DIGESTS[name]
+
+    def test_mixed_circuit_reproduces_recorded_digests(self):
+        circuit = mixed_circuit(np.random.default_rng(2024), 6, 120)
+        assert pass_digests(compile_backend(circuit, "symbolic")) == DIGESTS["mixed"]
+
+
+class TestDuplicateTargets:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "H 0 0",
+            "S 0 1 0",
+            "CX 0 1 0 1",
+            "SQRT_X_DAG 2 2 2",
+            "H 0 1 2\nCX 0 1 2 0 1 2\nS 1 1",
+            "ISWAP 0 1 1 2 2 0\nC_XYZ 2 2",
+        ],
+    )
+    def test_substitution_equals_concrete_replay(self, text):
+        prefix = "H 0\nS 1\nH 2\nX_ERROR(0.5) 0 1 2\nDEPOLARIZE1(0.5) 2 2\n"
+        circuit = Circuit.from_text(prefix + text + "\nM 0 1 2\nMX 0 1 2")
+        assert_linear(circuit, np.random.default_rng(5), assignments=8)
+
+    def test_repeated_noise_targets_allocate_one_record(self):
+        circuit = Circuit.from_text(
+            "H 0\nDEPOLARIZE2(0.1) 0 1 1 0\nCORRELATED_ERROR(0.1) X0 X0 Z1\nM 0 1"
+        )
+        simulator = SymPhaseSimulator.from_circuit(circuit)
+        noise = [r for r in simulator.symbols.records if r.kind == "noise"]
+        assert [(r.n_sites, r.symbols_per_site) for r in noise] == [(2, 4), (1, 1)]
+        labels = [simulator.symbols.label(i) for i in range(1, 10)]
+        assert labels == ["X0", "Z0", "X1", "Z1", "X1", "Z1", "X0", "Z0", "X0*X0*Z1"]
+
+
+class TestLinearityFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), n_qubits=st.integers(2, 6))
+    def test_substitution_equals_concrete_replay(self, seed, n_qubits):
+        rng = np.random.default_rng(seed)
+        assert_linear(mixed_circuit(rng, n_qubits, depth=25), rng)
+
+
+class TestNoPerSiteObjects:
+    @pytest.fixture()
+    def forbid_per_site(self, monkeypatch):
+        """Make building a per-site group, action list or view raise."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-site object built")
+
+        monkeypatch.setattr(channels, "noise_groups", forbidden)
+        monkeypatch.setattr(channels, "SymbolGroup", forbidden)
+        monkeypatch.setattr(channels.NoiseChannel, "actions", forbidden)
+        monkeypatch.setattr(SymbolTable, "sites", forbidden)
+        monkeypatch.setattr(SymbolTable, "label", forbidden)
+
+    def test_pass_and_sample_build_no_per_site_object(self, forbid_per_site):
+        circuit = grid()["surface_d3"]
+        simulator = SymPhaseSimulator.from_circuit(circuit)
+        sampler = CompiledSampler(simulator)
+        records = sampler.sample(256, rng=3)
+        detectors, _ = sampler.sample_detectors(256, rng=3)
+        assert records.shape == (256, sampler.n_measurements)
+        assert detectors.shape == (256, sampler.n_detectors)
+
+
+class TestCompileSpans:
+    def test_pass_and_build_nest_under_backend_compile(self):
+        obs.enable(tracing=True, metrics=True)
+        compile_backend(grid()["surface_d3"], "symbolic")
+        spans = {record.name: record for record in obs.drain_spans()}
+        outer = spans["backend.compile"]
+        for name in ("core.symbolic_pass", "core.sampler_build"):
+            assert spans[name].parent_id == outer.span_id
+        text = obs.prometheus_text(obs.registry())
+        assert 'stage="core.symbolic_pass"' in text
+        assert 'stage="core.sampler_build"' in text

@@ -85,3 +85,24 @@ class TestKernelsMatchTables:
 
 def _U(bit: int) -> np.uint64:
     return np.uint64(bit)
+
+
+class TestNoConstantTerm:
+    @pytest.mark.parametrize("name", sorted(UNITARIES_1Q) + sorted(UNITARIES_2Q))
+    def test_kernel_keeps_uint8_columns(self, name):
+        # I maps to +I, so no output has a constant monomial and 0/1 byte
+        # columns stay bytes (no upcast to the word type).
+        kernel = gate_kernel(name)
+        assert all(() not in terms for terms in kernel.monomials)
+        columns = [np.zeros((3, 2), dtype=np.uint8)] * (2 * kernel.n_qubits)
+        for out in kernel.evaluate(columns):
+            assert out.dtype == np.uint8 and not out.any()
+
+    def test_constant_term_fails_loudly(self, monkeypatch):
+        import repro.gates.anf as anf
+
+        table = conjugation_table("H")
+        flipped = type(table)(table.n_qubits, table.outputs, table.flips ^ 1)
+        monkeypatch.setattr(anf, "conjugation_table", lambda name: flipped)
+        with pytest.raises(AssertionError, match="constant term"):
+            anf.gate_kernel.__wrapped__("H")
