@@ -9,7 +9,10 @@ for each a sha256 digest of everything the pass produces:
 * ``symbols`` — every noise site and random measurement in allocation
   order (first symbol, symbol count, joint probabilities, kind) and every
   symbol's label;
-* ``sample`` — a fixed-seed ``sample`` of the measurement records.
+* ``sample`` — a fixed-seed ``sample`` of the measurement records;
+* ``dem`` (surface rows only) — the merged detector error model read off
+  the pass: every mechanism in order, its detector and observable
+  tuples and its probability as ``float.hex``.
 
 ``--check-digests`` recomputes the digests and fails when any differs
 from the committed JSON, so a rewrite of the pass that changes a single
@@ -33,6 +36,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.backends import compile_backend
+from repro.dem import extract_dem
 from repro.qec import surface_code_memory
 from repro.workloads import fig3c_circuit
 
@@ -81,9 +85,26 @@ def pass_digests(sampler) -> dict[str, str]:
     }
 
 
-def measure(circuit, repeats: int) -> dict:
+def dem_digest(sampler) -> str:
+    """sha256 of the merged DEM: mechanism order, tuples, ``float.hex``."""
+    digest = hashlib.sha256()
+    for mechanism in extract_dem(sampler).mechanisms:
+        digest.update(
+            repr(
+                (
+                    mechanism.probability.hex(),
+                    mechanism.detectors,
+                    mechanism.observables,
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+def measure(circuit, repeats: int, with_dem: bool = False) -> dict:
     """Best-of-``repeats`` pass time (the ``core.symbolic_pass`` span of
-    the ``symbolic`` backend's compile), symbol count and output digests."""
+    the ``symbolic`` backend's compile), symbol count and output digests
+    (plus the merged DEM's with ``with_dem``)."""
     best = float("inf")
     obs.enable(tracing=True, metrics=False)
     try:
@@ -96,10 +117,13 @@ def measure(circuit, repeats: int) -> dict:
             best = min(best, span.duration)
     finally:
         obs.reset()
+    digests = pass_digests(sampler)
+    if with_dem:
+        digests["dem"] = dem_digest(sampler)
     return {
         "pass_s": best,
         "symbols": sampler.symbols.n_symbols,
-        "digests": pass_digests(sampler),
+        "digests": digests,
     }
 
 
@@ -124,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     print(f"{'workload':<12} {'symbols':>8} {'pass s':>8}  digests")
     for name, circuit in grid().items():
-        row = measure(circuit, args.repeats)
+        row = measure(circuit, args.repeats, with_dem=name.startswith("surface"))
         rows[name] = row
         verdict = ""
         if args.check_digests:

@@ -1,13 +1,41 @@
-"""DEM extraction from the symbolic-phase sampler."""
+"""DEM extraction from the symbolic-phase sampler, as one array pipeline.
+
+A noise symbol's column in the detector and observable matrices is the
+syndrome of that one fault, so every mechanism's signature is an XOR of
+symbol rows of the transposed matrices, and merging equal signatures is
+a sort.  The pipeline never builds a per-site or per-pattern object:
+
+1. transpose the packed detector and observable matrices once into
+   symbol-major rows (one signature row per symbol);
+2. per noise record, XOR the pattern combinations of all its sites at
+   once (patterns at or below ``min_probability`` dropped);
+3. number the distinct signatures by first occurrence with one
+   ``np.unique``;
+4. merge: sum within a site in pattern order, then XOR-convolve across
+   sites in site order, one vector step per occurrence rank;
+5. build one :class:`ErrorMechanism` per output row.
+
+The floats and the order equal :meth:`DetectorErrorModel.merged` on the
+raw per-pattern model bit for bit, because every sum and every
+convolution step runs in the same order on the same operands.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+import repro.obs as obs
 from repro.circuit.circuit import Circuit
 from repro.core.compiled_sampler import CompiledSampler, compile_sampler
 from repro.dem.model import DetectorErrorModel, ErrorMechanism
 from repro.gf2 import bitops
+from repro.gf2.transpose import transpose_bitmatrix
+
+#: Below this many signatures still folding, the cross-site combine
+#: leaves numpy for a scalar loop: the long runs (the empty signature has
+#: ~750 site sums at d = 7) would otherwise cost one vector step per
+#: sum.  Any value from 4 to 64 times the same on surface d = 5..9.
+_VECTOR_MIN_LIVE = 32
 
 
 def extract_dem(
@@ -27,43 +55,193 @@ def extract_dem(
     observables) signature — e.g. the X and Y legs of a depolarizing
     site, or a final-round data flip and the measurement flip it
     shadows.  With ``merge`` (the default) such duplicates are collapsed
-    via :meth:`DetectorErrorModel.merged` so each signature carries its
-    true combined flip probability; emitting them as independent entries
-    would skew every downstream decoder's edge weights.  Pass
-    ``merge=False`` for the raw per-pattern, per-noise-site view (one
-    group per site; exact joint sampling).
+    so each signature carries its true combined flip probability, as
+    :meth:`DetectorErrorModel.merged` would collapse them; emitting them
+    as independent entries would skew every downstream decoder's edge
+    weights.  Pass ``merge=False`` for the raw per-pattern, per-noise-site
+    view (one group per site; exact joint sampling).
+
+    A circuit given as a :class:`Circuit` is compiled first (Algorithm
+    1's Initialization, outside the ``dem.extract`` span).
     """
-    if isinstance(source, Circuit):
-        sampler = compile_sampler(source)
-    else:
-        sampler = source
+    sampler = compile_sampler(source) if isinstance(source, Circuit) else source
+    with obs.span("dem.extract"):
+        return _extract(sampler, min_probability, merge)
 
-    table = sampler.symbols
+
+def _extract(
+    sampler: CompiledSampler, min_probability: float, merge: bool
+) -> DetectorErrorModel:
+    n_detectors, n_observables = sampler.n_detectors, sampler.n_observables
+    dem = DetectorErrorModel(n_detectors, n_observables)
+    raw, probabilities, site_sizes = _raw_signatures(sampler, min_probability)
+    if raw.shape[0] == 0:
+        return dem
+
+    signature, distinct = _first_occurrence_ids(raw)
+    split = bitops.words_for(n_detectors)
+    detectors = _index_tuples(distinct[:, :split])
+    observables = _index_tuples(distinct[:, split:])
+    # Every mechanism below is valid by construction, so the model's
+    # lists are filled directly, as add_group does.
+    if merge:
+        site = np.repeat(np.arange(site_sizes.size), site_sizes)
+        merged = _merge(site, signature, probabilities, len(detectors))
+        dem.mechanisms = [
+            ErrorMechanism(p, d, o)
+            for p, d, o in zip(merged.tolist(), detectors, observables)
+        ]
+        dem.groups = [[index] for index in range(len(dem.mechanisms))]
+        return dem
+    dem.mechanisms = [
+        ErrorMechanism(p, detectors[s], observables[s])
+        for p, s in zip(probabilities.tolist(), signature.tolist())
+    ]
+    stops = np.cumsum(site_sizes).tolist()
+    dem.groups = [
+        list(range(stop - size, stop))
+        for stop, size in zip(stops, site_sizes.tolist())
+    ]
+    return dem
+
+
+def _raw_signatures(
+    sampler: CompiledSampler, min_probability: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every kept (site, pattern) mechanism, in site then pattern order.
+
+    Returns ``(signatures, probabilities, site_sizes)``: one packed
+    detector-then-observable row per mechanism, its probability, and
+    the number of kept patterns of every site that keeps any.
+    """
     width = sampler.width
-    detector_bits = bitops.unpack_rows(sampler.detector_matrix, width)
-    observable_bits = bitops.unpack_rows(sampler.observable_matrix, width)
-
-    dem = DetectorErrorModel(sampler.n_detectors, sampler.n_observables)
-    for offset, n_symbols, probabilities, kind in table.sites():
-        if kind != "noise":
+    # Symbol-major packed rows: row s is symbol s's detector words
+    # followed by its observable words.
+    symbol_rows = np.concatenate(
+        [
+            transpose_bitmatrix(matrix, matrix.shape[0], width)
+            for matrix in (sampler.detector_matrix, sampler.observable_matrix)
+        ],
+        axis=1,
+    )
+    if symbol_rows.shape[1] == 0:
+        # No detectors and no observables: one zero word keeps every
+        # (empty) signature a comparable row.
+        symbol_rows = np.zeros((width, 1), dtype=np.uint64)
+    n_words = symbol_rows.shape[1]
+    signatures, probabilities, site_sizes = [], [], []
+    for record in sampler.symbols.records:
+        if record.kind != "noise":
             continue
-        mechanisms = []
-        for pattern, probability in enumerate(probabilities):
-            if pattern == 0 or probability <= min_probability:
-                continue
-            det = np.zeros(dem.n_detectors, dtype=np.uint8)
-            obs = np.zeros(dem.n_observables, dtype=np.uint8)
-            for j in range(n_symbols):
-                if (pattern >> j) & 1:
-                    det ^= detector_bits[:, offset + j]
-                    obs ^= observable_bits[:, offset + j]
-            mechanisms.append(
-                ErrorMechanism(
-                    probability=float(probability),
-                    detectors=tuple(np.nonzero(det)[0].tolist()),
-                    observables=tuple(np.nonzero(obs)[0].tolist()),
-                )
-            )
-        if mechanisms:
-            dem.add_group(mechanisms)
-    return dem.merged() if merge else dem
+        weights = np.asarray(record.probabilities, dtype=np.float64)
+        kept = np.flatnonzero(weights > min_probability)
+        kept = kept[kept != 0]
+        if kept.size == 0:
+            continue
+        k = record.symbols_per_site
+        columns = symbol_rows[record.first : record.stop].reshape(
+            record.n_sites, k, n_words
+        )
+        # combos[:, pattern] = XOR of the pattern's symbol rows, each
+        # pattern one XOR away from the pattern without its lowest bit.
+        combos = np.zeros((record.n_sites, 1 << k, n_words), dtype=np.uint64)
+        for pattern in range(1, 1 << k):
+            low = pattern & -pattern
+            combos[:, pattern] = combos[:, pattern ^ low] ^ columns[
+                :, low.bit_length() - 1
+            ]
+        signatures.append(combos[:, kept].reshape(-1, n_words))
+        probabilities.append(np.tile(weights[kept], record.n_sites))
+        site_sizes.append(np.full(record.n_sites, kept.size, dtype=np.int64))
+    if not signatures:
+        return (
+            np.zeros((0, n_words), dtype=np.uint64),
+            np.zeros(0, dtype=np.float64),
+            np.zeros(0, dtype=np.int64),
+        )
+    return (
+        np.concatenate(signatures),
+        np.concatenate(probabilities),
+        np.concatenate(site_sizes),
+    )
+
+
+def _first_occurrence_ids(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``raw`` by first occurrence.
+
+    Returns ``(ids, distinct)``: every row's id and the distinct rows in
+    id order — the insertion order of a dict keyed by signature.
+    """
+    row_bytes = np.dtype((np.void, raw.shape[1] * 8))
+    voided = np.ascontiguousarray(raw).view(row_bytes)[:, 0]
+    _, first, inverse = np.unique(voided, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[np.asarray(inverse).reshape(-1)], raw[first[order]]
+
+
+def _merge(
+    site: np.ndarray,
+    signature: np.ndarray,
+    probabilities: np.ndarray,
+    n_signatures: int,
+) -> np.ndarray:
+    """Merged probability of every signature, in id order.
+
+    Equal signatures within one site are exclusive patterns, so their
+    probabilities add, in pattern order.  Across sites they are
+    independent, so the site sums combine in site order by
+    ``p (1 - q) + q (1 - p)``.  Each signature's i-th site sum is
+    folded in at step i, all signatures at once.
+    """
+    # One (site, signature) pair per within-site sum; np.unique sorts
+    # the pairs by site, and np.add.at adds in mechanism order.
+    pairs, pair_of = np.unique(site * n_signatures + signature, return_inverse=True)
+    within = np.zeros(pairs.size, dtype=np.float64)
+    np.add.at(within, np.asarray(pair_of).reshape(-1), probabilities)
+    pair_signature = pairs % n_signatures
+
+    # Lay the pairs out signature by signature, each run in site order.
+    by_signature = np.argsort(pair_signature, kind="stable")
+    within = within[by_signature]
+    counts = np.bincount(pair_signature, minlength=n_signatures)
+    starts = np.cumsum(counts) - counts
+    merged = within[starts]
+    # Signatures by falling count: step i updates a prefix of them.
+    busiest = np.argsort(-counts, kind="stable")
+    steps = int(counts.max())
+    # live[i]: how many signatures have an i-th site sum (live[steps] = 0).
+    live = np.searchsorted(-counts[busiest], -np.arange(steps + 1), side="left")
+    step = 1
+    while live[step] > _VECTOR_MIN_LIVE:
+        folding = busiest[: live[step]]
+        q = merged[folding]
+        p = within[starts[folding] + step]
+        merged[folding] = p * (1 - q) + q * (1 - p)
+        step += 1
+    # The few long runs left (e.g. the empty signature of invisible
+    # faults) fold as Python floats: the same IEEE operations, without a
+    # vector call per step.
+    for index in busiest[: live[step]].tolist():
+        q = float(merged[index])
+        stop = starts[index] + counts[index]
+        for p in within[starts[index] + step : stop].tolist():
+            q = p * (1 - q) + q * (1 - p)
+        merged[index] = q
+    return merged
+
+
+def _index_tuples(words: np.ndarray) -> list[tuple[int, ...]]:
+    """Set-bit indices of every packed row, one tuple per row."""
+    rows, bits = bitops.nonzero_bits(words)
+    counts = np.bincount(rows, minlength=words.shape[0])
+    starts = np.cumsum(counts) - counts
+    out: list[tuple[int, ...]] = [()] * words.shape[0]
+    # Rows with equal bit counts gather as one (rows, count) block.
+    for count in np.unique(counts[counts > 0]).tolist():
+        chosen = np.flatnonzero(counts == count)
+        block = bits[starts[chosen, None] + np.arange(count)]
+        for row, indices in zip(chosen.tolist(), block.tolist()):
+            out[row] = tuple(indices)
+    return out

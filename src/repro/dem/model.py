@@ -162,6 +162,10 @@ class DetectorErrorModel:
         flip probabilities (the quantity decoders consume), while the
         joint exclusivity between *different* signatures of a shared
         group is approximated as independence.
+
+        :func:`~repro.dem.extract.extract_dem` computes the same merge
+        with array operations; this loop is the reference it must equal
+        bit for bit.
         """
         combined: dict[
             tuple[tuple[int, ...], tuple[int, ...]], float

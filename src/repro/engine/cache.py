@@ -112,3 +112,34 @@ def reset_shared_cache() -> None:
     """Drop the process-global cache (tests / memory pressure)."""
     global _SHARED
     _SHARED = None
+
+
+def cached_sampler(circuit, fingerprint: str, sampler: str):
+    """The compiled ``sampler`` backend of ``circuit`` (canonical name),
+    built once per process under ``("sampler", fingerprint, sampler)``."""
+    from repro.backends import compile_backend
+
+    return shared_cache().get_or_build(
+        ("sampler", fingerprint, sampler),
+        lambda: compile_backend(circuit, sampler),
+    )
+
+
+def cached_dem(circuit, fingerprint: str, sampler: str):
+    """The merged DEM of ``circuit``, built once per process under
+    ``("dem", fingerprint)``.
+
+    The DEM is read off Algorithm 1's compiled sampler.  When the
+    task's canonical sampler is ``symbolic`` that sampler is the task's
+    own cached one, so the symbolic pass runs once per circuit; any
+    other sampler compiles it transiently, so it is freed once the DEM
+    is built.  Either way the DEM is the same, bit for bit.
+    """
+    from repro.dem import extract_dem
+
+    def build():
+        if sampler == "symbolic":
+            return extract_dem(cached_sampler(circuit, fingerprint, sampler))
+        return extract_dem(circuit)
+
+    return shared_cache().get_or_build(("dem", fingerprint), build)

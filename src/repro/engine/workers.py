@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 import repro.obs as obs
 from repro.decoders.metrics import count_logical_errors
 from repro.engine import faults
-from repro.engine.cache import shared_cache
+from repro.engine.cache import cached_dem, cached_sampler, shared_cache
 from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
 from repro.rng import chunk_generator
@@ -172,23 +172,14 @@ def plan_chunks(
     return specs
 
 
-def _build_sampler(spec: ChunkSpec, circuit):
-    from repro.backends import get_backend
-
-    return get_backend(spec.sampler).compile(circuit)
-
-
 def _build_decoder(spec: ChunkSpec, circuit):
     from repro.decoders import compile_decoder
-    from repro.dem import extract_dem
 
-    cache = shared_cache()
-    dem = cache.get_or_build(
-        ("dem", spec.fingerprint), lambda: extract_dem(circuit)
-    )
     # spec.decoder is already canonical (Task resolves aliases), so one
     # compiled decoder per (circuit, decoder) serves every alias.
-    return compile_decoder(dem, spec.decoder)
+    return compile_decoder(
+        cached_dem(circuit, spec.fingerprint, spec.sampler), spec.decoder
+    )
 
 
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
@@ -229,10 +220,7 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             ("circuit", spec.fingerprint),
             lambda: Circuit.from_text(spec.circuit_text),
         )
-        sampler = cache.get_or_build(
-            ("sampler", spec.fingerprint, spec.sampler),
-            lambda: _build_sampler(spec, circuit),
-        )
+        sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
         )
@@ -325,10 +313,7 @@ def _warm_cache(spec: ChunkSpec) -> None:
         ("circuit", spec.fingerprint),
         lambda: Circuit.from_text(spec.circuit_text),
     )
-    cache.get_or_build(
-        ("sampler", spec.fingerprint, spec.sampler),
-        lambda: _build_sampler(spec, circuit),
-    )
+    cached_sampler(circuit, spec.fingerprint, spec.sampler)
     if spec.decoder != "none":
         cache.get_or_build(
             ("decoder", spec.fingerprint, spec.decoder),

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.cache import shared_cache
+from repro.engine.cache import cached_dem, cached_sampler, shared_cache
 from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
 from repro.engine.tasks import (
     NO_DECODER,
@@ -84,12 +84,7 @@ class CompiledCircuit:
     @property
     def sampler(self):
         """The compiled backend sampler (built on first access)."""
-        from repro.backends import compile_backend
-
-        return shared_cache().get_or_build(
-            ("sampler", self.fingerprint, self.sampler_name),
-            lambda: compile_backend(self.circuit, self.sampler_name),
-        )
+        return cached_sampler(self.circuit, self.fingerprint, self.sampler_name)
 
     def symbolic(self):
         """The circuit's symbolic-phase analysis (Algorithm 1's Init).
@@ -110,12 +105,9 @@ class CompiledCircuit:
 
     @property
     def dem(self):
-        """The merged detector error model (built on first access)."""
-        from repro.dem import extract_dem
-
-        return shared_cache().get_or_build(
-            ("dem", self.fingerprint), lambda: extract_dem(self.circuit)
-        )
+        """The merged detector error model (built on first access; read
+        off the cached sampler when that is the ``symbolic`` one)."""
+        return cached_dem(self.circuit, self.fingerprint, self.sampler_name)
 
     @property
     def decoder(self):

@@ -2,11 +2,105 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.obs as obs
 from repro.circuit import Circuit
-from repro.core import compile_sampler
-from repro.dem import ErrorMechanism, extract_dem
+from repro.core import (
+    CompiledSampler,
+    SymPhaseSimulator,
+    compile_sampler,
+    concrete_replay,
+)
+from repro.dem import DetectorErrorModel, ErrorMechanism, extract_dem
+from repro.gf2 import bitops
 from repro.qec import repetition_code_memory, surface_code_memory
+from tests.helpers import append_random_annotations, random_clifford_circuit
+
+
+def loop_reference(sampler, min_probability=0.0, merge=True):
+    """The per-(site, pattern) loop that ``extract_dem`` replaced, plus
+    :meth:`DetectorErrorModel.merged`: the reference the array pipeline
+    must equal bit for bit."""
+    width = sampler.width
+    detector_bits = bitops.unpack_rows(sampler.detector_matrix, width)
+    observable_bits = bitops.unpack_rows(sampler.observable_matrix, width)
+    dem = DetectorErrorModel(sampler.n_detectors, sampler.n_observables)
+    for offset, n_symbols, probabilities, kind in sampler.symbols.sites():
+        if kind != "noise":
+            continue
+        mechanisms = []
+        for pattern, probability in enumerate(probabilities):
+            if pattern == 0 or probability <= min_probability:
+                continue
+            det = np.zeros(dem.n_detectors, dtype=np.uint8)
+            obs_ = np.zeros(dem.n_observables, dtype=np.uint8)
+            for j in range(n_symbols):
+                if (pattern >> j) & 1:
+                    det ^= detector_bits[:, offset + j]
+                    obs_ ^= observable_bits[:, offset + j]
+            mechanisms.append(
+                ErrorMechanism(
+                    probability=float(probability),
+                    detectors=tuple(np.nonzero(det)[0].tolist()),
+                    observables=tuple(np.nonzero(obs_)[0].tolist()),
+                )
+            )
+        if mechanisms:
+            dem.add_group(mechanisms)
+    return dem.merged() if merge else dem
+
+
+def exact_view(dem):
+    """Everything a consumer can see of a DEM, floats as ``float.hex``."""
+    return (
+        dem.n_detectors,
+        dem.n_observables,
+        [
+            (m.probability.hex(), m.detectors, m.observables)
+            for m in dem.mechanisms
+        ],
+        dem.groups,
+    )
+
+
+#: Every channel family, repeated targets within one instruction, and a
+#: zero-probability Pauli in PAULI_CHANNEL_2.
+MIXED = """
+H 0 4
+CX 0 1 4 5
+DEPOLARIZE2(0.03) 0 1 4 5 1 0
+PAULI_CHANNEL_2(0.001, 0.002, 0.003, 0.004, 0, 0.006, 0.007, 0.008, 0.009, 0.01, 0.011, 0.012, 0.013, 0.014, 0.015) 2 3 3 5
+CORRELATED_ERROR(0.03) X1 Z4 Y2
+DEPOLARIZE1(0.03) 0 0 1 2 3 5
+X_ERROR(0.03) 2 2
+CORRELATED_ERROR(0.02) Z5 X0 X3
+CX 2 3
+M 0 1 2 3
+MX 4 5
+DETECTOR rec[-5] rec[-6]
+DETECTOR rec[-4]
+DETECTOR rec[-3]
+DETECTOR rec[-1] rec[-2]
+OBSERVABLE_INCLUDE(0) rec[-3] rec[-4]
+OBSERVABLE_INCLUDE(1) rec[-1]
+"""
+
+REFERENCE_CIRCUITS = {
+    **{
+        f"surface_d{d}_r{r}_p{p}": (
+            lambda d=d, r=r, p=p: surface_code_memory(
+                d, rounds=r, after_clifford_depolarization=p,
+                before_measure_flip_probability=p,
+            )
+        )
+        for d, r, p in ((3, 3, 0.01), (5, 5, 0.002), (7, 3, 0.001))
+    },
+    "repetition_d9_r9_p0.02": lambda: repetition_code_memory(
+        9, 9, data_flip_probability=0.02, measure_flip_probability=0.02
+    ),
+    "mixed": lambda: Circuit.from_text(MIXED),
+}
 
 
 class TestSmallCircuits:
@@ -170,3 +264,181 @@ class TestModelValidation:
     def test_graphlike_flag(self):
         assert ErrorMechanism(0.1, (0, 1), ()).is_graphlike
         assert not ErrorMechanism(0.1, (0, 1, 2), ()).is_graphlike
+
+
+class TestArrayPipelineMatchesLoop:
+    """The array pipeline against the loop reference, bit for bit:
+    mechanism order, groups, tuples and ``float.hex`` of every
+    probability (edge weights decide blossom ties, so a last-bit
+    difference would change decoder output)."""
+
+    @pytest.mark.parametrize("merge", [True, False], ids=["merged", "raw"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
+    def test_bitwise_equal_to_loop(self, name, merge):
+        sampler = compile_sampler(REFERENCE_CIRCUITS[name]())
+        dem = extract_dem(sampler, merge=merge)
+        assert exact_view(dem) == exact_view(loop_reference(sampler, merge=merge))
+        assert dem.mechanisms
+
+    def test_indices_are_python_ints(self):
+        dem = extract_dem(Circuit.from_text(MIXED))
+        values = [
+            value
+            for m in dem.mechanisms
+            for value in (*m.detectors, *m.observables)
+        ]
+        assert values and all(type(value) is int for value in values)
+        assert all(type(m.probability) is float for m in dem.mechanisms)
+
+    @pytest.mark.parametrize("min_probability", [0.0, 0.005, 0.012])
+    def test_min_probability_matches_loop(self, min_probability):
+        sampler = compile_sampler(Circuit.from_text(MIXED))
+        for merge in (True, False):
+            assert exact_view(
+                extract_dem(sampler, min_probability, merge)
+            ) == exact_view(loop_reference(sampler, min_probability, merge))
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "H 0\nCX 0 1\nM 0 1\nDETECTOR rec[-1] rec[-2]",
+            "H 0\nM 0\nM 0\nDETECTOR rec[-1] rec[-2]\nOBSERVABLE_INCLUDE(0) rec[-1]",
+            "",
+        ],
+        ids=["noiseless", "random-measurements-only", "empty"],
+    )
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_no_noise_records_give_empty_valid_dem(self, text, merge):
+        circuit = Circuit.from_text(text)
+        dem = extract_dem(circuit, merge=merge)
+        assert dem.mechanisms == [] and dem.groups == []
+        assert dem.n_detectors == circuit.num_detectors
+        assert dem.n_observables == circuit.num_observables
+        detectors, observables = dem.sample(5, 0)
+        assert not detectors.any() and not observables.any()
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_filter_dropping_every_pattern_gives_empty_dem(self, merge):
+        circuit = Circuit.from_text(
+            "X_ERROR(0.001) 0\nDEPOLARIZE1(0.002) 1\nM 0 1\n"
+            "DETECTOR rec[-1]\nDETECTOR rec[-2]"
+        )
+        dem = extract_dem(circuit, min_probability=0.01, merge=merge)
+        assert dem.mechanisms == [] and dem.groups == []
+        assert dem.n_detectors == 2
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_zero_probability_patterns_are_dropped(self, merge):
+        circuit = Circuit.from_text(
+            "PAULI_CHANNEL_1(0.01, 0, 0) 0 1\nM 0 1\n"
+            "DETECTOR rec[-1]\nDETECTOR rec[-2]"
+        )
+        sampler = compile_sampler(circuit)
+        dem = extract_dem(sampler, merge=merge)
+        # Only the X pattern of each site is kept: Y and Z have p = 0.
+        assert [(m.probability, m.detectors) for m in dem.mechanisms] == [
+            (0.01, (1,)),
+            (0.01, (0,)),
+        ]
+        assert dem.groups == [[0], [1]]
+        assert exact_view(dem) == exact_view(loop_reference(sampler, merge=merge))
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_no_detectors_or_observables(self, merge):
+        # Every signature is empty: the raw view keeps each pattern, the
+        # merged view folds them all into one.
+        sampler = compile_sampler(
+            Circuit.from_text("X_ERROR(0.1) 0\nDEPOLARIZE1(0.1) 0\nM 0")
+        )
+        dem = extract_dem(sampler, merge=merge)
+        assert len(dem.mechanisms) == (1 if merge else 4)
+        assert exact_view(dem) == exact_view(loop_reference(sampler, merge=merge))
+
+    def test_extraction_builds_no_per_site_object(self, monkeypatch):
+        from repro.core.symbols import SymbolTable
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-site walk")
+
+        sampler = compile_sampler(
+            surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        )
+        monkeypatch.setattr(SymbolTable, "sites", forbidden)
+        assert extract_dem(sampler).mechanisms
+
+
+class TestBruteForceFaults:
+    """Each raw mechanism against an independent concrete simulation:
+    inject exactly that fault (every other noise symbol and every
+    measurement coin 0) and read which detectors and observables flip
+    relative to the fault-free replay."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_each_fault_flips_exactly_its_signature(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_clifford_circuit(
+            rng, int(rng.integers(1, 5)), depth=16,
+            p_noise=0.35, p_measure=0.1, p_reset=0.05,
+        )
+        append_random_annotations(circuit, rng, n_detectors=3)
+        simulator = SymPhaseSimulator.from_circuit(circuit)
+        dem = extract_dem(CompiledSampler(simulator), merge=False)
+        parities = [*simulator.detectors, *(
+            simulator.observables[k] for k in sorted(simulator.observables)
+        )]
+
+        def flipped(assignment):
+            record = concrete_replay(circuit, simulator, assignment)
+            return np.array(
+                [record[list(p)].sum() & 1 for p in parities], dtype=np.uint8
+            )
+
+        fault_free = np.zeros(simulator.symbols.width, dtype=np.uint8)
+        fault_free[0] = 1
+        baseline = flipped(fault_free)
+        groups = iter(dem.groups)
+        for offset, n_symbols, probabilities, kind in simulator.symbols.sites():
+            if kind != "noise":
+                continue
+            patterns = [
+                pattern for pattern, p in enumerate(probabilities) if pattern and p > 0
+            ]
+            group = next(groups)
+            assert len(group) == len(patterns)
+            for index, pattern in zip(group, patterns):
+                assignment = fault_free.copy()
+                for j in range(n_symbols):
+                    assignment[offset + j] = (pattern >> j) & 1
+                flips = np.flatnonzero(flipped(assignment) ^ baseline).tolist()
+                mechanism = dem.mechanisms[index]
+                assert mechanism.probability == probabilities[pattern]
+                assert mechanism.detectors == tuple(
+                    f for f in flips if f < dem.n_detectors
+                )
+                assert mechanism.observables == tuple(
+                    f - dem.n_detectors for f in flips if f >= dem.n_detectors
+                )
+        assert next(groups, None) is None
+
+
+class TestExtractSpan:
+    def test_extract_nests_under_cache_build_dem(self):
+        from repro.engine.cache import cached_dem, reset_shared_cache
+
+        circuit = surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        reset_shared_cache()
+        obs.enable(tracing=True, metrics=True)
+        try:
+            cached_dem(circuit, circuit.fingerprint(), "frame")
+            spans = {record.name: record for record in obs.drain_spans()}
+            text = obs.prometheus_text(obs.registry())
+        finally:
+            reset_shared_cache()
+        outer = spans["cache.build.dem"]
+        assert spans["dem.extract"].parent_id == outer.span_id
+        # The transient symbolic pass is a sibling, not part of the span.
+        assert spans["core.symbolic_pass"].parent_id == outer.span_id
+        assert 'stage="dem.extract"' in text

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.engine import SamplerCache
-from repro.engine.cache import reset_shared_cache, shared_cache
+import repro.obs as obs
+from repro.dem import extract_dem
+from repro.engine import SamplerCache, Task, collect
+from repro.engine.cache import cached_dem, reset_shared_cache, shared_cache
+from repro.qec import surface_code_memory
 
 
 class TestSamplerCache:
@@ -63,3 +66,50 @@ class TestSharedCache:
             assert shared_cache() is not first
         finally:
             reset_shared_cache()
+
+
+def _dem_view(dem):
+    return [
+        (m.probability.hex(), m.detectors, m.observables) for m in dem.mechanisms
+    ], dem.groups
+
+
+class TestCachedDem:
+    """One Algorithm-1 compile per symbolic task: the DEM is read off the
+    task's cached ``symbolic`` sampler; other samplers compile the
+    symbolic pass transiently and do not keep it."""
+
+    @pytest.fixture()
+    def circuit(self):
+        reset_shared_cache()
+        yield surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        reset_shared_cache()
+
+    def symbolic_passes(self):
+        return sum(
+            record.name == "core.symbolic_pass" for record in obs.drain_spans()
+        )
+
+    def test_symbolic_handle_runs_one_symbolic_pass(self, circuit):
+        obs.enable(tracing=True, metrics=False)
+        compiled = circuit.compile(sampler="symbolic")
+        _ = compiled.sampler, compiled.decoder
+        assert self.symbolic_passes() == 1
+        assert compiled.dem.mechanisms[0].probability > 0
+        assert _dem_view(compiled.dem) == _dem_view(extract_dem(circuit))
+
+    def test_symbolic_collect_runs_one_symbolic_pass(self, circuit):
+        obs.enable(tracing=True, metrics=False)
+        task = Task(
+            circuit, decoder="compiled-matching", sampler="symphase", max_shots=400
+        )
+        collect([task], base_seed=3, workers=1, chunk_shots=100)
+        assert self.symbolic_passes() == 1
+
+    def test_frame_task_compiles_transiently(self, circuit):
+        fingerprint = circuit.fingerprint()
+        dem = cached_dem(circuit, fingerprint, "frame")
+        assert ("dem", fingerprint) in shared_cache()
+        assert ("sampler", fingerprint, "symbolic") not in shared_cache()
+        assert _dem_view(dem) == _dem_view(extract_dem(circuit))
+        assert cached_dem(circuit, fingerprint, "symbolic") is dem
