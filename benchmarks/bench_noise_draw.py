@@ -13,6 +13,14 @@ A second table times whole ``sample`` calls of the ``frame`` and
 DEPOLARIZE1(p) after every layer), so the cost above the crossover,
 where consumers pay per hit, stays visible.
 
+A third table times the symbolic sampler's ``sample_detectors`` on a
+surface-code memory (d = 5, 5 rounds, 512-shot chunks as the engine
+draws them): the sparse Eq. 4 path, the hit scatter, and ``auto`` with
+the strategy its cost model picked.  The scatter pays per hit, Eq. 4 per
+nonzero of the detector matrix, so the table locates the crossover the
+model's ``_SCATTER_COST_RATIO`` is calibrated against; ``auto`` must
+never be much slower than Eq. 4 (its choice before the scatter).
+
 Run:  PYTHONPATH=src python benchmarks/bench_noise_draw.py \\
           [--sites 1000] [--shots 4096] [--fast] [--min-speedup 5] \\
           [--out benchmarks/results/bench_noise_draw.json]
@@ -33,10 +41,15 @@ import numpy as np
 from repro.backends import compile_backend
 from repro.circuit import Circuit, Instruction
 from repro.noise import noise_groups, sample_hits
+from repro.qec import surface_code_memory
 
 P_GRID = (0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 FAST_P_GRID = (0.001, 0.2)
 SAMPLER_P_GRID = (0.001, 0.01, 0.05, 0.1, 0.2, 0.4)
+DETECTOR_P_GRID = (0.002, 0.01, 0.02, 0.03, 0.05, 0.15, 0.3)
+DETECTOR_DISTANCE = 5
+DETECTOR_SHOTS = 512
+DETECTOR_REPEATS = 25
 GATE_P = 0.001
 # Both channels' hit probability is their argument p.
 CHANNELS = {"DEPOLARIZE1": (0,), "DEPOLARIZE2": (0, 1)}
@@ -108,6 +121,44 @@ def sampler_rows(shots, p_grid, repeats, seed) -> list[dict]:
     return rows
 
 
+def detector_rows(p_grid, seed) -> list[dict]:
+    """``sample_detectors`` of a surface memory: Eq. 4 vs scatter vs auto.
+
+    The three strategies are timed in rotation, best of
+    ``DETECTOR_REPEATS`` each, so host noise hits them alike.
+    """
+    rows = []
+    for p in p_grid:
+        sampler = compile_backend(
+            surface_code_memory(
+                DETECTOR_DISTANCE, rounds=DETECTOR_DISTANCE,
+                after_clifford_depolarization=p,
+                before_measure_flip_probability=p,
+            ),
+            "symbolic",
+        )
+        strategies = ("sparse", "scatter", "auto")
+        best = dict.fromkeys(strategies, float("inf"))
+        for repeat in range(DETECTOR_REPEATS + 1):  # the first one warms
+            for strategy in strategies:
+                started = time.perf_counter()
+                sampler.sample_detectors(
+                    DETECTOR_SHOTS, seed + repeat, strategy=strategy
+                )
+                if repeat:
+                    best[strategy] = min(
+                        best[strategy], time.perf_counter() - started
+                    )
+        rows.append({
+            "p": p,
+            "cost_ratio": sampler.scatter_cost_ratio(),
+            "auto_picks": sampler.detector_strategy,
+            **{f"{name}_ms": seconds * 1e3 for name, seconds in best.items()},
+            "auto_over_sparse": best["auto"] / best["sparse"],
+        })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=1000)
@@ -116,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--fast", action="store_true",
-        help=f"only p in {FAST_P_GRID} and no sampler table "
+        help=f"only p in {FAST_P_GRID} and no sampler tables "
              "(enough for the gate)",
     )
     parser.add_argument(
@@ -157,6 +208,18 @@ def main(argv: list[str] | None = None) -> int:
         for row in result["samplers"]:
             print(f"{row['p']:>6g} {row['frame_ms']:>9.1f} "
                   f"{row['symbolic_ms']:>12.1f}")
+
+        result["detectors"] = detector_rows(DETECTOR_P_GRID, args.seed)
+        print(f"\nsample_detectors({DETECTOR_SHOTS}), surface "
+              f"d={DETECTOR_DISTANCE} r={DETECTOR_DISTANCE}, "
+              f"best of {DETECTOR_REPEATS}")
+        print(f"{'p':>6} {'cost ratio':>10} {'auto':>8} {'sparse ms':>9} "
+              f"{'scatter ms':>10} {'auto ms':>8} {'auto/sparse':>11}")
+        for row in result["detectors"]:
+            print(f"{row['p']:>6g} {row['cost_ratio']:>10.2f} "
+                  f"{row['auto_picks']:>8} {row['sparse_ms']:>9.2f} "
+                  f"{row['scatter_ms']:>10.2f} {row['auto_ms']:>8.2f} "
+                  f"{row['auto_over_sparse']:>10.2f}x")
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -12,7 +12,10 @@ for each a sha256 digest of everything the pass produces:
 * ``sample`` — a fixed-seed ``sample`` of the measurement records;
 * ``dem`` (surface rows only) — the merged detector error model read off
   the pass: every mechanism in order, its detector and observable
-  tuples and its probability as ``float.hex``.
+  tuples and its probability as ``float.hex``;
+* ``detectors`` (surface rows up to d = 9, and a high-noise d = 5 row)
+  — a fixed-seed ``sample_detectors_packed`` of 512 shots, the stream
+  the engine decodes (the hit scatter at low noise, Eq. 4 at high).
 
 ``--check-digests`` recomputes the digests and fails when any differs
 from the committed JSON, so a rewrite of the pass that changes a single
@@ -41,6 +44,13 @@ from repro.qec import surface_code_memory
 from repro.workloads import fig3c_circuit
 
 SURFACE_P = 0.002
+HIGH_NOISE_P = 0.15
+DETECTOR_SHOTS = 512
+#: Rows that also digest a detector sample.
+DETECTOR_ROWS = (
+    "surface_d3", "surface_d5", "surface_d7", "surface_d9",
+    f"surface_d5_p{HIGH_NOISE_P}",
+)
 FIG3C_SEED = 1
 DIGEST_SHOTS = 1000
 DIGEST_SEED = 7
@@ -57,6 +67,10 @@ def grid() -> dict:
             d, rounds=d, after_clifford_depolarization=SURFACE_P,
             before_measure_flip_probability=SURFACE_P,
         )
+    circuits[f"surface_d5_p{HIGH_NOISE_P}"] = surface_code_memory(
+        5, rounds=5, after_clifford_depolarization=HIGH_NOISE_P,
+        before_measure_flip_probability=HIGH_NOISE_P,
+    )
     return circuits
 
 
@@ -101,10 +115,22 @@ def dem_digest(sampler) -> str:
     return digest.hexdigest()
 
 
-def measure(circuit, repeats: int, with_dem: bool = False) -> dict:
+def detectors_digest(sampler) -> str:
+    """sha256 of a fixed-seed packed detector + observable sample."""
+    digest = hashlib.sha256()
+    for packed in sampler.sample_detectors_packed(DETECTOR_SHOTS, DIGEST_SEED):
+        digest.update(repr(packed.shape).encode())
+        digest.update(np.ascontiguousarray(packed).tobytes())
+    return digest.hexdigest()
+
+
+def measure(
+    circuit, repeats: int, with_dem: bool = False, with_detectors: bool = False
+) -> dict:
     """Best-of-``repeats`` pass time (the ``core.symbolic_pass`` span of
     the ``symbolic`` backend's compile), symbol count and output digests
-    (plus the merged DEM's with ``with_dem``)."""
+    (plus the merged DEM's with ``with_dem`` and a detector sample's with
+    ``with_detectors``)."""
     best = float("inf")
     obs.enable(tracing=True, metrics=False)
     try:
@@ -120,6 +146,8 @@ def measure(circuit, repeats: int, with_dem: bool = False) -> dict:
     digests = pass_digests(sampler)
     if with_dem:
         digests["dem"] = dem_digest(sampler)
+    if with_detectors:
+        digests["detectors"] = detectors_digest(sampler)
     return {
         "pass_s": best,
         "symbols": sampler.symbols.n_symbols,
@@ -146,9 +174,12 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = {}
     failures = []
-    print(f"{'workload':<12} {'symbols':>8} {'pass s':>8}  digests")
+    print(f"{'workload':<17} {'symbols':>8} {'pass s':>8}  digests")
     for name, circuit in grid().items():
-        row = measure(circuit, args.repeats, with_dem=name.startswith("surface"))
+        row = measure(
+            circuit, args.repeats, with_dem=name.startswith("surface"),
+            with_detectors=name in DETECTOR_ROWS,
+        )
         rows[name] = row
         verdict = ""
         if args.check_digests:
@@ -156,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             verdict = "match" if ok else "DIFFER"
             if not ok:
                 failures.append(name)
-        print(f"{name:<12} {row['symbols']:>8} {row['pass_s']:>8.4f}  {verdict}")
+        print(f"{name:<17} {row['symbols']:>8} {row['pass_s']:>8.4f}  {verdict}")
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -166,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
                     "repeats": args.repeats,
                     "cpu_count": os.cpu_count(),
                     "digest_sample": {"shots": DIGEST_SHOTS, "seed": DIGEST_SEED},
+                    "digest_detectors": {
+                        "shots": DETECTOR_SHOTS, "seed": DIGEST_SEED,
+                    },
                     "workloads": rows,
                 },
                 handle, indent=2,

@@ -18,9 +18,25 @@ one of two kernels:
 is the regime of QEC circuits (each outcome depends on few faults).  The
 sparse kernel's per-row supports are read from the nonzero packed words
 of ``M``, once per compiled sampler.
+
+``sample_detectors`` has a third kernel, the **hit scatter**: at QEC noise
+strengths ``B`` is far sparser than the detector matrix, so it walks the
+set symbols instead.  Each set ``(symbol j, shot s)`` of the draw XORs
+symbol ``j``'s packed detector+observable column into shot ``s``'s row,
+starting from the constant column; the pairs are grouped by shot with a
+``uint16`` radix sort and one ``bitwise_xor.reduceat``.  Cost is
+O(n_smp · hits · words_for(n_det + n_obs)) instead of O(n_smp · nnz / 64),
+and the rows are bitwise Eq. 4's, because both read one draw
+(:meth:`~repro.core.symbols.SymbolTable.draw`).  Its ``auto`` rule
+compares the two per-shot costs once per compiled sampler (the crossover
+is measured in ``benchmarks/bench_noise_draw.py``): the scatter up to a
+cost ratio of 1, Eq. 4 above (surface d = 5, 512 shots: p ≤ 0.02 runs
+the scatter, ~4× faster than Eq. 4 at p = 0.002).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,6 +49,7 @@ from repro.gf2.transpose import transpose_bitmatrix
 from repro.rng import as_generator
 
 _SPARSE_SUPPORT_THRESHOLD_FRACTION = 0.125
+_SCATTER_COST_RATIO = 1.0
 
 
 class CompiledSampler:
@@ -118,6 +135,37 @@ class CompiledSampler:
         threshold = _SPARSE_SUPPORT_THRESHOLD_FRACTION * self.width
         return "sparse" if self.average_support() <= threshold else "dense"
 
+    def scatter_cost_ratio(self) -> float:
+        """Per-shot cost of the hit scatter over that of sparse Eq. 4.
+
+        The scatter XORs one column of ``words_for(n_det + n_obs)``
+        words per set symbol: the expected pattern bits of every noise
+        site's outcome (its ``p_hit`` spread over its non-identity
+        patterns), plus half of the live coins.  Sparse Eq. 4 XORs one
+        64-shot word per nonzero of the stacked detector+observable
+        matrix, ``nnz(derived) / 64`` words per shot.
+        """
+        derived = self._derived()
+        nonzeros = int(bitops.popcount_rows(derived).sum())
+        if nonzeros == 0:
+            return 0.0
+        _, clusters = self.symbols.draw_plan()
+        hits = 0.5 * self._live_coins.size
+        for cluster in clusters:
+            probs = np.asarray(cluster.probabilities, dtype=np.float64)
+            bits = np.bitwise_count(np.arange(probs.size))
+            hits += cluster.offsets.size * float(probs @ bits) / probs.sum()
+        return hits * bitops.words_for(derived.shape[0]) / (nonzeros / 64.0)
+
+    @functools.cached_property
+    def detector_strategy(self) -> str:
+        """What ``sample_detectors(strategy="auto")`` runs, decided once:
+        the scatter while :meth:`scatter_cost_ratio` is at most
+        ``_SCATTER_COST_RATIO``, else :meth:`choose_strategy`'s Eq. 4."""
+        if self.scatter_cost_ratio() <= _SCATTER_COST_RATIO:
+            return "scatter"
+        return self.choose_strategy()
+
     # -- sampling -------------------------------------------------------------
 
     def draw_symbols(
@@ -156,9 +204,17 @@ class CompiledSampler:
         Returns ``(detectors, observables)`` of shapes
         ``(shots, n_det)`` and ``(shots, n_obs)``.
         ``rng`` may be an int seed, a Generator, or ``None``.
+        ``strategy`` is ``"auto"`` (:attr:`detector_strategy`),
+        ``"scatter"``, ``"sparse"`` or ``"dense"``; all four return the
+        same bits for the same generator.
         """
         rng = as_generator(rng)
-        both = self._sample_rows(self._derived(), shots, rng, strategy)
+        if strategy == "auto":
+            strategy = self.detector_strategy
+        if strategy == "scatter":
+            both = self._scatter(shots, rng)
+        else:
+            both = self._sample_rows(self._derived(), shots, rng, strategy)
         return both[:, : self.n_detectors], both[:, self.n_detectors:]
 
     def sample_detectors_packed(
@@ -174,6 +230,63 @@ class CompiledSampler:
         from repro.backends.protocol import pack_detector_samples
 
         return pack_detector_samples(self, shots, rng)
+
+    @functools.cached_property
+    def _columns(self) -> np.ndarray:
+        """Symbol-major stacked detector+observable matrix: row ``j`` is
+        the packed column of symbol ``j`` (built on first use)."""
+        derived = self._derived()
+        return transpose_bitmatrix(derived, derived.shape[0], self.width)
+
+    @functools.cached_property
+    def _live_coins(self) -> np.ndarray:
+        """Positions, among a draw's coin rows, of the coins whose
+        detector/observable column is nonzero (random detectors)."""
+        coin_symbols, _ = self.symbols.draw_plan()
+        words = self._derived()[:, coin_symbols >> 6]
+        bits = words >> (coin_symbols & 63).astype(np.uint64) & 1
+        return np.flatnonzero(bits.any(axis=0))
+
+    def _scatter(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """Detector+observable rows by hit scatter: every set symbol
+        ``(j, shot)`` of the draw XORs column ``j`` into row ``shot``.
+
+        Each ``(symbol, shot)`` pair occurs at most once in a draw, so
+        this is exactly ``derived · Bᵀ`` for the ``B`` that
+        :meth:`draw_symbols` returns from the same generator.
+        """
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        columns = self._columns
+        draw = self.symbols.draw(shots, rng)
+        symbols, shot_of = [], []
+        if self._live_coins.size:
+            rows, coin_shots = bitops.nonzero_bits(draw.coins[self._live_coins])
+            symbols.append(draw.coin_symbols[self._live_coins][rows])
+            shot_of.append(coin_shots)
+        for hits in draw.hits:
+            set_bits = _pattern_bits(hits.symbols_per_site).take(
+                hits.patterns, axis=0
+            )
+            hit, bit = np.divmod(np.flatnonzero(set_bits), hits.symbols_per_site)
+            symbols.append(hits.symbols.take(hit) + bit)
+            shot_of.append(hits.shots.take(hit))
+        out = np.repeat(columns[:1], shots, axis=0)
+        if sum(map(len, symbols)):
+            symbol_index = np.concatenate(symbols)
+            shot_index = np.concatenate(shot_of)
+            # uint16 keys take numpy's linear-time radix sort.
+            keys = shot_index.astype(np.uint16) if shots <= 1 << 16 else shot_index
+            order = np.argsort(keys, kind="stable")
+            shot_index = shot_index.take(order)
+            starts = np.flatnonzero(
+                np.concatenate(([True], shot_index[1:] != shot_index[:-1]))
+            )
+            # take: ~10x faster than fancy indexing for a few-word row.
+            out[shot_index[starts]] ^= np.bitwise_xor.reduceat(
+                columns.take(symbol_index.take(order), axis=0), starts, axis=0
+            )
+        return bitops.unpack_rows(out, self._derived().shape[0])
 
     def _sample_rows(
         self,
@@ -203,6 +316,13 @@ class CompiledSampler:
                 )
             )
         raise ValueError(f"unknown strategy {strategy!r}")
+
+
+@functools.cache
+def _pattern_bits(symbols_per_site: int) -> np.ndarray:
+    """``[pattern, j]``: whether joint pattern ``pattern`` sets symbol ``j``."""
+    patterns = np.arange(1 << symbols_per_site)[:, None]
+    return (patterns >> np.arange(symbols_per_site) & 1).astype(bool)
 
 
 def compile_sampler(circuit: Circuit) -> CompiledSampler:

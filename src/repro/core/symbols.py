@@ -50,6 +50,36 @@ class SymbolRecord(NamedTuple):
         )
 
 
+class Cluster(NamedTuple):
+    """Noise sites sharing one joint distribution, drawn together:
+    ``offsets`` holds each site's first symbol index."""
+
+    probabilities: tuple[float, ...]
+    symbols_per_site: int
+    offsets: np.ndarray
+
+
+class Hits(NamedTuple):
+    """One batch of non-identity site outcomes: the first symbol of the
+    hit site, the shot and the joint pattern (bit ``j`` sets symbol
+    ``symbols[i] + j``), sorted by ``(symbol, shot)``."""
+
+    symbols: np.ndarray
+    shots: np.ndarray
+    patterns: np.ndarray
+    symbols_per_site: int
+
+
+class Draw(NamedTuple):
+    """The random part of one sample (:meth:`SymbolTable.draw`):
+    ``coins[i]`` packs coin symbol ``coin_symbols[i]`` across shots, and
+    every symbol not named by a coin or a hit is 0."""
+
+    coin_symbols: np.ndarray
+    coins: np.ndarray
+    hits: list[Hits]
+
+
 class SymbolTable:
     """Allocates bit-symbols and samples their joint values."""
 
@@ -57,6 +87,7 @@ class SymbolTable:
         self.records: list[SymbolRecord] = []
         self._firsts: list[int] = []  # records[i].first, for bisection
         self.n_symbols = 0  # excludes the constant s_0
+        self._draw_plan: tuple[np.ndarray, list[Cluster]] | None = None
 
     def _allocate(self, n_sites, symbols_per_site, probabilities, kind, source) -> int:
         first = self.n_symbols + 1
@@ -65,6 +96,7 @@ class SymbolTable:
         )
         self._firsts.append(first)
         self.n_symbols += n_sites * symbols_per_site
+        self._draw_plan = None
         return first
 
     def allocate_noise(self, channel: NoiseChannel) -> int:
@@ -118,6 +150,59 @@ class SymbolTable:
 
     # -- sampling (the "b" vectors of §3.2.3) ------------------------------
 
+    def draw_plan(self) -> tuple[np.ndarray, list[Cluster]]:
+        """``(coin symbols, clusters)``: the symbol index of every random
+        measurement's coin, and the noise records grouped by their joint
+        distribution, in first-allocation order (cached until the next
+        allocation)."""
+        if self._draw_plan is None:
+            groups: dict[tuple[float, ...], list[SymbolRecord]] = {}
+            coins = []
+            for record in self.records:
+                if record.kind == "measurement":
+                    coins.append(record.first)
+                else:
+                    groups.setdefault(record.probabilities, []).append(record)
+            clusters = [
+                Cluster(
+                    probabilities,
+                    records[0].symbols_per_site,
+                    np.concatenate([record.offsets() for record in records]),
+                )
+                for probabilities, records in groups.items()
+            ]
+            self._draw_plan = np.array(coins, dtype=np.int64), clusters
+        return self._draw_plan
+
+    def draw(self, n_shots: int, rng: np.random.Generator) -> Draw:
+        """The random part of one sample, in the order the RNG is walked.
+
+        Fair coins first, one packed row per coin symbol (one
+        ``random_packed`` call), then one
+        :func:`~repro.noise.channels.sample_hits` call per cluster of
+        sites sharing a joint distribution (e.g. every DEPOLARIZE1(p)
+        site in the circuit): at QEC noise strengths the cost follows
+        the few non-identity outcomes.  Every consumer of a sample goes
+        through here, so all of them read the same values off one seed.
+        """
+        coin_symbols, clusters = self.draw_plan()
+        n_words = bitops.words_for(n_shots)
+        coins = np.zeros((0, n_words), dtype=np.uint64)
+        if coin_symbols.size:
+            coins = bitops.random_packed(
+                (coin_symbols.size, n_words), n_shots, rng
+            )
+        hits = []
+        for cluster in clusters:
+            for sites, shot_indices, patterns in sample_hits(
+                cluster.probabilities, cluster.offsets.size, n_shots, rng
+            ):
+                hits.append(Hits(
+                    cluster.offsets[sites], shot_indices, patterns,
+                    cluster.symbols_per_site,
+                ))
+        return Draw(coin_symbols, coins, hits)
+
     def sample_symbol_major(
         self, n_shots: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -125,46 +210,21 @@ class SymbolTable:
 
         Returns a packed matrix of shape ``(width, words_for(n_shots))``;
         row ``j`` holds symbol ``j``'s value in every shot (row 0 is the
-        constant, all ones).
-
-        Sites sharing one joint distribution (e.g. every DEPOLARIZE1(p)
-        site in the circuit) form one cluster, drawn by a single
-        :func:`~repro.noise.channels.sample_hits` call: at QEC noise
-        strengths the cost follows the few non-identity outcomes, and
-        the hits are ORed into ``B`` word by word.
+        constant, all ones).  The values are those of :meth:`draw`, with
+        each batch of hits ORed into ``B`` word by word.
         """
-        n_words = bitops.words_for(n_shots)
-        out = np.zeros((self.width, n_words), dtype=np.uint64)
+        out = np.zeros((self.width, bitops.words_for(n_shots)), dtype=np.uint64)
         # Constant row: exactly n_shots ones (padding must stay clear so
         # parity-based reductions see no garbage).
         out[0] = bitops.pack_bits(np.ones(n_shots, dtype=np.uint8))
-
-        measurement_rows = [
-            record.first for record in self.records if record.kind == "measurement"
-        ]
-        if measurement_rows:
-            out[measurement_rows] = bitops.random_packed(
-                (len(measurement_rows), n_words), n_shots, rng
+        draw = self.draw(n_shots, rng)
+        out[draw.coin_symbols] = draw.coins
+        for hits in draw.hits:
+            word_rows, word_cols, words = bitops.pack_sorted_bits(
+                hits.symbols, hits.shots, hits.patterns, hits.symbols_per_site
             )
-
-        # Cluster noise records by their joint distribution.
-        clusters: dict[tuple[float, ...], list[SymbolRecord]] = {}
-        for record in self.records:
-            if record.kind != "measurement":
-                clusters.setdefault(record.probabilities, []).append(record)
-
-        for probabilities, records in clusters.items():
-            n_symbols = records[0].symbols_per_site
-            offsets = np.concatenate([record.offsets() for record in records])
-            for sites, shot_indices, patterns in sample_hits(
-                probabilities, offsets.size, n_shots, rng
-            ):
-                word_sites, word_cols, words = bitops.pack_sorted_bits(
-                    sites, shot_indices, patterns, n_symbols
-                )
-                rows = offsets[word_sites]
-                for j in range(n_symbols):
-                    out[rows + j, word_cols] |= words[j]
+            for j in range(hits.symbols_per_site):
+                out[word_rows + j, word_cols] |= words[j]
         return out
 
     def sample_shot_major(

@@ -114,14 +114,22 @@ def reset_shared_cache() -> None:
     _SHARED = None
 
 
+def _loader(circuit) -> Callable[[], Any]:
+    """``circuit`` itself may be a zero-argument loader, called only when
+    a build misses (engine chunks parse their circuit text lazily)."""
+    return circuit if callable(circuit) else lambda: circuit
+
+
 def cached_sampler(circuit, fingerprint: str, sampler: str):
     """The compiled ``sampler`` backend of ``circuit`` (canonical name),
-    built once per process under ``("sampler", fingerprint, sampler)``."""
+    built once per process under ``("sampler", fingerprint, sampler)``.
+    ``circuit`` may be a loader (see :func:`_loader`)."""
     from repro.backends import compile_backend
 
+    load = _loader(circuit)
     return shared_cache().get_or_build(
         ("sampler", fingerprint, sampler),
-        lambda: compile_backend(circuit, sampler),
+        lambda: compile_backend(load(), sampler),
     )
 
 
@@ -133,13 +141,14 @@ def cached_dem(circuit, fingerprint: str, sampler: str):
     task's canonical sampler is ``symbolic`` that sampler is the task's
     own cached one, so the symbolic pass runs once per circuit; any
     other sampler compiles it transiently, so it is freed once the DEM
-    is built.  Either way the DEM is the same, bit for bit.
+    is built.  Either way the DEM is the same, bit for bit.  ``circuit``
+    may be a loader (see :func:`_loader`).
     """
     from repro.dem import extract_dem
 
     def build():
         if sampler == "symbolic":
             return extract_dem(cached_sampler(circuit, fingerprint, sampler))
-        return extract_dem(circuit)
+        return extract_dem(_loader(circuit)())
 
     return shared_cache().get_or_build(("dem", fingerprint), build)

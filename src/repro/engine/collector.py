@@ -363,9 +363,10 @@ def collect(
                         progress(stored)
                     continue
                 # Pooled runs pre-compile the task's circuit on every
-                # worker before its first chunk (a no-op serially and
-                # for already-warmed triples).
-                runner.warm(warm_spec(task, run_seed))
+                # worker before its first chunk (a no-op for
+                # already-warmed triples); serial runs compile lazily.
+                if runner.pooled:
+                    runner.warm(warm_spec(task, run_seed))
                 stats = _collect_one(task, runner, run_seed, options, store)
                 # A task with quarantined chunks is incomplete: its
                 # quarantine rows are already in the store, but no task

@@ -96,6 +96,7 @@ class Task:
         if self.max_errors is not None and self.max_errors < 1:
             raise ValueError("max_errors must be positive when set")
         self._fingerprint: str | None = None
+        self._text: str | None = None
         self._strong_id: str | None = None
 
     def circuit_fingerprint(self) -> str:
@@ -108,6 +109,13 @@ class Task:
         if self._fingerprint is None:
             self._fingerprint = self.circuit.fingerprint()
         return self._fingerprint
+
+    def circuit_text(self) -> str:
+        """Cached circuit text, the form chunk specs carry to workers
+        (cached like :meth:`circuit_fingerprint`)."""
+        if self._text is None:
+            self._text = self.circuit.to_text()
+        return self._text
 
     def strong_id(self) -> str:
         """Content hash identifying this (circuit, decoder, noise) row.

@@ -147,7 +147,7 @@ def plan_chunks(
         raise ValueError("chunk_shots must be positive")
     task_id = task.strong_id()
     fingerprint = task.circuit_fingerprint()
-    text = task.circuit.to_text()
+    text = task.circuit_text()
     entropy = task.seed_entropy()
     specs = []
     remaining = task.max_shots
@@ -172,13 +172,27 @@ def plan_chunks(
     return specs
 
 
-def _build_decoder(spec: ChunkSpec, circuit):
+def _circuit_loader(spec: ChunkSpec):
+    """Loads the spec's circuit, parsing its text at most once per
+    process, and only when an artifact build actually needs it."""
+    from repro.circuit.circuit import Circuit
+
+    return lambda: shared_cache().get_or_build(
+        ("circuit", spec.fingerprint),
+        lambda: Circuit.from_text(spec.circuit_text),
+    )
+
+
+def _cached_decoder(spec: ChunkSpec, circuit):
     from repro.decoders import compile_decoder
 
     # spec.decoder is already canonical (Task resolves aliases), so one
     # compiled decoder per (circuit, decoder) serves every alias.
-    return compile_decoder(
-        cached_dem(circuit, spec.fingerprint, spec.sampler), spec.decoder
+    return shared_cache().get_or_build(
+        ("decoder", spec.fingerprint, spec.decoder),
+        lambda: compile_decoder(
+            cached_dem(circuit, spec.fingerprint, spec.sampler), spec.decoder
+        ),
     )
 
 
@@ -198,8 +212,6 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
     views of one seed are the same sample, and packed predictions are
     the unpacked ones, packed.
     """
-    from repro.circuit.circuit import Circuit
-
     started = time.perf_counter()
     pid = os.getpid()
     cache = shared_cache()
@@ -216,10 +228,7 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             chunk_sp.set(
                 sampler_cache="hit" if sampler_key in cache else "miss"
             )
-        circuit = cache.get_or_build(
-            ("circuit", spec.fingerprint),
-            lambda: Circuit.from_text(spec.circuit_text),
-        )
+        circuit = _circuit_loader(spec)
         sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
@@ -240,10 +249,7 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
                 chunk_sp.set(
                     decoder_cache="hit" if decoder_key in cache else "miss"
                 )
-            decoder = cache.get_or_build(
-                ("decoder", spec.fingerprint, spec.decoder),
-                lambda: _build_decoder(spec, circuit),
-            )
+            decoder = _cached_decoder(spec, circuit)
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index):
                 errors = count_logical_errors(
@@ -306,19 +312,10 @@ def enter_worker(config) -> None:
 def _warm_cache(spec: ChunkSpec) -> None:
     """Build this worker's cached artifacts for one (circuit, sampler,
     decoder) triple — the exact keys ``run_chunk`` will hit."""
-    from repro.circuit.circuit import Circuit
-
-    cache = shared_cache()
-    circuit = cache.get_or_build(
-        ("circuit", spec.fingerprint),
-        lambda: Circuit.from_text(spec.circuit_text),
-    )
+    circuit = _circuit_loader(spec)
     cached_sampler(circuit, spec.fingerprint, spec.sampler)
     if spec.decoder != "none":
-        cache.get_or_build(
-            ("decoder", spec.fingerprint, spec.decoder),
-            lambda: _build_decoder(spec, circuit),
-        )
+        _cached_decoder(spec, circuit)
 
 
 def warm_in_worker(payload) -> tuple:
@@ -350,7 +347,7 @@ def warm_spec(task: Task, base_seed: int) -> ChunkSpec:
     return ChunkSpec(
         task_id=task.strong_id(),
         fingerprint=task.circuit_fingerprint(),
-        circuit_text=task.circuit.to_text(),
+        circuit_text=task.circuit_text(),
         decoder=task.decoder,
         sampler=task.sampler,
         chunk_index=0,
@@ -479,6 +476,11 @@ class ChunkRunner:
                 self._pool = None
         finally:
             self._warmed.clear()
+
+    @property
+    def pooled(self) -> bool:
+        """Whether chunks run on a worker pool (else in-process)."""
+        return self._pool is not None
 
     def warm(self, spec: ChunkSpec) -> bool:
         """Send "compile this fingerprint" to every pool worker.

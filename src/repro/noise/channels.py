@@ -57,17 +57,16 @@ def sample_patterns_batch(
 
     For the small outcome counts of Pauli channels (<= 16) this beats
     ``Generator.choice`` with a probability vector by a wide margin: one
-    uniform draw plus ``len(probabilities) - 1`` vectorized comparisons.
-    Batch samplers do not call this per site and shot:
-    :func:`sample_hits` draws only the non-identity outcomes.
+    uniform draw, and each outcome is the number of cumulative thresholds
+    at or below it (one ``searchsorted``).  Batch samplers do not call
+    this per site and shot: :func:`sample_hits` draws only the
+    non-identity outcomes.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     thresholds = np.cumsum(probs / probs.sum())[:-1]
     uniforms = rng.random(size)
-    patterns = np.zeros(size, dtype=np.uint8)  # <= 16 outcomes fit easily
-    for threshold in thresholds:
-        patterns += uniforms >= threshold
-    return patterns
+    # <= 16 outcomes fit a uint8 easily.
+    return np.searchsorted(thresholds, uniforms, side="right").astype(np.uint8)
 
 
 #: Expected hits one slab of :func:`sample_hits` draws, so the

@@ -113,3 +113,54 @@ class TestCachedDem:
         assert ("sampler", fingerprint, "symbolic") not in shared_cache()
         assert _dem_view(dem) == _dem_view(extract_dem(circuit))
         assert cached_dem(circuit, fingerprint, "symbolic") is dem
+
+
+class TestSerialCollectReusesTheCircuit:
+    """A serial collect serializes its circuit once (for the chunk specs)
+    and parses nothing while the compiled artifacts are cached."""
+
+    def test_no_reparse_and_one_serialization(self, monkeypatch):
+        from repro.circuit.circuit import Circuit
+
+        reset_shared_cache()
+        try:
+            circuit = surface_code_memory(
+                3, rounds=2, after_clifford_depolarization=0.01
+            )
+            compiled = circuit.compile(
+                sampler="symbolic", decoder="compiled-matching"
+            )
+            _ = compiled.sampler, compiled.decoder
+            texts, parses = [], []
+            to_text, from_text = Circuit.to_text, Circuit.from_text.__func__
+            monkeypatch.setattr(
+                Circuit, "to_text",
+                lambda self, *a: texts.append(1) or to_text(self, *a),
+            )
+            monkeypatch.setattr(
+                Circuit, "from_text",
+                classmethod(lambda cls, t: parses.append(1) or from_text(cls, t)),
+            )
+            task = compiled.task(max_shots=300)
+            (stats,) = collect([task], base_seed=4, workers=1, chunk_shots=100)
+            assert stats.chunks == 3
+            assert (len(texts), len(parses)) == (1, 0)
+        finally:
+            reset_shared_cache()
+
+    def test_cold_serial_chunk_parses_once(self):
+        from repro.engine.workers import plan_chunks, run_chunk
+
+        reset_shared_cache()
+        try:
+            circuit = surface_code_memory(
+                3, rounds=2, after_clifford_depolarization=0.01
+            )
+            task = Task(circuit, decoder="compiled-matching", max_shots=200)
+            for spec in plan_chunks(task, 1, 100):
+                run_chunk(spec)
+            cache = shared_cache()
+            assert ("circuit", task.circuit_fingerprint()) in cache
+            assert cache.stats()["misses"] == 4  # circuit, sampler, dem, decoder
+        finally:
+            reset_shared_cache()
