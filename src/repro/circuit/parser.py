@@ -53,8 +53,9 @@ def _parse_target(token: str, line_number: int) -> Target:
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text into a :class:`Circuit`."""
     root = Circuit()
-    # (circuit, repeat_count) — repeat_count applies when the block closes.
-    stack: list[tuple[Circuit, int]] = []
+    # (circuit, repeat_count, repeat_line) — the count applies when the
+    # block closes; a bad count is reported at the REPEAT line.
+    stack: list[tuple[Circuit, int, int]] = []
     current = root
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -65,14 +66,18 @@ def parse_circuit(text: str) -> Circuit:
         if line == "}":
             if not stack:
                 raise CircuitParseError(line_number, "unmatched '}'")
-            parent, count = stack.pop()
-            parent.entries.append(RepeatBlock(count, current))
+            parent, count, repeat_line = stack.pop()
+            try:
+                block = RepeatBlock(count, current)
+            except ValueError as exc:
+                raise CircuitParseError(repeat_line, str(exc)) from exc
+            parent.entries.append(block)
             current = parent
             continue
 
         repeat_match = _REPEAT_RE.match(line)
         if repeat_match:
-            stack.append((current, int(repeat_match.group(1))))
+            stack.append((current, int(repeat_match.group(1)), line_number))
             current = Circuit()
             continue
 

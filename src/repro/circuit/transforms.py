@@ -124,6 +124,18 @@ def remap_qubits(circuit: Circuit, mapping: dict[int, int]) -> Circuit:
     return out
 
 
+def record_index(measured: int, target: RecTarget) -> int:
+    """The absolute record index ``target`` names after ``measured``
+    records; a lookback past the start of the record is a
+    :class:`ValueError`, never a wrap-around."""
+    index = measured + target.offset
+    if index < 0:
+        raise ValueError(
+            f"lookback {target} reaches before the first measurement"
+        )
+    return index
+
+
 def resolve_record_annotations(
     instructions,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -132,9 +144,14 @@ def resolve_record_annotations(
     ``instructions`` is a flattened instruction stream (REPEATs already
     expanded).  Returns ``(detectors, observables)`` where each entry is
     an int64 array of absolute measurement-record indices; observables
-    are ordered by their OBSERVABLE_INCLUDE index.  Every sampler
-    backend shares this resolution so detector semantics can never
-    drift between them.
+    are ordered by their OBSERVABLE_INCLUDE index.  The record controls
+    of classically controlled gates are checked on the way, so an
+    out-of-range lookback anywhere fails here, before any shot.  The
+    frame, frame-interp and tableau backends resolve their annotations
+    here; the symbolic pass, which grows its record one instruction at a
+    time, resolves each lookback with the same :func:`record_index` as
+    it goes.  So detector semantics, and the error for a lookback past
+    the start of the record, can never drift between backends.
     """
     measured = 0
     detectors: list[np.ndarray] = []
@@ -142,18 +159,17 @@ def resolve_record_annotations(
     for instruction in instructions:
         if instruction.gate.produces_record:
             measured += len(instruction.targets)
-        elif instruction.name == "DETECTOR":
-            indices = [
-                measured + t.offset
-                for t in instruction.targets
-                if isinstance(t, RecTarget)
-            ]
+            continue
+        indices = [
+            record_index(measured, t)
+            for t in instruction.targets
+            if isinstance(t, RecTarget)
+        ]
+        if instruction.name == "DETECTOR":
             detectors.append(np.array(indices, dtype=np.int64))
         elif instruction.name == "OBSERVABLE_INCLUDE":
             observables.setdefault(int(instruction.args[0]), []).extend(
-                measured + t.offset
-                for t in instruction.targets
-                if isinstance(t, RecTarget)
+                indices
             )
     observable_list = [
         np.array(observables[k], dtype=np.int64) for k in sorted(observables)

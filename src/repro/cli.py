@@ -148,8 +148,9 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         dest="chunk_timeout",
         help=(
             "per-chunk lease deadline for pooled runs; an overdue lease "
-            "kills its worker and requeues the chunk (default: no "
-            "deadline)"
+            "kills its worker and requeues the chunk.  The deadline "
+            "includes the worker's first compile of the chunk's circuit "
+            "(default: no deadline)"
         ),
     )
     parser.add_argument(

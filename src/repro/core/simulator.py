@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
+from repro.circuit.transforms import record_index
 from repro.core.phase_matrix import PhaseMatrix
 from repro.core.symbols import SymbolTable
 from repro.gates.anf import gate_kernel
@@ -158,13 +159,9 @@ class SymPhaseSimulator:
         targets = instruction.targets
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
-                index = len(self.measurements) + control.offset
-                if index < 0:
-                    raise ValueError(
-                        f"feedback lookback {control} reaches before the "
-                        "first measurement"
-                    )
-                vector = self.measurements[index]
+                vector = self.measurements[
+                    record_index(len(self.measurements), control)
+                ]
                 rows = self._anticommuting_rows(letter, qubit)
                 if rows.size:
                     self.phases.xor_vector(rows, vector)
@@ -305,12 +302,7 @@ class SymPhaseSimulator:
         for target in targets:
             if not isinstance(target, RecTarget):
                 raise ValueError("detector targets must be rec[-k]")
-            absolute = len(self.measurements) + target.offset
-            if absolute < 0:
-                raise ValueError(
-                    f"lookback {target} reaches before the first measurement"
-                )
-            resolved.append(absolute)
+            resolved.append(record_index(len(self.measurements), target))
         return resolved
 
     def _process_annotation(self, instruction: Instruction) -> None:

@@ -29,7 +29,6 @@ from repro.engine.workers import (
     ChunkSpec,
     plan_chunks,
     run_chunk,
-    warm_spec,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "plan_chunks",
     "run_chunk",
     "shared_cache",
-    "warm_spec",
 ]

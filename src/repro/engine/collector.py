@@ -29,7 +29,7 @@ import repro.obs as obs
 from repro.decoders.metrics import wilson_interval
 from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
 from repro.engine.tasks import Task
-from repro.engine.workers import ChunkRunner, plan_chunks, warm_spec
+from repro.engine.workers import ChunkRunner, plan_chunks
 
 
 @dataclass
@@ -95,6 +95,8 @@ class TaskStats:
         metadata = row.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError("metadata is not a JSON object")
+        if not isinstance(row["task_id"], str):
+            raise ValueError("task_id is not a string")
         return cls(
             task_id=row["task_id"],
             decoder=row.get("decoder", "matching"),
@@ -160,7 +162,9 @@ class ResultStore:
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError("row is not a JSON object")
-            except (json.JSONDecodeError, ValueError):
+            except (ValueError, RecursionError):
+                # JSONDecodeError is a ValueError; absurdly deep nesting
+                # overflows the decoder's recursion instead.
                 if number == torn_candidate:
                     # Torn tail from a killed run: expected, recover
                     # silently; the row's task simply re-collects.
@@ -183,7 +187,9 @@ class ResultStore:
                 continue
             try:
                 stats = TaskStats.from_row(row)
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
+                # OverflowError: a float field past the double range
+                # (``1e999`` parses as inf) fed to int().
                 print(
                     f"warning: skipping corrupt row at "
                     f"{self.path}:{number}",
@@ -362,11 +368,6 @@ def collect(
                     if progress is not None:
                         progress(stored)
                     continue
-                # Pooled runs pre-compile the task's circuit on every
-                # worker before its first chunk (a no-op for
-                # already-warmed triples); serial runs compile lazily.
-                if runner.pooled:
-                    runner.warm(warm_spec(task, run_seed))
                 stats = _collect_one(task, runner, run_seed, options, store)
                 # A task with quarantined chunks is incomplete: its
                 # quarantine rows are already in the store, but no task

@@ -74,7 +74,9 @@ class ExecutionOptions:
       spec alone), so recovery never changes counts.
     * ``chunk_timeout_seconds`` — per-chunk lease deadline for pooled
       runs; an overdue lease kills its worker and requeues the chunk.
-      ``None`` (the default) means no deadline.
+      Workers compile a circuit lazily, on their first chunk of it, so
+      the deadline also covers that first compile.  ``None`` (the
+      default) means no deadline.
     * ``retry_backoff`` — base of the bounded exponential retry delay
       (``retry_backoff * 2**attempt`` seconds, capped).
     * ``fault_plan`` — a :class:`repro.engine.faults.FaultPlan` (or its

@@ -1,4 +1,4 @@
-"""Supervised worker processes: pipes, heartbeats, crash detection.
+"""Supervised worker processes: pipes, crash detection, respawn.
 
 This is the actor-style supervision layer under
 :class:`~repro.engine.workers.ChunkRunner`.  Where the old executor
@@ -11,14 +11,11 @@ directly:
   specific worker over its pipe, so it always knows exactly which
   chunks a dead worker was holding — a crash fails only those leases,
   never the run.
-* **Liveness, two ways.**  Every worker's process ``sentinel`` is
+* **One liveness signal.**  Every worker's process ``sentinel`` is
   polled together with its pipe in one :func:`multiprocessing.connection.wait`
-  call, so a death wakes the supervisor immediately; and a daemon
-  thread in each worker stamps a shared heartbeat slab every
-  ``heartbeat_interval`` seconds (and ticks a
-  ``repro_worker_heartbeats_total`` counter that rides the existing
-  piggybacked telemetry wire), so a *hung* worker — alive but stuck —
-  is detectable too.
+  call, so a death wakes the supervisor immediately.  A *hung* worker —
+  alive but stuck — is the scheduler's business: its lease deadline
+  expires and :meth:`SupervisedPool.kill` takes it down.
 * **Replenishment.**  :meth:`SupervisedPool.respawn` replaces a dead
   worker in place; the scheduler re-leases its chunks and the sweep
   continues.  The derived per-chunk seed scheme makes every replayed
@@ -37,12 +34,10 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
-import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Iterable
+from typing import Any
 
 import repro.obs as obs
 from repro.engine import faults
@@ -57,38 +52,12 @@ _STOP_GRACE_SECONDS = 30.0
 # -- worker side -------------------------------------------------------------
 
 
-def _heartbeat_loop(heartbeats, slot: int, interval: float, stop) -> None:
-    """Stamp this worker's heartbeat slab slot until told to stop.
+def worker_main(conn, wire_config: tuple, fault_plan) -> None:
+    """A supervised worker: a recv/execute/send loop.
 
-    Runs on a daemon thread so a chunk busy in numpy keeps beating
-    (NumPy releases the GIL in its kernels).  The obs counter is the
-    telemetry-wire echo of the slab: it ships to the parent piggybacked
-    on the next chunk result, making liveness visible in Prometheus
-    dumps, not just to the supervisor.
-    """
-    pid = str(os.getpid())
-    while not stop.is_set():
-        heartbeats[slot] = time.monotonic()
-        if obs.is_metrics():
-            obs.counter("repro_worker_heartbeats_total", pid=pid).inc()
-        stop.wait(interval)
-
-
-def worker_main(
-    conn,
-    slot: int,
-    wire_config: tuple,
-    heartbeats,
-    heartbeat_interval: float,
-    fault_plan,
-) -> None:
-    """A supervised worker: heartbeat thread + recv/execute/send loop.
-
-    Messages in: ``("chunk", token, index, payload)``,
-    ``("warm", payload)``, ``("stop",)``.  Messages out:
-    ``("result", token, index, ChunkResult)``,
-    ``("error", token, index, message)``,
-    ``("warm", pid, spans, metrics)``.
+    Messages in: ``("chunk", token, index, payload)``, ``("stop",)``.
+    Messages out: ``("result", token, index, ChunkResult)``,
+    ``("error", token, index, message)``.
 
     A chunk that raises does **not** kill the worker: the error is
     reported and the loop continues — the parent decides whether to
@@ -102,13 +71,6 @@ def worker_main(
 
     workers.enter_worker(wire_config)
     faults.install(fault_plan)
-    stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(heartbeats, slot, heartbeat_interval, stop),
-        daemon=True,
-    )
-    beat.start()
     try:
         while True:
             try:
@@ -118,10 +80,7 @@ def worker_main(
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "warm":
-                reply = workers.warm_in_worker(message[1])
-                _send(conn, ("warm",) + reply)
-            elif kind == "chunk":
+            if kind == "chunk":
                 token, index, payload = message[1], message[2], message[3]
                 try:
                     result = workers.execute_chunk(payload)
@@ -138,7 +97,6 @@ def worker_main(
                 else:
                     _send(conn, ("result", token, index, result))
     finally:
-        stop.set()
         with contextlib.suppress(OSError):
             conn.close()
 
@@ -180,9 +138,9 @@ class SupervisedPool:
     """A fixed-size set of supervised worker processes.
 
     Mechanism only: spawn/respawn, targeted sends, event polling
-    (messages + deaths in one wait), heartbeat ages, shutdown.  The
-    chunk scheduler in :mod:`repro.engine.workers` layers leases,
-    retries and quarantine on top.
+    (messages + deaths in one wait), shutdown.  The chunk scheduler in
+    :mod:`repro.engine.workers` layers leases, retries and quarantine
+    on top.
     """
 
     def __init__(
@@ -190,22 +148,16 @@ class SupervisedPool:
         workers: int,
         wire_config: tuple | None = None,
         fault_plan=faults.NOOP,
-        heartbeat_interval: float = 0.5,
     ):
         self.workers = workers
         self._wire_config = (
             wire_config if wire_config is not None else obs.wire_config()
         )
         self._fault_plan = fault_plan
-        self._heartbeat_interval = heartbeat_interval
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        # lock=False: each slot has exactly one writer (its worker) and
-        # one reader (the supervisor), and a torn read of a monotonic
-        # stamp only mis-ages a heartbeat by one interval.
-        self._heartbeats = self._context.Array("d", workers, lock=False)
         self._handles: list[_Handle | None] = [None] * workers
 
     def start(self) -> None:
@@ -216,20 +168,12 @@ class SupervisedPool:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=worker_main,
-            args=(
-                child_conn,
-                slot,
-                self._wire_config,
-                self._heartbeats,
-                self._heartbeat_interval,
-                self._fault_plan,
-            ),
+            args=(child_conn, self._wire_config, self._fault_plan),
             daemon=True,
             name=f"repro-worker-{slot}",
         )
         process.start()
         child_conn.close()
-        self._heartbeats[slot] = time.monotonic()
         handle = _Handle(process, parent_conn, slot)
         self._handles[slot] = handle
         return handle
@@ -240,14 +184,6 @@ class SupervisedPool:
         return [
             h.slot for h in self._handles if h is not None and not h.dead
         ]
-
-    def worker_pid(self, slot: int) -> int:
-        handle = self._handles[slot]
-        return handle.process.pid if handle is not None else 0
-
-    def heartbeat_age(self, slot: int) -> float:
-        """Seconds since the worker last stamped its heartbeat slot."""
-        return max(0.0, time.monotonic() - self._heartbeats[slot])
 
     def kill(self, slot: int) -> None:
         """Forcibly take a worker down (hung / lease-expired)."""
@@ -363,31 +299,3 @@ class SupervisedPool:
             with contextlib.suppress(OSError):
                 handle.conn.close()
         self._handles = [None] * self.workers
-
-    def drain_warm_acks(
-        self, pending: Iterable[int], deadline: float
-    ) -> dict[int, tuple]:
-        """Collect one warm ack per ``pending`` slot until ``deadline``.
-
-        Used by warm broadcasts outside a run: non-warm messages seen
-        here can only be stale results of an abandoned run and are
-        dropped.  A worker that dies mid-warm is respawned and counted
-        as acked with an empty payload — it will pay its compile on its
-        first chunk, which is the pre-warm behavior (and the respawn is
-        observable via ``repro_worker_deaths_total``).
-        """
-        waiting = set(pending)
-        acks: dict[int, tuple] = {}
-        while waiting and time.monotonic() < deadline:
-            remaining = max(0.05, min(0.25, deadline - time.monotonic()))
-            for event in self.poll(remaining):
-                if event.kind == "died":
-                    if obs.is_metrics():
-                        obs.counter("repro_worker_deaths_total").inc()
-                    self.respawn(event.slot)
-                    waiting.discard(event.slot)
-                    acks.setdefault(event.slot, (0, (), ()))
-                elif event.payload and event.payload[0] == "warm":
-                    acks[event.slot] = tuple(event.payload[1:])
-                    waiting.discard(event.slot)
-        return acks

@@ -14,21 +14,18 @@ Pooled execution runs on a :class:`~repro.engine.supervise.SupervisedPool`
 of directly-owned worker processes rather than a fire-and-forget
 ``multiprocessing.Pool``: every in-flight chunk is a *lease* tied to a
 specific worker with an optional deadline, worker deaths are detected
-via process sentinels (and stalls via heartbeats), failed leases are
-requeued with bounded exponential backoff, and a chunk that keeps
-failing is quarantined as a structured failure result instead of
+via process sentinels (and hung workers via expired leases), failed
+leases are requeued with bounded exponential backoff, and a chunk that
+keeps failing is quarantined as a structured failure result instead of
 aborting the sweep.  :mod:`repro.engine.faults` injects deterministic
 crashes into this machinery under test.
 
-Workers keep a process-global :class:`~repro.engine.cache.SamplerCache`;
-the first chunk of a circuit a worker sees pays Algorithm 1's
-Initialization (plus DEM extraction and decoder construction), every
-later chunk is pure Eq. 4 sampling + decoding.  A pooled runner can
-also *warm* that cache up front — :meth:`ChunkRunner.warm` sends one
-"compile this fingerprint" task to each worker over its own pipe (and
-re-warms replacement workers after a crash), so ``backend.compile``
-runs once per worker per circuit before the first real chunk instead
-of serializing into it.
+Workers keep a process-global :class:`~repro.engine.cache.SamplerCache`
+and compile lazily: the first chunk of a circuit a worker sees pays
+Algorithm 1's Initialization (plus DEM extraction and decoder
+construction), every later chunk is pure Eq. 4 sampling + decoding.
+So ``backend.compile`` runs at most once per worker per circuit, and
+only on workers that actually receive a chunk of it.
 
 The parent-worker wire is the pipe itself: each leased chunk ships as a
 pickled :class:`ChunkSpec` and comes back as a pickled
@@ -54,12 +51,6 @@ from repro.rng import chunk_generator
 
 #: Hard cap on the exponential retry backoff, whatever the attempt count.
 _MAX_BACKOFF_SECONDS = 30.0
-
-#: How long a warm broadcast waits for every worker's ack; generous
-#: because it covers each worker's full compile, but bounded so a
-#: wedged worker cannot stall collection forever (an unwarmed worker
-#: just pays its compile on its first chunk).
-_WARM_TIMEOUT_SECONDS = 60.0
 
 #: Base supervisor poll tick: the longest the scheduler sleeps when no
 #: worker message, lease deadline or retry timer is nearer.
@@ -309,54 +300,6 @@ def enter_worker(config) -> None:
     obs.configure(config)
 
 
-def _warm_cache(spec: ChunkSpec) -> None:
-    """Build this worker's cached artifacts for one (circuit, sampler,
-    decoder) triple — the exact keys ``run_chunk`` will hit."""
-    circuit = _circuit_loader(spec)
-    cached_sampler(circuit, spec.fingerprint, spec.sampler)
-    if spec.decoder != "none":
-        _cached_decoder(spec, circuit)
-
-
-def warm_in_worker(payload) -> tuple:
-    """Warm-task target, called from the supervised worker loop.
-
-    Compiles the payload's artifacts into this worker's process cache
-    and returns ``(pid, spans, metrics)`` so the parent can absorb the
-    compile telemetry immediately.  No barrier is needed: each worker
-    receives its warm task over its own pipe, so distribution is by
-    construction — ``workers`` warm tasks land on ``workers`` distinct
-    processes.
-    """
-    with obs.span(
-        "warm",
-        fingerprint=payload.fingerprint,
-        sampler=payload.sampler,
-        decoder=payload.decoder,
-    ):
-        _warm_cache(payload)
-    return (
-        os.getpid(),
-        obs.drain_wire_spans() if _IN_WORKER and obs.is_tracing() else (),
-        obs.flush_wire() if _IN_WORKER and obs.is_metrics() else (),
-    )
-
-
-def warm_spec(task: Task, base_seed: int) -> ChunkSpec:
-    """A zero-shot template spec for :meth:`ChunkRunner.warm`."""
-    return ChunkSpec(
-        task_id=task.strong_id(),
-        fingerprint=task.circuit_fingerprint(),
-        circuit_text=task.circuit_text(),
-        decoder=task.decoder,
-        sampler=task.sampler,
-        chunk_index=0,
-        shots=0,
-        base_seed=base_seed,
-        task_entropy=task.seed_entropy(),
-    )
-
-
 def execute_chunk(spec: ChunkSpec) -> ChunkResult:
     """Worker-side execution of one leased chunk: fire the chunk-start
     fault hooks, then run the chunk."""
@@ -414,8 +357,7 @@ class ChunkRunner:
     worker's pipe and come back as pickled :class:`ChunkResult`s.
 
     Fault tolerance: each dispatched chunk is a *lease* on a specific
-    worker.  A worker death (sentinel), a stalled heartbeat (opt-in via
-    ``heartbeat_timeout_seconds``) or an expired lease
+    worker.  A worker death (sentinel) or an expired lease
     (``chunk_timeout_seconds``) requeues the worker's leased chunks
     with exponential backoff (``retry_backoff * 2**attempt``, capped)
     and replenishes the pool; a chunk failing more than
@@ -423,6 +365,11 @@ class ChunkRunner:
     ``failed`` :class:`ChunkResult` instead of aborting the sweep.
     Replays are bitwise identical by the derived-seed scheme, so none
     of this can change counts.
+
+    Workers compile lazily, so a lease deadline covers everything the
+    chunk's worker does for it — including that worker's first compile
+    of the chunk's circuit.  Size ``chunk_timeout_seconds`` to fit one
+    compile plus one chunk.
     """
 
     def __init__(
@@ -432,8 +379,6 @@ class ChunkRunner:
         max_chunk_retries: int = 2,
         chunk_timeout_seconds: float | None = None,
         retry_backoff: float = 0.1,
-        heartbeat_interval_seconds: float = 0.5,
-        heartbeat_timeout_seconds: float | None = None,
         fault_plan: "faults.FaultPlan | str | None" = None,
     ):
         self.workers = max(1, int(workers))
@@ -446,13 +391,8 @@ class ChunkRunner:
         self.max_chunk_retries = int(max_chunk_retries)
         self.chunk_timeout_seconds = chunk_timeout_seconds
         self.retry_backoff = float(retry_backoff)
-        self.heartbeat_interval_seconds = heartbeat_interval_seconds
-        self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.fault_plan = fault_plan
         self._pool: SupervisedPool | None = None
-        # key -> template spec, kept so replacement workers spawned
-        # after a crash can be re-warmed with the same payloads.
-        self._warmed: dict[tuple[str, str, str], ChunkSpec] = {}
         self._run_token = 0
 
     def __enter__(self) -> "ChunkRunner":
@@ -461,70 +401,17 @@ class ChunkRunner:
                 self.workers,
                 wire_config=obs.wire_config(),
                 fault_plan=faults.resolve_plan(self.fault_plan),
-                heartbeat_interval=self.heartbeat_interval_seconds,
             )
             self._pool.start()
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        try:
-            if self._pool is not None:
-                # Clean shutdown waits (bounded) for in-flight chunks so
-                # forked children flush coverage data; the exception
-                # path terminates immediately.
-                self._pool.stop(graceful=exc_type is None)
-                self._pool = None
-        finally:
-            self._warmed.clear()
-
-    @property
-    def pooled(self) -> bool:
-        """Whether chunks run on a worker pool (else in-process)."""
-        return self._pool is not None
-
-    def warm(self, spec: ChunkSpec) -> bool:
-        """Send "compile this fingerprint" to every pool worker.
-
-        Each worker builds the spec's circuit, sampler and (non-none)
-        decoder into its process cache, so ``backend.compile`` runs
-        once per worker per circuit *before* chunks flow instead of
-        serializing into each worker's first chunk.  Dedup-keyed by
-        ``(fingerprint, sampler, decoder)``; a no-op in-process (the
-        serial path compiles lazily, once, anyway).  Returns whether a
-        broadcast actually ran.  The workers' compile telemetry is
-        merged into the parent's buffers immediately, not deferred to
-        their first chunk.  The template is retained so a replacement
-        worker spawned after a crash is re-warmed before it takes
-        leases.
-        """
-        key = (spec.fingerprint, spec.sampler, spec.decoder)
-        if self._pool is None or key in self._warmed:
-            return False
-        self._warmed[key] = spec
-        with obs.span(
-            "warm.broadcast",
-            fingerprint=spec.fingerprint,
-            sampler=spec.sampler,
-            decoder=spec.decoder,
-            workers=self.workers,
-        ):
-            sent = [
-                slot
-                for slot in self._pool.live_slots()
-                if self._pool.send(slot, ("warm", spec))
-            ]
-            acks = self._pool.drain_warm_acks(
-                sent, time.monotonic() + _WARM_TIMEOUT_SECONDS
-            )
-            for _slot in sorted(acks):
-                _pid, spans, metrics = acks[_slot]
-                if spans:
-                    obs.absorb_spans(spans)
-                if metrics:
-                    obs.merge_wire(metrics)
-        if obs.is_metrics():
-            obs.counter("repro_warm_broadcasts_total").inc()
-        return True
+        if self._pool is not None:
+            # Clean shutdown waits (bounded) for in-flight chunks so
+            # forked children flush coverage data; the exception path
+            # terminates immediately.
+            self._pool.stop(graceful=exc_type is None)
+            self._pool = None
 
     @staticmethod
     def _finalize(
@@ -706,11 +593,6 @@ class ChunkRunner:
                 if lease.slot == slot
             ]
             pool.respawn(slot)
-            # Re-warm the replacement before it takes leases: its pipe
-            # delivers these warm tasks ahead of any later chunk, so it
-            # never pays a compile inside a leased chunk's deadline.
-            for template in self._warmed.values():
-                pool.send(slot, ("warm", template))
             for index in mine:
                 lease = state.leases.pop(index)
                 requeue(
@@ -768,13 +650,6 @@ class ChunkRunner:
                 if token != state.token or index not in state.leases:
                     return
                 requeue(index, state.leases.pop(index), message)
-            elif kind == "warm":
-                # Late warm ack from a re-warmed replacement worker.
-                _, _pid, spans, metrics = payload
-                if spans:
-                    obs.absorb_spans(spans)
-                if metrics:
-                    obs.merge_wire(metrics)
 
         while True:
             # Ripen retry timers.
@@ -842,17 +717,6 @@ class ChunkRunner:
                         obs.counter("repro_lease_expired_total").inc()
                     pool.kill(slot)
                     on_worker_down(slot, expired=True)
-            # Hung-worker detection (opt-in): a worker whose heartbeat
-            # thread has gone silent is dead weight even without lease
-            # deadlines.
-            if self.heartbeat_timeout_seconds:
-                for slot in pool.live_slots():
-                    if (
-                        pool.heartbeat_age(slot)
-                        > self.heartbeat_timeout_seconds
-                    ):
-                        pool.kill(slot)
-                        on_worker_down(slot)
             # Drain the reorder buffer in deterministic order.
             while state.next_yield in state.reorder:
                 result, received_at, result_bytes = state.reorder.pop(

@@ -285,8 +285,8 @@ class MetricsRegistry:
         """The delta since the previous flush, as picklable tuples.
 
         Series with no change since the last flush are skipped, so a
-        warm worker ships only the handful of counters each chunk
-        touched.
+        worker past its first chunk of a circuit ships only the handful
+        of counters each chunk touched.
         """
         out = []
         with self._lock:

@@ -7,9 +7,9 @@ merged detector error model, the compiled decoder — is built lazily on
 first use and memoized through the engine's fingerprint-keyed
 :class:`~repro.engine.cache.SamplerCache`.  Two handles over equal
 circuits (same canonical text) therefore share one compiled sampler,
-and a handle warmed interactively shares its artifacts with any
-in-process engine run that touches the same circuit, because both sides
-use the same cache keys.
+and a handle whose artifacts were built interactively shares them with
+any in-process engine run that touches the same circuit, because both
+sides use the same cache keys.
 """
 
 from __future__ import annotations
@@ -181,8 +181,12 @@ class CompiledCircuit:
         max_errors: int | None = None,
         metadata: dict[str, Any] | None = None,
     ) -> Task:
-        """An engine :class:`~repro.engine.tasks.Task` for this handle."""
-        return Task(
+        """An engine :class:`~repro.engine.tasks.Task` for this handle.
+
+        The task reuses the handle's cached fingerprint, so the circuit
+        is hashed at most once per handle, not once per task.
+        """
+        task = Task(
             self.circuit,
             decoder=self.decoder_name,
             sampler=self.sampler_name,
@@ -190,6 +194,8 @@ class CompiledCircuit:
             max_errors=max_errors,
             metadata=dict(metadata or {}),
         )
+        task._fingerprint = self.fingerprint
+        return task
 
     def collect(
         self,

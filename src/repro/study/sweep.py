@@ -214,10 +214,9 @@ class Sweep:
 
         ``options`` carries the execution policy (workers, chunk size,
         base seed, store, ...); keyword ``overrides`` patch it in place
-        (``sweep.collect(workers=4, store="out.jsonl")``).  Pooled runs
-        warm every worker per distinct circuit before its chunks flow
-        (one broadcast compile); counts are bitwise identical under
-        every worker count.  Returns a
+        (``sweep.collect(workers=4, store="out.jsonl")``).  Each pool
+        worker compiles a circuit once, on its first chunk of it;
+        counts are bitwise identical under every worker count.  Returns a
         :class:`~repro.study.result.SweepResult` over one
         ``TaskStats`` per task.
         """

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
+from repro.circuit.transforms import record_index
 from repro.noise.channels import noise_groups, pattern_bits
 from repro.rng import as_generator
 from repro.tableau.tableau import Tableau
@@ -87,7 +88,7 @@ class TableauSimulator:
         letter = _FEEDBACK_LETTER[gate.name]
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
-                if self.record[len(self.record) + control.offset]:
+                if self.record[record_index(len(self.record), control)]:
                     self.tableau.apply_gate(letter, (qubit,))
             else:
                 self.tableau.apply_gate(gate.name, (control, qubit))

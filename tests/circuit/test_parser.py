@@ -82,6 +82,17 @@ class TestRepeatBlocks:
         with pytest.raises(CircuitParseError):
             parse_circuit("}")
 
+    def test_zero_count_names_repeat_line(self):
+        with pytest.raises(CircuitParseError) as excinfo:
+            parse_circuit("H 0\nREPEAT 0 {\nH 0\n}")
+        assert excinfo.value.line_number == 2
+        assert "REPEAT count must be at least 1" in str(excinfo.value)
+
+    def test_zero_count_nested_names_its_own_line(self):
+        with pytest.raises(CircuitParseError) as excinfo:
+            parse_circuit("REPEAT 2 {\n  REPEAT 0 {\n    M 0\n  }\n}")
+        assert excinfo.value.line_number == 2
+
 
 class TestErrors:
     def test_unknown_gate(self):

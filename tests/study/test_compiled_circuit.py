@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backends import compile_backend
+from repro.circuit.circuit import Circuit
 from repro.decoders import compile_decoder
 from repro.dem import extract_dem
 from repro.engine import ExecutionOptions, Task, collect
@@ -182,6 +183,27 @@ class TestEngineEquivalence:
         manual = Task(circuit, decoder="matching", sampler="symbolic",
                       max_shots=500)
         assert from_handle.strong_id() == manual.strong_id()
+
+    def test_task_reuses_handle_fingerprint(self, monkeypatch):
+        """The handle hashes its circuit once; tasks built from it, and
+        the collections they drive, never hash it again."""
+        calls = []
+        original = Circuit.fingerprint
+
+        def counting(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(Circuit, "fingerprint", counting)
+        compiled = make_circuit().compile()
+        expected = compiled.fingerprint
+        assert len(calls) == 1
+        for budget in (100, 200):
+            task = compiled.task(max_shots=budget)
+            assert task.circuit_fingerprint() == expected
+            task.strong_id()
+        compiled.collect(ExecutionOptions(base_seed=SEED), max_shots=200)
+        assert len(calls) == 1
 
     def test_collect_applies_options_policy(self):
         """ExecutionOptions.max_errors is the default early-stop policy."""
