@@ -14,12 +14,14 @@ DEPOLARIZE1(p) after every layer), so the cost above the crossover,
 where consumers pay per hit, stays visible.
 
 A third table times the symbolic sampler's ``sample_detectors`` on a
-surface-code memory (d = 5, 5 rounds, 512-shot chunks as the engine
-draws them): the sparse Eq. 4 path, the hit scatter, and ``auto`` with
-the strategy its cost model picked.  The scatter pays per hit, Eq. 4 per
-nonzero of the detector matrix, so the table locates the crossover the
-model's ``_SCATTER_COST_RATIO`` is calibrated against; ``auto`` must
-never be much slower than Eq. 4 (its choice before the scatter).
+surface-code memory (d = 5, 5 rounds) and a repetition-code memory
+(d = 9, 9 rounds), in 512-shot chunks as the engine draws them and in
+4096-shot calls: the sparse Eq. 4 path, the hit scatter, and ``auto``
+with the strategy its cost model picked.  The scatter pays per hit,
+Eq. 4 per nonzero of the detector matrix plus a fixed cost per row, so
+the table locates the crossover the model's ``_SCATTER_COST_RATIO`` and
+``_EQ4_ROW_WORDS`` are calibrated against; ``auto`` must never be much
+slower than Eq. 4 (its choice before the scatter).
 
 Run:  PYTHONPATH=src python benchmarks/bench_noise_draw.py \\
           [--sites 1000] [--shots 4096] [--fast] [--min-speedup 5] \\
@@ -41,14 +43,22 @@ import numpy as np
 from repro.backends import compile_backend
 from repro.circuit import Circuit, Instruction
 from repro.noise import noise_groups, sample_hits
-from repro.qec import surface_code_memory
+from repro.qec import repetition_code_memory, surface_code_memory
 
 P_GRID = (0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 FAST_P_GRID = (0.001, 0.2)
 SAMPLER_P_GRID = (0.001, 0.01, 0.05, 0.1, 0.2, 0.4)
 DETECTOR_P_GRID = (0.002, 0.01, 0.02, 0.03, 0.05, 0.15, 0.3)
-DETECTOR_DISTANCE = 5
-DETECTOR_SHOTS = 512
+DETECTOR_CODES = {
+    "surface d=5": lambda p: surface_code_memory(
+        5, rounds=5, after_clifford_depolarization=p,
+        before_measure_flip_probability=p,
+    ),
+    "repetition d=9": lambda p: repetition_code_memory(
+        9, rounds=9, data_flip_probability=p, measure_flip_probability=p,
+    ),
+}
+DETECTOR_SHOTS = (512, 4096)
 DETECTOR_REPEATS = 25
 GATE_P = 0.001
 # Both channels' hit probability is their argument p.
@@ -122,40 +132,38 @@ def sampler_rows(shots, p_grid, repeats, seed) -> list[dict]:
 
 
 def detector_rows(p_grid, seed) -> list[dict]:
-    """``sample_detectors`` of a surface memory: Eq. 4 vs scatter vs auto.
+    """``sample_detectors`` of QEC memories: Eq. 4 vs scatter vs auto.
 
     The three strategies are timed in rotation, best of
     ``DETECTOR_REPEATS`` each, so host noise hits them alike.
     """
     rows = []
-    for p in p_grid:
-        sampler = compile_backend(
-            surface_code_memory(
-                DETECTOR_DISTANCE, rounds=DETECTOR_DISTANCE,
-                after_clifford_depolarization=p,
-                before_measure_flip_probability=p,
-            ),
-            "symbolic",
-        )
-        strategies = ("sparse", "scatter", "auto")
-        best = dict.fromkeys(strategies, float("inf"))
-        for repeat in range(DETECTOR_REPEATS + 1):  # the first one warms
-            for strategy in strategies:
-                started = time.perf_counter()
-                sampler.sample_detectors(
-                    DETECTOR_SHOTS, seed + repeat, strategy=strategy
-                )
-                if repeat:
-                    best[strategy] = min(
-                        best[strategy], time.perf_counter() - started
-                    )
-        rows.append({
-            "p": p,
-            "cost_ratio": sampler.scatter_cost_ratio(),
-            "auto_picks": sampler.detector_strategy,
-            **{f"{name}_ms": seconds * 1e3 for name, seconds in best.items()},
-            "auto_over_sparse": best["auto"] / best["sparse"],
-        })
+    for code, build in DETECTOR_CODES.items():
+        for p in p_grid:
+            sampler = compile_backend(build(p), "symbolic")
+            for shots in DETECTOR_SHOTS:
+                strategies = ("sparse", "scatter", "auto")
+                best = dict.fromkeys(strategies, float("inf"))
+                for repeat in range(DETECTOR_REPEATS + 1):  # first warms
+                    for strategy in strategies:
+                        started = time.perf_counter()
+                        sampler.sample_detectors(
+                            shots, seed + repeat, strategy=strategy
+                        )
+                        if repeat:
+                            best[strategy] = min(
+                                best[strategy], time.perf_counter() - started
+                            )
+                rows.append({
+                    "code": code,
+                    "shots": shots,
+                    "p": p,
+                    "cost_ratio": sampler.scatter_cost_ratio(),
+                    "auto_picks": sampler.detector_strategy,
+                    **{f"{name}_ms": seconds * 1e3
+                       for name, seconds in best.items()},
+                    "auto_over_sparse": best["auto"] / best["sparse"],
+                })
     return rows
 
 
@@ -210,13 +218,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['symbolic_ms']:>12.1f}")
 
         result["detectors"] = detector_rows(DETECTOR_P_GRID, args.seed)
-        print(f"\nsample_detectors({DETECTOR_SHOTS}), surface "
-              f"d={DETECTOR_DISTANCE} r={DETECTOR_DISTANCE}, "
-              f"best of {DETECTOR_REPEATS}")
-        print(f"{'p':>6} {'cost ratio':>10} {'auto':>8} {'sparse ms':>9} "
-              f"{'scatter ms':>10} {'auto ms':>8} {'auto/sparse':>11}")
+        print(f"\nsample_detectors, rounds = d, best of {DETECTOR_REPEATS}")
+        print(f"{'code':<15} {'shots':>5} {'p':>6} {'cost ratio':>10} "
+              f"{'auto':>8} {'sparse ms':>9} {'scatter ms':>10} "
+              f"{'auto ms':>8} {'auto/sparse':>11}")
         for row in result["detectors"]:
-            print(f"{row['p']:>6g} {row['cost_ratio']:>10.2f} "
+            print(f"{row['code']:<15} {row['shots']:>5} "
+                  f"{row['p']:>6g} {row['cost_ratio']:>10.2f} "
                   f"{row['auto_picks']:>8} {row['sparse_ms']:>9.2f} "
                   f"{row['scatter_ms']:>10.2f} {row['auto_ms']:>8.2f} "
                   f"{row['auto_over_sparse']:>10.2f}x")

@@ -160,12 +160,8 @@ class Circuit:
         for entry in self.entries:
             if isinstance(entry, RepeatBlock):
                 highest = max(highest, entry.body.n_qubits - 1)
-                continue
-            for t in entry.targets:
-                if isinstance(t, int):
-                    highest = max(highest, t)
-                elif isinstance(t, PauliTarget):
-                    highest = max(highest, t.qubit)
+            else:
+                highest = max(highest, _highest_qubit(entry.targets))
         return highest + 1
 
     @property
@@ -312,3 +308,19 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _highest_qubit(targets: tuple[Target, ...]) -> int:
+    """Highest qubit index among ``targets`` (-1 if none).  Qubit-index
+    targets, the common case, take one C-level ``max``; ``rec[-k]``
+    targets name no qubit and Pauli targets count their qubit."""
+    if targets and type(targets[0]) is int:
+        try:
+            return max(targets)
+        except TypeError:  # a rec[-k] or Pauli target further on
+            pass
+    return max(
+        (t.qubit if isinstance(t, PauliTarget) else t
+         for t in targets if not isinstance(t, RecTarget)),
+        default=-1,
+    )

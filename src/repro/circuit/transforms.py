@@ -8,6 +8,7 @@ it), so the inverse map can never drift from the unitaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -136,6 +137,45 @@ def record_index(measured: int, target: RecTarget) -> int:
     return index
 
 
+class RecordAnnotations:
+    """DETECTOR / OBSERVABLE_INCLUDE lookbacks resolved to absolute
+    measurement-record indices, one instruction at a time.
+
+    ``detectors`` holds one int64 index array per DETECTOR in order;
+    ``observables`` one index list per observable, ordered by the
+    OBSERVABLE_INCLUDE index (the indices need not be contiguous).  Every
+    backend resolves its annotations through :meth:`add` — the symbolic
+    pass as its record grows, the others via
+    :func:`resolve_record_annotations` — so detector semantics, and the
+    error for a lookback past the start of the record, can never drift
+    between backends.
+    """
+
+    def __init__(self) -> None:
+        self.detectors: list[np.ndarray] = []
+        self.observables: list[list[int]] = []
+        self._observable_ids: list[int] = []
+
+    def add(self, instruction: Instruction, measured: int) -> None:
+        """Resolve ``instruction``'s ``rec[-k]`` targets after ``measured``
+        records.  Any instruction may come here: the record controls of a
+        classically controlled gate are only checked."""
+        indices = [
+            record_index(measured, t)
+            for t in instruction.targets
+            if isinstance(t, RecTarget)
+        ]
+        if instruction.name == "DETECTOR":
+            self.detectors.append(np.array(indices, dtype=np.int64))
+        elif instruction.name == "OBSERVABLE_INCLUDE":
+            ident = int(instruction.args[0])
+            slot = bisect_left(self._observable_ids, ident)
+            if slot == len(self._observable_ids) or self._observable_ids[slot] != ident:
+                self._observable_ids.insert(slot, ident)
+                self.observables.insert(slot, [])
+            self.observables[slot].extend(indices)
+
+
 def resolve_record_annotations(
     instructions,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -146,35 +186,19 @@ def resolve_record_annotations(
     an int64 array of absolute measurement-record indices; observables
     are ordered by their OBSERVABLE_INCLUDE index.  The record controls
     of classically controlled gates are checked on the way, so an
-    out-of-range lookback anywhere fails here, before any shot.  The
-    frame, frame-interp and tableau backends resolve their annotations
-    here; the symbolic pass, which grows its record one instruction at a
-    time, resolves each lookback with the same :func:`record_index` as
-    it goes.  So detector semantics, and the error for a lookback past
-    the start of the record, can never drift between backends.
+    out-of-range lookback anywhere fails here, before any shot.
     """
     measured = 0
-    detectors: list[np.ndarray] = []
-    observables: dict[int, list[int]] = {}
+    annotations = RecordAnnotations()
     for instruction in instructions:
         if instruction.gate.produces_record:
             measured += len(instruction.targets)
-            continue
-        indices = [
-            record_index(measured, t)
-            for t in instruction.targets
-            if isinstance(t, RecTarget)
-        ]
-        if instruction.name == "DETECTOR":
-            detectors.append(np.array(indices, dtype=np.int64))
-        elif instruction.name == "OBSERVABLE_INCLUDE":
-            observables.setdefault(int(instruction.args[0]), []).extend(
-                indices
-            )
-    observable_list = [
-        np.array(observables[k], dtype=np.int64) for k in sorted(observables)
+        else:
+            annotations.add(instruction, measured)
+    observables = [
+        np.array(indices, dtype=np.int64) for indices in annotations.observables
     ]
-    return detectors, observable_list
+    return annotations.detectors, observables
 
 
 def moments(circuit: Circuit) -> list[list[Instruction]]:

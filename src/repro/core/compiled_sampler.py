@@ -31,7 +31,8 @@ and the rows are bitwise Eq. 4's, because both read one draw
 compares the two per-shot costs once per compiled sampler (the crossover
 is measured in ``benchmarks/bench_noise_draw.py``): the scatter up to a
 cost ratio of 1, Eq. 4 above (surface d = 5, 512 shots: p ≤ 0.02 runs
-the scatter, ~4× faster than Eq. 4 at p = 0.002).
+the scatter, ~4× faster than Eq. 4 at p = 0.002; repetition d = 9,
+where Eq. 4's per-row loop dominates: p ≤ 0.02 runs the scatter).
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ from repro.rng import as_generator
 
 _SPARSE_SUPPORT_THRESHOLD_FRACTION = 0.125
 _SCATTER_COST_RATIO = 1.0
+#: Sparse Eq. 4's fixed cost per detector/observable row (its ``reduce``
+#: call, transpose and unpack), in the words of :meth:`scatter_cost_ratio`.
+#: Fitted to 4096-shot calls of ``bench_noise_draw.py``, where the two
+#: kernels tie near the threshold; the cost grows more slowly than the
+#: shots, so on smaller calls it weighs more and the rule errs toward Eq. 4.
+_EQ4_ROW_WORDS = 0.1
 
 
 class CompiledSampler:
@@ -68,10 +75,7 @@ class CompiledSampler:
             self.measurement_matrix[i, : vector.size] = vector
 
         self.detector_matrix = self._combine(simulator.detectors)
-        observable_defs = [
-            simulator.observables[k] for k in sorted(simulator.observables)
-        ]
-        self.observable_matrix = self._combine(observable_defs)
+        self.observable_matrix = self._combine(simulator.observables)
 
         self._supports: list[np.ndarray] | None = None
         self._derived_matrix: np.ndarray | None = None
@@ -143,7 +147,9 @@ class CompiledSampler:
         site's outcome (its ``p_hit`` spread over its non-identity
         patterns), plus half of the live coins.  Sparse Eq. 4 XORs one
         64-shot word per nonzero of the stacked detector+observable
-        matrix, ``nnz(derived) / 64`` words per shot.
+        matrix, ``nnz(derived) / 64`` words per shot, plus a fixed
+        ``_EQ4_ROW_WORDS`` per row: on repetition memories (few nonzeros
+        per row) the per-row loop, not the nonzeros, is Eq. 4's cost.
         """
         derived = self._derived()
         nonzeros = int(bitops.popcount_rows(derived).sum())
@@ -155,7 +161,8 @@ class CompiledSampler:
             probs = np.asarray(cluster.probabilities, dtype=np.float64)
             bits = np.bitwise_count(np.arange(probs.size))
             hits += cluster.offsets.size * float(probs @ bits) / probs.sum()
-        return hits * bitops.words_for(derived.shape[0]) / (nonzeros / 64.0)
+        eq4_words = nonzeros / 64.0 + _EQ4_ROW_WORDS * derived.shape[0]
+        return hits * bitops.words_for(derived.shape[0]) / eq4_words
 
     @functools.cached_property
     def detector_strategy(self) -> str:

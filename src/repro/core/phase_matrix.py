@@ -1,9 +1,18 @@
 """Growable bit-packed storage for the symbolic phase block.
 
-One row per tableau row; column ``j`` is the coefficient of symbol
-``s_j`` (column 0 = the constant ``s_0``).  This is the ``R̄ | R`` block
-of the paper's Eq. (3), stored packed in uint64 words with amortized
-doubling as the circuit allocates symbols.
+Column ``j`` is the coefficient of symbol ``s_j`` (column 0 = the
+constant ``s_0``).  This is the ``R̄ | R`` block of the paper's Eq. (3),
+stored packed in uint64 words with amortized doubling as the circuit
+allocates symbols.
+
+The matrix can hold a contiguous band of tableau rows only:
+``PhaseMatrix(n, first_row=n)`` stores the stabilizer half of a 2n-row
+tableau, and every method takes tableau row indices ``n .. 2n - 1``.
+The symbolic pass keeps exactly that band, because destabilizer signs
+never reach a measurement outcome (see :mod:`repro.core.simulator`).
+
+Row operations touch only the words covering the live ``width``; the
+words past it are zero in every row, since the width never shrinks.
 """
 
 from __future__ import annotations
@@ -18,16 +27,22 @@ _U64 = np.uint64
 class PhaseMatrix:
     """Packed (n_rows x width) GF(2) matrix with cheap row operations."""
 
-    def __init__(self, n_rows: int, initial_words: int = 1):
+    def __init__(self, n_rows: int, initial_words: int = 1, first_row: int = 0):
         if n_rows < 1:
             raise ValueError("PhaseMatrix needs at least one row")
         self.n_rows = n_rows
+        self.first_row = first_row
         self.words = np.zeros((n_rows, max(initial_words, 1)), dtype=_U64)
         self.width = 1  # bits in use: the constant column only, initially
 
     @property
     def capacity_bits(self) -> int:
         return self.words.shape[1] * bitops.WORD_BITS
+
+    @property
+    def live_words(self) -> int:
+        """Words per row that can hold a nonzero bit."""
+        return bitops.words_for(self.width)
 
     def ensure_width(self, width: int) -> None:
         """Grow storage so bit index ``width - 1`` is addressable."""
@@ -38,21 +53,22 @@ class PhaseMatrix:
             self.words = grown
         self.width = max(self.width, width)
 
-    # -- row updates (all accept an index array of rows) --------------------
+    # -- row updates (all accept an index array of tableau rows) ------------
 
     def xor_constant(self, rows: np.ndarray) -> None:
         """Flip the constant bit of the given rows (a concrete sign flip)."""
-        self.words[rows, 0] ^= _U64(1)
+        self.words[rows - self.first_row, 0] ^= _U64(1)
 
     def xor_symbol(self, rows: np.ndarray, symbol: int) -> None:
         """XOR symbol ``s_symbol`` into the phases of the given rows."""
         self.ensure_width(symbol + 1)
         word, mask = bitops.bit_to_word(symbol)
-        self.words[rows, word] ^= mask
+        self.words[rows - self.first_row, word] ^= mask
 
     def xor_block(self, first: int, block: np.ndarray) -> None:
-        """XOR the 0/1 columns of ``block`` (``n_rows x m``) into symbol
-        columns ``first .. first + m - 1`` (one noise instruction's faults)."""
+        """XOR the 0/1 columns of ``block`` (``n_rows x m``, every stored
+        row in order) into symbol columns ``first .. first + m - 1`` (one
+        noise instruction's faults)."""
         self.ensure_width(first + block.shape[1])
         word, shift = divmod(first, bitops.WORD_BITS)
         aligned = np.zeros((self.n_rows, shift + block.shape[1]), dtype=np.uint8)
@@ -62,7 +78,10 @@ class PhaseMatrix:
 
     def xor_rows(self, dst_rows: np.ndarray, src_row: int) -> None:
         """Phase(dst) ^= Phase(src) for every dst (symbolic rowsum part)."""
-        self.words[dst_rows] ^= self.words[src_row]
+        live = self.live_words
+        self.words[dst_rows - self.first_row, :live] ^= self.words[
+            src_row - self.first_row, :live
+        ]
 
     def xor_vector(self, rows: np.ndarray, vector: np.ndarray) -> None:
         """XOR a packed phase vector into the given rows (symbolic-exponent
@@ -70,19 +89,35 @@ class PhaseMatrix:
         n = vector.shape[0]
         if n > self.words.shape[1]:
             self.ensure_width(n * bitops.WORD_BITS)
-        self.words[np.asarray(rows)[:, None], np.arange(n)[None, :]] ^= vector
+        self.words[rows - self.first_row, :n] ^= vector
 
-    def copy_row(self, src: int, dst: int) -> None:
-        self.words[dst] = self.words[src]
+    def xor_reduce(self, rows: np.ndarray) -> np.ndarray:
+        """XOR of the given rows' phases, trimmed to the live words."""
+        return np.bitwise_xor.reduce(
+            self.words[rows - self.first_row, : self.live_words], axis=0
+        )
 
     def clear_row(self, row: int) -> None:
-        self.words[row] = 0
+        self.words[row - self.first_row, : self.live_words] = 0
+
+    # -- reads (validated) -----------------------------------------------------
+
+    def _stored(self, row: int) -> int:
+        """Storage index of tableau ``row``; a row outside the stored band
+        (a destabilizer row of the symbolic pass) is a ValueError."""
+        index = row - self.first_row
+        if not 0 <= index < self.n_rows:
+            raise ValueError(
+                f"row {row} has no stored phase: this matrix holds tableau "
+                f"rows {self.first_row}..{self.first_row + self.n_rows - 1}"
+            )
+        return index
 
     def row_vector(self, row: int) -> np.ndarray:
         """Packed copy of one row, trimmed to the words covering ``width``."""
-        return self.words[row, : bitops.words_for(self.width)].copy()
+        return self.words[self._stored(row), : self.live_words].copy()
 
     def row_support(self, row: int) -> np.ndarray:
         """Symbol indices with non-zero coefficient in this row."""
-        bits = bitops.unpack_bits(self.words[row], self.width)
+        bits = bitops.unpack_bits(self.words[self._stored(row)], self.width)
         return np.nonzero(bits)[0]

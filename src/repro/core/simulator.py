@@ -19,6 +19,13 @@ rules of §3.2.2:
 
 Resets use the paper's §6 extension: a conditional Pauli whose exponent
 is the *symbolic* measurement expression.
+
+Only the n stabilizer rows carry symbolic phases.  In A-G the
+destabilizer signs are write-only: every rowsum takes its source from a
+stabilizer row, a determinate outcome is a product of stabilizer rows,
+and the collapse copies a stabilizer row into a destabilizer row, never
+back.  So no destabilizer phase can reach an outcome, and the pass skips
+them (the X/Z bits of all 2n rows still drive the control flow).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
-from repro.circuit.transforms import record_index
+from repro.circuit.transforms import RecordAnnotations, record_index
 from repro.core.phase_matrix import PhaseMatrix
 from repro.core.symbols import SymbolTable
 from repro.gates.anf import gate_kernel
@@ -53,11 +60,10 @@ class SymPhaseSimulator:
         idx = np.arange(n)
         self.xs[idx, idx] = 1
         self.zs[n + idx, idx] = 1
-        self.phases = PhaseMatrix(2 * n)
+        self.phases = PhaseMatrix(n, first_row=n)  # stabilizer rows only
         self.symbols = SymbolTable()
         self.measurements: list[np.ndarray] = []  # packed bit-vectors
-        self.detectors: list[np.ndarray] = []  # absolute measurement indices
-        self.observables: dict[int, list[int]] = {}
+        self.annotations = RecordAnnotations()
 
     # -- public API ------------------------------------------------------
 
@@ -71,6 +77,17 @@ class SymPhaseSimulator:
     def run(self, circuit: Circuit) -> None:
         for instruction in circuit.flattened():
             self.do_instruction(instruction)
+
+    @property
+    def detectors(self) -> list[np.ndarray]:
+        """Absolute measurement indices of every DETECTOR, in order."""
+        return self.annotations.detectors
+
+    @property
+    def observables(self) -> list[list[int]]:
+        """Absolute measurement indices of every observable, ordered by
+        OBSERVABLE_INCLUDE index."""
+        return self.annotations.observables
 
     @property
     def num_measurements(self) -> int:
@@ -109,7 +126,9 @@ class SymPhaseSimulator:
     def do_instruction(self, instruction: Instruction) -> None:
         gate = instruction.gate
         if gate.is_unitary:
-            if any(isinstance(t, RecTarget) for t in instruction.targets):
+            if gate.name in _FEEDBACK_LETTER and any(
+                isinstance(t, RecTarget) for t in instruction.targets[0::2]
+            ):
                 self._apply_feedback(instruction)
             else:
                 self._apply_gate(gate.name, instruction.targets)
@@ -125,7 +144,8 @@ class SymPhaseSimulator:
         elif gate.kind == "noise":
             self._apply_noise(instruction)
         elif gate.kind == "annotation":
-            self._process_annotation(instruction)
+            # TICK / QUBIT_COORDS / SHIFT_COORDS resolve to nothing.
+            self.annotations.add(instruction, len(self.measurements))
         else:
             raise ValueError(f"unhandled instruction kind {gate.kind!r}")
 
@@ -144,9 +164,9 @@ class SymPhaseSimulator:
             for slot, qubits in enumerate(columns):
                 self.xs[:, qubits] = outputs[2 * slot]
                 self.zs[:, qubits] = outputs[2 * slot + 1]
-            flipped = np.nonzero(np.bitwise_xor.reduce(flip, axis=1))[0]
+            flipped = np.nonzero(np.bitwise_xor.reduce(flip[self.n:], axis=1))[0]
             if flipped.size:
-                self.phases.xor_constant(flipped)
+                self.phases.xor_constant(flipped + self.n)
 
     def _apply_feedback(self, instruction: Instruction) -> None:
         """Classically-controlled Pauli: ``P^m`` with a *symbolic* exponent.
@@ -162,7 +182,7 @@ class SymPhaseSimulator:
                 vector = self.measurements[
                     record_index(len(self.measurements), control)
                 ]
-                rows = self._anticommuting_rows(letter, qubit)
+                rows = self._anticommuting_stabilizers(letter, qubit)
                 if rows.size:
                     self.phases.xor_vector(rows, vector)
             else:
@@ -171,18 +191,20 @@ class SymPhaseSimulator:
     # -- Init-P: symbolic Pauli faults ----------------------------------------
 
     def _anticommuting_mask(self, letter: str, qubits) -> np.ndarray:
-        """0/1 mask of the rows anticommuting with ``letter`` on ``qubits``
-        (one column per qubit when ``qubits`` is an array)."""
+        """0/1 mask of the stabilizer rows anticommuting with ``letter``
+        on ``qubits`` (one column per qubit when ``qubits`` is an array)."""
+        stabilizers = slice(self.n, None)
         if letter == "X":
-            return self.zs[:, qubits]
+            return self.zs[stabilizers, qubits]
         if letter == "Z":
-            return self.xs[:, qubits]
+            return self.xs[stabilizers, qubits]
         if letter == "Y":
-            return self.xs[:, qubits] ^ self.zs[:, qubits]
+            return self.xs[stabilizers, qubits] ^ self.zs[stabilizers, qubits]
         raise ValueError(f"invalid Pauli letter {letter!r}")
 
-    def _anticommuting_rows(self, letter: str, qubit: int) -> np.ndarray:
-        return np.nonzero(self._anticommuting_mask(letter, qubit))[0]
+    def _anticommuting_stabilizers(self, letter: str, qubit: int) -> np.ndarray:
+        """Tableau indices of the stabilizer rows ``letter_qubit`` flips."""
+        return np.nonzero(self._anticommuting_mask(letter, qubit))[0] + self.n
 
     def _apply_noise(self, instruction: Instruction) -> None:
         """Apply ``P^s`` for every symbol of every site in one block XOR.
@@ -194,46 +216,53 @@ class SymPhaseSimulator:
             return
         first = self.symbols.allocate_noise(channel)
         block = np.zeros(
-            (2 * self.n, channel.n_sites, len(channel.columns)), dtype=np.uint8
+            (self.n, channel.n_sites, len(channel.columns)), dtype=np.uint8
         )
         for j, column in enumerate(channel.columns):
             for letter, slot in column:
                 block[:, :, j] ^= self._anticommuting_mask(
                     letter, channel.qubits[:, slot]
                 )
-        self.phases.xor_block(first, block.reshape(2 * self.n, -1))
+        self.phases.xor_block(first, block.reshape(self.n, -1))
 
     # -- Init-M: measurements --------------------------------------------------
 
-    def _rowsum_many(self, rows: np.ndarray, src: int) -> None:
-        """Symbolic rowsum: phases XOR, plus the deterministic g-phase."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        g_sum = g_exponents(
-            self.xs[rows], self.zs[rows], self.xs[src], self.zs[src]
-        ).sum(axis=1, dtype=np.int64)
-        g_mod4 = g_sum % 4
-        if np.any((g_mod4 & 1) & (rows >= self.n)):
-            raise AssertionError("odd i-exponent on a stabilizer row")
-        self.phases.xor_rows(rows, src)
-        const_rows = rows[(g_mod4 >> 1) & 1 == 1]
-        if const_rows.size:
-            self.phases.xor_constant(const_rows)
+    def _rowsum_many(
+        self, destabilizers: np.ndarray, stabilizers: np.ndarray, src: int
+    ) -> None:
+        """Symbolic rowsum of stabilizer row ``src`` into the given rows:
+        the X/Z bits of every row, and for the stabilizer rows the phase
+        XOR plus the deterministic g-phase (destabilizer phases are not
+        kept)."""
+        if stabilizers.size:
+            g_sum = g_exponents(
+                self.xs[stabilizers], self.zs[stabilizers],
+                self.xs[src], self.zs[src],
+            ).sum(axis=1, dtype=np.int64)
+            g_mod4 = g_sum % 4
+            if np.any(g_mod4 & 1):
+                raise AssertionError("odd i-exponent on a stabilizer row")
+            self.phases.xor_rows(stabilizers, src)
+            const_rows = stabilizers[(g_mod4 >> 1) & 1 == 1]
+            if const_rows.size:
+                self.phases.xor_constant(const_rows)
+        rows = np.concatenate((destabilizers, stabilizers))
         self.xs[rows] ^= self.xs[src]
         self.zs[rows] ^= self.zs[src]
 
     def _measure_z(self, qubit: int) -> np.ndarray:
         """Measure qubit in Z; returns the outcome's packed bit-vector."""
         n = self.n
-        stab_hits = np.nonzero(self.xs[n:, qubit])[0]
+        stab_hits = np.nonzero(self.xs[n:, qubit])[0] + n
         if stab_hits.size:
-            p = n + int(stab_hits[0])
-            others = np.nonzero(self.xs[:, qubit])[0]
-            self._rowsum_many(others[others != p], p)
+            p = int(stab_hits[0])
+            self._rowsum_many(
+                np.nonzero(self.xs[:n, qubit])[0], stab_hits[1:], p
+            )
+            # A-G copies row p into destabilizer p - n; its phase is not
+            # kept, so only the X/Z bits move.
             self.xs[p - n] = self.xs[p]
             self.zs[p - n] = self.zs[p]
-            self.phases.copy_row(p, p - n)
             self.xs[p] = 0
             self.zs[p] = 0
             self.zs[p, qubit] = 1
@@ -255,21 +284,22 @@ class SymPhaseSimulator:
         # Determinate outcome: product of the stabilizer rows selected by
         # the destabilizer X column (A-G), with symbolic phases XORed.
         hits = np.nonzero(self.xs[:n, qubit])[0] + n
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        vector = np.zeros(self.phases.words.shape[1], dtype=np.uint64)
-        constant = 0
-        for row in hits:
-            g_sum = int(g_exponents(x, z, self.xs[row], self.zs[row]).sum())
-            if g_sum % 2:
+        vector = self.phases.xor_reduce(hits)
+        if hits.size > 1:
+            # The g-phase of multiplying each row onto the product of the
+            # rows before it (the first row's is 0): the running products
+            # are a prefix XOR, so one g_exponents call covers them all.
+            xs, zs = self.xs[hits], self.zs[hits]
+            g_sum = g_exponents(
+                np.bitwise_xor.accumulate(xs[:-1], axis=0),
+                np.bitwise_xor.accumulate(zs[:-1], axis=0),
+                xs[1:], zs[1:],
+            ).sum(axis=1, dtype=np.int64)
+            if np.any(g_sum & 1):
                 raise AssertionError("odd i-exponent in determinate product")
-            constant ^= (g_sum % 4) >> 1
-            vector ^= self.phases.words[row]
-            x ^= self.xs[row]
-            z ^= self.zs[row]
-        if constant:
-            vector[0] ^= np.uint64(1)
-        return vector[: bitops.words_for(self.symbols.width)].copy()
+            if int(g_sum.sum()) & 2:
+                vector[0] ^= np.uint64(1)
+        return vector
 
     def _measure(self, qubit: int, basis: str) -> np.ndarray:
         conj = _BASIS_CONJUGATION.get(basis)
@@ -289,33 +319,11 @@ class SymPhaseSimulator:
         vector = self._measure_z(qubit)
         if record:
             self.measurements.append(vector)
-        rows = self._anticommuting_rows("X", qubit)
+        rows = self._anticommuting_stabilizers("X", qubit)
         if rows.size:
             self.phases.xor_vector(rows, vector)
         if conj:
             self._apply_gate(conj, (qubit,))
-
-    # -- annotations -----------------------------------------------------------
-
-    def _resolve_lookbacks(self, targets: tuple) -> list[int]:
-        resolved = []
-        for target in targets:
-            if not isinstance(target, RecTarget):
-                raise ValueError("detector targets must be rec[-k]")
-            resolved.append(record_index(len(self.measurements), target))
-        return resolved
-
-    def _process_annotation(self, instruction: Instruction) -> None:
-        if instruction.name == "DETECTOR":
-            self.detectors.append(
-                np.array(self._resolve_lookbacks(instruction.targets), dtype=np.int64)
-            )
-        elif instruction.name == "OBSERVABLE_INCLUDE":
-            index = int(instruction.args[0])
-            self.observables.setdefault(index, []).extend(
-                self._resolve_lookbacks(instruction.targets)
-            )
-        # TICK / QUBIT_COORDS / SHIFT_COORDS carry no simulation semantics.
 
 
 def _distinct_runs(targets: tuple[int, ...], arity: int) -> list[tuple[int, ...]]:

@@ -97,15 +97,18 @@ class TaskStats:
             raise ValueError("metadata is not a JSON object")
         if not isinstance(row["task_id"], str):
             raise ValueError("task_id is not a string")
+        shots, errors = _count(row, "shots"), _count(row, "errors")
+        if errors > shots:
+            raise ValueError(f"errors ({errors}) exceed shots ({shots})")
         return cls(
             task_id=row["task_id"],
             decoder=row.get("decoder", "matching"),
             sampler=row.get("sampler", "symbolic"),
             metadata=metadata,
-            shots=int(row["shots"]),
-            errors=int(row["errors"]),
+            shots=shots,
+            errors=errors,
             seconds=float(row.get("seconds", 0.0)),
-            chunks=int(row.get("chunks", 0)),
+            chunks=_count(row, "chunks", 0),
             base_seed=row.get("base_seed"),
             resumed=True,
             worker_seconds=float(row.get("worker_seconds", 0.0)),
@@ -115,8 +118,18 @@ class TaskStats:
             # sample_seconds/decode_seconds, which are ignored.
             queue_wait_seconds=float(row.get("queue_wait_seconds", 0.0)),
             hold_seconds=float(row.get("hold_seconds", 0.0)),
-            transport_bytes=int(row.get("transport_bytes", 0)),
+            transport_bytes=_count(row, "transport_bytes", 0),
         )
+
+
+def _count(row: dict[str, Any], name: str, default: int | None = None) -> int:
+    """A stored count field: a non-negative JSON integer, never coerced
+    (``2.9``, ``true``, ``"12"`` and ``-3`` are corrupt, not 2/1/12/-3).
+    A missing field takes ``default`` when one is given."""
+    value = row[name] if default is None else row.get(name, default)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} is not a non-negative integer: {value!r}")
+    return value
 
 
 class ResultStore:
@@ -188,8 +201,8 @@ class ResultStore:
             try:
                 stats = TaskStats.from_row(row)
             except (KeyError, TypeError, ValueError, OverflowError):
-                # OverflowError: a float field past the double range
-                # (``1e999`` parses as inf) fed to int().
+                # OverflowError: an integer past the double range fed
+                # to float() (a ``seconds`` field of 400 digits).
                 print(
                     f"warning: skipping corrupt row at "
                     f"{self.path}:{number}",

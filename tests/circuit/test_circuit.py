@@ -70,6 +70,26 @@ class TestStatistics:
         c = Circuit().append_repeat(2, Circuit().h(9))
         assert c.n_qubits == 10
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # Pauli targets count their qubit.
+            ("H 0\nCORRELATED_ERROR(0.1) X2 Z11", 12),
+            ("E(0.1) Y4", 5),
+            # rec[-k] targets name no qubit, alone or among qubits.
+            ("M 3\nDETECTOR rec[-1]", 4),
+            ("M 0 1\nDETECTOR rec[-1] rec[-2]\nOBSERVABLE_INCLUDE(0) rec[-2]", 2),
+            ("M 0\nCX rec[-1] 6", 7),
+            ("M 8\nCX rec[-1] 1 2 5", 9),
+            # REPEAT bodies, nested, with every target kind.
+            ("REPEAT 2 {\n  REPEAT 3 {\n    M 13\n    CZ rec[-1] 2\n  }\n}", 14),
+            ("H 1\nREPEAT 2 {\n  E(0.1) X20\n  DETECTOR rec[-1]\n}\nM 0", 21),
+            ("DETECTOR rec[-1]", 0),
+        ],
+    )
+    def test_n_qubits_target_kinds(self, text, expected):
+        assert Circuit.from_text(text).n_qubits == expected
+
     def test_num_measurements_with_repeats(self):
         c = Circuit().m(0, 1)
         c.append_repeat(3, Circuit().mr(2))

@@ -58,11 +58,9 @@ class TestRowOps:
             assert bitops.get_bit(pm.words[row], 3) == 1
             assert bitops.get_bit(pm.words[row], 0) == 1
 
-    def test_copy_and_clear_row(self):
+    def test_clear_row(self):
         pm = PhaseMatrix(2)
-        pm.xor_symbol(np.array([0]), 9)
-        pm.copy_row(0, 1)
-        assert bitops.get_bit(pm.words[1], 9) == 1
+        pm.xor_symbol(np.array([0, 1]), 9)
         pm.clear_row(0)
         assert not pm.words[0].any()
         assert bitops.get_bit(pm.words[1], 9) == 1
@@ -87,3 +85,45 @@ class TestRowOps:
         pm.xor_symbol(np.array([0]), 4)
         pm.xor_constant(np.array([0]))
         assert list(pm.row_support(0)) == [0, 4]
+
+
+class TestRowBand:
+    """A matrix holding tableau rows ``first_row ..`` only (the symbolic
+    pass's stabilizer half) takes tableau row indices everywhere."""
+
+    def test_ops_address_tableau_rows(self):
+        pm = PhaseMatrix(2, first_row=3)
+        pm.xor_symbol(np.array([3]), 70)
+        pm.xor_constant(np.array([4]))
+        pm.xor_rows(np.array([4]), 3)
+        assert list(pm.row_support(3)) == [70]
+        assert list(pm.row_support(4)) == [0, 70]
+        both = pm.row_vector(3) ^ pm.row_vector(4)
+        assert np.array_equal(pm.xor_reduce(np.array([3, 4])), both)
+
+    def test_rows_outside_the_band_are_named(self):
+        pm = PhaseMatrix(2, first_row=3)
+        for row in (0, 2, 5):
+            with pytest.raises(ValueError, match=f"row {row} has no stored phase"):
+                pm.row_support(row)
+            with pytest.raises(ValueError, match=f"row {row} has no stored phase"):
+                pm.row_vector(row)
+
+    def test_xor_reduce_of_no_rows_is_zero(self):
+        pm = PhaseMatrix(2)
+        pm.ensure_width(130)
+        out = pm.xor_reduce(np.array([], dtype=np.int64))
+        assert out.shape == (bitops.words_for(130),) and not out.any()
+
+    def test_row_ops_stop_at_the_live_words(self):
+        """Capacity doubles ahead of the width; row ops leave the words
+        past the live width alone (they stay zero)."""
+        pm = PhaseMatrix(2)
+        pm.ensure_width(65)
+        pm.ensure_width(130)
+        assert pm.words.shape[1] > pm.live_words
+        pm.words[0, pm.live_words:] = 7  # sentinel past the width
+        pm.xor_rows(np.array([1]), 0)
+        pm.clear_row(0)
+        assert not pm.words[1, pm.live_words:].any()
+        assert (pm.words[0, pm.live_words:] == 7).all()

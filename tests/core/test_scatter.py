@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.compiled_sampler as compiled_sampler
 from repro.circuit import Circuit
 from repro.core import compile_sampler
 from repro.gf2 import bitops
@@ -171,6 +172,33 @@ class TestAutoRule:
         ))
         assert sampler.scatter_cost_ratio() > 1.0
         assert sampler.detector_strategy == sampler.choose_strategy()
+
+    def test_surface_low_noise_runs_the_scatter(self):
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=0.002,
+            before_measure_flip_probability=0.002,
+        ))
+        assert sampler.detector_strategy == "scatter"
+
+    @pytest.mark.parametrize("p", [0.03, 0.05, 0.3])
+    def test_surface_from_p_003_runs_eq4(self, p):
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=p,
+            before_measure_flip_probability=p,
+        ))
+        assert sampler.detector_strategy == "sparse"
+
+    def test_repetition_counts_eq4_per_row_cost(self, monkeypatch):
+        """Few nonzeros per detector row: Eq. 4's per-row loop, not its
+        nonzeros, is its cost, so the scatter runs (~2.7x faster at 512
+        shots) although its words outnumber Eq. 4's nonzero words."""
+        sampler = compile_sampler(repetition_code_memory(
+            9, rounds=9, data_flip_probability=0.02,
+            measure_flip_probability=0.02,
+        ))
+        assert sampler.detector_strategy == "scatter"
+        monkeypatch.setattr(compiled_sampler, "_EQ4_ROW_WORDS", 0.0)
+        assert sampler.scatter_cost_ratio() > 1.0
 
     def test_explicit_scatter_at_high_noise(self):
         sampler = compile_sampler(surface_code_memory(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import Circuit
+from repro.circuit import Circuit, resolve_record_annotations
 from repro.core import (
     SymPhaseSimulator,
     concrete_replay,
@@ -205,6 +205,23 @@ class TestDetectorsAndObservables:
         c = Circuit().m(0).observable_include(0, -1).m(0).observable_include(0, -1)
         sim = SymPhaseSimulator.from_circuit(c)
         assert sim.observables[0] == [0, 1]
+
+    def test_observables_ordered_by_index_across_runs(self):
+        """Sparse OBSERVABLE_INCLUDE indices, first seen out of order and
+        over two ``run`` calls, land in index order, as every other
+        backend's ``resolve_record_annotations`` holds them."""
+        first = Circuit.from_text(
+            "M 0 1 2\nOBSERVABLE_INCLUDE(5) rec[-1]\nOBSERVABLE_INCLUDE(0) rec[-3]"
+        )
+        second = Circuit.from_text(
+            "M 0\nOBSERVABLE_INCLUDE(2) rec[-1]\nOBSERVABLE_INCLUDE(5) rec[-3]"
+        )
+        sim = SymPhaseSimulator(3)
+        sim.run(first)
+        sim.run(second)
+        assert sim.observables == [[0], [3], [2, 1]]
+        _, resolved = resolve_record_annotations((first + second).flattened())
+        assert [list(o) for o in resolved] == sim.observables
 
     def test_lookback_before_start_rejected(self):
         c = Circuit().m(0).detector(-2)

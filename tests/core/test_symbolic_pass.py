@@ -16,16 +16,29 @@ import repro.noise.channels as channels
 import repro.obs as obs
 from benchmarks.bench_symbolic_pass import grid, pass_digests
 from repro.backends import compile_backend
-from repro.circuit import Circuit
+from repro.circuit import Circuit, RecTarget
+from repro.circuit.transforms import record_index
 from repro.core import (
     CompiledSampler,
+    PhaseMatrix,
     SymbolTable,
     SymPhaseSimulator,
     concrete_replay,
     random_assignment,
     substituted_record,
 )
+from repro.core.simulator import (
+    _BASIS_CONJUGATION,
+    _FEEDBACK_LETTER,
+    _distinct_runs,
+)
+from repro.gates.anf import gate_kernel
+from repro.gates.database import get_gate
 from repro.gates.unitaries import UNITARIES_1Q, UNITARIES_2Q
+from repro.gf2 import bitops
+from repro.noise.channels import noise_channel
+from repro.tableau.tableau import g_exponents
+from repro.workloads import fig3c_circuit
 
 DIGESTS = {
     "fig3c_n128": {
@@ -213,3 +226,228 @@ class TestCompileSpans:
         text = obs.prometheus_text(obs.registry())
         assert 'stage="core.symbolic_pass"' in text
         assert 'stage="core.sampler_build"' in text
+
+
+class TwoHalfReference(SymPhaseSimulator):
+    """The pass as it was before it dropped the destabilizer phases: a
+    2n-row phase matrix, every sign update on all rows it touches, the
+    collapse copying row p's phase into destabilizer p - n, whole-row
+    phase XORs and a per-row loop for determinate outcomes.  Test-only;
+    the control flow (X/Z bits) is the same A-G as the real pass."""
+
+    def __init__(self, n_qubits: int):
+        super().__init__(n_qubits)
+        self.phases = PhaseMatrix(2 * n_qubits)
+
+    def _apply_gate(self, name, targets):
+        kernel = gate_kernel(get_gate(name).name)
+        arity = kernel.n_qubits
+        for run in _distinct_runs(targets, arity):
+            sites = np.asarray(run, dtype=np.int64).reshape(-1, arity)
+            columns = [sites[:, slot] for slot in range(arity)]
+            inputs = []
+            for qubits in columns:
+                inputs += [self.xs[:, qubits], self.zs[:, qubits]]
+            *outputs, flip = kernel.evaluate(inputs)
+            for slot, qubits in enumerate(columns):
+                self.xs[:, qubits] = outputs[2 * slot]
+                self.zs[:, qubits] = outputs[2 * slot + 1]
+            flipped = np.nonzero(np.bitwise_xor.reduce(flip, axis=1))[0]
+            if flipped.size:
+                self.phases.xor_constant(flipped)
+
+    def _all_rows_mask(self, letter, qubits):
+        if letter == "X":
+            return self.zs[:, qubits]
+        if letter == "Z":
+            return self.xs[:, qubits]
+        return self.xs[:, qubits] ^ self.zs[:, qubits]
+
+    def _apply_feedback(self, instruction):
+        letter = _FEEDBACK_LETTER[instruction.name]
+        targets = instruction.targets
+        for control, qubit in zip(targets[0::2], targets[1::2]):
+            if isinstance(control, RecTarget):
+                vector = self.measurements[
+                    record_index(len(self.measurements), control)
+                ]
+                rows = np.nonzero(self._all_rows_mask(letter, qubit))[0]
+                if rows.size:
+                    self.phases.xor_vector(rows, vector)
+            else:
+                self._apply_gate(instruction.name, (control, qubit))
+
+    def _apply_noise(self, instruction):
+        channel = noise_channel(instruction)
+        if not channel.n_sites:
+            return
+        first = self.symbols.allocate_noise(channel)
+        block = np.zeros(
+            (2 * self.n, channel.n_sites, len(channel.columns)), dtype=np.uint8
+        )
+        for j, column in enumerate(channel.columns):
+            for letter, slot in column:
+                block[:, :, j] ^= self._all_rows_mask(
+                    letter, channel.qubits[:, slot]
+                )
+        self.phases.xor_block(first, block.reshape(2 * self.n, -1))
+
+    def _rowsum_all(self, rows, src):
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return
+        g_sum = g_exponents(
+            self.xs[rows], self.zs[rows], self.xs[src], self.zs[src]
+        ).sum(axis=1, dtype=np.int64)
+        g_mod4 = g_sum % 4
+        assert not np.any((g_mod4 & 1) & (rows >= self.n))
+        self.phases.words[rows] ^= self.phases.words[src]
+        const_rows = rows[(g_mod4 >> 1) & 1 == 1]
+        if const_rows.size:
+            self.phases.xor_constant(const_rows)
+        self.xs[rows] ^= self.xs[src]
+        self.zs[rows] ^= self.zs[src]
+
+    def _measure_z(self, qubit):
+        n = self.n
+        stab_hits = np.nonzero(self.xs[n:, qubit])[0]
+        if stab_hits.size:
+            p = n + int(stab_hits[0])
+            others = np.nonzero(self.xs[:, qubit])[0]
+            self._rowsum_all(others[others != p], p)
+            self.xs[p - n] = self.xs[p]
+            self.zs[p - n] = self.zs[p]
+            self.phases.words[p - n] = self.phases.words[p]
+            self.xs[p] = 0
+            self.zs[p] = 0
+            self.zs[p, qubit] = 1
+            self.phases.words[p] = 0
+            symbol = self.symbols.allocate_measurement(
+                len(self.measurements), qubit
+            )
+            self.phases.xor_symbol(np.array([p]), symbol)
+            vector = np.zeros(bitops.words_for(self.symbols.width), dtype=np.uint64)
+            bitops.set_bit(vector, symbol, 1)
+            return vector
+        hits = np.nonzero(self.xs[:n, qubit])[0] + n
+        x = np.zeros(n, dtype=np.uint8)
+        z = np.zeros(n, dtype=np.uint8)
+        vector = np.zeros(self.phases.words.shape[1], dtype=np.uint64)
+        constant = 0
+        for row in hits:
+            g_sum = int(g_exponents(x, z, self.xs[row], self.zs[row]).sum())
+            assert g_sum % 2 == 0
+            constant ^= (g_sum % 4) >> 1
+            vector ^= self.phases.words[row]
+            x ^= self.xs[row]
+            z ^= self.zs[row]
+        if constant:
+            vector[0] ^= np.uint64(1)
+        return vector[: bitops.words_for(self.symbols.width)].copy()
+
+    def _reset(self, qubit, basis, record):
+        conj = _BASIS_CONJUGATION.get(basis)
+        if conj:
+            self._apply_gate(conj, (qubit,))
+        vector = self._measure_z(qubit)
+        if record:
+            self.measurements.append(vector)
+        rows = np.nonzero(self._all_rows_mask("X", qubit))[0]
+        if rows.size:
+            self.phases.xor_vector(rows, vector)
+        if conj:
+            self._apply_gate(conj, (qubit,))
+
+
+def append_annotations(circuit: Circuit, rng: np.random.Generator) -> None:
+    """Random detectors, and observables with sparse indices included in
+    random order (so the index-ordered observable list is exercised)."""
+    n_m = circuit.num_measurements
+    for _ in range(int(rng.integers(1, 5))):
+        lookbacks = rng.choice(n_m, size=int(rng.integers(1, min(n_m, 3) + 1)),
+                               replace=False)
+        if rng.random() < 0.5:
+            circuit.detector(*(-int(k) - 1 for k in lookbacks))
+        else:
+            circuit.observable_include(
+                int(rng.choice((0, 2, 5))), *(-int(k) - 1 for k in lookbacks)
+            )
+
+
+def assert_matches_reference(circuit: Circuit) -> None:
+    """The stabilizer-only pass equals the 2n-row reference bit for bit."""
+    ours = SymPhaseSimulator.from_circuit(circuit)
+    reference = TwoHalfReference.from_circuit(circuit)
+    assert len(ours.measurements) == len(reference.measurements)
+    for mine, theirs in zip(ours.measurements, reference.measurements):
+        assert np.array_equal(mine, theirs)
+    ours_sampler, reference_sampler = CompiledSampler(ours), CompiledSampler(reference)
+    for name in ("measurement_matrix", "detector_matrix", "observable_matrix"):
+        assert np.array_equal(
+            getattr(ours_sampler, name), getattr(reference_sampler, name)
+        )
+    assert [r[:5] for r in ours.symbols.records] == [
+        r[:5] for r in reference.symbols.records
+    ]
+    assert [ours.symbols.label(i) for i in range(ours.symbols.width)] == [
+        reference.symbols.label(i) for i in range(reference.symbols.width)
+    ]
+    n = ours.n
+    assert ours.phases.width == reference.phases.width
+    for row in range(n, 2 * n):
+        assert np.array_equal(
+            ours.phases.row_vector(row), reference.phases.row_vector(row)
+        )
+
+
+class TestStabilizerOnlyPass:
+    """Destabilizer phases never reach an outcome: dropping them leaves
+    every output of the pass unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), n_qubits=st.integers(2, 7))
+    def test_equals_two_half_reference(self, seed, n_qubits):
+        rng = np.random.default_rng(seed)
+        circuit = mixed_circuit(rng, n_qubits, depth=int(rng.integers(10, 60)))
+        append_annotations(circuit, rng)
+        assert_matches_reference(circuit)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), n_qubits=st.integers(3, 10))
+    def test_layered_circuits_equal_reference(self, seed, n_qubits):
+        assert_matches_reference(fig3c_circuit(n_qubits, seed=seed))
+
+    @pytest.mark.parametrize("n_qubits, seed", [(4, 0), (6, 17), (8, 0)])
+    def test_determinate_g_phase_equals_reference(self, n_qubits, seed):
+        """Layered circuits whose final determinate outcomes multiply
+        several stabilizer rows with a g-phase of 2 mod 4, which random
+        mixed circuits seldom reach."""
+        assert_matches_reference(fig3c_circuit(n_qubits, seed=seed))
+
+    @pytest.mark.parametrize("name", ["surface_d3", "surface_d5", "fig3c_n64"])
+    def test_grid_circuits_equal_reference(self, name):
+        assert_matches_reference(grid()[name])
+
+    def test_destabilizer_row_has_no_phase(self):
+        sim = SymPhaseSimulator.from_circuit(Circuit.from_text("H 0\nCX 0 1"))
+        assert sim.phases.row_support(3).tolist() == []
+        for row in (0, 1, 4, -1):
+            with pytest.raises(ValueError, match=f"row {row} "):
+                sim.phases.row_support(row)
+            with pytest.raises(ValueError, match=f"row {row} "):
+                sim.phases.row_vector(row)
+
+    def test_fig3c_phase_traffic(self, monkeypatch):
+        """Rowsum phase XORs land on stabilizer rows only and cover the
+        live words only: Fig. 3c n=128 moves 9.9M words (35.1M with the
+        2n-row matrix and whole-capacity rows)."""
+        words = []
+        xor_rows = PhaseMatrix.xor_rows
+
+        def counting(matrix, dst_rows, src_row):
+            words.append(len(dst_rows) * matrix.live_words)
+            return xor_rows(matrix, dst_rows, src_row)
+
+        monkeypatch.setattr(PhaseMatrix, "xor_rows", counting)
+        SymPhaseSimulator.from_circuit(grid()["fig3c_n128"])
+        assert sum(words) <= 10_000_000

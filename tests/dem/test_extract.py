@@ -386,9 +386,7 @@ class TestBruteForceFaults:
         append_random_annotations(circuit, rng, n_detectors=3)
         simulator = SymPhaseSimulator.from_circuit(circuit)
         dem = extract_dem(CompiledSampler(simulator), merge=False)
-        parities = [*simulator.detectors, *(
-            simulator.observables[k] for k in sorted(simulator.observables)
-        )]
+        parities = [*simulator.detectors, *simulator.observables]
 
         def flipped(assignment):
             record = concrete_replay(circuit, simulator, assignment)

@@ -29,6 +29,16 @@ BAD_FIELDS = [
     ("shots", None),
     ("shots", []),
     ("errors", float("inf")),
+    # Counts are never coerced: each of these once loaded as a wrong
+    # number instead of being skipped.
+    ("shots", 2.9),
+    ("shots", "12"),
+    ("shots", True),
+    ("shots", -1),
+    ("errors", True),
+    ("errors", -3),
+    ("errors", 0.5),
+    ("errors", 10_000),  # more errors than shots
     ("task_id", 7),
     ("task_id", ["t"]),
     ("metadata", [1, 2]),
@@ -133,8 +143,17 @@ def test_damaged_store_loads_intact_rows_and_warns_by_line(case):
         '{"task_id": ["t2"], "shots": 5, "errors": 0}',
         # Nesting deep enough to exhaust the decoder's recursion.
         "[" * 100_000,
+        # Counts that int() would coerce to 2/1 and 12/-3.
+        '{"task_id": "t2", "shots": 2.9, "errors": true}',
+        '{"task_id": "t2", "shots": "12", "errors": -3}',
+        '{"task_id": "t2", "shots": 5, "errors": 6}',
+        # An integer float() cannot take.
+        '{"task_id": "t2", "shots": 5, "errors": 0, "seconds": 1' + "0" * 400 + "}",
     ],
-    ids=["overflow", "unhashable-id", "deep-nesting"],
+    ids=[
+        "overflow", "unhashable-id", "deep-nesting", "float-and-bool-counts",
+        "string-and-negative-counts", "errors-exceed-shots", "huge-seconds",
+    ],
 )
 def test_bad_row_is_skipped_with_warning(tmp_path, capsys, bad_row):
     """Rows that once aborted ``load()`` are skipped and named like
