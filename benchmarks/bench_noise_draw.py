@@ -158,8 +158,8 @@ def detector_rows(p_grid, seed) -> list[dict]:
                     "code": code,
                     "shots": shots,
                     "p": p,
-                    "cost_ratio": sampler.scatter_cost_ratio(),
-                    "auto_picks": sampler.detector_strategy,
+                    "cost_ratio": sampler.scatter_cost_ratio(shots),
+                    "auto_picks": sampler.detector_strategy(shots),
                     **{f"{name}_ms": seconds * 1e3
                        for name, seconds in best.items()},
                     "auto_over_sparse": best["auto"] / best["sparse"],

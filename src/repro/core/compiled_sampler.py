@@ -28,11 +28,12 @@ starting from the constant column; the pairs are grouped by shot with a
 O(n_smp · hits · words_for(n_det + n_obs)) instead of O(n_smp · nnz / 64),
 and the rows are bitwise Eq. 4's, because both read one draw
 (:meth:`~repro.core.symbols.SymbolTable.draw`).  Its ``auto`` rule
-compares the two per-shot costs once per compiled sampler (the crossover
-is measured in ``benchmarks/bench_noise_draw.py``): the scatter up to a
-cost ratio of 1, Eq. 4 above (surface d = 5, 512 shots: p ≤ 0.02 runs
-the scatter, ~4× faster than Eq. 4 at p = 0.002; repetition d = 9,
-where Eq. 4's per-row loop dominates: p ≤ 0.02 runs the scatter).
+compares the two per-shot costs for the call's shot count (the
+crossover is measured in ``benchmarks/bench_noise_draw.py``): the
+scatter up to a cost ratio of 1, Eq. 4 above.  Eq. 4 pays a fixed cost
+per row and call, so small calls favour the scatter: surface d = 5
+runs it up to p = 0.05 on 512-shot calls and up to p = 0.02 on
+4096-shot ones, where it is ~2× faster than Eq. 4 at p = 0.002.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ from repro.rng import as_generator
 
 _SPARSE_SUPPORT_THRESHOLD_FRACTION = 0.125
 _SCATTER_COST_RATIO = 1.0
-#: Sparse Eq. 4's fixed cost per detector/observable row (its ``reduce``
-#: call, transpose and unpack), in the words of :meth:`scatter_cost_ratio`.
-#: Fitted to 4096-shot calls of ``bench_noise_draw.py``, where the two
-#: kernels tie near the threshold; the cost grows more slowly than the
-#: shots, so on smaller calls it weighs more and the rule errs toward Eq. 4.
-_EQ4_ROW_WORDS = 0.1
+#: Sparse Eq. 4's fixed cost per detector/observable row and call (its
+#: ``reduce`` call, transpose and unpack), in the words of
+#: :meth:`scatter_cost_ratio`; per shot it weighs ``_EQ4_ROW_WORDS /
+#: shots``.  Fitted to ``bench_noise_draw.py``'s 4096-shot calls, where
+#: the kernels tie near the threshold (0.1 words per row and shot there);
+#: on its 512-shot calls it puts the crossover where the timings do
+#: (surface d = 5: scatter at p = 0.05, Eq. 4 from p = 0.15).
+_EQ4_ROW_WORDS = 410.0
 
 
 class CompiledSampler:
@@ -139,8 +142,9 @@ class CompiledSampler:
         threshold = _SPARSE_SUPPORT_THRESHOLD_FRACTION * self.width
         return "sparse" if self.average_support() <= threshold else "dense"
 
-    def scatter_cost_ratio(self) -> float:
-        """Per-shot cost of the hit scatter over that of sparse Eq. 4.
+    def scatter_cost_ratio(self, shots: int) -> float:
+        """Per-shot cost of the hit scatter over that of sparse Eq. 4 on
+        a call of ``shots`` shots.
 
         The scatter XORs one column of ``words_for(n_det + n_obs)``
         words per set symbol: the expected pattern bits of every noise
@@ -148,28 +152,37 @@ class CompiledSampler:
         patterns), plus half of the live coins.  Sparse Eq. 4 XORs one
         64-shot word per nonzero of the stacked detector+observable
         matrix, ``nnz(derived) / 64`` words per shot, plus a fixed
-        ``_EQ4_ROW_WORDS`` per row: on repetition memories (few nonzeros
-        per row) the per-row loop, not the nonzeros, is Eq. 4's cost.
+        ``_EQ4_ROW_WORDS`` per row and call: on repetition memories (few
+        nonzeros per row) and small calls the per-row loop, not the
+        nonzeros, is Eq. 4's cost.
         """
-        derived = self._derived()
-        nonzeros = int(bitops.popcount_rows(derived).sum())
-        if nonzeros == 0:
+        scatter_words, nonzero_words = self._detector_costs
+        if nonzero_words == 0:
             return 0.0
+        rows = self._derived().shape[0]
+        eq4_words = nonzero_words + _EQ4_ROW_WORDS * rows / max(shots, 1)
+        return scatter_words / eq4_words
+
+    @functools.cached_property
+    def _detector_costs(self) -> tuple[float, float]:
+        """The shot-independent parts of :meth:`scatter_cost_ratio`:
+        the scatter's expected words per shot and Eq. 4's nonzero words
+        per shot."""
+        derived = self._derived()
         _, clusters = self.symbols.draw_plan()
         hits = 0.5 * self._live_coins.size
         for cluster in clusters:
             probs = np.asarray(cluster.probabilities, dtype=np.float64)
             bits = np.bitwise_count(np.arange(probs.size))
             hits += cluster.offsets.size * float(probs @ bits) / probs.sum()
-        eq4_words = nonzeros / 64.0 + _EQ4_ROW_WORDS * derived.shape[0]
-        return hits * bitops.words_for(derived.shape[0]) / eq4_words
+        nonzeros = int(bitops.popcount_rows(derived).sum())
+        return hits * bitops.words_for(derived.shape[0]), nonzeros / 64.0
 
-    @functools.cached_property
-    def detector_strategy(self) -> str:
-        """What ``sample_detectors(strategy="auto")`` runs, decided once:
-        the scatter while :meth:`scatter_cost_ratio` is at most
+    def detector_strategy(self, shots: int) -> str:
+        """What ``sample_detectors(shots, strategy="auto")`` runs: the
+        scatter while :meth:`scatter_cost_ratio` is at most
         ``_SCATTER_COST_RATIO``, else :meth:`choose_strategy`'s Eq. 4."""
-        if self.scatter_cost_ratio() <= _SCATTER_COST_RATIO:
+        if self.scatter_cost_ratio(shots) <= _SCATTER_COST_RATIO:
             return "scatter"
         return self.choose_strategy()
 
@@ -211,13 +224,13 @@ class CompiledSampler:
         Returns ``(detectors, observables)`` of shapes
         ``(shots, n_det)`` and ``(shots, n_obs)``.
         ``rng`` may be an int seed, a Generator, or ``None``.
-        ``strategy`` is ``"auto"`` (:attr:`detector_strategy`),
+        ``strategy`` is ``"auto"`` (:meth:`detector_strategy`),
         ``"scatter"``, ``"sparse"`` or ``"dense"``; all four return the
         same bits for the same generator.
         """
         rng = as_generator(rng)
         if strategy == "auto":
-            strategy = self.detector_strategy
+            strategy = self.detector_strategy(shots)
         if strategy == "scatter":
             both = self._scatter(shots, rng)
         else:

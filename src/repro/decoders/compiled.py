@@ -15,21 +15,30 @@ compiled decoder does all path-finding at **compile time** instead:
   and then checked against every tied shortest path.  Only sources whose
   tied paths carry different masks (12 of 337 at d=7, rounds = 7) run
   the exact per-source Dijkstra, which picks the path NetworkX picks;
-* decoding a batch then dedupes identical syndromes, resolves the
-  one- and two-defect syndromes (the bulk at QEC-relevant error rates)
-  with pure array gathers, and matches defect sets of up to 18 nodes
-  exactly with one vectorized subset dynamic program per defect-count
-  group (:func:`_min_pairing`) over the dense distance submatrices;
-* larger defect sets, weight ties and unreachable pairs go, one row at
-  a time, to an exact blossom matcher on the same dense submatrix
-  (:func:`~repro.decoders.blossom.min_weight_matching`): lists indexed
-  by vertex, no graph objects.
+* decoding a batch then dedupes identical syndromes and runs four
+  tiers over the unique rows:
 
-Both batch entry points — unpacked ``decode_batch`` and the packed-wire
-``decode_batch_packed`` — reduce their unique rows to one CSR-style
-defect view and share a single decode core, so the packed path (zero-row
-short-circuit, void-view dedupe, defect extraction straight from the
-uint64 words) predicts bit-for-bit what the unpacked path predicts.
+  1. **gathers** — one- and two-defect rows (the bulk at QEC-relevant
+     error rates) read their single precomputed pair;
+  2. **split** — rows with more than :data:`_SPLIT_MIN_DEFECTS` defects
+     fall apart into independent clusters where that is exact
+     (:meth:`CompiledMatchingDecoder._clusters`): a defect nearer the
+     boundary than to any partner is never paired across a gap, so
+     each cluster decodes alone (the locality sparse blossom exploits);
+  3. **DP** — every piece of up to 18 nodes is matched exactly by one
+     vectorized subset dynamic program per defect-count group
+     (:func:`_min_pairing`) over the dense distance submatrices, and a
+     row predicts the XOR of its pieces;
+  4. **blossom** — a row with a piece past the DP ceiling, a near-tie
+     or an unreachable pair goes whole, one row at a time, to an exact
+     blossom matcher on the same dense submatrix
+     (:func:`~repro.decoders.blossom.min_weight_matching`): lists
+     indexed by vertex, no graph objects.
+
+There is one batch path: ``decode_batch`` packs its rows and runs the
+packed-wire ``decode_batch_packed`` (zero-row short-circuit, void-view
+dedupe, defect extraction straight from the uint64 words), which hands
+its unique rows to the decode core as one CSR-style defect view.
 
 Predictions are bitwise identical to :class:`MatchingDecoder`: the
 vectorized tables equal the CSR Dijkstra's bit for bit, and that
@@ -37,7 +46,8 @@ Dijkstra mirrors NetworkX's traversal exactly (same strictly-improving
 relaxation, insertion-order tie-breaking on equal distances, adjacency
 iteration in edge-insertion order); the dynamic program's matching is
 used only where every near-optimal pairing predicts the same
-correction, and everything else goes through a port of the
+correction (the split only where that carries over from the clusters
+to the row), and everything else goes through a port of the
 ``nx.max_weight_matching`` call the reference makes that scans in the
 reference's order, so it returns the same matching, ties included.
 """
@@ -54,7 +64,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.decoders.blossom import min_weight_matching
-from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
+from repro.decoders.matching import BOUNDARY, build_decoding_graph
 from repro.decoders.registry import check_packed_syndromes, check_syndromes
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
@@ -83,6 +93,15 @@ _MAX_DP_NODES = 18
 # is one level's (states, candidates, rows) total-weight tensor: 4M
 # float64 ~= 32 MB.
 _DP_SLAB_ELEMENTS = 1 << 22
+# Rows with more defects than this are split into independent clusters
+# before the dynamic program.  The split pays only where the DP it cuts
+# is costly: per batch (sum of per-chunk best-of-9 timings against the
+# unsplit core), d=7 4096-shot batches take 80-91 ms unsplit and 46-54
+# ms splitting above 14 defects (46-51 ms above 12, 54-60 ms above 16),
+# while 512-shot d=5 chunks (~0.5 rows above 12 defects each, mostly
+# single clusters) cost ~3% more splitting above 12 and at most ~1.5%
+# (within noise) above 14.
+_SPLIT_MIN_DEFECTS = 14
 # Two pairings closer than this in total weight are treated as tied;
 # float noise across differently-ordered sums is ~1e-13 at QEC weight
 # scales, while mathematically distinct totals differ by far more.
@@ -395,18 +414,13 @@ class CompiledMatchingDecoder:
         return self.decode_batch(syndrome)[0]
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Decode many detector samples: shape (shots, n_detectors)."""
+        """Decode many detector samples: shape (shots, n_detectors).
+
+        Packs the rows (any nonzero entry is a defect) and runs
+        :meth:`decode_batch_packed`, the one decode path."""
         syndromes = check_syndromes(syndromes, self.n_detectors)
-        out = np.zeros(
-            (syndromes.shape[0], self.n_observables), dtype=np.uint8
-        )
-        if syndromes.shape[0] == 0:
-            return out
-        unique, inverse = dedupe_rows(syndromes)
-        rows, flat = np.nonzero(unique)
-        counts = np.bincount(rows, minlength=unique.shape[0])
-        decoded = self._decode_unique(counts, flat)
-        return decoded[inverse]
+        predictions = self.decode_batch_packed(bitops.pack_rows(syndromes != 0))
+        return bitops.unpack_rows(predictions, self.n_observables)
 
     def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode packed syndromes natively; returns packed predictions
@@ -414,9 +428,7 @@ class CompiledMatchingDecoder:
         format).  All-zero rows (the bulk at low physical error rates)
         short-circuit before dedupe, the surviving rows dedupe through
         a contiguous void view, and defect indices come straight from
-        the nonzero words.  The unique rows then run the same decode
-        core as :meth:`decode_batch`, so predictions are bitwise
-        identical to packing that method's output.
+        the nonzero words; the unique rows then run :meth:`_decode_unique`.
         """
         syndromes = check_packed_syndromes(syndromes, self.n_detectors)
         out = np.zeros(
@@ -445,16 +457,82 @@ class CompiledMatchingDecoder:
         """Decode deduplicated syndromes given per-row defect counts and
         the flat (row-major, ascending) defect index stream.
 
-        The shared core of the packed and unpacked batch paths: both
-        reduce their unique rows to this CSR-style view, so their
-        predictions agree bit for bit by construction.
+        The decode core behind :meth:`decode_batch_packed`.  One and two
+        defects are pure array gathers; rows with more than
+        :data:`_SPLIT_MIN_DEFECTS` defects split into independent
+        clusters (:meth:`_split`); every row or piece of three or more
+        defects runs the subset dynamic program, and a row it leaves
+        unsettled, or any of whose pieces it does, goes whole to the
+        blossom matcher.
         """
         offsets = np.zeros(counts.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         decoded = np.zeros((counts.size, self.n_observables), np.uint8)
+        self._gather(counts, offsets, flat, decoded)
 
-        # One defect matches to the boundary, two defects to each other:
-        # both are a single precomputed pair — pure array gathers.
+        # Three or more defects.  Each tier is one span per batch
+        # (stages decode.dp and decode.blossom in
+        # repro_stage_seconds_total); the split runs inside decode.dp.
+        n_rows = counts.size
+        with obs.span("decode.dp"):
+            owner, p_counts, p_offsets, p_flat = self._split(
+                counts, offsets, flat
+            )
+            if owner.size:
+                decoded = np.concatenate([
+                    decoded,
+                    np.zeros((owner.size, self.n_observables), np.uint8),
+                ])
+                self._gather(
+                    p_counts[n_rows:], p_offsets[n_rows:], p_flat,
+                    decoded[n_rows:],
+                )
+            unsettled = [np.nonzero(p_counts > _MAX_DP_NODES)[0]]
+            for padded in range(4, _MAX_DP_NODES + 2, 2):
+                unsettled.append(self._match_group(
+                    p_counts, p_offsets, p_flat, padded, decoded
+                ))
+            fallback = np.concatenate(unsettled)
+            if owner.size:
+                # A split row predicts the XOR of its pieces; one
+                # unsettled piece sends the whole row on.
+                pieces, decoded = decoded[n_rows:], decoded[:n_rows]
+                np.bitwise_xor.at(decoded, owner, pieces)
+                row_of = np.concatenate([np.arange(n_rows), owner])
+                fallback = np.unique(row_of[fallback])
+        if obs.is_metrics():
+            # Per-tier row counters: of the rows with three or more
+            # defects, the DP settled all but the blossom rows; apart,
+            # the rows the split cut.
+            pid = str(os.getpid())
+            obs.counter("repro_decode_dp_rows_total", pid=pid).inc(
+                int(np.count_nonzero(counts > 2)) - int(fallback.size)
+            )
+            obs.counter("repro_decode_fallback_rows_total", pid=pid).inc(
+                int(fallback.size)
+            )
+            obs.counter("repro_decode_split_rows_total", pid=pid).inc(
+                int(np.unique(owner).size)
+            )
+        if fallback.size:
+            with obs.span("decode.blossom", rows=int(fallback.size)):
+                for row in fallback:
+                    decoded[row] = self._match(
+                        flat[offsets[row]: offsets[row] + counts[row]]
+                    )
+        return decoded
+
+    def _gather(
+        self,
+        counts: np.ndarray,
+        offsets: np.ndarray,
+        flat: np.ndarray,
+        decoded: np.ndarray,
+    ) -> None:
+        """Decode the one- and two-defect rows: one defect matches to
+        the boundary, two defects to each other — both a single
+        precomputed pair, so pure array gathers (an unreachable pair
+        predicts no flip, as the reference does)."""
         (one,) = np.nonzero(counts == 1)
         if one.size:
             defect = flat[offsets[one]]
@@ -470,35 +548,101 @@ class CompiledMatchingDecoder:
                 pairs[finite, 0], pairs[finite, 1]
             ]
 
-        # Three or more defects: one exact dynamic program per padded
-        # defect-count group; the blossom matcher for whatever it leaves
-        # (sets past the ceiling, near-ties, unreachable pairs).  Each
-        # tier is one span per batch (stages decode.dp and
-        # decode.blossom in repro_stage_seconds_total).
-        fallback = [np.nonzero(counts > _MAX_DP_NODES)[0]]
-        with obs.span("decode.dp"):
-            for padded in range(4, _MAX_DP_NODES + 2, 2):
-                fallback.append(
-                    self._match_group(counts, offsets, flat, padded, decoded)
-                )
-        fallback = np.concatenate(fallback)
-        if obs.is_metrics():
-            # Per-tier row counters: of the rows with three or more
-            # defects, the DP settled all but the blossom rows.
-            pid = str(os.getpid())
-            obs.counter("repro_decode_dp_rows_total", pid=pid).inc(
-                int(np.count_nonzero(counts > 2)) - int(fallback.size)
-            )
-            obs.counter("repro_decode_fallback_rows_total", pid=pid).inc(
-                int(fallback.size)
-            )
-        if fallback.size:
-            with obs.span("decode.blossom", rows=int(fallback.size)):
-                for row in fallback:
-                    decoded[row] = self._match(
-                        flat[offsets[row]: offsets[row] + counts[row]]
-                    )
-        return decoded
+    def _split(
+        self, counts: np.ndarray, offsets: np.ndarray, flat: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cut the rows with more than :data:`_SPLIT_MIN_DEFECTS` defects
+        into their :meth:`_clusters` where that split is exact.
+
+        Returns ``(owner, counts, offsets, flat)``: a CSR view whose
+        first rows are the input rows, with each split row emptied, and
+        whose extra rows are the pieces (appended to ``flat``, each
+        ascending), ``owner`` giving each piece's row.  With nothing
+        split these are the inputs and no owners.
+        """
+        (big,) = np.nonzero(counts > _SPLIT_MIN_DEFECTS)
+        if not big.size:
+            return big, counts, offsets, flat
+        split_rows, defects, labels = [], [], []
+        for k in np.unique(counts[big]):
+            group = big[counts[big] == k]
+            nodes = flat[offsets[group][:, None] + np.arange(k)]
+            split, label = self._clusters(nodes)
+            split_rows.append(group[split])
+            defects.append(nodes[split].ravel())
+            labels.append(label[split].ravel())
+        split_rows = np.concatenate(split_rows)
+        if not split_rows.size:
+            return split_rows, counts, offsets, flat
+        # Order each split row's defects by cluster (stable, so each
+        # cluster stays ascending) and cut where the cluster changes.
+        defects = np.concatenate(defects)
+        rank = np.repeat(np.arange(split_rows.size), counts[split_rows])
+        key = rank * flat.size + np.concatenate(labels)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        emptied = counts.copy()
+        emptied[split_rows] = 0
+        return (
+            split_rows[key[starts] // flat.size],
+            np.concatenate([emptied, np.diff(starts, append=key.size)]),
+            np.concatenate([offsets, flat.size + starts]),
+            np.concatenate([flat, defects[order]]),
+        )
+
+    def _clusters(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact cluster split of ``(rows, k)`` ascending defect sets.
+
+        Defects ``u < v`` are *linked* when ``dist(u, v) < dist(u, B) +
+        dist(v, B) - _TIE_TOL`` (``B`` the boundary); clusters are the
+        connected components of that relation, found by squaring the
+        reachability matrix to its transitive closure.  Returns per row
+        whether to split it (more than one cluster, and the split is
+        exact) and each defect's cluster label (its lowest member).
+
+        A pair across clusters costs exactly its via-boundary sum (at
+        most by the triangle inequality, at least because it is not
+        linked), so the optimal total is the sum of the clusters'
+        optima, each padded with the boundary if odd.  The split is
+        taken only when every boundary distance is finite and every
+        unlinked pair's mask is the XOR of the two boundary masks: then
+        every near-optimal pairing of the row predicts the XOR of the
+        clusters' predictions, so unambiguous cluster DPs settle the row
+        exactly as the whole-row DP or the blossom matcher would.
+        """
+        k = nodes.shape[1]
+        boundary = self._dist[nodes, self._boundary]
+        grid = (nodes[:, :, None], nodes[:, None, :])
+        linked = np.triu(
+            self._dist[grid]
+            < boundary[:, :, None] + boundary[:, None, :] - _TIE_TOL,
+            1,
+        )
+        reach = linked | linked.transpose(0, 2, 1) | np.eye(k, dtype=bool)
+        while True:
+            # float32 products are BLAS matmuls (~9x faster than bool
+            # ones at k = 13..29) and exact for path counts below 2**24.
+            square = reach.astype(np.float32)
+            wider = np.matmul(square, square) > 0
+            if np.array_equal(wider, reach):
+                break
+            reach = wider
+        label = reach.argmax(axis=2)
+        split = label.max(axis=1) > 0
+        if split.any():
+            # Exactness is checked only where there is something to cut.
+            cut = nodes[split]
+            via = self._mask[cut, self._boundary]
+            agree = (
+                self._mask[cut[:, :, None], cut[:, None, :]]
+                == via[:, :, None] ^ via[:, None, :]
+            ).all(axis=3)
+            lower = np.tril(np.ones((k, k), dtype=bool))
+            split[split] = np.isfinite(boundary[split]).all(axis=1) & (
+                linked[split] | agree | lower
+            ).all(axis=(1, 2))
+        return split, label
 
     def _match_group(
         self,

@@ -64,6 +64,7 @@ class CompiledCircuit:
         self.sampler_name = resolve_sampler_name(sampler)
         self.decoder_name = resolve_decoder_name(decoder)
         self._fingerprint: str | None = None
+        self._text: str | None = None
 
     def __repr__(self) -> str:
         return (
@@ -80,6 +81,14 @@ class CompiledCircuit:
         if self._fingerprint is None:
             self._fingerprint = self.circuit.fingerprint()
         return self._fingerprint
+
+    @property
+    def text(self) -> str:
+        """The circuit's text, the form chunk specs carry to workers
+        (cached like :attr:`fingerprint`)."""
+        if self._text is None:
+            self._text = self.circuit.to_text()
+        return self._text
 
     @property
     def sampler(self):
@@ -183,8 +192,9 @@ class CompiledCircuit:
     ) -> Task:
         """An engine :class:`~repro.engine.tasks.Task` for this handle.
 
-        The task reuses the handle's cached fingerprint, so the circuit
-        is hashed at most once per handle, not once per task.
+        The task reuses the handle's cached fingerprint and text, so the
+        circuit is hashed and serialised at most once per handle, not
+        once per task.
         """
         task = Task(
             self.circuit,
@@ -195,6 +205,7 @@ class CompiledCircuit:
             metadata=dict(metadata or {}),
         )
         task._fingerprint = self.fingerprint
+        task._text = self.text
         return task
 
     def collect(

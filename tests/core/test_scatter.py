@@ -107,7 +107,9 @@ def sampler(request):
 class TestScatterMatchesEq4:
     @pytest.mark.parametrize("name", ["surface_d3_p0.01", "surface_d5_p0.002"])
     def test_auto_picks_the_scatter_at_qec_noise(self, name):
-        assert compile_sampler(CIRCUITS[name]()).detector_strategy == "scatter"
+        sampler = compile_sampler(CIRCUITS[name]())
+        for shots in (512, 4096):
+            assert sampler.detector_strategy(shots) == "scatter"
 
     @pytest.mark.parametrize("shots", SHOTS)
     def test_bitwise_equal_to_sparse(self, sampler, shots):
@@ -170,23 +172,61 @@ class TestAutoRule:
             5, rounds=5, after_clifford_depolarization=0.15,
             before_measure_flip_probability=0.15,
         ))
-        assert sampler.scatter_cost_ratio() > 1.0
-        assert sampler.detector_strategy == sampler.choose_strategy()
+        for shots in (512, 4096):
+            assert sampler.scatter_cost_ratio(shots) > 1.0
+            assert sampler.detector_strategy(shots) == sampler.choose_strategy()
 
     def test_surface_low_noise_runs_the_scatter(self):
         sampler = compile_sampler(surface_code_memory(
             5, rounds=5, after_clifford_depolarization=0.002,
             before_measure_flip_probability=0.002,
         ))
-        assert sampler.detector_strategy == "scatter"
+        assert sampler.detector_strategy(512) == "scatter"
+        assert sampler.detector_strategy(4096) == "scatter"
 
     @pytest.mark.parametrize("p", [0.03, 0.05, 0.3])
     def test_surface_from_p_003_runs_eq4(self, p):
+        """On 4096-shot calls; smaller calls shift the crossover up."""
         sampler = compile_sampler(surface_code_memory(
             5, rounds=5, after_clifford_depolarization=p,
             before_measure_flip_probability=p,
         ))
-        assert sampler.detector_strategy == "sparse"
+        assert sampler.detector_strategy(4096) == "sparse"
+
+    def test_small_calls_take_the_scatter_longer(self):
+        """Eq. 4's per-row cost is per call: at p = 0.03 the scatter is
+        ~1.7x faster on 512-shot engine chunks, while the kernels tie on
+        4096-shot calls."""
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=0.03,
+            before_measure_flip_probability=0.03,
+        ))
+        assert sampler.detector_strategy(512) == "scatter"
+        assert sampler.detector_strategy(4096) == "sparse"
+        for shots in (512, 4096):
+            assert same(
+                sampler.sample_detectors(shots, 3),
+                sampler.sample_detectors(shots, 3, strategy="sparse"),
+            )
+
+    def test_strategy_follows_each_calls_shots(self, monkeypatch):
+        """``auto`` decides per call, not once per sampler."""
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=0.03,
+            before_measure_flip_probability=0.03,
+        ))
+        ran = []
+        scatter = sampler._scatter
+
+        def counting(shots, rng):
+            ran.append(shots)
+            return scatter(shots, rng)
+
+        monkeypatch.setattr(sampler, "_scatter", counting)
+        sampler.sample_detectors(512, 1)
+        sampler.sample_detectors(4096, 1)
+        sampler.sample_detectors(512, 2)
+        assert ran == [512, 512]
 
     def test_repetition_counts_eq4_per_row_cost(self, monkeypatch):
         """Few nonzeros per detector row: Eq. 4's per-row loop, not its
@@ -196,9 +236,10 @@ class TestAutoRule:
             9, rounds=9, data_flip_probability=0.02,
             measure_flip_probability=0.02,
         ))
-        assert sampler.detector_strategy == "scatter"
+        assert sampler.detector_strategy(512) == "scatter"
+        assert sampler.detector_strategy(4096) == "scatter"
         monkeypatch.setattr(compiled_sampler, "_EQ4_ROW_WORDS", 0.0)
-        assert sampler.scatter_cost_ratio() > 1.0
+        assert sampler.scatter_cost_ratio(512) > 1.0
 
     def test_explicit_scatter_at_high_noise(self):
         sampler = compile_sampler(surface_code_memory(

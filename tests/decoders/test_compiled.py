@@ -6,12 +6,16 @@ reference's per-shot path-finding exactly, including tie-breaking
 between equal-weight paths (middle-of-the-code defects genuinely tie).
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.decoders.compiled as compiled_module
 import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
+from repro.decoders.matching import dedupe_rows
 from repro.dem import DetectorErrorModel, ErrorMechanism
 from repro.engine import Task, collect
 from repro.engine.cache import reset_shared_cache
@@ -91,6 +95,43 @@ class TestDynamicProgramRange:
         assert np.array_equal(
             compiled.decode_batch_packed(bitops.pack_rows(syndromes)),
             bitops.pack_rows(expected),
+        )
+
+
+def dedupe_reference(decoder, syndromes):
+    """``decode_batch`` before it went through the packed path: an
+    ``np.unique(axis=0)`` dedupe of the uint8 rows, then the decode
+    core on every unique row (the zero row included)."""
+    unique, inverse = dedupe_rows(syndromes)
+    rows, flat = np.nonzero(unique)
+    counts = np.bincount(rows, minlength=unique.shape[0])
+    return decoder._decode_unique(counts, flat)[inverse]
+
+
+class TestOnePackedPath:
+    """``decode_batch`` packs and runs ``decode_batch_packed``; it must
+    predict what the unpacked dedupe front-end predicted."""
+
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_matches_the_dedupe_front_end(self, surface_dems, distance):
+        dem = surface_dems[distance]
+        compiled = CompiledMatchingDecoder(dem)
+        syndromes, _ = dem.sample(300, np.random.default_rng(distance))
+        # Repeated rows, zero rows and a nonzero entry other than 1.
+        syndromes = np.vstack([syndromes, syndromes[:50], 0 * syndromes[:3]])
+        syndromes[0, :3] = 2
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            dedupe_reference(compiled, syndromes),
+        )
+
+    def test_repetition_code(self):
+        dem = repetition_code_dem(5, rounds=4, probability=0.08)
+        compiled = CompiledMatchingDecoder(dem)
+        syndromes, _ = dem.sample(500, np.random.default_rng(1))
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            dedupe_reference(compiled, syndromes),
         )
 
 
@@ -388,8 +429,6 @@ class TestVectorizedCompile:
         )
 
     def test_slabbing_does_not_change_tables(self, monkeypatch):
-        import repro.decoders.compiled as compiled_module
-
         dem = _grid_dem(5, 4)
         whole = CompiledMatchingDecoder(dem)
         # One source per slab.
@@ -432,6 +471,42 @@ def test_fuzz_compiled_matches_reference_on_tie_heavy_dems(dem):
         compiled.decode_batch(syndromes),
         MatchingDecoder(dem).decode_batch(syndromes),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dem=_tie_heavy_dems())
+def test_fuzz_split_matches_reference_on_tie_heavy_dems(dem):
+    """The same fuzz with every row of three or more defects offered to
+    the cluster split: ties make cross-cluster masks disagree with the
+    boundary masks, which must keep those rows whole."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled_module, "_SPLIT_MIN_DEFECTS", 2)
+        compiled = CompiledMatchingDecoder(dem)
+        syndromes = _all_syndromes(dem.n_detectors)
+        assert np.array_equal(
+            compiled.decode_batch(syndromes),
+            MatchingDecoder(dem).decode_batch(syndromes),
+        )
+
+
+@pytest.mark.parametrize("width, height", [(5, 3), (7, 4)])
+def test_split_matches_reference_on_grid_dems(monkeypatch, width, height):
+    """Grid DEMs tie everywhere between the two boundaries; with the
+    split offered every row of three or more defects, sampled rows of
+    every density still decode as the reference."""
+    monkeypatch.setattr(compiled_module, "_SPLIT_MIN_DEFECTS", 2)
+    dem = _grid_dem(width, height)
+    rng = np.random.default_rng(width * height)
+    density = rng.uniform(0.05, 0.5, size=(200, 1))
+    syndromes = (rng.random((200, dem.n_detectors)) < density).astype(np.uint8)
+    obs.enable(tracing=False, metrics=True)
+    assert np.array_equal(
+        CompiledMatchingDecoder(dem).decode_batch(syndromes),
+        MatchingDecoder(dem).decode_batch(syndromes),
+    )
+    assert obs.registry().value(
+        "repro_decode_split_rows_total", pid=str(os.getpid())
+    ) > 0
 
 
 class TestCompileStages:

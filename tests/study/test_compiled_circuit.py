@@ -205,6 +205,25 @@ class TestEngineEquivalence:
         compiled.collect(ExecutionOptions(base_seed=SEED), max_shots=200)
         assert len(calls) == 1
 
+    def test_tasks_share_the_handle_text(self, monkeypatch):
+        """The handle serialises its circuit once; every task built from
+        it carries that same text object to the chunk specs."""
+        calls = []
+        original = Circuit.to_text
+
+        def counting(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(Circuit, "to_text", counting)
+        compiled = make_circuit().compile()
+        first = compiled.task(max_shots=100)
+        second = compiled.task(max_shots=200)
+        assert first.circuit_text() is second.circuit_text()
+        assert first.circuit_text() == original(compiled.circuit)
+        compiled.collect(ExecutionOptions(base_seed=SEED), max_shots=200)
+        assert len(calls) == 1
+
     def test_collect_applies_options_policy(self):
         """ExecutionOptions.max_errors is the default early-stop policy."""
         circuit = repetition_code_memory(
