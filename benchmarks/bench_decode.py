@@ -8,11 +8,13 @@ decoder, verifies the predictions agree, and records the numbers to a
 JSON file the trajectory can track across PRs.
 
 A second leg times the decode *tail*: the defect sets of d=7 and d=9
-memory syndromes (rounds = d) that pad past the subset dynamic
-program's ceiling go to the compiled decoder's array-native blossom
-matcher.  It times that matcher against ``nx.max_weight_matching`` on
-the same dense distance submatrices, checks that the matchings are
-identical, and records the d=9 ``decode_batch_packed`` throughput.
+memory syndromes (rounds = d) that the compiled decoder actually hands
+to its array-native blossom matcher — recorded from ``_match``'s inputs
+during one ``decode_batch_packed``, so rows the cluster split or the
+subset dynamic program settle are left out.  It times that matcher
+against ``nx.max_weight_matching`` on the same dense distance
+submatrices, checks that the matchings are identical, and records the
+d=9 ``decode_batch_packed`` throughput.
 
 A third leg times the decoder *compile* on d=5, 7 and 9 memory DEMs
 (rounds = d): the vectorized all-pairs build (one min-plus relaxation
@@ -39,7 +41,6 @@ import numpy as np
 
 from repro.decoders import compile_decoder
 from repro.decoders.blossom import min_weight_matching
-from repro.decoders.compiled import _MAX_DP_NODES
 from repro.gf2 import bitops
 from repro.obs import format_rate, safe_rate
 from repro.qec import surface_code_dem
@@ -47,7 +48,7 @@ from repro.qec import surface_code_dem
 DECODERS = ("matching", "compiled-matching")
 REFERENCE = "matching"
 # Tail leg: shots sampled per distance (rounds = d), enough for tens
-# (d=7) to hundreds (d=9) of defect sets past the ceiling.
+# (d=7) to hundreds (d=9) of defect sets that reach blossom.
 TAIL_SHOTS = {7: 8192, 9: 1024}
 # Compile leg: memory DEM distances (rounds = d); the gate reads the last.
 COMPILE_DISTANCES = (5, 7, 9)
@@ -138,21 +139,38 @@ def _pairs(mate: np.ndarray) -> set:
     return {(i, int(j)) for i, j in enumerate(mate) if j > i}
 
 
+def blossom_defect_sets(decoder, packed: np.ndarray) -> list[np.ndarray]:
+    """The defect sets one ``decode_batch_packed(packed)`` call sends to
+    the blossom matcher (``_match``'s inputs, in call order)."""
+    match = decoder._match
+    seen = []
+
+    def recording(defects):
+        seen.append(np.array(defects, dtype=np.int64))
+        return match(defects)
+
+    decoder._match = recording
+    try:
+        decoder.decode_batch_packed(packed)
+    finally:
+        del decoder._match
+    return seen
+
+
 def run_tail(p: float, repeats: int, seed: int) -> dict:
-    """Blossom matcher vs NetworkX on the defect sets past the DP."""
-    result = {"p": p, "max_dp_nodes": _MAX_DP_NODES, "distances": {}}
+    """Blossom matcher vs NetworkX on the defect sets that reach it."""
+    result = {"p": p, "distances": {}}
     matcher_total = networkx_total = 0.0
     for distance, shots in TAIL_SHOTS.items():
         dem = surface_code_dem(distance, distance, p)
         decoder = compile_decoder(dem, "compiled-matching")
         syndromes, _ = dem.sample(shots, np.random.default_rng(seed))
+        packed = bitops.pack_rows(syndromes)
         submatrices = []
-        for row in np.unique(syndromes, axis=0):
-            nodes = np.flatnonzero(row)
+        for nodes in blossom_defect_sets(decoder, packed):
             if nodes.size % 2:
                 nodes = np.append(nodes, decoder._boundary)
-            if nodes.size > _MAX_DP_NODES:
-                submatrices.append(decoder._dist[np.ix_(nodes, nodes)])
+            submatrices.append(decoder._dist[np.ix_(nodes, nodes)])
         rows = len(submatrices)
         matcher_s, mates = _best_of(
             lambda: [min_weight_matching(sub) for sub in submatrices],
@@ -177,7 +195,6 @@ def run_tail(p: float, repeats: int, seed: int) -> dict:
             ),
         }
         if distance == max(TAIL_SHOTS):
-            packed = bitops.pack_rows(syndromes)
             decode_s, _ = _best_of(
                 lambda: decoder.decode_batch_packed(packed), repeats
             )
@@ -279,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     speedup = result["compiled_matching_speedup"]
     print(f"compiled matching speedup over per-shot reference: "
           f"{'-' if speedup is None else format(speedup, '.2f') + 'x'}")
-    print(f"tail: defect sets past {_MAX_DP_NODES} nodes, rounds = d, "
-          f"p={args.p}, best of {args.repeats}")
+    print(f"tail: defect sets decode_batch_packed sends to blossom, "
+          f"rounds = d, p={args.p}, best of {args.repeats}")
     print(f"{'d':>3} {'shots':>6} {'rows':>5} {'max k':>6} "
           f"{'blossom ms/row':>15} {'networkx ms/row':>16} {'identical':>10}")
     for distance, leg in tail["distances"].items():

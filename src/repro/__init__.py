@@ -36,7 +36,6 @@ from repro.study import (
     ExecutionOptions,
     Sweep,
     SweepResult,
-    run,
 )
 from repro.tableau import Tableau
 
@@ -56,6 +55,5 @@ __all__ = [
     "available_backends",
     "compile_backend",
     "compile_sampler",
-    "run",
     "__version__",
 ]

@@ -131,6 +131,5 @@ class BackendInfo:
     compile_once: bool = True
     per_shot_cost: str = "batch"
     rng_stream: str | None = None
-    supports_feedback: bool = True
     oracle: bool = False
     packed_native: bool = False

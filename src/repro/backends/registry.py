@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 import repro.obs as obs
 from repro.backends.protocol import BackendInfo, Sampler
 from repro.circuit.circuit import Circuit
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class Backend:
             return self.factory(circuit)
 
 
-_REGISTRY: dict[str, Backend] = {}
-_ALIASES: dict[str, str] = {}
+_BACKENDS: Registry[Backend] = Registry("backend", "sampler backend")
 
 
 def register_backend(
@@ -43,51 +43,20 @@ def register_backend(
     Re-registering a name replaces it (tests swap in instrumented
     backends); aliases may not shadow a canonical name.
     """
-    aliases = tuple(aliases)
-    if _ALIASES.get(info.name, info.name) != info.name:
-        raise ValueError(
-            f"name {info.name!r} is already an alias for "
-            f"{_ALIASES[info.name]!r}"
-        )
-    for alias in aliases:
-        if alias in _REGISTRY:
-            raise ValueError(f"alias {alias!r} shadows a registered backend")
-        if _ALIASES.get(alias, info.name) != info.name:
-            raise ValueError(
-                f"alias {alias!r} already points to {_ALIASES[alias]!r}"
-            )
-    backend = Backend(info=info, factory=factory)
-    _REGISTRY[info.name] = backend
-    for alias in aliases:
-        _ALIASES[alias] = info.name
-    return backend
+    return _BACKENDS.register(
+        info.name, Backend(info=info, factory=factory), aliases
+    )
 
 
-def canonical_name(name: str) -> str:
-    """Resolve a backend name or alias to its canonical name.
-
-    Raises ``KeyError`` naming the known backends on an unknown name.
-    """
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        known = ", ".join(sorted(set(_REGISTRY) | set(_ALIASES)))
-        raise KeyError(f"unknown sampler backend {name!r} (known: {known})")
-    return resolved
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a backend by canonical name or alias."""
-    return _REGISTRY[canonical_name(name)]
-
-
-def available_backends() -> tuple[str, ...]:
-    """Sorted canonical names of every registered backend."""
-    return tuple(sorted(_REGISTRY))
-
-
-def backend_choices() -> tuple[str, ...]:
-    """Canonical names plus aliases (for CLI ``choices=``)."""
-    return tuple(sorted(set(_REGISTRY) | set(_ALIASES)))
+#: Name or alias -> canonical name (``KeyError`` naming the known
+#: backends on an unknown name).
+canonical_name = _BACKENDS.canonical_name
+#: Look up a backend by canonical name or alias.
+get_backend = _BACKENDS.get
+#: Sorted canonical names of every registered backend.
+available_backends = _BACKENDS.available
+#: Canonical names plus aliases (for CLI ``choices=``).
+backend_choices = _BACKENDS.choices
 
 
 def compile_backend(circuit: Circuit, backend: str = "frame") -> Sampler:

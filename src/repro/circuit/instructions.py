@@ -42,6 +42,28 @@ class PauliTarget:
 Target = Union[int, RecTarget, PauliTarget]
 
 
+def disjoint_runs(targets, arity: int = 1) -> list:
+    """Split a flat target list into maximal runs with no repeated qubit.
+
+    Gather-compute-scatter application is only equivalent to sequential
+    per-target application when no qubit appears twice, so a repeated
+    qubit starts a new run.  ``arity=2`` treats targets as (a, b) pairs
+    and keeps pairs intact.  Runs are slices of ``targets`` (the list
+    itself when no qubit repeats); an empty list has no runs.
+    """
+    if len(set(targets)) == len(targets):
+        return [targets] if targets else []
+    runs, seen, start = [], set(), 0
+    for index in range(0, len(targets), arity):
+        operation = targets[index:index + arity]
+        if seen.intersection(operation):
+            runs.append(targets[start:index])
+            seen, start = set(), index
+        seen.update(operation)
+    runs.append(targets[start:])
+    return runs
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One instruction: canonical gate name, targets, float arguments."""

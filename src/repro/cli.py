@@ -139,8 +139,11 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "retries per failed chunk lease (worker death, expired "
             "deadline, in-chunk exception) before the chunk is "
-            "quarantined as a structured failure row (default 2).  "
-            "Retries replay identical shots, so counts never change"
+            "quarantined as a structured failure row (default 2).  A "
+            "failed chunk is re-leased at once and replays identical "
+            "shots, so counts never change.  Fault injection for chaos "
+            "testing comes from the REPRO_FAULTS environment variable "
+            "(see repro.engine.faults)"
         ),
     )
     parser.add_argument(
@@ -151,15 +154,6 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
             "kills its worker and requeues the chunk.  The deadline "
             "includes the worker's first compile of the chunk's circuit "
             "(default: no deadline)"
-        ),
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.1, metavar="SECONDS",
-        help=(
-            "base of the bounded exponential retry delay: a chunk's "
-            "attempt N waits backoff * 2**N seconds, capped (default "
-            "0.1).  Fault injection for chaos testing comes from the "
-            "REPRO_FAULTS environment variable (see repro.engine.faults)"
         ),
     )
 
@@ -174,7 +168,6 @@ def _execution_options(args: argparse.Namespace, **extra):
         chunk_shots=args.chunk_shots,
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout_seconds=args.chunk_timeout,
-        retry_backoff=args.retry_backoff,
         **extra,
     )
 
@@ -212,8 +205,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         flags.append(f"cost:per-{info.per_shot_cost}")
         if info.packed_native:
             flags.append("packed-native")
-        if not info.supports_feedback:
-            flags.append("no-feedback")
         if info.oracle:
             flags.append("oracle")
         print(f"{name:<14} [{', '.join(flags)}]  {info.description}")
@@ -453,7 +444,8 @@ def _print_worker_profile() -> None:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    from repro.study import run
+    from repro.engine import collect
+    from repro.study import SweepResult
 
     # Materialize once: circuit construction is per-grid-point work and
     # both the banner and the run need the task list.
@@ -500,10 +492,10 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             metrics=obs.is_metrics() or want_metrics,
         )
     try:
-        result = run(
+        result = SweepResult(collect(
             tasks,
-            _execution_options(args, store=args.out, progress=report),
-        )
+            options=_execution_options(args, store=args.out, progress=report),
+        ))
         if args.profile:
             _print_profile(result.stats)
         if args.trace is not None:

@@ -33,18 +33,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.instructions import Instruction, RecTarget
+from repro.circuit.instructions import Instruction, RecTarget, disjoint_runs
 from repro.circuit.transforms import RecordAnnotations, record_index
 from repro.core.phase_matrix import PhaseMatrix
 from repro.core.symbols import SymbolTable
 from repro.gates.anf import gate_kernel
-from repro.gates.database import get_gate
+from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gf2 import bitops
 from repro.noise.channels import noise_channel
 from repro.tableau.tableau import g_exponents
-
-_BASIS_CONJUGATION = {"X": "H", "Y": "H_YZ"}
-_FEEDBACK_LETTER = {"CX": "X", "CY": "Y", "CZ": "Z"}
 
 
 class SymPhaseSimulator:
@@ -126,7 +123,7 @@ class SymPhaseSimulator:
     def do_instruction(self, instruction: Instruction) -> None:
         gate = instruction.gate
         if gate.is_unitary:
-            if gate.name in _FEEDBACK_LETTER and any(
+            if gate.name in FEEDBACK_LETTER and any(
                 isinstance(t, RecTarget) for t in instruction.targets[0::2]
             ):
                 self._apply_feedback(instruction)
@@ -154,7 +151,7 @@ class SymPhaseSimulator:
     def _apply_gate(self, name: str, targets: tuple[int, ...]) -> None:
         kernel = gate_kernel(get_gate(name).name)
         arity = kernel.n_qubits
-        for run in _distinct_runs(targets, arity):
+        for run in disjoint_runs(targets, arity):
             sites = np.asarray(run, dtype=np.int64).reshape(-1, arity)
             columns = [sites[:, slot] for slot in range(arity)]
             inputs = []
@@ -175,7 +172,7 @@ class SymPhaseSimulator:
         a bit-vector expression, and the conditional Pauli XORs that whole
         vector into every anticommuting row's phase.
         """
-        letter = _FEEDBACK_LETTER[instruction.name]
+        letter = FEEDBACK_LETTER[instruction.name]
         targets = instruction.targets
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
@@ -302,7 +299,7 @@ class SymPhaseSimulator:
         return vector
 
     def _measure(self, qubit: int, basis: str) -> np.ndarray:
-        conj = _BASIS_CONJUGATION.get(basis)
+        conj = BASIS_CONJUGATION.get(basis)
         if conj:
             self._apply_gate(conj, (qubit,))
         vector = self._measure_z(qubit)
@@ -313,7 +310,7 @@ class SymPhaseSimulator:
     def _reset(self, qubit: int, basis: str, record: bool) -> None:
         """Measure, optionally record, then apply the symbolic-exponent
         conditional Pauli that forces the +1 eigenstate (§6 extension)."""
-        conj = _BASIS_CONJUGATION.get(basis)
+        conj = BASIS_CONJUGATION.get(basis)
         if conj:
             self._apply_gate(conj, (qubit,))
         vector = self._measure_z(qubit)
@@ -325,18 +322,3 @@ class SymPhaseSimulator:
         if conj:
             self._apply_gate(conj, (qubit,))
 
-
-def _distinct_runs(targets: tuple[int, ...], arity: int) -> list[tuple[int, ...]]:
-    """Split a gate's targets into maximal runs of whole operations that
-    touch no qubit twice, so each run updates its columns at once."""
-    if len(set(targets)) == len(targets):
-        return [targets]
-    runs, seen, start = [], set(), 0
-    for index in range(0, len(targets), arity):
-        operation = targets[index: index + arity]
-        if seen.intersection(operation):
-            runs.append(targets[start:index])
-            seen, start = set(), index
-        seen.update(operation)
-    runs.append(targets[start:])
-    return runs

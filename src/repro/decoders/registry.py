@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
+from repro.registry import Registry
 
 
 @runtime_checkable
@@ -161,8 +162,7 @@ class RegisteredDecoder:
         return self.factory(dem)
 
 
-_REGISTRY: dict[str, RegisteredDecoder] = {}
-_ALIASES: dict[str, str] = {}
+_DECODERS: Registry[RegisteredDecoder] = Registry("decoder", "decoder")
 
 
 def register_decoder(
@@ -175,51 +175,20 @@ def register_decoder(
     Re-registering a name replaces it (tests swap in instrumented
     decoders); aliases may not shadow a canonical name.
     """
-    aliases = tuple(aliases)
-    if _ALIASES.get(info.name, info.name) != info.name:
-        raise ValueError(
-            f"name {info.name!r} is already an alias for "
-            f"{_ALIASES[info.name]!r}"
-        )
-    for alias in aliases:
-        if alias in _REGISTRY:
-            raise ValueError(f"alias {alias!r} shadows a registered decoder")
-        if _ALIASES.get(alias, info.name) != info.name:
-            raise ValueError(
-                f"alias {alias!r} already points to {_ALIASES[alias]!r}"
-            )
-    decoder = RegisteredDecoder(info=info, factory=factory)
-    _REGISTRY[info.name] = decoder
-    for alias in aliases:
-        _ALIASES[alias] = info.name
-    return decoder
+    return _DECODERS.register(
+        info.name, RegisteredDecoder(info=info, factory=factory), aliases
+    )
 
 
-def canonical_name(name: str) -> str:
-    """Resolve a decoder name or alias to its canonical name.
-
-    Raises ``KeyError`` naming the known decoders on an unknown name.
-    """
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        known = ", ".join(sorted(set(_REGISTRY) | set(_ALIASES)))
-        raise KeyError(f"unknown decoder {name!r} (known: {known})")
-    return resolved
-
-
-def get_decoder(name: str) -> RegisteredDecoder:
-    """Look up a decoder by canonical name or alias."""
-    return _REGISTRY[canonical_name(name)]
-
-
-def available_decoders() -> tuple[str, ...]:
-    """Sorted canonical names of every registered decoder."""
-    return tuple(sorted(_REGISTRY))
-
-
-def decoder_choices() -> tuple[str, ...]:
-    """Canonical names plus aliases (for CLI ``choices=``)."""
-    return tuple(sorted(set(_REGISTRY) | set(_ALIASES)))
+#: Name or alias -> canonical name (``KeyError`` naming the known
+#: decoders on an unknown name).
+canonical_name = _DECODERS.canonical_name
+#: Look up a decoder by canonical name or alias.
+get_decoder = _DECODERS.get
+#: Sorted canonical names of every registered decoder.
+available_decoders = _DECODERS.available
+#: Canonical names plus aliases (for CLI ``choices=``).
+decoder_choices = _DECODERS.choices
 
 
 def compile_decoder(

@@ -16,6 +16,12 @@ Typical use::
         print(stats.metadata, stats.error_rate, stats.wilson())
 
 or from the command line: ``python -m repro collect --help``.
+
+Execution policy is one :class:`ExecutionOptions`: ``collect`` and
+:class:`ChunkRunner` (like ``repro.study``'s ``collect`` methods) take
+``options=`` plus keyword overrides and resolve them once through
+:meth:`ExecutionOptions.resolve`.  A failed chunk lease is retried at
+once (no backoff) up to ``max_chunk_retries`` times, then quarantined.
 """
 
 from repro.engine.cache import SamplerCache, shared_cache

@@ -21,13 +21,13 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 import repro.obs as obs
 from repro.decoders.metrics import wilson_interval
-from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
+from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import Task
 from repro.engine.workers import ChunkRunner, plan_chunks
 
@@ -271,25 +271,17 @@ def collect(
     tasks: Iterable[Task],
     *,
     options: ExecutionOptions | None = None,
-    base_seed: int | None = UNSET,
-    workers: int = UNSET,
-    chunk_shots: int = UNSET,
-    max_errors: int | None = UNSET,
-    store: ResultStore | str | os.PathLike | None = UNSET,
-    progress: Callable[[TaskStats], None] | None = UNSET,
-    profile: bool = UNSET,
-    max_chunk_retries: int = UNSET,
-    chunk_timeout_seconds: float | None = UNSET,
-    retry_backoff: float = UNSET,
-    fault_plan: Any = UNSET,
+    **overrides: Any,
 ) -> list[TaskStats]:
     """Collect statistics for every task; returns one TaskStats per task.
 
-    Execution policy comes from ``options`` (an
-    :class:`~repro.engine.options.ExecutionOptions`) when given, or
-    from the loose keyword arguments — the same knobs — for direct
-    calls.  Mixing the two raises :class:`TypeError` (explicit settings
-    are never silently dropped).
+    Execution policy is ``options`` (an
+    :class:`~repro.engine.options.ExecutionOptions`, the defaults when
+    ``None``) with keyword ``overrides`` patched in —
+    ``collect(tasks, workers=4, base_seed=0)`` or
+    ``collect(tasks, options=opts, workers=4)`` — through
+    :meth:`ExecutionOptions.resolve`, the rule every entry point
+    shares.  An unknown override name raises :class:`TypeError`.
 
     * ``workers`` — process-pool size (``1`` = in-process serial);
       aggregate counts are identical for every value, by construction.
@@ -309,34 +301,13 @@ def collect(
       (restored afterwards; the registry is left populated for the
       caller).  Observational only — counts are unaffected.
     * ``max_chunk_retries`` / ``chunk_timeout_seconds`` /
-      ``retry_backoff`` / ``fault_plan`` — fault-tolerance policy for
-      pooled runs (lease deadlines, bounded-backoff retry, quarantine,
-      chaos injection); see
+      ``fault_plan`` — fault-tolerance policy for pooled runs (lease
+      deadlines, immediate retry, quarantine, chaos injection); see
       :class:`~repro.engine.options.ExecutionOptions`.  A task with
       quarantined chunks gets quarantine rows instead of a task row,
       so resuming against the same store re-attempts it.
     """
-    passed = explicit_kwargs(
-        base_seed=base_seed,
-        workers=workers,
-        chunk_shots=chunk_shots,
-        max_errors=max_errors,
-        store=store,
-        progress=progress,
-        profile=profile,
-        max_chunk_retries=max_chunk_retries,
-        chunk_timeout_seconds=chunk_timeout_seconds,
-        retry_backoff=retry_backoff,
-        fault_plan=fault_plan,
-    )
-    if options is None:
-        options = ExecutionOptions(**passed)
-    elif passed:
-        raise TypeError(
-            f"pass execution settings via options= or as loose keyword "
-            f"arguments, not both (options given alongside "
-            f"{', '.join(sorted(passed))}; use options.replace(...))"
-        )
+    options = ExecutionOptions.resolve(options, **overrides)
     task_list = list(tasks)
     store = options.store
     if isinstance(store, (str, os.PathLike)):
@@ -357,13 +328,7 @@ def collect(
 
     results: list[TaskStats] = []
     try:
-        with ChunkRunner(
-            workers=options.workers,
-            max_chunk_retries=options.max_chunk_retries,
-            chunk_timeout_seconds=options.chunk_timeout_seconds,
-            retry_backoff=options.retry_backoff,
-            fault_plan=options.fault_plan,
-        ) as runner:
+        with ChunkRunner(options) as runner:
             for task in task_list:
                 task_id = task.strong_id()
                 stored = completed.get(task_id)

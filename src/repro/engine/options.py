@@ -13,6 +13,12 @@ seed re-collects, by design), and ``chunk_shots`` is part of the
 statistical protocol (it sets which shots are drawn), so keep both
 fixed across runs that share a store.
 
+Every entry point that runs a collection — ``engine.collect``,
+``ChunkRunner``, ``Sweep.collect``, ``CompiledCircuit.collect`` and
+``logical_error_rate`` — takes ``options=`` plus keyword overrides and
+resolves them once through :meth:`ExecutionOptions.resolve`;
+``__post_init__`` is the only place the knobs are validated.
+
 ``base_seed=None`` requests fresh OS entropy: the run draws one random
 seed word, records it in every row it writes (so the run itself remains
 auditable), and accepts *any* completed row on resume — an unseeded run
@@ -28,20 +34,6 @@ from typing import TYPE_CHECKING, Any, Callable  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.collector import TaskStats  # noqa: F401
-
-
-# Shared "not passed" sentinel for keyword arguments whose defaults
-# live elsewhere (ExecutionOptions fields, sweep-level settings):
-# comparing against it distinguishes "not passed" from "passed the
-# default", so explicit settings are never silently dropped.
-UNSET: Any = object()
-
-
-def explicit_kwargs(**kwargs: Any) -> dict[str, Any]:
-    """The subset of ``kwargs`` that was actually passed (not UNSET)."""
-    return {
-        name: value for name, value in kwargs.items() if value is not UNSET
-    }
 
 
 @dataclass(frozen=True)
@@ -70,6 +62,7 @@ class ExecutionOptions:
     * ``max_chunk_retries`` — how many times a failed chunk lease
       (worker death, expired deadline, in-chunk exception) is retried
       before the chunk is quarantined as a structured failure row.
+      A failed chunk goes straight back on the queue, with no delay.
       Retries replay identical shots (the chunk RNG derives from the
       spec alone), so recovery never changes counts.
     * ``chunk_timeout_seconds`` — per-chunk lease deadline for pooled
@@ -77,8 +70,6 @@ class ExecutionOptions:
       Workers compile a circuit lazily, on their first chunk of it, so
       the deadline also covers that first compile.  ``None`` (the
       default) means no deadline.
-    * ``retry_backoff`` — base of the bounded exponential retry delay
-      (``retry_backoff * 2**attempt`` seconds, capped).
     * ``fault_plan`` — a :class:`repro.engine.faults.FaultPlan` (or its
       string syntax) injecting deterministic worker crashes for chaos
       testing; ``None`` defers to the ``REPRO_FAULTS`` environment
@@ -98,10 +89,17 @@ class ExecutionOptions:
     profile: bool = False
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
-    retry_backoff: float = 0.1
     fault_plan: Any = None
 
     def __post_init__(self) -> None:
+        seed = self.base_seed
+        if seed is not None:
+            if type(seed) is not int:
+                raise TypeError(
+                    f"base_seed must be None or an int, got {seed!r}"
+                )
+            if seed < 0:
+                raise ValueError(f"base_seed must be >= 0, got {seed}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.chunk_shots < 1:
@@ -115,8 +113,6 @@ class ExecutionOptions:
             and self.chunk_timeout_seconds <= 0
         ):
             raise ValueError("chunk_timeout_seconds must be positive")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
@@ -127,7 +123,8 @@ class ExecutionOptions:
         cls, options: "ExecutionOptions | None", **overrides: Any
     ) -> "ExecutionOptions":
         """``options`` — or the defaults when ``None`` — with keyword
-        ``overrides`` patched in.  The one resolution rule every
-        ``collect()`` entry point shares."""
+        ``overrides`` patched in: the one rule every entry point shares
+        (see the module docstring).  An unknown override name raises
+        ``TypeError``."""
         resolved = options if options is not None else cls()
         return resolved.replace(**overrides) if overrides else resolved

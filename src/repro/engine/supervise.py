@@ -23,7 +23,7 @@ directly:
 
 The worker main loop (:func:`worker_main`) is deliberately dumb: recv a
 message, do the work, send the reply.  All policy — retry budgets,
-backoff, quarantine, lease deadlines — lives with the scheduler in
+quarantine, lease deadlines — lives with the scheduler in
 :mod:`repro.engine.workers`; all *mechanism* for keeping processes
 alive lives here.  This split is the single-node version of the
 scheduler/worker contract the ROADMAP's multi-node sharded collection

@@ -15,9 +15,9 @@ of directly-owned worker processes rather than a fire-and-forget
 ``multiprocessing.Pool``: every in-flight chunk is a *lease* tied to a
 specific worker with an optional deadline, worker deaths are detected
 via process sentinels (and hung workers via expired leases), failed
-leases are requeued with bounded exponential backoff, and a chunk that
-keeps failing is quarantined as a structured failure result instead of
-aborting the sweep.  :mod:`repro.engine.faults` injects deterministic
+leases go straight back on the queue, and a chunk that keeps failing
+is quarantined as a structured failure result instead of aborting the
+sweep.  :mod:`repro.engine.faults` injects deterministic
 crashes into this machinery under test.
 
 Workers keep a process-global :class:`~repro.engine.cache.SamplerCache`
@@ -45,15 +45,13 @@ import repro.obs as obs
 from repro.decoders.metrics import count_logical_errors
 from repro.engine import faults
 from repro.engine.cache import cached_dem, cached_sampler, shared_cache
+from repro.engine.options import ExecutionOptions
 from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
 from repro.rng import chunk_generator
 
-#: Hard cap on the exponential retry backoff, whatever the attempt count.
-_MAX_BACKOFF_SECONDS = 30.0
-
 #: Base supervisor poll tick: the longest the scheduler sleeps when no
-#: worker message, lease deadline or retry timer is nearer.
+#: worker message or lease deadline is nearer.
 _POLL_SECONDS = 0.25
 
 
@@ -325,7 +323,6 @@ class _RunState:
     specs: dict[int, ChunkSpec] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
-    delayed: list = field(default_factory=list)  # (ready_monotonic, index)
     leases: dict[int, _Lease] = field(default_factory=dict)
     reorder: dict = field(default_factory=dict)
     submit_times: dict[int, float] = field(default_factory=dict)
@@ -336,16 +333,11 @@ class _RunState:
 
     def live(self) -> int:
         """Chunks admitted but not yet yielded — the window occupancy."""
-        return (
-            len(self.pending)
-            + len(self.delayed)
-            + len(self.leases)
-            + len(self.reorder)
-        )
+        return len(self.pending) + len(self.leases) + len(self.reorder)
 
 
 class ChunkRunner:
-    """Executes chunk specs, in-process (``workers <= 1``) or on a
+    """Executes chunk specs, in-process (``workers == 1``) or on a
     supervised worker pool.  Context-managed so the workers are always
     reclaimed::
 
@@ -353,14 +345,19 @@ class ChunkRunner:
             for result in runner.run(specs):
                 ...
 
+    The runner reads ``workers``, ``max_chunk_retries``,
+    ``chunk_timeout_seconds`` and ``fault_plan`` from ``options``
+    with keyword ``overrides`` patched in
+    (:meth:`~repro.engine.options.ExecutionOptions.resolve`), so its
+    knobs are validated in one place.
+
     Pooled chunks travel as pickled :class:`ChunkSpec`s over each
     worker's pipe and come back as pickled :class:`ChunkResult`s.
 
     Fault tolerance: each dispatched chunk is a *lease* on a specific
     worker.  A worker death (sentinel) or an expired lease
-    (``chunk_timeout_seconds``) requeues the worker's leased chunks
-    with exponential backoff (``retry_backoff * 2**attempt``, capped)
-    and replenishes the pool; a chunk failing more than
+    (``chunk_timeout_seconds``) puts the worker's leased chunks straight
+    back on the queue and replenishes the pool; a chunk failing more than
     ``max_chunk_retries`` times is *quarantined* — yielded as a
     ``failed`` :class:`ChunkResult` instead of aborting the sweep.
     Replays are bitwise identical by the derived-seed scheme, so none
@@ -373,25 +370,13 @@ class ChunkRunner:
     """
 
     def __init__(
-        self,
-        workers: int = 1,
-        *,
-        max_chunk_retries: int = 2,
-        chunk_timeout_seconds: float | None = None,
-        retry_backoff: float = 0.1,
-        fault_plan: "faults.FaultPlan | str | None" = None,
+        self, options: ExecutionOptions | None = None, **overrides
     ):
-        self.workers = max(1, int(workers))
-        if max_chunk_retries < 0:
-            raise ValueError("max_chunk_retries must be >= 0")
-        if chunk_timeout_seconds is not None and chunk_timeout_seconds <= 0:
-            raise ValueError("chunk_timeout_seconds must be positive")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        self.max_chunk_retries = int(max_chunk_retries)
-        self.chunk_timeout_seconds = chunk_timeout_seconds
-        self.retry_backoff = float(retry_backoff)
-        self.fault_plan = fault_plan
+        options = ExecutionOptions.resolve(options, **overrides)
+        self.workers = options.workers
+        self.max_chunk_retries = options.max_chunk_retries
+        self.chunk_timeout_seconds = options.chunk_timeout_seconds
+        self.fault_plan = options.fault_plan
         self._pool: SupervisedPool | None = None
         self._run_token = 0
 
@@ -539,7 +524,7 @@ class ChunkRunner:
             )
 
         def requeue(index: int, lease: _Lease, reason: str) -> None:
-            """A lease failed: back off and retry, or quarantine."""
+            """A lease failed: retry it at once, or quarantine."""
             failed_attempts = lease.attempt + 1
             if failed_attempts > self.max_chunk_retries:
                 quarantine(index, failed_attempts, reason)
@@ -547,11 +532,7 @@ class ChunkRunner:
             if measure:
                 obs.counter("repro_chunk_retries_total").inc()
             state.attempts[index] = failed_attempts
-            delay = min(
-                self.retry_backoff * (2 ** lease.attempt),
-                _MAX_BACKOFF_SECONDS,
-            )
-            state.delayed.append((time.monotonic() + delay, index))
+            state.pending.append(index)
 
         def quarantine(index: int, tries: int, reason: str) -> None:
             """Retry budget exhausted: emit a structured failure result
@@ -652,17 +633,6 @@ class ChunkRunner:
                 requeue(index, state.leases.pop(index), message)
 
         while True:
-            # Ripen retry timers.
-            if state.delayed:
-                now = time.monotonic()
-                ripe = sorted(
-                    index for ready, index in state.delayed if ready <= now
-                )
-                if ripe:
-                    state.delayed = [
-                        entry for entry in state.delayed if entry[0] > now
-                    ]
-                    state.pending.extend(ripe)
             # Admit new chunks while the window has room.
             while not state.exhausted and state.live() < window:
                 try:
@@ -683,13 +653,9 @@ class ChunkRunner:
             if state.exhausted and state.live() == 0:
                 return
             # Wait for worker events, but no longer than the nearest
-            # lease deadline or retry timer needs.
+            # lease deadline needs.
             wait = _POLL_SECONDS
             now = time.monotonic()
-            if state.delayed:
-                wait = min(
-                    wait, min(ready for ready, _ in state.delayed) - now
-                )
             deadlines = [
                 lease.deadline
                 for lease in state.leases.values()

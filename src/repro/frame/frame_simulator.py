@@ -36,20 +36,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.instructions import Instruction, RecTarget
+from repro.circuit.instructions import Instruction, RecTarget, disjoint_runs
 from repro.circuit.transforms import resolve_record_annotations
 from repro.frame.program import (
     FrameProgram,
     _symplectic,
-    disjoint_runs,
     fault_rows,
 )
+from repro.gates.database import BASIS_CONJUGATION
 from repro.gf2 import bitops
 from repro.noise.channels import noise_groups
 from repro.rng import as_generator
 from repro.tableau.simulator import reference_sample
 
-_BASIS_CONJUGATION = {"X": "H", "Y": "H_YZ"}
 _U64 = np.uint64
 
 _MODES = ("compiled", "interpreted")
@@ -222,7 +221,7 @@ class FrameSimulator:
             else:
                 _apply_unitary(gate.name, instruction.targets, x_frame, z_frame)
         elif gate.kind in ("measure", "reset", "measure_reset"):
-            conj = _BASIS_CONJUGATION.get(gate.basis)
+            conj = BASIS_CONJUGATION.get(gate.basis)
             reset = gate.kind in ("reset", "measure_reset")
             # One packed draw per disjoint run of targets (normally one
             # per instruction) instead of one per qubit.

@@ -41,46 +41,20 @@ from functools import lru_cache
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.instructions import Instruction, RecTarget
+from repro.circuit.instructions import Instruction, RecTarget, disjoint_runs
 from repro.circuit.transforms import resolve_record_annotations
-from repro.gates.database import get_gate
+from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gf2 import bitops
 from repro.noise.channels import noise_groups, sample_hits
 from repro.rng import as_generator
 
 _U64 = np.uint64
 
-_BASIS_CONJUGATION = {"X": "H", "Y": "H_YZ"}
-_FEEDBACK_LETTER = {"CX": "X", "CY": "Y", "CZ": "Z"}
-
 
 @lru_cache(maxsize=None)
 def _symplectic(name: str) -> tuple[np.ndarray, int]:
     table = get_gate(name).table
     return table.symplectic_matrix(), table.n_qubits
-
-
-def disjoint_runs(targets, arity: int = 1) -> list[list]:
-    """Split a flat target list into maximal runs with no repeated qubit.
-
-    Gather-compute-scatter application is only equivalent to sequential
-    per-target application when no qubit appears twice, so a repeated
-    qubit starts a new run.  ``arity=2`` treats targets as (a, b) pairs
-    and keeps pairs intact.
-    """
-    runs: list[list] = []
-    current: list = []
-    seen: set = set()
-    for i in range(0, len(targets), arity):
-        group = targets[i:i + arity]
-        if any(q in seen for q in group):
-            runs.append(current)
-            current, seen = [], set()
-        current.extend(group)
-        seen.update(group)
-    if current:
-        runs.append(current)
-    return runs
 
 
 class _RunState:
@@ -278,7 +252,7 @@ class FeedbackOp:
     __slots__ = ("actions",)
 
     def __init__(self, instruction: Instruction, measured: int):
-        letter = _FEEDBACK_LETTER[instruction.name]
+        letter = FEEDBACK_LETTER[instruction.name]
         sym = _symplectic(instruction.name)[0]
         targets = instruction.targets
         actions = []
@@ -376,7 +350,7 @@ class FrameProgram:
                 self.ops.append(Unitary2QOp(sym, run))
 
     def _emit_measure(self, gate, instruction: Instruction, measured: int) -> int:
-        conj_name = _BASIS_CONJUGATION.get(gate.basis)
+        conj_name = BASIS_CONJUGATION.get(gate.basis)
         produce = gate.produces_record
         reset = gate.kind in ("reset", "measure_reset")
         for run in disjoint_runs(instruction.targets):

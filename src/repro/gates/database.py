@@ -96,6 +96,13 @@ GATE_ALIASES: dict[str, str] = {
     "E": "CORRELATED_ERROR",
 }
 
+#: The gate that maps a measurement/reset basis onto Z (``X`` via ``H``,
+#: ``Y`` via ``H_YZ``; ``Z`` needs none), so simulators measure in Z only.
+BASIS_CONJUGATION: dict[str, str] = {"X": "H", "Y": "H_YZ"}
+
+#: The Pauli a classically controlled ``CX``/``CY``/``CZ`` applies.
+FEEDBACK_LETTER: dict[str, str] = {"CX": "X", "CY": "Y", "CZ": "Z"}
+
 
 @lru_cache(maxsize=None)
 def get_gate(name: str) -> GateData:

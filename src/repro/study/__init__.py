@@ -51,7 +51,7 @@ harness and the examples are thin layers over these objects.
 from repro.engine.options import ExecutionOptions
 from repro.study.compiled import CompiledCircuit
 from repro.study.result import SweepResult
-from repro.study.sweep import CODE_BUILDERS, Sweep, run
+from repro.study.sweep import CODE_BUILDERS, Sweep
 
 __all__ = [
     "CODE_BUILDERS",
@@ -59,5 +59,4 @@ __all__ = [
     "ExecutionOptions",
     "Sweep",
     "SweepResult",
-    "run",
 ]

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.engine.cache import cached_dem, cached_sampler, shared_cache
-from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
+from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import (
     NO_DECODER,
     Task,
@@ -240,13 +240,7 @@ class CompiledCircuit:
             return engine_collect([task], options=options)[0]
 
     def logical_error_rate(
-        self,
-        shots: int,
-        seed=None,
-        *,
-        max_errors: int | None = UNSET,
-        workers: int = UNSET,
-        chunk_shots: int = UNSET,
+        self, shots: int, seed=None, **overrides: Any
     ) -> float:
         """Fraction of ``shots`` where decoding fails to predict the
         observable flips.
@@ -255,22 +249,23 @@ class CompiledCircuit:
         collection engine's derived-seed chunking, so the counts are
         bitwise identical to ``collect([self.task(...)],
         base_seed=seed)`` — interactive estimates and batch sweeps agree
-        shot for shot.  With an explicit ``Generator`` or
+        shot for shot.  Keyword ``overrides`` (``workers``,
+        ``chunk_shots``, ``max_errors``, ...) patch the execution
+        options through :meth:`ExecutionOptions.resolve`, as on every
+        other entry point.  With an explicit ``Generator`` or
         ``SeedSequence`` (whose state cannot be threaded into
         independent per-chunk streams), the shots are drawn as one
-        in-process batch from that stream instead.
+        in-process batch from that stream instead, and overrides are
+        rejected.
 
         With ``decoder="none"`` there is no decoding: an "error" is any
         raw observable flip (the engine's ``none`` semantics), on both
         paths.
         """
-        passed = explicit_kwargs(
-            max_errors=max_errors, workers=workers, chunk_shots=chunk_shots
-        )
         if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
-            if passed:
+            if overrides:
                 raise ValueError(
-                    f"{'/'.join(sorted(passed))} require an int seed (or "
+                    f"{'/'.join(sorted(overrides))} require an int seed (or "
                     f"None): an explicit Generator/SeedSequence stream "
                     f"samples one in-process batch, outside the engine's "
                     f"chunked early-stopping path"
@@ -285,11 +280,5 @@ class CompiledCircuit:
             )
             errors = count_logical_errors(decoder, detectors, observables)
             return errors / shots
-        stats = self.collect(
-            ExecutionOptions(base_seed=seed).replace(
-                **{k: v for k, v in passed.items() if k != "max_errors"}
-            ),
-            max_shots=shots,
-            max_errors=passed.get("max_errors"),
-        )
-        return stats.error_rate
+        options = ExecutionOptions.resolve(None, base_seed=seed, **overrides)
+        return self.collect(options, max_shots=shots).error_rate

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.engine.options import UNSET, ExecutionOptions
+from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import Task
 from repro.study.result import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuit.circuit import Circuit
+
+# "Not passed" sentinel for add_task's keywords, whose defaults are the
+# sweep's own settings: it tells "not passed" from an explicit value
+# (``max_errors=None`` means "no early stop", not "inherit").
+UNSET: Any = object()
 
 
 def _repetition(distance: int, rounds: int, p: float) -> "Circuit":
@@ -230,25 +235,3 @@ class Sweep:
         ):
             return SweepResult(engine_collect(tasks, options=options))
 
-
-def run(
-    sweep: Sweep | Iterable[Task],
-    options: ExecutionOptions | None = None,
-    **overrides: Any,
-) -> SweepResult:
-    """Collect a :class:`Sweep` (or any iterable of engine tasks).
-
-    The functional spelling of :meth:`Sweep.collect`, accepting raw task
-    lists too so ad-hoc task sets share the same execution path.
-    """
-    if isinstance(sweep, Sweep):
-        return sweep.collect(options, **overrides)
-    import repro.obs as obs
-    from repro.engine.collector import collect as engine_collect
-
-    options = ExecutionOptions.resolve(options, **overrides)
-    tasks = list(sweep)
-    with obs.span(
-        "sweep.collect", tasks=len(tasks), workers=options.workers
-    ):
-        return SweepResult(engine_collect(tasks, options=options))

@@ -16,12 +16,11 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
 from repro.circuit.transforms import record_index
+from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER
 from repro.noise.channels import noise_groups, pattern_bits
 from repro.rng import as_generator
 from repro.tableau.tableau import Tableau
 
-_BASIS_CONJUGATION = {"X": "H", "Y": "H_YZ"}  # maps the basis onto Z
-_FEEDBACK_LETTER = {"CX": "X", "CY": "Y", "CZ": "Z"}
 
 
 class TableauSimulator:
@@ -85,7 +84,7 @@ class TableauSimulator:
             self.tableau.apply_gate(gate.name, targets)
             return
         # Classically-controlled Pauli: apply when the recorded bit is 1.
-        letter = _FEEDBACK_LETTER[gate.name]
+        letter = FEEDBACK_LETTER[gate.name]
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
                 if self.record[record_index(len(self.record), control)]:
@@ -98,7 +97,7 @@ class TableauSimulator:
     def _measure(
         self, qubit: int, basis: str, forced: int | None
     ) -> int:
-        conj = _BASIS_CONJUGATION.get(basis)
+        conj = BASIS_CONJUGATION.get(basis)
         if conj:
             self.tableau.apply_gate(conj, (qubit,))
         outcome, _ = self.tableau.measure(qubit, self.rng, forced)

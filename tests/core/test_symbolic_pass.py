@@ -17,6 +17,7 @@ import repro.obs as obs
 from benchmarks.bench_symbolic_pass import grid, pass_digests
 from repro.backends import compile_backend
 from repro.circuit import Circuit, RecTarget
+from repro.circuit.instructions import disjoint_runs
 from repro.circuit.transforms import record_index
 from repro.core import (
     CompiledSampler,
@@ -27,13 +28,8 @@ from repro.core import (
     random_assignment,
     substituted_record,
 )
-from repro.core.simulator import (
-    _BASIS_CONJUGATION,
-    _FEEDBACK_LETTER,
-    _distinct_runs,
-)
 from repro.gates.anf import gate_kernel
-from repro.gates.database import get_gate
+from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gates.unitaries import UNITARIES_1Q, UNITARIES_2Q
 from repro.gf2 import bitops
 from repro.noise.channels import noise_channel
@@ -242,7 +238,7 @@ class TwoHalfReference(SymPhaseSimulator):
     def _apply_gate(self, name, targets):
         kernel = gate_kernel(get_gate(name).name)
         arity = kernel.n_qubits
-        for run in _distinct_runs(targets, arity):
+        for run in disjoint_runs(targets, arity):
             sites = np.asarray(run, dtype=np.int64).reshape(-1, arity)
             columns = [sites[:, slot] for slot in range(arity)]
             inputs = []
@@ -264,7 +260,7 @@ class TwoHalfReference(SymPhaseSimulator):
         return self.xs[:, qubits] ^ self.zs[:, qubits]
 
     def _apply_feedback(self, instruction):
-        letter = _FEEDBACK_LETTER[instruction.name]
+        letter = FEEDBACK_LETTER[instruction.name]
         targets = instruction.targets
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
@@ -346,7 +342,7 @@ class TwoHalfReference(SymPhaseSimulator):
         return vector[: bitops.words_for(self.symbols.width)].copy()
 
     def _reset(self, qubit, basis, record):
-        conj = _BASIS_CONJUGATION.get(basis)
+        conj = BASIS_CONJUGATION.get(basis)
         if conj:
             self._apply_gate(conj, (qubit,))
         vector = self._measure_z(qubit)

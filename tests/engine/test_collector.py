@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -146,14 +147,11 @@ class TestResume:
         assert again[0].resumed
         assert first[0].base_seed == SEED
 
-    def test_row_from_an_older_rng_stream_is_not_resumed(
-        self, tmp_path, monkeypatch
-    ):
+    def test_row_from_an_older_rng_stream_is_not_resumed(self, tmp_path):
         """A row drawn under another ``rng_stream`` token has another
         task id, so the current scheme collects afresh beside it."""
         store_path = tmp_path / "results.jsonl"
-        with monkeypatch.context() as patch:
-            swap_rng_stream(patch, "symbolic", "an-older-scheme")
+        with swap_rng_stream("symbolic", "an-older-scheme"):
             old = collect(
                 [make_task(0.05)], base_seed=SEED, chunk_shots=500,
                 store=store_path,
@@ -353,21 +351,52 @@ class TestExecutionOptions:
             without.shots, without.errors
         )
 
-    def test_options_alongside_loose_kwargs_rejected(self):
-        """Loose kwargs must not be silently dropped when options= is
-        also given — that combination is an immediate error."""
-        with pytest.raises(TypeError, match="not both"):
-            collect([], options=ExecutionOptions(), workers=2)
-        with pytest.raises(TypeError, match="store"):
-            collect([], options=ExecutionOptions(), store="out.jsonl")
+    def test_overrides_patch_options(self):
+        """Keyword overrides patch ``options=`` (the one resolve rule):
+        ``workers=2`` beside options equals options with workers=2."""
+        task = make_task(0.08)
+        options = ExecutionOptions(base_seed=SEED, chunk_shots=500)
+        patched = collect([task], options=options, workers=2)
+        replaced = collect([task], options=options.replace(workers=2))
+        assert [(s.shots, s.errors) for s in patched] == [
+            (s.shots, s.errors) for s in replaced
+        ]
+        assert patched[0].base_seed == SEED
 
-    def test_explicit_default_valued_kwargs_also_rejected(self):
-        """Passing a kwarg that happens to equal its default alongside
-        options= still conflicts (sentinel, not value comparison)."""
-        with pytest.raises(TypeError, match="base_seed"):
-            collect([], options=ExecutionOptions(base_seed=7), base_seed=0)
-        with pytest.raises(TypeError, match="workers"):
-            collect([], options=ExecutionOptions(), workers=1)
+    def test_unknown_override_rejected(self):
+        with pytest.raises(TypeError, match="no_such_knob"):
+            collect([], options=ExecutionOptions(), no_such_knob=1)
+
+    @pytest.mark.parametrize(
+        "seed,error",
+        [
+            (np.random.default_rng(1), TypeError),
+            (True, TypeError),
+            ("7", TypeError),
+            (7.0, TypeError),
+            (-1, ValueError),
+        ],
+        ids=["generator", "bool", "str", "float", "negative"],
+    )
+    def test_bad_base_seed_rejected(self, seed, error):
+        """``base_seed`` is None or a non-negative int; anything else
+        fails at construction, naming the field, not deep in the run."""
+        with pytest.raises(error, match="base_seed"):
+            ExecutionOptions(base_seed=seed)
+        with pytest.raises(error, match="base_seed"):
+            collect([make_task()], base_seed=seed)
+
+    def test_int_base_seed_reproduces(self, tmp_path):
+        store_path = tmp_path / "r.jsonl"
+        first = collect(
+            [make_task()], base_seed=7, chunk_shots=500, store=store_path
+        )
+        second = collect([make_task()], base_seed=7, chunk_shots=500)
+        assert (first[0].shots, first[0].errors) == (
+            second[0].shots, second[0].errors
+        )
+        row = json.loads(store_path.read_text().splitlines()[0])
+        assert row["base_seed"] == 7 and type(row["base_seed"]) is int
 
     def test_replace_returns_patched_copy(self):
         options = ExecutionOptions(base_seed=1, workers=2)

@@ -134,11 +134,10 @@ FAULT_CASES = {
     "kill": dict(fault_plan="kill@1"),
     # Chunk 2 stalls past its lease deadline: the supervisor kills the
     # holder and requeues.
-    "timeout": dict(fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5,
-                    retry_backoff=0.01),
+    "timeout": dict(fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5),
     # Chunk 1's decode raises in-worker: the error message travels back
     # and the chunk retries.
-    "raise": dict(fault_plan="raise@1", retry_backoff=0.01),
+    "raise": dict(fault_plan="raise@1"),
 }
 
 @pytest.mark.parametrize("fault", sorted(FAULT_CASES))
@@ -165,10 +164,7 @@ def test_faulted_pooled_counts_match_serial(fault):
 def test_worker_death_metrics_recorded():
     obs.enable(tracing=False, metrics=True)
     task = make_task()
-    stats = collect(
-        [task], base_seed=3, workers=2, fault_plan="kill@1",
-        retry_backoff=0.01,
-    )
+    stats = collect([task], base_seed=3, workers=2, fault_plan="kill@1")
     assert stats[0].failed_chunks == 0
     reg = obs.registry()
     assert reg.value("repro_worker_deaths_total") >= 1.0
@@ -182,7 +178,7 @@ def test_retried_chunk_spans_carry_attempt():
     task = make_task()
     stats = collect(
         [task], base_seed=3, workers=2, chunk_shots=500,
-        fault_plan="kill@1", retry_backoff=0.01,
+        fault_plan="kill@1",
     )
     assert stats[0].failed_chunks == 0
     queue = {
@@ -200,7 +196,6 @@ def test_lease_expiry_metrics_recorded():
     stats = collect(
         [task], base_seed=3, workers=2, chunk_shots=500,
         fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5,
-        retry_backoff=0.01,
     )
     assert stats[0].failed_chunks == 0
     reg = obs.registry()
@@ -213,7 +208,7 @@ def test_env_plan_drives_pooled_run(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "raise@1")
     obs.enable(tracing=False, metrics=True)
     task = make_task()
-    faulted = collect([task], base_seed=11, workers=2, retry_backoff=0.01)
+    faulted = collect([task], base_seed=11, workers=2)
     monkeypatch.setenv(ENV_VAR, "")
     serial = collect([task], base_seed=11, workers=1)
     assert counts(faulted) == counts(serial)
@@ -229,9 +224,7 @@ def test_retry_replays_identical_chunk():
     with ChunkRunner(workers=1) as runner:
         reference = {r.chunk_index: (r.shots, r.errors)
                      for r in runner.run(specs)}
-    with ChunkRunner(
-        workers=2, fault_plan="raise@1,raise@2", retry_backoff=0.01,
-    ) as runner:
+    with ChunkRunner(workers=2, fault_plan="raise@1,raise@2") as runner:
         retried = {r.chunk_index: (r.shots, r.errors)
                    for r in runner.run(specs)}
     assert retried == reference
@@ -251,7 +244,6 @@ class TestQuarantine:
         stats = collect(
             [task], base_seed=11, workers=2, store=store_path,
             fault_plan="raise@1x*", max_chunk_retries=1,
-            retry_backoff=0.01,
         )
         assert stats[0].failed_chunks == 1
         assert stats[0].shots == task.max_shots - 2_000  # one chunk lost
@@ -273,7 +265,6 @@ class TestQuarantine:
         poisoned = collect(
             [task], base_seed=11, workers=2, store=store_path,
             fault_plan="raise@1x*", max_chunk_retries=1,
-            retry_backoff=0.01,
         )
         assert poisoned[0].failed_chunks == 1
 
@@ -296,7 +287,7 @@ class TestQuarantine:
         collect(
             [make_task()], base_seed=11, workers=2,
             store=tmp_path / "r.jsonl", fault_plan="raise@1x*",
-            max_chunk_retries=0, retry_backoff=0.01,
+            max_chunk_retries=0,
         )
         assert obs.registry().value("repro_chunks_quarantined") == 1.0
 

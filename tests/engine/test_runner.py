@@ -198,6 +198,14 @@ class TestOneWire:
         with pytest.raises(TypeError, match=name):
             ChunkRunner(workers=2, **{name: value})
 
+    def test_knobs_validated_by_execution_options(self):
+        """The runner resolves its knobs through ExecutionOptions, so an
+        invalid one fails with that class's message."""
+        with pytest.raises(ValueError, match="max_chunk_retries"):
+            ChunkRunner(workers=2, max_chunk_retries=-1)
+        with pytest.raises(ValueError, match="chunk_timeout_seconds"):
+            ChunkRunner(chunk_timeout_seconds=0)
+
     def test_transport_env_var_is_not_read(self, monkeypatch):
         """``REPRO_TRANSPORT`` no longer steers anything: a pooled run
         under it stays on the pickle wire with serial-identical counts."""

@@ -48,10 +48,10 @@ class TestTask:
         assert len(ids) == 5
 
     @pytest.mark.parametrize("sampler", ["symbolic", "frame"])
-    def test_strong_id_follows_the_rng_stream(self, monkeypatch, sampler):
+    def test_strong_id_follows_the_rng_stream(self, sampler):
         current = Task(make_circuit(), sampler=sampler).strong_id()
-        swap_rng_stream(monkeypatch, sampler, "an-older-scheme")
-        older = Task(make_circuit(), sampler=sampler).strong_id()
+        with swap_rng_stream(sampler, "an-older-scheme"):
+            older = Task(make_circuit(), sampler=sampler).strong_id()
         assert older != current
 
     def test_describe_uses_metadata(self):

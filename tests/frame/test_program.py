@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit
+from repro.circuit.instructions import disjoint_runs
 from repro.frame import FrameProgram, FrameSimulator, compile_frame_program
 from repro.frame.program import (
     FeedbackOp,
@@ -11,7 +12,6 @@ from repro.frame.program import (
     NoiseOp,
     Unitary1QOp,
     Unitary2QOp,
-    disjoint_runs,
 )
 
 

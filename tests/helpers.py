@@ -3,6 +3,8 @@ comparison between simulators."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.circuit import Circuit
@@ -154,16 +156,20 @@ def append_random_annotations(
     return circuit
 
 
-def swap_rng_stream(monkeypatch, backend: str, token: str) -> None:
-    """Re-register ``backend`` under another ``rng_stream`` token for the
-    duration of a test (as if its RNG consumption scheme had changed)."""
+@contextmanager
+def swap_rng_stream(backend: str, token: str):
+    """Re-register ``backend`` under another ``rng_stream`` token inside
+    the ``with`` block (as if its RNG consumption scheme had changed),
+    then register the original entry back."""
     import dataclasses
 
-    from repro.backends import registry
+    from repro.backends import get_backend, register_backend
 
-    entry = registry.get_backend(backend)
-    info = dataclasses.replace(entry.info, rng_stream=token)
-    monkeypatch.setitem(
-        registry._REGISTRY, entry.info.name,
-        dataclasses.replace(entry, info=info),
+    entry = get_backend(backend)
+    register_backend(
+        dataclasses.replace(entry.info, rng_stream=token), entry.factory
     )
+    try:
+        yield
+    finally:
+        register_backend(entry.info, entry.factory)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import ExecutionOptions, Task, TaskStats, collect
 from repro.qec import repetition_code_memory
-from repro.study import Sweep, SweepResult, run
+from repro.study import Sweep, SweepResult
 
 SEED = 5
 
@@ -151,11 +151,15 @@ class TestCollect:
         # Two independent 128-bit entropy draws never collide.
         assert first.base_seed != second.base_seed
 
-    def test_run_accepts_sweep_and_task_lists(self):
+    def test_collect_matches_engine_collect_on_task_lists(self):
+        """``Sweep.collect`` and the engine's ``collect`` over the same
+        task list (the CLI's path) are one execution path."""
         sweep = Sweep(codes="repetition", distances=3, probabilities=0.05,
                       rounds=2, max_shots=300)
-        from_sweep = run(sweep, ExecutionOptions(base_seed=SEED))
-        from_tasks = run(sweep.tasks(), ExecutionOptions(base_seed=SEED))
+        from_sweep = sweep.collect(ExecutionOptions(base_seed=SEED))
+        from_tasks = SweepResult(
+            collect(sweep.tasks(), options=ExecutionOptions(base_seed=SEED))
+        )
         assert isinstance(from_sweep, SweepResult)
         assert from_sweep[0].errors == from_tasks[0].errors
 
