@@ -3,7 +3,7 @@
 ``repro.noise.sample_hits`` draws only the non-identity outcomes of a
 cluster of equal-channel noise sites: geometric gaps between hits, then
 each hit's Pauli.  It replaced one thresholded uniform per site and shot
-(``SymbolGroup.sample_patterns``).  This bench times both draws for
+(``repro.noise.sample_patterns_batch``).  This bench times both draws for
 DEPOLARIZE1 and DEPOLARIZE2 clusters over a grid of noise strengths: the
 hit draw wins by one to two orders of magnitude at QEC noise strengths
 and stops winning as channels approach a fair coin.
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.backends import compile_backend
 from repro.circuit import Circuit, Instruction
-from repro.noise import noise_groups, sample_hits
+from repro.noise import noise_channel, sample_hits, sample_patterns_batch
 from repro.qec import repetition_code_memory, surface_code_memory
 
 P_GRID = (0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -81,16 +81,18 @@ def draw_rows(sites, shots, p_grid, repeats, seed) -> dict:
     for name, targets in CHANNELS.items():
         rows = []
         for p in p_grid:
-            group = noise_groups(Instruction(name, targets, (p,)))[0]
+            probabilities = noise_channel(
+                Instruction(name, targets, (p,))
+            ).probabilities
             uniform_s, uniform_hits = _best_seconds(
-                lambda rng: np.count_nonzero(
-                    group.sample_patterns(sites * shots, rng)
-                ),
+                lambda rng: np.count_nonzero(sample_patterns_batch(
+                    probabilities, (sites * shots,), rng
+                )),
                 repeats, seed,
             )
             hit_s, hits = _best_seconds(
                 lambda rng: sum(s.size for s, _, _ in sample_hits(
-                    group.probabilities, sites, shots, rng
+                    probabilities, sites, shots, rng
                 )),
                 repeats, seed,
             )

@@ -18,9 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.gf2 import bitops
-from repro.noise.channels import NoiseChannel, measurement_group, sample_hits
+from repro.noise.channels import NoiseChannel, sample_hits
 
-_FAIR_COIN = measurement_group().probabilities
+# The distribution behind one random measurement outcome.
+_FAIR_COIN = (0.5, 0.5)
 
 
 class SymbolRecord(NamedTuple):

@@ -20,7 +20,7 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.core.simulator import SymPhaseSimulator
 from repro.gf2 import bitops
-from repro.noise.channels import noise_groups
+from repro.noise.channels import noise_channel
 from repro.tableau.simulator import TableauSimulator
 
 
@@ -77,12 +77,13 @@ def concrete_replay(
     for instruction in circuit.flattened():
         gate = instruction.gate
         if gate.kind == "noise":
-            for group in noise_groups(instruction):
+            channel = noise_channel(instruction)
+            for site in range(channel.n_sites):
                 offset = next_site("noise")
                 pattern = 0
-                for j in range(group.n_symbols):
+                for j in range(len(channel.columns)):
                     pattern |= int(assignment[offset + j]) << j
-                concrete.apply_fault_pattern(group, pattern)
+                concrete.apply_fault_pattern(channel.actions(site), pattern)
         else:
             concrete.do_instruction(instruction, force_random_outcomes=random_outcome)
     return np.array(concrete.record, dtype=np.uint8)

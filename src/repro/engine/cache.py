@@ -114,21 +114,43 @@ def reset_shared_cache() -> None:
     _SHARED = None
 
 
+# Artifact keys are spelled in this module only, so engine workers and
+# CompiledCircuit handles always share entries.
+
+
+def sampler_key(fingerprint: str, sampler: str) -> tuple:
+    return ("sampler", fingerprint, sampler)
+
+
+def decoder_key(fingerprint: str, decoder: str) -> tuple:
+    return ("decoder", fingerprint, decoder)
+
+
 def _loader(circuit) -> Callable[[], Any]:
     """``circuit`` itself may be a zero-argument loader, called only when
     a build misses (engine chunks parse their circuit text lazily)."""
     return circuit if callable(circuit) else lambda: circuit
 
 
+def circuit_loader(text: str, fingerprint: str) -> Callable[[], Any]:
+    """A loader that parses ``text`` at most once per process, and only
+    when an artifact build actually needs it."""
+    from repro.circuit.circuit import Circuit
+
+    return lambda: shared_cache().get_or_build(
+        ("circuit", fingerprint), lambda: Circuit.from_text(text)
+    )
+
+
 def cached_sampler(circuit, fingerprint: str, sampler: str):
     """The compiled ``sampler`` backend of ``circuit`` (canonical name),
-    built once per process under ``("sampler", fingerprint, sampler)``.
+    built once per process under :func:`sampler_key`.
     ``circuit`` may be a loader (see :func:`_loader`)."""
     from repro.backends import compile_backend
 
     load = _loader(circuit)
     return shared_cache().get_or_build(
-        ("sampler", fingerprint, sampler),
+        sampler_key(fingerprint, sampler),
         lambda: compile_backend(load(), sampler),
     )
 
@@ -152,3 +174,29 @@ def cached_dem(circuit, fingerprint: str, sampler: str):
         return extract_dem(_loader(circuit)())
 
     return shared_cache().get_or_build(("dem", fingerprint), build)
+
+
+def cached_decoder(circuit, fingerprint: str, sampler: str, decoder: str):
+    """The compiled ``decoder`` (canonical name, so one per circuit
+    serves every alias) over :func:`cached_dem`, built once per process.
+    ``circuit`` may be a loader (see :func:`_loader`)."""
+    from repro.decoders import compile_decoder
+
+    return shared_cache().get_or_build(
+        decoder_key(fingerprint, decoder),
+        lambda: compile_decoder(
+            cached_dem(circuit, fingerprint, sampler), decoder
+        ),
+    )
+
+
+def cached_symbolic(circuit, fingerprint: str):
+    """The circuit's :class:`~repro.core.simulator.SymPhaseSimulator`
+    (Algorithm 1's Initialization), built once per process under
+    ``("symbolic-analysis", fingerprint)`` whatever the sampler backend."""
+    from repro.core import SymPhaseSimulator
+
+    return shared_cache().get_or_build(
+        ("symbolic-analysis", fingerprint),
+        lambda: SymPhaseSimulator.from_circuit(circuit),
+    )

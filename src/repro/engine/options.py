@@ -28,6 +28,7 @@ seed-checked resumable runs.
 
 from __future__ import annotations
 
+import numbers
 import os  # noqa: F401 - referenced in field annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable  # noqa: F401
@@ -100,6 +101,11 @@ class ExecutionOptions:
                 )
             if seed < 0:
                 raise ValueError(f"base_seed must be >= 0, got {seed}")
+        for name in ("workers", "chunk_shots", "max_chunk_retries", "max_errors"):
+            value = getattr(self, name)
+            bad = isinstance(value, bool) or not isinstance(value, int)
+            if bad and not (name == "max_errors" and value is None):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if self.chunk_shots < 1:
@@ -108,10 +114,14 @@ class ExecutionOptions:
             raise ValueError("max_errors must be positive when set")
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
-        if (
-            self.chunk_timeout_seconds is not None
-            and self.chunk_timeout_seconds <= 0
+        timeout = self.chunk_timeout_seconds
+        if timeout is not None and (
+            isinstance(timeout, bool) or not isinstance(timeout, numbers.Real)
         ):
+            raise TypeError(
+                f"chunk_timeout_seconds must be a real number, got {timeout!r}"
+            )
+        if timeout is not None and not timeout > 0:
             raise ValueError("chunk_timeout_seconds must be positive")
 
     def replace(self, **changes: Any) -> "ExecutionOptions":

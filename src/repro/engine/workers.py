@@ -44,7 +44,14 @@ from typing import Iterable, Iterator
 import repro.obs as obs
 from repro.decoders.metrics import count_logical_errors
 from repro.engine import faults
-from repro.engine.cache import cached_dem, cached_sampler, shared_cache
+from repro.engine.cache import (
+    cached_decoder,
+    cached_sampler,
+    circuit_loader,
+    decoder_key,
+    sampler_key,
+    shared_cache,
+)
 from repro.engine.options import ExecutionOptions
 from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
@@ -161,30 +168,6 @@ def plan_chunks(
     return specs
 
 
-def _circuit_loader(spec: ChunkSpec):
-    """Loads the spec's circuit, parsing its text at most once per
-    process, and only when an artifact build actually needs it."""
-    from repro.circuit.circuit import Circuit
-
-    return lambda: shared_cache().get_or_build(
-        ("circuit", spec.fingerprint),
-        lambda: Circuit.from_text(spec.circuit_text),
-    )
-
-
-def _cached_decoder(spec: ChunkSpec, circuit):
-    from repro.decoders import compile_decoder
-
-    # spec.decoder is already canonical (Task resolves aliases), so one
-    # compiled decoder per (circuit, decoder) serves every alias.
-    return shared_cache().get_or_build(
-        ("decoder", spec.fingerprint, spec.decoder),
-        lambda: compile_decoder(
-            cached_dem(circuit, spec.fingerprint, spec.sampler), spec.decoder
-        ),
-    )
-
-
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
     """Sample + decode one chunk (runs in a worker or in-process).
 
@@ -213,11 +196,9 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
         decoder=spec.decoder,
     ) as chunk_sp:
         if obs.is_tracing():
-            sampler_key = ("sampler", spec.fingerprint, spec.sampler)
-            chunk_sp.set(
-                sampler_cache="hit" if sampler_key in cache else "miss"
-            )
-        circuit = _circuit_loader(spec)
+            key = sampler_key(spec.fingerprint, spec.sampler)
+            chunk_sp.set(sampler_cache="hit" if key in cache else "miss")
+        circuit = circuit_loader(spec.circuit_text, spec.fingerprint)
         sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
@@ -234,11 +215,12 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             errors = count_logical_errors(None, detectors, observables)
         else:
             if obs.is_tracing():
-                decoder_key = ("decoder", spec.fingerprint, spec.decoder)
-                chunk_sp.set(
-                    decoder_cache="hit" if decoder_key in cache else "miss"
-                )
-            decoder = _cached_decoder(spec, circuit)
+                key = decoder_key(spec.fingerprint, spec.decoder)
+                chunk_sp.set(decoder_cache="hit" if key in cache else "miss")
+            # spec.decoder is already canonical (Task resolves aliases).
+            decoder = cached_decoder(
+                circuit, spec.fingerprint, spec.sampler, spec.decoder
+            )
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index):
                 errors = count_logical_errors(
@@ -349,7 +331,8 @@ class ChunkRunner:
     ``chunk_timeout_seconds`` and ``fault_plan`` from ``options``
     with keyword ``overrides`` patched in
     (:meth:`~repro.engine.options.ExecutionOptions.resolve`), so its
-    knobs are validated in one place.
+    knobs are validated in one place.  Any other keyword override
+    raises ``TypeError``: the runner would ignore it.
 
     Pooled chunks travel as pickled :class:`ChunkSpec`s over each
     worker's pipe and come back as pickled :class:`ChunkResult`s.
@@ -372,6 +355,11 @@ class ChunkRunner:
     def __init__(
         self, options: ExecutionOptions | None = None, **overrides
     ):
+        ignored = set(overrides) - {
+            "workers", "max_chunk_retries", "chunk_timeout_seconds", "fault_plan"
+        }
+        if ignored:
+            raise TypeError(f"ChunkRunner ignores {', '.join(sorted(ignored))}")
         options = ExecutionOptions.resolve(options, **overrides)
         self.workers = options.workers
         self.max_chunk_retries = options.max_chunk_retries

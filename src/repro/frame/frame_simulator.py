@@ -43,9 +43,9 @@ from repro.frame.program import (
     _symplectic,
     fault_rows,
 )
-from repro.gates.database import BASIS_CONJUGATION
+from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER
 from repro.gf2 import bitops
-from repro.noise.channels import noise_groups
+from repro.noise.channels import noise_channel
 from repro.rng import as_generator
 from repro.tableau.simulator import reference_sample
 
@@ -260,7 +260,7 @@ class FrameSimulator:
         only the recorded *flip* row conditions the frame update — a
         word-wise XOR per shot batch.
         """
-        letter = {"CX": "X", "CY": "Y", "CZ": "Z"}[instruction.name]
+        letter = FEEDBACK_LETTER[instruction.name]
         targets = instruction.targets
         for control, qubit in zip(targets[0::2], targets[1::2]):
             if isinstance(control, RecTarget):
@@ -282,17 +282,15 @@ class FrameSimulator:
         shots: int,
         rng: np.random.Generator,
     ) -> None:
-        groups = noise_groups(instruction)
-        if not groups:
-            return
+        channel = noise_channel(instruction)
         # All sites of one instruction share the same joint distribution,
         # so one draw covers them (the compiled NoiseOp's call).
         faults = fault_rows(
-            groups[0].probabilities, groups[0].n_symbols, len(groups),
+            channel.probabilities, len(channel.columns), channel.n_sites,
             shots, rng,
         )
-        for site, group in enumerate(groups):
-            for j, action in enumerate(group.actions):
+        for site in range(channel.n_sites):
+            for j, action in enumerate(channel.actions(site)):
                 packed = faults[j, site]
                 if not packed.any():
                     continue

@@ -6,7 +6,7 @@ Circuit` **once** into a short list of fused, batch-vectorized ops; the
 dispatch.  This is the frame-backend counterpart of
 :class:`~repro.core.compiled_sampler.CompiledSampler`'s one-time
 Initialization: all circuit analysis — symplectic actions, record
-layout, noise-group decomposition, detector lookback resolution — is
+layout, noise-channel decomposition, detector lookback resolution — is
 paid at compile time, and sampling reduces to a handful of packed GF(2)
 kernel calls per op.
 
@@ -23,8 +23,8 @@ Lowering performs these fusions:
   **preallocated** packed record buffer (no ``list.append`` + ``copy``),
   zeroes reset qubits with one scatter, and re-randomizes all measured
   ``Z`` rows with a single batched draw;
-* noise instructions carry pre-resolved symbol groups and pre-built
-  XOR-scatter index plans, so each channel costs one hit draw
+* noise instructions carry XOR-scatter plans built from whole target
+  columns, so each channel costs one hit draw
   (:func:`~repro.noise.channels.sample_hits`, proportional to the
   non-identity outcomes) plus at most ``n_symbols`` packed scatters.
 
@@ -45,7 +45,7 @@ from repro.circuit.instructions import Instruction, RecTarget, disjoint_runs
 from repro.circuit.transforms import resolve_record_annotations
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gf2 import bitops
-from repro.noise.channels import noise_groups, sample_hits
+from repro.noise.channels import noise_channel, sample_hits
 from repro.rng import as_generator
 
 _U64 = np.uint64
@@ -156,46 +156,39 @@ class MeasureResetOp:
 
 
 class NoiseOp:
-    """One noise instruction with pre-resolved groups and scatter plans.
+    """One noise instruction with its channel and pre-built scatter plans.
 
     ``plans[j]`` drives symbol ``j`` of every site at once: the packed
     fault rows (one per site) are gathered by site index and XOR-scattered
-    into the frame rows named by qubit index.  ``safe`` marks scatters
-    whose qubit indices are unique, allowing the fast fancy-``^=`` path
-    instead of ``np.bitwise_xor.at``.
+    into the frame rows named by qubit index (each ``(letter, slot)`` of
+    the symbol's column adds every site against that slot's qubits).
+    ``safe`` marks scatters whose qubit indices are unique, allowing the
+    fast fancy-``^=`` path instead of ``np.bitwise_xor.at``.
     """
 
     __slots__ = ("probabilities", "n_sites", "plans")
 
     def __init__(self, instruction: Instruction):
-        groups = noise_groups(instruction)
-        self.n_sites = len(groups)
-        self.probabilities = groups[0].probabilities if groups else ()
-        n_symbols = groups[0].n_symbols if groups else 0
-        plans = []
-        for j in range(n_symbols):
-            x_sites, x_qubits, z_sites, z_qubits = [], [], [], []
-            for site, group in enumerate(groups):
-                for letter, qubit in group.actions[j]:
-                    if letter in ("X", "Y"):
-                        x_sites.append(site)
-                        x_qubits.append(qubit)
-                    if letter in ("Z", "Y"):
-                        z_sites.append(site)
-                        z_qubits.append(qubit)
-            plans.append((
-                self._plan(x_sites, x_qubits),
-                self._plan(z_sites, z_qubits),
-            ))
-        self.plans = tuple(plans)
+        channel = noise_channel(instruction)
+        self.n_sites = channel.n_sites
+        self.probabilities = channel.probabilities
+        self.plans = tuple(
+            (
+                self._plan(channel.qubits, column, ("X", "Y")),
+                self._plan(channel.qubits, column, ("Z", "Y")),
+            )
+            for column in channel.columns
+        )
 
     @staticmethod
-    def _plan(sites, qubits):
-        if not qubits:
+    def _plan(qubits, column, letters):
+        slots = [slot for letter, slot in column if letter in letters]
+        if not slots:
             return None
-        qubit_arr = np.asarray(qubits, dtype=np.intp)
-        safe = len(set(qubits)) == len(qubits)
-        return np.asarray(sites, dtype=np.intp), qubit_arr, safe
+        qubit_arr = qubits[:, slots].T.reshape(-1).astype(np.intp)
+        sites = np.tile(np.arange(qubits.shape[0], dtype=np.intp), len(slots))
+        safe = np.unique(qubit_arr).size == qubit_arr.size
+        return sites, qubit_arr, safe
 
     @staticmethod
     def _scatter(frame, plan, packed):

@@ -1,4 +1,4 @@
-"""Normalization of noise instructions into channels and symbol groups."""
+"""Normalization of noise instructions into :class:`NoiseChannel` arrays."""
 
 from __future__ import annotations
 
@@ -21,31 +21,6 @@ _PC2_ORDER = (
     "YI", "YX", "YY", "YZ",
     "ZI", "ZX", "ZY", "ZZ",
 )
-
-
-@dataclass(frozen=True)
-class SymbolGroup:
-    """``k`` jointly-distributed bit-symbols and their Pauli actions.
-
-    ``actions[j]`` lists the ``(pauli_letter, qubit)`` pairs applied when
-    symbol ``j`` has value 1.  ``probabilities[pattern]`` is the joint
-    probability of the bit pattern whose ``j``-th bit (LSB first) is the
-    value of symbol ``j``.
-    """
-
-    actions: tuple[tuple[tuple[str, int], ...], ...]
-    probabilities: tuple[float, ...]
-    kind: str  # "noise" or "measurement"
-
-    @property
-    def n_symbols(self) -> int:
-        return len(self.actions)
-
-    def sample_patterns(
-        self, n_samples: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw ``n_samples`` joint bit patterns (integers in [0, 2^k))."""
-        return sample_patterns_batch(self.probabilities, (n_samples,), rng)
 
 
 def sample_patterns_batch(
@@ -129,16 +104,6 @@ def _hit_positions(n_cells: int, p: float, rng: np.random.Generator) -> np.ndarr
         last = int(positions[-1])
 
 
-def pattern_bits(patterns: np.ndarray, symbol: int) -> np.ndarray:
-    """Extract one symbol's bit from an array of joint patterns."""
-    return ((patterns >> symbol) & 1).astype(np.uint8)
-
-
-def measurement_group() -> SymbolGroup:
-    """The fair-coin group behind one random measurement outcome."""
-    return SymbolGroup(actions=((),), probabilities=(0.5, 0.5), kind="measurement")
-
-
 @dataclass(frozen=True)
 class NoiseChannel:
     """What every site of one noise instruction shares, plus its sites.
@@ -146,7 +111,9 @@ class NoiseChannel:
     ``qubits`` holds one row of target qubits per site.  Symbol ``j`` of
     a site applies the Paulis ``(letter, qubits[site, slot])`` for each
     ``(letter, slot)`` in ``columns[j]``; ``probabilities`` is the joint
-    distribution of one site's symbols, shared by all sites.
+    distribution of one site's symbols, shared by all sites:
+    ``probabilities[pattern]`` is the probability of the bit pattern whose
+    bit ``j`` (LSB first) is the value of symbol ``j``.
     """
 
     qubits: np.ndarray
@@ -247,13 +214,3 @@ def noise_channel(instruction: Instruction) -> NoiseChannel:
         )
 
     raise ValueError(f"{name} is not a noise instruction")
-
-
-def noise_groups(instruction: Instruction) -> list[SymbolGroup]:
-    """One SymbolGroup per site of a noise instruction (see
-    :func:`noise_channel`)."""
-    channel = noise_channel(instruction)
-    return [
-        SymbolGroup(channel.actions(site), channel.probabilities, "noise")
-        for site in range(channel.n_sites)
-    ]

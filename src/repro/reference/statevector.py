@@ -14,7 +14,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction
 from repro.gates.database import get_gate
 from repro.gates.unitaries import UNITARIES_1Q, UNITARIES_2Q
-from repro.noise.channels import noise_groups
+from repro.noise.channels import noise_channel, sample_patterns_batch
 from repro.rng import as_generator
 
 _MAX_QUBITS = 12
@@ -129,9 +129,12 @@ class StatevectorSimulator:
                 if outcome:
                     self._flip_after_measure(qubit, gate.basis)
         elif gate.kind == "noise":
-            for group in noise_groups(instruction):
-                pattern = int(group.sample_patterns(1, self.rng)[0])
-                for j, action in enumerate(group.actions):
+            channel = noise_channel(instruction)
+            patterns = sample_patterns_batch(
+                channel.probabilities, (channel.n_sites,), self.rng
+            )
+            for site, pattern in enumerate(patterns.tolist()):
+                for j, action in enumerate(channel.actions(site)):
                     if (pattern >> j) & 1:
                         for letter, qubit in action:
                             self._apply_1q(_PAULI[letter], qubit)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.cache import cached_dem, cached_sampler, shared_cache
+from repro.engine.cache import cached_decoder, cached_dem, cached_sampler, cached_symbolic
 from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import (
     NO_DECODER,
@@ -105,12 +105,7 @@ class CompiledCircuit:
         first access and memoized by circuit fingerprint, independent of
         the chosen sampler backend.
         """
-        from repro.core import SymPhaseSimulator
-
-        return shared_cache().get_or_build(
-            ("symbolic-analysis", self.fingerprint),
-            lambda: SymPhaseSimulator.from_circuit(self.circuit),
-        )
+        return cached_symbolic(self.circuit, self.fingerprint)
 
     @property
     def dem(self):
@@ -121,16 +116,14 @@ class CompiledCircuit:
     @property
     def decoder(self):
         """The compiled decoder over :attr:`dem` (built on first access)."""
-        from repro.decoders import compile_decoder
-
         if self.decoder_name == NO_DECODER:
             raise ValueError(
                 "this circuit was compiled with decoder='none'; "
                 "re-compile with a registered decoder to decode"
             )
-        return shared_cache().get_or_build(
-            ("decoder", self.fingerprint, self.decoder_name),
-            lambda: compile_decoder(self.dem, self.decoder_name),
+        return cached_decoder(
+            self.circuit, self.fingerprint, self.sampler_name,
+            self.decoder_name,
         )
 
     # -- sampling --------------------------------------------------------

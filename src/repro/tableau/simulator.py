@@ -17,7 +17,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.instructions import Instruction, RecTarget
 from repro.circuit.transforms import record_index
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER
-from repro.noise.channels import noise_groups, pattern_bits
+from repro.noise.channels import noise_channel, sample_patterns_batch
 from repro.rng import as_generator
 from repro.tableau.tableau import Tableau
 
@@ -118,15 +118,20 @@ class TableauSimulator:
     # -- noise -------------------------------------------------------------------
 
     def _apply_noise(self, instruction: Instruction) -> None:
-        for group in noise_groups(instruction):
-            pattern = int(group.sample_patterns(1, self.rng)[0])
-            self.apply_fault_pattern(group, pattern)
+        channel = noise_channel(instruction)
+        # One uniform per site, in site order, as per-site draws took.
+        patterns = sample_patterns_batch(
+            channel.probabilities, (channel.n_sites,), self.rng
+        )
+        for site, pattern in enumerate(patterns.tolist()):
+            self.apply_fault_pattern(channel.actions(site), pattern)
 
-    def apply_fault_pattern(self, group, pattern: int) -> None:
-        """Apply the concrete Paulis selected by a joint bit pattern."""
-        for symbol_index in range(group.n_symbols):
-            if pattern_bits(np.array([pattern]), symbol_index)[0]:
-                for letter, qubit in group.actions[symbol_index]:
+    def apply_fault_pattern(self, actions, pattern: int) -> None:
+        """Apply the Paulis a joint bit pattern selects: ``actions[j]``
+        (a site's ``NoiseChannel.actions``) when bit ``j`` is set."""
+        for j, action in enumerate(actions):
+            if pattern >> j & 1:
+                for letter, qubit in action:
                     self.tableau.apply_gate(letter, (qubit,))
 
 

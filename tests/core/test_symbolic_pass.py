@@ -28,6 +28,7 @@ from repro.core import (
     random_assignment,
     substituted_record,
 )
+from repro.frame.program import FrameProgram
 from repro.gates.anf import gate_kernel
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gates.unitaries import UNITARIES_1Q, UNITARIES_2Q
@@ -190,13 +191,11 @@ class TestLinearityFuzz:
 class TestNoPerSiteObjects:
     @pytest.fixture()
     def forbid_per_site(self, monkeypatch):
-        """Make building a per-site group, action list or view raise."""
+        """Make building a per-site action list or view raise."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("per-site object built")
 
-        monkeypatch.setattr(channels, "noise_groups", forbidden)
-        monkeypatch.setattr(channels, "SymbolGroup", forbidden)
         monkeypatch.setattr(channels.NoiseChannel, "actions", forbidden)
         monkeypatch.setattr(SymbolTable, "sites", forbidden)
         monkeypatch.setattr(SymbolTable, "label", forbidden)
@@ -209,6 +208,12 @@ class TestNoPerSiteObjects:
         detectors, _ = sampler.sample_detectors(256, rng=3)
         assert records.shape == (256, sampler.n_measurements)
         assert detectors.shape == (256, sampler.n_detectors)
+
+    def test_frame_program_builds_no_per_site_object(self, forbid_per_site):
+        circuit = grid()["surface_d3"]
+        program = FrameProgram(circuit)
+        flips = program.run(256, 3)
+        assert flips.shape == (program.n_records, bitops.words_for(256))
 
 
 class TestCompileSpans:

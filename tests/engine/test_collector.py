@@ -416,6 +416,34 @@ class TestExecutionOptions:
     @pytest.mark.parametrize(
         "name,value",
         [
+            ("workers", "2"),
+            ("workers", 2.0),
+            ("workers", True),
+            ("chunk_shots", 250.5),
+            ("chunk_shots", "250"),
+            ("max_chunk_retries", 1.5),
+            ("max_chunk_retries", False),
+            ("max_errors", True),
+            ("max_errors", 3.0),
+            ("chunk_timeout_seconds", "3"),
+            ("chunk_timeout_seconds", True),
+        ],
+    )
+    def test_wrong_type_rejected(self, name, value):
+        """A knob of the wrong type fails at construction with a
+        ``TypeError`` naming the field — never accepted as-is, never a
+        bare comparison error from deep inside validation."""
+        with pytest.raises(TypeError, match=name):
+            ExecutionOptions(**{name: value})
+
+    def test_real_timeout_accepted(self):
+        assert ExecutionOptions(chunk_timeout_seconds=3).chunk_timeout_seconds == 3
+        with pytest.raises(ValueError, match="chunk_timeout_seconds"):
+            ExecutionOptions(chunk_timeout_seconds=float("nan"))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
             ("transport", "pickle"),
             ("adaptive_chunks", True),
             ("target_chunk_seconds", 0.5),

@@ -198,6 +198,16 @@ class TestOneWire:
         with pytest.raises(TypeError, match=name):
             ChunkRunner(workers=2, **{name: value})
 
+    def test_settings_the_runner_ignores_rejected(self):
+        """Execution options the runner never reads (chunk size, store,
+        early stop) are an error as overrides, not silently dropped."""
+        with pytest.raises(TypeError) as info:
+            ChunkRunner(chunk_shots=5, store="x.jsonl", max_errors=3)
+        for name in ("chunk_shots", "store", "max_errors"):
+            assert name in str(info.value)
+        with pytest.raises(TypeError, match="base_seed"):
+            ChunkRunner(workers=1, base_seed=3)
+
     def test_knobs_validated_by_execution_options(self):
         """The runner resolves its knobs through ExecutionOptions, so an
         invalid one fails with that class's message."""

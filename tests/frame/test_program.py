@@ -71,7 +71,7 @@ class TestLowering:
         assert len(ops) == 1
         assert (ops[0].rec_start, ops[0].rec_stop) == (0, 3)
 
-    def test_noise_groups_preresolved(self):
+    def test_noise_channel_preresolved(self):
         c = Circuit().depolarize1(0.1, 0, 1, 2).m(0)
         program = FrameProgram(c)
         noise = [op for op in program.ops if isinstance(op, NoiseOp)]

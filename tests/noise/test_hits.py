@@ -5,11 +5,11 @@ import pytest
 
 from repro.circuit.instructions import Instruction
 from repro.noise import channels
-from repro.noise.channels import noise_groups, sample_hits
+from repro.noise.channels import noise_channel, sample_hits
 
 
 def _probabilities(name, p):
-    return noise_groups(Instruction(name, (0, 1), (p,)))[0].probabilities
+    return noise_channel(Instruction(name, (0, 1), (p,))).probabilities
 
 
 def _collect(probabilities, n_sites, shots, rng):
@@ -117,7 +117,7 @@ class TestFrequencies:
         """A hit's Pauli follows probabilities[1:] / p_hit, not a uniform
         pick among the non-identity patterns."""
         instruction = Instruction("PAULI_CHANNEL_1", (0,), (0.002, 0.01, 0.03))
-        probabilities = np.asarray(noise_groups(instruction)[0].probabilities)
+        probabilities = np.asarray(noise_channel(instruction).probabilities)
         _, _, patterns = _collect(probabilities, 1000, 1000, rng)
         counts = np.bincount(patterns, minlength=4)[1:]
         expected = 1_000_000 * probabilities[1:]
