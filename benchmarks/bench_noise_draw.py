@@ -23,6 +23,13 @@ the table locates the crossover the model's ``_SCATTER_COST_RATIO`` and
 ``_EQ4_ROW_WORDS`` are calibrated against; ``auto`` must never be much
 slower than Eq. 4 (its choice before the scatter).
 
+A fourth table does the same for ``sample`` (measurement records) on the
+Fig. 3c circuit (128 qubits x 128 layers) and the surface memory, in
+512- and 5000-shot calls: Eq. 4 (``choose_strategy``, which fills
+``B``), the record scatter, and ``auto`` with its pick.  It locates the
+crossover ``_XOR_AT_WORDS`` is calibrated against; ``auto`` must never
+run the scatter where this table times it slower than Eq. 4.
+
 Run:  PYTHONPATH=src python benchmarks/bench_noise_draw.py \\
           [--sites 1000] [--shots 4096] [--fast] [--min-speedup 5] \\
           [--out benchmarks/results/bench_noise_draw.json]
@@ -44,6 +51,7 @@ from repro.backends import compile_backend
 from repro.circuit import Circuit, Instruction
 from repro.noise import noise_channel, sample_hits, sample_patterns_batch
 from repro.qec import repetition_code_memory, surface_code_memory
+from repro.workloads import layered_random_circuit
 
 P_GRID = (0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 FAST_P_GRID = (0.001, 0.2)
@@ -60,6 +68,16 @@ DETECTOR_CODES = {
 }
 DETECTOR_SHOTS = (512, 4096)
 DETECTOR_REPEATS = 25
+RECORD_P_GRID = (0.001, 0.01, 0.05, 0.15)
+RECORD_CODES = {
+    "Fig. 3c n=128": lambda p: layered_random_circuit(
+        128, n_layers=128, cnot_pairs_per_layer=64,
+        depolarize_probability=p, seed=1,
+    ),
+    "surface d=5": DETECTOR_CODES["surface d=5"],
+}
+RECORD_SHOTS = (512, 5000)
+RECORD_REPEATS = 7
 GATE_P = 0.001
 # Both channels' hit probability is their argument p.
 CHANNELS = {"DEPOLARIZE1": (0,), "DEPOLARIZE2": (0, 1)}
@@ -169,6 +187,46 @@ def detector_rows(p_grid, seed) -> list[dict]:
     return rows
 
 
+def record_rows(p_grid, seed) -> list[dict]:
+    """``sample`` (measurement records): Eq. 4 vs scatter vs auto.
+
+    Eq. 4 is the kernel ``auto`` ran before the scatter
+    (``choose_strategy``); the three are timed in rotation, best of
+    ``RECORD_REPEATS`` each.
+    """
+    rows = []
+    for code, build in RECORD_CODES.items():
+        for p in p_grid:
+            sampler = compile_backend(build(p), "symbolic")
+            eq4 = sampler.choose_strategy()
+            for shots in RECORD_SHOTS:
+                strategies = (eq4, "scatter", "auto")
+                best = dict.fromkeys(strategies, float("inf"))
+                for repeat in range(RECORD_REPEATS + 1):  # first warms
+                    for strategy in strategies:
+                        started = time.perf_counter()
+                        sampler.sample(shots, seed + repeat, strategy=strategy)
+                        if repeat:
+                            best[strategy] = min(
+                                best[strategy], time.perf_counter() - started
+                            )
+                rows.append({
+                    "code": code,
+                    "shots": shots,
+                    "p": p,
+                    "eq4": eq4,
+                    "cost_ratio": sampler.scatter_cost_ratio(
+                        shots, sampler.measurement_matrix
+                    ),
+                    "auto_picks": sampler.record_strategy(shots),
+                    "eq4_ms": best[eq4] * 1e3,
+                    "scatter_ms": best["scatter"] * 1e3,
+                    "auto_ms": best["auto"] * 1e3,
+                    "auto_over_eq4": best["auto"] / best[eq4],
+                })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=1000)
@@ -230,6 +288,18 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['auto_picks']:>8} {row['sparse_ms']:>9.2f} "
                   f"{row['scatter_ms']:>10.2f} {row['auto_ms']:>8.2f} "
                   f"{row['auto_over_sparse']:>10.2f}x")
+
+        result["records"] = record_rows(RECORD_P_GRID, args.seed)
+        print(f"\nsample (measurement records), best of {RECORD_REPEATS}")
+        print(f"{'code':<15} {'shots':>5} {'p':>6} {'cost ratio':>10} "
+              f"{'auto':>8} {'Eq. 4 ms':>9} {'scatter ms':>10} "
+              f"{'auto ms':>8} {'auto/Eq. 4':>10}")
+        for row in result["records"]:
+            print(f"{row['code']:<15} {row['shots']:>5} "
+                  f"{row['p']:>6g} {row['cost_ratio']:>10.2f} "
+                  f"{row['auto_picks']:>8} {row['eq4_ms']:>9.2f} "
+                  f"{row['scatter_ms']:>10.2f} {row['auto_ms']:>8.2f} "
+                  f"{row['auto_over_eq4']:>9.2f}x")
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -2,49 +2,60 @@
 
 ``CompiledSampler`` freezes the outcome of Algorithm 1's Initialization:
 the packed measurement matrix ``M`` (one bit-vector per measurement), the
-detector/observable matrices derived from it, and the symbol table.  Each
-``sample`` call draws the symbol-value matrix ``B`` and evaluates
-``M_samples = M · Bᵀ``.  Drawing ``B`` costs in proportion to the noise
-symbols that are *set*: each channel cluster's non-identity outcomes come
-from one sparse hit draw (:func:`repro.noise.channels.sample_hits`), and
-only the fair measurement coins are drawn bit for bit.  Eq. 4 then runs
-one of two kernels:
+detector/observable matrices derived from it, and the symbol table.  A
+sample is ``M_samples = M · Bᵀ`` for the symbol-value matrix ``B``.
+Drawing the symbol values costs in proportion to the noise symbols that
+are *set*: each channel cluster's non-identity outcomes come from one
+sparse hit draw (:func:`repro.noise.channels.sample_hits`), and only the
+fair measurement coins are drawn bit for bit
+(:meth:`~repro.core.symbols.SymbolTable.draw`).  Three kernels evaluate
+Eq. 4 on that draw, all bitwise equal for one generator:
 
-* **dense** — packed parity-of-AND matmul, cost O(n_smp · n_m · n_s / 64);
-* **sparse** — per-measurement XOR of the symbol rows of ``B``
-  (the paper's sparse implementation), cost O(n_smp · nnz(M) / 64).
+* **dense** — fill ``B``, then a packed parity-of-AND matmul, cost
+  O(n_smp · n_m · n_s / 64);
+* **sparse** — fill ``B``, then per-row XOR of the symbol rows of ``B``
+  (the paper's sparse implementation, one gather and one
+  ``bitwise_xor.reduceat``), cost O(n_smp · nnz / 64);
+* **hit scatter** — no ``B``: at QEC noise strengths the draw is far
+  sparser than ``M``, so the kernel walks the set symbols instead.
 
-``strategy="auto"`` picks sparse when the average support is small, which
-is the regime of QEC circuits (each outcome depends on few faults).  The
-sparse kernel's per-row supports are read from the nonzero packed words
-of ``M``, once per compiled sampler.
+The scatter has one form per method.  ``sample_detectors`` XORs each set
+``(symbol j, shot s)``'s packed detector+observable column into shot
+``s``'s row, starting from the constant column; the pairs are grouped by
+shot with a ``uint16`` radix sort and one ``bitwise_xor.reduceat``, at
+O(n_smp · hits · words_for(n_det + n_obs)).  ``sample`` runs sparse
+Eq. 4 on the fair coins alone (many measurements carry one), complements
+the rows of ``s_0``, transposes once to shot-major rows and then flips,
+for each set noise symbol, the measurements of its column of ``M`` (one
+``bitwise_xor.at``), at O(n_smp · hits · column length).  Both plans
+(the symbol-major detector columns; the coin and noise CSR of ``M``) are
+built on a sampler's first scatter.
 
-``sample_detectors`` has a third kernel, the **hit scatter**: at QEC noise
-strengths ``B`` is far sparser than the detector matrix, so it walks the
-set symbols instead.  Each set ``(symbol j, shot s)`` of the draw XORs
-symbol ``j``'s packed detector+observable column into shot ``s``'s row,
-starting from the constant column; the pairs are grouped by shot with a
-``uint16`` radix sort and one ``bitwise_xor.reduceat``.  Cost is
-O(n_smp · hits · words_for(n_det + n_obs)) instead of O(n_smp · nnz / 64),
-and the rows are bitwise Eq. 4's, because both read one draw
-(:meth:`~repro.core.symbols.SymbolTable.draw`).  Its ``auto`` rule
-compares the two per-shot costs for the call's shot count (the
-crossover is measured in ``benchmarks/bench_noise_draw.py``): the
-scatter up to a cost ratio of 1, Eq. 4 above.  Eq. 4 pays a fixed cost
-per row and call, so small calls favour the scatter: surface d = 5
-runs it up to p = 0.05 on 512-shot calls and up to p = 0.02 on
-4096-shot ones, where it is ~2× faster than Eq. 4 at p = 0.002.
+``strategy="auto"`` is one rule for both methods
+(:meth:`CompiledSampler.scatter_cost_ratio`): the scatter while its
+expected words per shot are at most Eq. 4's for the call's shot count,
+else Eq. 4, which is sparse unless supports are a sizable fraction of
+``n_s`` (the dense matmul wins only on small or dense circuits).  Eq. 4
+pays per nonzero plus a fixed cost per row and call, so small calls and
+low noise favour the scatter (the crossover is measured in
+``benchmarks/bench_noise_draw.py``).  ``sample_detectors`` on surface
+d = 5 runs it up to p = 0.05 on 512-shot calls and up to p = 0.02 on
+4096-shot ones; ``sample`` runs it up to p ≈ 0.005 on surface d = 5 and
+the Fig. 3c circuit, including the paper's p = 0.001 workload.
+``symbol_values=`` (a drawn ``B``) always runs Eq. 4.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.circuit.circuit import Circuit
 from repro.core.simulator import SymPhaseSimulator
+from repro.core.symbols import Hits
 from repro.gf2 import bitops
 from repro.gf2.matmul import mul_packed_abt, mul_sparse_columns
 from repro.gf2.transpose import transpose_bitmatrix
@@ -52,14 +63,24 @@ from repro.rng import as_generator
 
 _SPARSE_SUPPORT_THRESHOLD_FRACTION = 0.125
 _SCATTER_COST_RATIO = 1.0
-#: Sparse Eq. 4's fixed cost per detector/observable row and call (its
-#: ``reduce`` call, transpose and unpack), in the words of
-#: :meth:`scatter_cost_ratio`; per shot it weighs ``_EQ4_ROW_WORDS /
-#: shots``.  Fitted to ``bench_noise_draw.py``'s 4096-shot calls, where
-#: the kernels tie near the threshold (0.1 words per row and shot there);
-#: on its 512-shot calls it puts the crossover where the timings do
-#: (surface d = 5: scatter at p = 0.05, Eq. 4 from p = 0.15).
+#: Sparse Eq. 4's fixed cost per row and call (transpose, unpack and its
+#: share of the reduce), in the words of :meth:`scatter_cost_ratio`; per
+#: shot it weighs ``_EQ4_ROW_WORDS / shots``.  Fitted to
+#: ``bench_noise_draw.py``'s 4096-shot detector calls, where the kernels
+#: tie near the threshold (0.1 words per row and shot there), when Eq. 4
+#: still ran one ``reduce`` per row; on 512-shot calls it puts the
+#: crossover where the timings do (surface d = 5: scatter at p = 0.05,
+#: Eq. 4 from p = 0.15), and with the one-``reduceat`` Eq. 4 every
+#: detector row of that table where it picks the scatter still times the
+#: scatter faster.
 _EQ4_ROW_WORDS = 410.0
+#: The record scatter's cost per measurement a set noise symbol flips
+#: (one ``bitwise_xor.at`` entry and its share of the pair expansion), in
+#: the words of :meth:`scatter_cost_ratio`.  Fitted to
+#: ``bench_noise_draw.py``'s ``sample`` table so that ``auto`` runs the
+#: scatter only where it is measured faster: surface d = 5 ties near
+#: p = 0.01, Fig. 3c n = 128 between p = 0.02 and 0.05.
+_XOR_AT_WORDS = 8.0
 
 
 class CompiledSampler:
@@ -83,6 +104,7 @@ class CompiledSampler:
         self._supports: list[np.ndarray] | None = None
         self._derived_matrix: np.ndarray | None = None
         self._derived_supports: list[np.ndarray] | None = None
+        self._costs: dict[bool, tuple[float, float]] = {}
 
     def _combine(self, index_lists) -> np.ndarray:
         """XOR measurement rows into derived rows (detectors/observables)."""
@@ -142,47 +164,80 @@ class CompiledSampler:
         threshold = _SPARSE_SUPPORT_THRESHOLD_FRACTION * self.width
         return "sparse" if self.average_support() <= threshold else "dense"
 
-    def scatter_cost_ratio(self, shots: int) -> float:
+    def scatter_cost_ratio(
+        self, shots: int, matrix: np.ndarray | None = None
+    ) -> float:
         """Per-shot cost of the hit scatter over that of sparse Eq. 4 on
-        a call of ``shots`` shots.
+        a call of ``shots`` shots of ``matrix``: the stacked
+        detector+observable matrix (the default, ``sample_detectors``)
+        or :attr:`measurement_matrix` (``sample``).
 
-        The scatter XORs one column of ``words_for(n_det + n_obs)``
-        words per set symbol: the expected pattern bits of every noise
-        site's outcome (its ``p_hit`` spread over its non-identity
-        patterns), plus half of the live coins.  Sparse Eq. 4 XORs one
-        64-shot word per nonzero of the stacked detector+observable
-        matrix, ``nnz(derived) / 64`` words per shot, plus a fixed
-        ``_EQ4_ROW_WORDS`` per row and call: on repetition memories (few
-        nonzeros per row) and small calls the per-row loop, not the
-        nonzeros, is Eq. 4's cost.
+        The scatter pays per set symbol: the expected pattern bits of
+        every noise site's outcome (its ``p_hit`` spread over its
+        non-identity patterns), each weighted by the words its column
+        costs (:meth:`_scatter_costs`).  Sparse Eq. 4 XORs one 64-shot
+        word per nonzero of ``matrix``, ``nnz / 64`` words per shot,
+        plus a fixed ``_EQ4_ROW_WORDS`` per row and call: on repetition
+        memories (few nonzeros per row) and small calls the per-row
+        work, not the nonzeros, is Eq. 4's cost.
         """
-        scatter_words, nonzero_words = self._detector_costs
+        if matrix is None:
+            matrix = self._derived()
+        if matrix is not self.measurement_matrix and matrix is not self._derived():
+            raise ValueError("matrix must be the measurement or derived matrix")
+        scatter_words, nonzero_words = self._scatter_costs(matrix)
         if nonzero_words == 0:
             return 0.0
-        rows = self._derived().shape[0]
+        rows = matrix.shape[0]
         eq4_words = nonzero_words + _EQ4_ROW_WORDS * rows / max(shots, 1)
         return scatter_words / eq4_words
 
-    @functools.cached_property
-    def _detector_costs(self) -> tuple[float, float]:
-        """The shot-independent parts of :meth:`scatter_cost_ratio`:
-        the scatter's expected words per shot and Eq. 4's nonzero words
-        per shot."""
-        derived = self._derived()
+    def _scatter_costs(self, matrix: np.ndarray) -> tuple[float, float]:
+        """The shot-independent parts of :meth:`scatter_cost_ratio`: the
+        scatter's expected words per shot and Eq. 4's nonzero words per
+        shot (cached for the two standing matrices).
+
+        The detector scatter XORs a whole packed column of
+        ``words_for(rows)`` words per set symbol, live coins included
+        (each set half the time).  The record scatter flips each
+        measurement of a set noise symbol's column,
+        ``_XOR_AT_WORDS`` apiece, and runs Eq. 4 on the coins, which
+        therefore count as Eq. 4 nonzeros.
+        """
+        records = matrix is self.measurement_matrix
+        if records in self._costs:
+            return self._costs[records]
+        if records:
+            plan = self._record_plan
+            column_words = _XOR_AT_WORDS * np.diff(plan.noise_indptr)
+            scatter = plan.coin_indices.size / 64.0
+        else:
+            words = bitops.words_for(matrix.shape[0])
+            column_words = np.full(self.width, float(words))
+            scatter = 0.5 * self._live_coins.size * words
         _, clusters = self.symbols.draw_plan()
-        hits = 0.5 * self._live_coins.size
         for cluster in clusters:
+            k = cluster.symbols_per_site
             probs = np.asarray(cluster.probabilities, dtype=np.float64)
-            bits = np.bitwise_count(np.arange(probs.size))
-            hits += cluster.offsets.size * float(probs @ bits) / probs.sum()
-        nonzeros = int(bitops.popcount_rows(derived).sum())
-        return hits * bitops.words_for(derived.shape[0]), nonzeros / 64.0
+            set_probability = probs @ _pattern_bits(k) / probs.sum()
+            columns = column_words[cluster.offsets[:, None] + np.arange(k)]
+            scatter += float(columns.sum(axis=0) @ set_probability)
+        nonzeros = int(bitops.popcount_rows(matrix).sum())
+        self._costs[records] = scatter, nonzeros / 64.0
+        return self._costs[records]
 
     def detector_strategy(self, shots: int) -> str:
-        """What ``sample_detectors(shots, strategy="auto")`` runs: the
-        scatter while :meth:`scatter_cost_ratio` is at most
+        """What ``sample_detectors(shots, strategy="auto")`` runs."""
+        return self._auto_strategy(shots, self._derived())
+
+    def record_strategy(self, shots: int) -> str:
+        """What ``sample(shots, strategy="auto")`` runs."""
+        return self._auto_strategy(shots, self.measurement_matrix)
+
+    def _auto_strategy(self, shots: int, matrix: np.ndarray) -> str:
+        """The scatter while :meth:`scatter_cost_ratio` is at most
         ``_SCATTER_COST_RATIO``, else :meth:`choose_strategy`'s Eq. 4."""
-        if self.scatter_cost_ratio(shots) <= _SCATTER_COST_RATIO:
+        if self.scatter_cost_ratio(shots, matrix) <= _SCATTER_COST_RATIO:
             return "scatter"
         return self.choose_strategy()
 
@@ -208,7 +263,21 @@ class CompiledSampler:
         strategy: str = "auto",
         symbol_values: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Sample measurement records: uint8 array of shape (shots, n_m)."""
+        """Sample measurement records: uint8 array of shape (shots, n_m).
+
+        ``strategy`` is ``"auto"`` (:meth:`record_strategy`),
+        ``"scatter"``, ``"sparse"`` or ``"dense"``; all four return the
+        same bits for the same generator.  ``symbol_values`` (a ``B``
+        from :meth:`draw_symbols`) runs Eq. 4 on it, never the scatter.
+        """
+        if symbol_values is None:
+            rng = as_generator(rng)
+            if strategy == "auto":
+                strategy = self.record_strategy(shots)
+            if strategy == "scatter":
+                return self._scatter_records(shots, rng)
+        elif strategy == "scatter":
+            raise ValueError("the scatter reads a draw, not symbol_values")
         return self._sample_rows(
             self.measurement_matrix, shots, rng, strategy, symbol_values
         )
@@ -279,34 +348,89 @@ class CompiledSampler:
             raise ValueError("shots must be positive")
         columns = self._columns
         draw = self.symbols.draw(shots, rng)
-        symbols, shot_of = [], []
+        symbols, shot_of = _set_symbols(draw.hits)
         if self._live_coins.size:
             rows, coin_shots = bitops.nonzero_bits(draw.coins[self._live_coins])
-            symbols.append(draw.coin_symbols[self._live_coins][rows])
-            shot_of.append(coin_shots)
-        for hits in draw.hits:
-            set_bits = _pattern_bits(hits.symbols_per_site).take(
-                hits.patterns, axis=0
+            symbols = np.concatenate(
+                [draw.coin_symbols[self._live_coins][rows], symbols]
             )
-            hit, bit = np.divmod(np.flatnonzero(set_bits), hits.symbols_per_site)
-            symbols.append(hits.symbols.take(hit) + bit)
-            shot_of.append(hits.shots.take(hit))
+            shot_of = np.concatenate([coin_shots, shot_of])
         out = np.repeat(columns[:1], shots, axis=0)
-        if sum(map(len, symbols)):
-            symbol_index = np.concatenate(symbols)
-            shot_index = np.concatenate(shot_of)
+        if symbols.size:
             # uint16 keys take numpy's linear-time radix sort.
-            keys = shot_index.astype(np.uint16) if shots <= 1 << 16 else shot_index
+            keys = shot_of.astype(np.uint16) if shots <= 1 << 16 else shot_of
             order = np.argsort(keys, kind="stable")
-            shot_index = shot_index.take(order)
+            shot_of = shot_of.take(order)
             starts = np.flatnonzero(
-                np.concatenate(([True], shot_index[1:] != shot_index[:-1]))
+                np.concatenate(([True], shot_of[1:] != shot_of[:-1]))
             )
             # take: ~10x faster than fancy indexing for a few-word row.
-            out[shot_index[starts]] ^= np.bitwise_xor.reduceat(
-                columns.take(symbol_index.take(order), axis=0), starts, axis=0
+            out[shot_of[starts]] ^= np.bitwise_xor.reduceat(
+                columns.take(symbols.take(order), axis=0), starts, axis=0
             )
         return bitops.unpack_rows(out, self._derived().shape[0])
+
+    @functools.cached_property
+    def _record_plan(self) -> _RecordPlan:
+        """:class:`_RecordPlan` of the measurement matrix, read from one
+        :func:`~repro.gf2.bitops.nonzero_bits` pass (built on first use)."""
+        rows, cols = bitops.nonzero_bits(self.measurement_matrix)
+        n_m = self.n_measurements
+        coin_symbols, _ = self.symbols.draw_plan()
+        coin_of = np.full(self.width, -1, dtype=np.int64)
+        coin_of[coin_symbols] = np.arange(coin_symbols.size)
+        coin = coin_of[cols]
+        is_coin = coin >= 0
+        constants = np.zeros(n_m, dtype=bool)
+        constants[rows[cols == 0]] = True
+        # Noise entries column by column: one CSR over every symbol, whose
+        # coin and constant columns stay empty.
+        noise = ~is_coin & (cols > 0)
+        noise_rows = rows[noise].take(np.argsort(cols[noise], kind="stable"))
+        return _RecordPlan(
+            constants, coin[is_coin], _indptr(rows[is_coin], n_m),
+            _indptr(cols[noise], self.width),
+            noise_rows >> 6, np.uint64(1) << (noise_rows & 63).astype(np.uint64),
+        )
+
+    def _scatter_records(
+        self, shots: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Measurement records without ``B``: sparse Eq. 4 on the fair
+        coins, the constant column, one transpose to shot-major rows,
+        then every set noise symbol ``(j, shot)`` flips the measurements
+        of column ``j`` in row ``shot`` (one ``bitwise_xor.at``).
+
+        Bitwise ``M · Bᵀ`` for the ``B`` that :meth:`draw_symbols`
+        returns from the same generator, like :meth:`_scatter`.
+        """
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        plan = self._record_plan
+        n_m = self.n_measurements
+        draw = self.symbols.draw(shots, rng)
+        by_measurement = bitops.xor_reduce_csr(
+            draw.coins, plan.coin_indices, plan.coin_indptr
+        )
+        by_measurement[plan.constants] ^= np.uint64(0xFFFFFFFFFFFFFFFF)
+        out = transpose_bitmatrix(by_measurement, n_m, shots)
+        # One batch of hits at a time, so the expansion's temporaries stay
+        # the size of one sample_hits slab.
+        flat = out.reshape(-1)
+        for hits in draw.hits:
+            symbols, shot_of = _set_symbols([hits])
+            first = plan.noise_indptr.take(symbols)
+            counts = plan.noise_indptr.take(symbols + 1) - first
+            ends = np.cumsum(counts)
+            if not ends.size or not ends[-1]:
+                continue
+            # Entries first[i] .. first[i] + counts[i] - 1 for every pair;
+            # symbols with an empty column repeat zero times.
+            entries = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
+            targets = np.repeat(shot_of * out.shape[1], counts)
+            targets += plan.noise_words.take(entries)
+            np.bitwise_xor.at(flat, targets, plan.noise_masks.take(entries))
+        return bitops.unpack_rows(out, n_m)
 
     def _sample_rows(
         self,
@@ -336,6 +460,43 @@ class CompiledSampler:
                 )
             )
         raise ValueError(f"unknown strategy {strategy!r}")
+
+
+class _RecordPlan(NamedTuple):
+    """What :meth:`CompiledSampler._scatter_records` reads of ``M``:
+    whether each measurement includes ``s_0``; each measurement's coins
+    as positions among a draw's coin rows (CSR over measurements); and
+    each noise symbol's column as the packed word and bit mask of each
+    of its measurements (CSR over symbols, empty for every other
+    symbol)."""
+
+    constants: np.ndarray
+    coin_indices: np.ndarray
+    coin_indptr: np.ndarray
+    noise_indptr: np.ndarray
+    noise_words: np.ndarray
+    noise_masks: np.ndarray
+
+
+def _set_symbols(batches: list[Hits]) -> tuple[np.ndarray, np.ndarray]:
+    """``(symbol, shot)`` of every symbol some batch of hits sets, one
+    bit of the joint patterns at a time (the kernels XOR, so order is
+    free)."""
+    symbols, shots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for hits in batches:
+        for j in range(hits.symbols_per_site):
+            hit = np.flatnonzero(hits.patterns & (1 << j) != 0)
+            symbols.append(hits.symbols.take(hit) + j)
+            shots.append(hits.shots.take(hit))
+    return np.concatenate(symbols), np.concatenate(shots)
+
+
+def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of ``n`` rows whose entries, stored row by row,
+    lie in rows ``keys``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr
 
 
 @functools.cache

@@ -227,15 +227,3 @@ class SymbolTable:
             for j in range(hits.symbols_per_site):
                 out[word_rows + j, word_cols] |= words[j]
         return out
-
-    def sample_shot_major(
-        self, n_shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Same sample, packed across symbols: shape (n_shots, words_for(width)).
-
-        This is the layout Eq. 4's dense matmul consumes.
-        """
-        from repro.gf2.transpose import transpose_bitmatrix
-
-        symbol_major = self.sample_symbol_major(n_shots, rng)
-        return transpose_bitmatrix(symbol_major, self.width, n_shots)

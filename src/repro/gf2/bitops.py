@@ -19,6 +19,9 @@ WORD_BITS = 64
 
 _U64 = np.uint64
 _ONE = _U64(1)
+#: Words one :func:`xor_reduce_csr` gather may hold (16 MiB), so sparse
+#: Eq. 4 on many shots does not copy every nonzero's row at once.
+_GATHER_WORDS = 1 << 21
 
 
 def words_for(n_bits: int) -> int:
@@ -188,14 +191,17 @@ def nonzero_bits(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix = np.asarray(matrix, dtype=_U64)
     if matrix.ndim != 2:
         raise ValueError("nonzero_bits expects a 2-D packed matrix")
-    rows, words = np.nonzero(matrix)
+    # Flat indices of bool masks, split with divmod: several times
+    # faster than a 2-D ``np.nonzero`` (here and on the bit expansion).
+    flat = np.flatnonzero(matrix != 0)
+    rows, words = np.divmod(flat, max(matrix.shape[1], 1))
     if rows.size == 0:
         return rows, words
     values = np.ascontiguousarray(matrix[rows, words])
     bits = np.unpackbits(
         values[:, None].view(np.uint8), axis=1, bitorder="little"
     )
-    word_row, bit_position = np.nonzero(bits)
+    word_row, bit_position = np.divmod(np.flatnonzero(bits.view(bool)), WORD_BITS)
     return rows[word_row], words[word_row] * WORD_BITS + bit_position
 
 
@@ -246,23 +252,56 @@ def xor_select_rows(matrix: np.ndarray, index_lists) -> np.ndarray:
     ``index_lists[i]``; an empty list yields a zero row.  This is the
     packed-domain parity behind derived rows — detectors and observables
     are XORs of measurement rows — shared by the frame and symbolic
-    samplers.  One gather plus one segmented reduce; no per-row Python
-    loop over the (typically thousands of) derived rows.
+    samplers.  One gather plus one segmented reduce
+    (:func:`xor_reduce_csr`); no per-row Python loop over the
+    (typically thousands of) derived rows.
     """
     matrix = np.ascontiguousarray(matrix, dtype=_U64)
     if matrix.ndim != 2:
         raise ValueError("xor_select_rows expects a 2-D packed matrix")
-    out = np.zeros((len(index_lists), matrix.shape[1]), dtype=_U64)
-    lengths = np.array([len(ix) for ix in index_lists], dtype=np.int64)
-    nonempty = np.nonzero(lengths)[0]
-    if nonempty.size == 0:
-        return out
-    flat = np.concatenate(
-        [np.asarray(index_lists[i], dtype=np.int64) for i in nonempty]
+    lengths = np.fromiter(map(len, index_lists), dtype=np.int64,
+                          count=len(index_lists))
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    if not indptr[-1]:
+        return np.zeros((lengths.size, matrix.shape[1]), dtype=_U64)
+    indices = np.concatenate(
+        [np.asarray(ix, dtype=np.int64) for ix in index_lists]
     )
-    offsets = np.zeros(nonempty.size, dtype=np.int64)
-    np.cumsum(lengths[nonempty][:-1], out=offsets[1:])
-    out[nonempty] = np.bitwise_xor.reduceat(matrix[flat], offsets, axis=0)
+    return xor_reduce_csr(matrix, indices, indptr)
+
+
+def xor_reduce_csr(
+    matrix: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+) -> np.ndarray:
+    """``out[i]`` is the XOR of the packed rows
+    ``matrix[indices[indptr[i]:indptr[i + 1]]]`` (a zero row when the
+    slice is empty): the row lists in compressed-sparse-row form, so a
+    caller that reuses them builds the form once.  One ``take`` plus one
+    ``bitwise_xor.reduceat`` per block of rows whose gathered rows fit
+    ``_GATHER_WORDS`` words (a single block unless the rows are long).
+    """
+    n_rows = indptr.size - 1
+    out = np.zeros((n_rows, matrix.shape[1]), dtype=_U64)
+    per_block = max(1, _GATHER_WORDS // max(matrix.shape[1], 1))
+    start = 0
+    while start < n_rows:
+        # Every row up to the first that would overflow the block, and
+        # at least one.
+        stop = int(np.searchsorted(
+            indptr, indptr[start] + per_block, side="right"
+        )) - 1
+        stop = min(max(stop, start + 1), n_rows)
+        bounds = indptr[start : stop + 1]
+        nonempty = np.flatnonzero(np.diff(bounds))
+        if nonempty.size:
+            # Empty rows add no indices, so each nonempty row's segment
+            # runs from its own start to the next nonempty row's.
+            out[start + nonempty] = np.bitwise_xor.reduceat(
+                matrix.take(indices[bounds[0] : bounds[-1]], axis=0),
+                bounds[nonempty] - bounds[0], axis=0,
+            )
+        start = stop
     return out
 
 

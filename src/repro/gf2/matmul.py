@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.gf2.bitops import parity_words
+from repro.gf2.bitops import parity_words, xor_select_rows
 
 _U64 = np.uint64
 
@@ -69,14 +69,10 @@ def mul_sparse_columns(
     ``constants`` (one bit per output row, optional) complements the whole
     output row — it carries the constant-1 symbol ``s_0`` of the paper's
     bit-vector encoding, so callers never need a dense constant column.
-    Returns a packed matrix of shape ``(len(supports), b_words)``.
+    Returns a packed matrix of shape ``(len(supports), b_words)``, from
+    one gather and one segmented XOR (:func:`~repro.gf2.bitops.xor_select_rows`).
     """
-    b_rows_packed = np.asarray(b_rows_packed, dtype=_U64)
-    n_words = b_rows_packed.shape[1]
-    out = np.zeros((len(supports), n_words), dtype=_U64)
-    for i, support in enumerate(supports):
-        if len(support):
-            out[i] = np.bitwise_xor.reduce(b_rows_packed[support], axis=0)
+    out = xor_select_rows(b_rows_packed, supports)
     if constants is not None:
         flip = np.asarray(constants, dtype=bool)
         out[flip] ^= _U64(0xFFFFFFFFFFFFFFFF)

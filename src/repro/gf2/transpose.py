@@ -23,21 +23,25 @@ def transpose_words_64(blocks: np.ndarray) -> np.ndarray:
     (bit ``i`` of the word = column ``i``).  Returns an array of the same
     shape holding the transposed blocks.
     """
-    a = np.ascontiguousarray(blocks, dtype=_U64).copy()
+    a = np.array(blocks, dtype=_U64, order="C")
     if a.shape[-1] != WORD_BITS:
         raise ValueError("last axis must have exactly 64 words")
     # Mirrored Hacker's Delight network: our words are LSB-first (bit i =
     # column i), so the off-diagonal block swap shifts left, not right.
+    # Stage j pairs word k with word k + j for every k with bit j clear:
+    # the two halves of a (..., 64 // 2j, 2, j) view of the same buffer.
     j = 32
     m = _U64(0xFFFFFFFF00000000)
-    idx = np.arange(WORD_BITS)
     while j:
         shift = _U64(j)
-        lo = idx[(idx & j) == 0]
-        hi = lo + j
-        t = (a[..., lo] ^ (a[..., hi] << shift)) & m
-        a[..., lo] ^= t
-        a[..., hi] ^= t >> shift
+        halves = a.reshape(a.shape[:-1] + (WORD_BITS // (2 * j), 2, j))
+        lo, hi = halves[..., 0, :], halves[..., 1, :]
+        t = hi << shift
+        t ^= lo
+        t &= m
+        lo ^= t
+        t >>= shift
+        hi ^= t
         j >>= 1
         if j:
             m = m ^ (m >> _U64(j))

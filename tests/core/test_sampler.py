@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit
 from repro.core import compile_sampler
 from repro.core.compiled_sampler import CompiledSampler
+from repro.core.symbols import SymbolTable
 from repro.gf2 import bitops
+from repro.qec import surface_code_memory
+from repro.workloads.layered import layered_random_circuit
+from tests.helpers import random_clifford_circuit
 
 
 def bell_with_noise(p=0.3):
@@ -198,3 +203,150 @@ class TestSupportsFromPackedWords:
         assert sampler._supports_for(sampler.observable_matrix) == []
         derived = sampler._supports_for(sampler._derived())
         assert [s.tolist() for s in derived] == [[1]]
+
+
+def _fan_out_circuit() -> Circuit:
+    """One X fault on qubit 0 copied onto 69 more qubits: its symbol
+    feeds 70 measurements, across two packed words of a shot's row."""
+    lines = ["X_ERROR(0.2) 0"]
+    lines += [f"CX 0 {q}" for q in range(1, 70)]
+    lines.append("M " + " ".join(str(q) for q in range(70)))
+    return Circuit.from_text("\n".join(lines))
+
+
+RECORD_CIRCUITS = {
+    "fig3c_family": lambda: layered_random_circuit(
+        16, n_layers=12, cnot_pairs_per_layer=6,
+        depolarize_probability=0.02, seed=3,
+    ),
+    "noiseless": lambda: layered_random_circuit(
+        12, n_layers=8, cnot_pairs_per_layer=4, seed=5,
+    ),
+    "no_random_measurements": lambda: Circuit.from_text(
+        "X_ERROR(0.1) 0 1\nCX 0 1\nDEPOLARIZE1(0.05) 1\nM 0 1 1"
+    ),
+    "constant_ones": lambda: Circuit.from_text(
+        "X 0 1 2\nX_ERROR(0.3) 1\nH 3\nM 0 1 2 3"
+    ),
+    "fan_out": _fan_out_circuit,
+    "no_measurements": lambda: Circuit.from_text("H 0\nX_ERROR(0.1) 0"),
+    "channels": lambda: Circuit.from_text(
+        """
+        R 0 1 2 3
+        H 0
+        CX 0 1 2 3
+        DEPOLARIZE2(0.02) 0 1 2 3
+        PAULI_CHANNEL_2(0.001,0.002,0.003,0.004,0.005,0.006,0.007,0.001,0.002,0.003,0.004,0.005,0.006,0.007,0.008) 1 2
+        CORRELATED_ERROR(0.03) X0 Z2 Y3
+        X_ERROR(0.02) 1 1 3 1
+        M 0 1 2 3 1
+        """
+    ),
+}
+
+
+class TestMeasurementScatter:
+    """``sample(strategy="scatter")`` builds no ``B``; for every seed it
+    must give the bits of Eq. 4 (sparse and dense) and of the
+    ``draw_symbols`` replay."""
+
+    @pytest.fixture(scope="class", params=sorted(RECORD_CIRCUITS))
+    def sampler(self, request):
+        return compile_sampler(RECORD_CIRCUITS[request.param]())
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 700, 70000])
+    def test_all_strategies_and_replay_agree(self, sampler, shots):
+        for seed in range(2):
+            scatter = sampler.sample(shots, seed, strategy="scatter")
+            assert scatter.shape == (shots, sampler.n_measurements)
+            assert scatter.dtype == np.uint8
+            for strategy in ("sparse", "dense", "auto"):
+                assert np.array_equal(
+                    sampler.sample(shots, seed, strategy=strategy), scatter
+                ), strategy
+            replay = sampler.sample(
+                shots, symbol_values=sampler.draw_symbols(shots, seed)
+            )
+            assert np.array_equal(replay, scatter)
+
+    def test_circuits_cover_their_cases(self):
+        def plan(name):
+            return compile_sampler(RECORD_CIRCUITS[name]())._record_plan
+
+        assert not plan("noiseless").noise_indptr[-1]
+        assert plan("noiseless").coin_indices.size
+        assert not plan("no_random_measurements").coin_indices.size
+        assert plan("constant_ones").constants[[0, 1, 2]].all()
+        assert np.diff(plan("fan_out").noise_indptr).max() == 70
+        assert plan("no_measurements").constants.size == 0
+
+    def test_constant_ones(self):
+        records = compile_sampler(RECORD_CIRCUITS["constant_ones"]()).sample(
+            500, 1, strategy="scatter"
+        )
+        assert records[:, [0, 2]].all()
+        assert 0.2 < 1 - records[:, 1].mean() < 0.4
+
+    def test_fan_out_flips_every_copy(self):
+        records = compile_sampler(_fan_out_circuit()).sample(
+            300, 2, strategy="scatter"
+        )
+        assert (records == records[:, :1]).all()
+        assert 0.1 < records[:, 0].mean() < 0.3
+
+    def test_symbol_values_never_scatter(self):
+        sampler = compile_sampler(RECORD_CIRCUITS["fig3c_family"]())
+        with pytest.raises(ValueError, match="symbol_values"):
+            sampler.sample(
+                5, strategy="scatter", symbol_values=sampler.draw_symbols(5, 0)
+            )
+
+    def test_zero_shots_rejected(self):
+        sampler = compile_sampler(RECORD_CIRCUITS["channels"]())
+        with pytest.raises(ValueError):
+            sampler.sample(0, strategy="scatter")
+
+    def test_auto_at_qec_noise_builds_no_b(self, monkeypatch):
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=0.002,
+            before_measure_flip_probability=0.002,
+        ))
+        expected = sampler.sample(512, 7, strategy="sparse")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto built the dense B")
+
+        monkeypatch.setattr(SymbolTable, "sample_symbol_major", refuse)
+        for shots in (512, 5000):
+            assert sampler.record_strategy(shots) == "scatter"
+        assert np.array_equal(sampler.sample(512, 7), expected)
+        sampler.sample(5000, 7)
+
+    def test_auto_keeps_eq4_at_high_noise(self):
+        sampler = compile_sampler(surface_code_memory(
+            5, rounds=5, after_clifford_depolarization=0.05,
+            before_measure_flip_probability=0.05,
+        ))
+        matrix = sampler.measurement_matrix
+        for shots in (512, 5000):
+            assert sampler.scatter_cost_ratio(shots, matrix) > 1.0
+            assert sampler.record_strategy(shots) == sampler.choose_strategy()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    shots=st.sampled_from([1, 7, 64, 200]),
+)
+def test_fuzz_record_scatter_equals_eq4(seed, shots):
+    rng = np.random.default_rng(seed)
+    circuit = random_clifford_circuit(
+        rng, int(rng.integers(1, 6)), depth=20,
+        p_noise=0.35, p_measure=0.15, p_reset=0.05,
+        noise_strength=float(rng.choice([0.01, 0.1, 0.4])),
+    )
+    sampler = compile_sampler(circuit)
+    scatter = sampler.sample(shots, seed, strategy="scatter")
+    assert np.array_equal(scatter, sampler.sample(shots, seed, strategy="sparse"))
+    assert np.array_equal(scatter, sampler.sample(shots, seed, strategy="dense"))
+    assert np.array_equal(scatter, sampler.sample(shots, seed))

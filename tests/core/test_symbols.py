@@ -114,12 +114,14 @@ class TestSampling:
             assert 0.45 < density < 0.55
 
     def test_shot_major_is_transpose_of_symbol_major(self, rng):
+        """The shot-major layout Eq. 4's dense matmul consumes is the bit
+        transpose of the drawn ``B``: shot ``s`` holds bit ``s`` of every
+        symbol row."""
         table = SymbolTable()
         table.allocate_noise(_dep1())
         table.allocate_measurement(0, 0)
-        seed_rng = np.random.default_rng(99)
-        symbol_major = table.sample_symbol_major(130, seed_rng)
-        seed_rng = np.random.default_rng(99)
-        shot_major = table.sample_shot_major(130, seed_rng)
-        expected = transpose_bitmatrix(symbol_major, table.width, 130)
-        assert np.array_equal(shot_major, expected)
+        symbol_major = table.sample_symbol_major(130, np.random.default_rng(99))
+        shot_major = transpose_bitmatrix(symbol_major, table.width, 130)
+        assert shot_major.shape == (130, bitops.words_for(table.width))
+        expected = bitops.unpack_rows(symbol_major, 130).T
+        assert np.array_equal(bitops.unpack_rows(shot_major, table.width), expected)

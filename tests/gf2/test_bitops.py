@@ -233,6 +233,20 @@ class TestXorSelectRows:
         with pytest.raises(ValueError):
             bitops.xor_select_rows(np.zeros(3, dtype=np.uint64), [[0]])
 
+    @pytest.mark.parametrize("gather_words", [1, 3, 7, 1 << 21])
+    def test_blocked_gather(self, rng, monkeypatch, gather_words):
+        """Rows gathered in blocks of at most ``_GATHER_WORDS`` words (one
+        row when a row alone exceeds it) give the unblocked result."""
+        bits = (rng.random((9, 130)) < 0.5).astype(np.uint8)
+        lists = [[], [0, 3, 3, 8], [], [1], [2, 4, 5, 6, 7], [], [8]]
+        monkeypatch.setattr(bitops, "_GATHER_WORDS", gather_words)
+        out = bitops.xor_select_rows(bitops.pack_rows(bits), lists)
+        for row, indices in zip(bitops.unpack_rows(out, 130), lists):
+            expected = np.zeros(130, dtype=np.uint8)
+            for j in indices:
+                expected ^= bits[j]
+            assert np.array_equal(row, expected)
+
     @given(st.integers(0, 2**32))
     def test_matches_dense_reference(self, seed):
         local = np.random.default_rng(seed)
