@@ -48,7 +48,7 @@ for d in (3, 5):
     detectors, observables = compiled.detect(SHOTS, rng)
     print(f"{d:>4} {d:>7} {sampler.symbols.n_symbols:>8} "
           f"{sampler.average_support():>7.1f} "
-          f"{sampler.choose_strategy():>9} {detectors.mean():>9.4f}")
+          f"{sampler.detector_strategy(SHOTS):>9} {detectors.mean():>9.4f}")
 
 print("\nNote the small average measurement support |m|: QEC circuits are")
 print("the sparse regime where Table 1's O(n_smp * n_m) sampling applies.")

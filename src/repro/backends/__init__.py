@@ -63,22 +63,25 @@ __all__ = [
 ]
 
 
-def _compile_frame(circuit):
+def _frame(circuit, symbolic, mode):
     from repro.frame import FrameSimulator
 
-    return FrameSimulator(circuit, mode="compiled")
+    reference = None if symbolic is None else symbolic.reference()
+    return FrameSimulator(circuit, reference=reference, mode=mode)
 
 
-def _compile_frame_interp(circuit):
-    from repro.frame import FrameSimulator
-
-    return FrameSimulator(circuit, mode="interpreted")
+def _compile_frame(circuit, symbolic):
+    return _frame(circuit, symbolic, "compiled")
 
 
-def _compile_symbolic(circuit):
+def _compile_frame_interp(circuit, symbolic):
+    return _frame(circuit, symbolic, "interpreted")
+
+
+def _compile_symbolic(circuit, symbolic):
     from repro.core import compile_sampler
 
-    return compile_sampler(circuit)
+    return compile_sampler(circuit) if symbolic is None else symbolic
 
 
 def _compile_tableau(circuit):
@@ -96,6 +99,7 @@ register_backend(
         ),
         rng_stream="frame-hits-v2",
         packed_native=True,
+        reads_pass=True,
     ),
     _compile_frame,
 )
@@ -110,6 +114,7 @@ register_backend(
         rng_stream="frame-hits-v2",
         compile_once=False,
         packed_native=True,
+        reads_pass=True,
     ),
     _compile_frame_interp,
 )
@@ -122,6 +127,7 @@ register_backend(
             "paper's Algorithm 1; cost independent of gate count)"
         ),
         rng_stream="symbolic-hits-v2",
+        reads_pass=True,
     ),
     _compile_symbolic,
     aliases=("symphase",),

@@ -124,6 +124,17 @@ class BackendInfo:
     generic :func:`pack_detector_samples` adapter packs an unpacked
     sample.  Either way the packed and unpacked views of one seed are
     bitwise the same sample.
+
+    ``reads_pass`` means the compile reads Algorithm 1's symbolic pass
+    (a :class:`~repro.core.compiled_sampler.CompiledSampler`): the
+    ``symbolic`` sampler *is* that pass, and the frame samplers take
+    their reference record from its constant column.  A caller that
+    already holds the circuit's pass hands it to
+    :meth:`~repro.backends.registry.Backend.compile` as ``symbolic`` (the
+    engine's cache does), so the circuit is traversed once whatever the
+    backend.  Without one each backend does its own analysis: the
+    ``symbolic`` one runs the pass, the frame ones a tableau reference
+    run.
     """
 
     name: str
@@ -133,3 +144,4 @@ class BackendInfo:
     rng_stream: str | None = None
     oracle: bool = False
     packed_native: bool = False
+    reads_pass: bool = False

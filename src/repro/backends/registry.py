@@ -9,24 +9,39 @@ call, not a code fork across five layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import repro.obs as obs
 from repro.backends.protocol import BackendInfo, Sampler
 from repro.circuit.circuit import Circuit
 from repro.registry import Registry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.compiled_sampler import CompiledSampler
+
 
 @dataclass(frozen=True)
 class Backend:
-    """A registered backend: capability info plus its compile entry."""
+    """A registered backend: capability info plus its compile entry.
+
+    The factory takes the circuit; when ``info.reads_pass`` is set it
+    also takes the circuit's symbolic pass, or ``None`` to run its own.
+    """
 
     info: BackendInfo
-    factory: Callable[[Circuit], Sampler]
+    factory: Callable[..., Sampler]
 
-    def compile(self, circuit: Circuit) -> Sampler:
-        """Run this backend's one-time analysis; returns the sampler."""
+    def compile(
+        self, circuit: Circuit, symbolic: CompiledSampler | None = None
+    ) -> Sampler:
+        """Run this backend's one-time analysis; returns the sampler.
+
+        ``symbolic`` is the circuit's Algorithm 1 pass if the caller
+        already holds it; only backends whose ``info.reads_pass`` is set
+        read it."""
         with obs.span("backend.compile", backend=self.info.name):
+            if self.info.reads_pass:
+                return self.factory(circuit, symbolic)
             return self.factory(circuit)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -79,6 +80,10 @@ class Instruction:
     def validate(self) -> None:
         """Raise ValueError if targets/args are malformed for this gate."""
         gate = self.gate
+        if not all(math.isfinite(a) for a in self.args):
+            raise ValueError(
+                f"{self.name} arguments must be finite, got {self.args}"
+            )
         if gate.n_args >= 0 and len(self.args) != gate.n_args:
             raise ValueError(
                 f"{self.name} expects {gate.n_args} argument(s), "

@@ -39,11 +39,14 @@ class CircuitParseError(ValueError):
 
 
 def _parse_target(token: str, line_number: int) -> Target:
-    if token.isdigit():
+    if token.isascii() and token.isdigit():
         return int(token)
     match = _REC_RE.match(token)
     if match:
-        return RecTarget(int(match.group(1)))
+        try:
+            return RecTarget(int(match.group(1)))
+        except ValueError as exc:  # rec[-0]
+            raise CircuitParseError(line_number, str(exc)) from exc
     match = _PAULI_RE.match(token)
     if match:
         return PauliTarget(match.group(1), int(match.group(2)))

@@ -152,6 +152,16 @@ class CompiledSampler:
             return self._derived_supports
         return self._compute_supports(matrix)
 
+    def reference(self) -> np.ndarray:
+        """Eq. 4 with every symbol 0: the constant column ``s_0`` of
+        ``M`` as a uint8 record of shape (n_m,).
+
+        That is the noiseless record with every random outcome pinned to
+        0, the reference sample a Pauli-frame sampler XORs its flips
+        into (the tableau's ``reference_sample`` computes the same bits
+        in a second traversal)."""
+        return (self.measurement_matrix[:, 0] & np.uint64(1)).astype(np.uint8)
+
     def average_support(self) -> float:
         if self.n_measurements == 0:
             return 0.0

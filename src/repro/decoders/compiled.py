@@ -5,9 +5,11 @@ every defect pair of every syndrome walks Dijkstra through a NetworkX
 graph (amortized by a path cache, but still per-pair Python work).  The
 compiled decoder does all path-finding at **compile time** instead:
 
-* the decoding graph (shared construction — see
-  :func:`~repro.decoders.matching.build_decoding_graph`) is lowered into
-  flat CSR adjacency arrays;
+* the decoding graph is lowered into flat CSR adjacency arrays straight
+  from the DEM's graphlike mechanisms, without NetworkX; they equal
+  the walk of :func:`~repro.decoders.matching.build_decoding_graph`'s
+  NetworkX graph bit for bit (adjacency order, parallel-edge merge,
+  the p > 0.5 error);
 * an all-pairs distance matrix and a per-pair *path observable mask*
   (the XOR of edge masks along the shortest path) are built with array
   operations over slabs of sources at once: a min-plus Bellman-Ford
@@ -64,7 +66,11 @@ import numpy as np
 
 import repro.obs as obs
 from repro.decoders.blossom import min_weight_matching
-from repro.decoders.matching import BOUNDARY, build_decoding_graph
+from repro.decoders.matching import (
+    BOUNDARY,
+    edge_weight,
+    negative_edge_error,
+)
 from repro.decoders.registry import check_packed_syndromes, check_syndromes
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
@@ -196,7 +202,7 @@ class CompiledMatchingDecoder:
         # cache.build.decoder), so --profile and the stage-seconds
         # series split the compile.
         with obs.span("decoder.graph"):
-            self._lower(build_decoding_graph(dem))
+            self._lower(dem)
         with obs.span("decoder.all_pairs"):
             self._dist, self._mask, exact = self._all_pairs()
         if obs.is_metrics():
@@ -204,36 +210,74 @@ class CompiledMatchingDecoder:
                 "repro_decoder_exact_sources_total", pid=str(os.getpid())
             ).inc(exact)
 
-    def _lower(self, graph) -> None:
-        """CSR lowering: detectors 0..n-1, boundary -> index n."""
-        n_nodes = self.n_detectors + 1
-        self._boundary = self.n_detectors
-        index_of = {BOUNDARY: self._boundary}
-        for d in range(self.n_detectors):
-            index_of[d] = d
-        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        indices: list[int] = []
-        weights: list[float] = []
-        edge_masks: list[np.ndarray] = []
-        for node in list(range(self.n_detectors)) + [BOUNDARY]:
-            # Adjacency iteration order == edge insertion order; the
-            # reference's Dijkstra visits neighbors in exactly this
-            # order, which is what makes tie-broken paths line up.
-            for neighbor, data in graph.adj[node].items():
-                indices.append(index_of[neighbor])
-                weights.append(data["weight"])
-                edge_masks.append(data["mask"])
-            indptr[index_of[node] + 1] = len(indices)
-        self._indptr = indptr
-        self._indices = np.array(indices, dtype=np.int64)
-        self._weights = np.array(weights, dtype=np.float64)
+    def _lower(self, dem: DetectorErrorModel) -> None:
+        """CSR lowering of the decoding graph, straight from the DEM's
+        graphlike mechanisms: detectors 0..n-1, boundary -> index n.
+
+        The same walk as
+        :func:`~repro.decoders.matching.build_decoding_graph` over
+        insertion-ordered dicts instead of a NetworkX graph, so the
+        arrays equal that graph's CSR walk bit for bit: each row lists
+        its neighbours in edge-creation order (the order the reference's
+        Dijkstra visits and tie-breaks by), parallel edges merge in
+        mechanism order, and the p > 0.5 error names the same edge.
+        """
+        n = self.n_detectors
+        self._boundary = n
+        # rows[u][v] is edge (u, v)'s [probability, weight, mask]; both
+        # rows hold the same list.  Masks are ints, bit o = observable o.
+        rows: list[dict[int, list]] = [{} for _ in range(n + 1)]
+        for group in dem.groups:
+            for index in group:
+                mechanism = dem.mechanisms[index]
+                if len(mechanism.detectors) == 1:
+                    u, v = mechanism.detectors[0], n
+                elif len(mechanism.detectors) == 2:
+                    u, v = mechanism.detectors
+                else:
+                    continue
+                p = mechanism.probability
+                mask = 0
+                for o in mechanism.observables:
+                    mask |= 1 << o
+                edge = rows[u].get(v)
+                if edge is None:
+                    rows[u][v] = rows[v][u] = [p, edge_weight(p), mask]
+                elif edge[2] == mask:
+                    q = edge[0]
+                    edge[0] = p * (1 - q) + q * (1 - p)
+                    edge[1] = edge_weight(edge[0])
+                elif edge_weight(p) < edge[1]:
+                    edge[:] = p, edge_weight(p), mask
+        # The reference's node order: the boundary first.
+        for u in [n, *range(n)]:
+            for v, (p, w, _) in rows[u].items():
+                if w < 0:
+                    if u == n:
+                        u, v = v, u  # name the detector first
+                    raise negative_edge_error(
+                        u, BOUNDARY if v == n else v, p, w
+                    )
+        lengths = np.fromiter(map(len, rows), np.int64, n + 1)
+        self._indptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(lengths, out=self._indptr[1:])
+        self._indices = np.fromiter(
+            (v for row in rows for v in row), np.int64, self._indptr[-1]
+        )
+        edges = [edge for row in rows for edge in row.values()]
+        self._weights = np.array([e[1] for e in edges], dtype=np.float64)
         # The node whose adjacency row holds each CSR slot.
-        self._owner = np.repeat(np.arange(n_nodes), np.diff(indptr))
+        self._owner = np.repeat(np.arange(n + 1), lengths)
         # Edge observable masks packed into uint64 words, so paths XOR
         # whole words; one word up to 64 observables.
-        self._edge_words = bitops.pack_rows(
-            np.stack(edge_masks) if edge_masks
-            else np.zeros((0, self.n_observables), dtype=np.uint8)
+        n_words = bitops.words_for(self.n_observables)
+        self._edge_words = (
+            np.frombuffer(
+                b"".join(e[2].to_bytes(8 * n_words, "little") for e in edges),
+                dtype="<u8",
+            )
+            .astype(np.uint64)
+            .reshape(len(edges), n_words)
         )
 
     # -- all-pairs tables ------------------------------------------------------

@@ -14,20 +14,26 @@ observable mask.  Decoding a syndrome:
 4. XOR the observable masks along each matched path — that is the
    predicted logical correction.
 
-:func:`build_decoding_graph` is shared with
-:class:`~repro.decoders.compiled.CompiledMatchingDecoder`, which lowers
-the same graph into flat arrays once instead of path-finding per shot.
+:class:`~repro.decoders.compiled.CompiledMatchingDecoder` lowers the
+same graph into flat arrays once instead of path-finding per shot; it
+reads the DEM directly, and :func:`build_decoding_graph` is the
+reference its arrays must equal bit for bit.  NetworkX is imported on
+first use here, so a process that decodes only with the compiled decoder
+never loads it (~14 MB of resident memory).
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.decoders.registry import check_syndromes, pack_decode_batch
 from repro.dem.model import DetectorErrorModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 BOUNDARY = "boundary"
 _P_CLAMP = 1e-15
@@ -74,6 +80,8 @@ def build_decoding_graph(dem: DetectorErrorModel) -> nx.Graph:
     weight, which shortest-path matching cannot handle; it raises
     ``ValueError`` naming the edge.  ``p = 0.5`` (weight 0) is legal.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_node(BOUNDARY)
     graph.add_nodes_from(range(dem.n_detectors))
@@ -113,14 +121,21 @@ def build_decoding_graph(dem: DetectorErrorModel) -> nx.Graph:
             if data["weight"] < 0:
                 if u == BOUNDARY:
                     u, v = v, u  # name the detector first
-                v = v if v == BOUNDARY else f"D{v}"
-                raise ValueError(
-                    f"decoding-graph edge (D{u}, {v}) has probability "
-                    f"{data['probability']:g} > 0.5 (weight "
-                    f"{data['weight']:g}); matching decoders need edge "
-                    f"probabilities <= 0.5"
+                raise negative_edge_error(
+                    u, v, data["probability"], data["weight"]
                 )
     return graph
+
+
+def negative_edge_error(u, v, probability: float, weight: float) -> ValueError:
+    """The error for decoding-graph edge ``(u, v)`` (detector ``u``,
+    detector or :data:`BOUNDARY` ``v``) whose probability is above 0.5."""
+    v = v if v == BOUNDARY else f"D{v}"
+    return ValueError(
+        f"decoding-graph edge (D{u}, {v}) has probability "
+        f"{probability:g} > 0.5 (weight {weight:g}); matching decoders "
+        f"need edge probabilities <= 0.5"
+    )
 
 
 class MatchingDecoder:
@@ -146,6 +161,8 @@ class MatchingDecoder:
         prediction = np.zeros(self.n_observables, dtype=np.uint8)
         if not defects:
             return prediction
+        import networkx as nx
+
         nodes = list(defects)
         if len(nodes) % 2 == 1:
             nodes.append(BOUNDARY)
@@ -189,6 +206,8 @@ class MatchingDecoder:
     # -- internals -------------------------------------------------------------
 
     def _shortest(self, u, v):
+        import networkx as nx
+
         key = (u, v)
         if key not in self._path_cache:
             try:

@@ -4,9 +4,9 @@ The paper's whole point is that Algorithm 1's Initialization is the
 expensive part and Eq. 4 sampling is cheap; a collection run should
 therefore pay initialization once per distinct circuit, not once per
 chunk.  :class:`SamplerCache` memoizes any fingerprint-keyed artifact —
-compiled samplers, frame simulators, decoders built from extracted DEMs
-— with least-recently-used eviction so unbounded sweeps cannot exhaust
-memory.
+the symbolic pass, compiled samplers, frame simulators, decoders built
+from extracted DEMs — with least-recently-used eviction so unbounded
+sweeps cannot exhaust memory.
 
 Each worker process owns one process-global cache (:func:`shared_cache`):
 forked/spawned workers cannot share Python objects, but because chunks
@@ -24,7 +24,7 @@ import repro.obs as obs
 
 
 def _key_kind(key: Hashable) -> str:
-    """The artifact family of a cache key (circuit/sampler/dem/decoder).
+    """The artifact family of a cache key (circuit/pass/sampler/dem/decoder).
 
     Keys are ``(kind, fingerprint, ...)`` tuples by convention; the
     kind tags hit/miss metrics and build spans so per-artifact compile
@@ -84,6 +84,10 @@ class SamplerCache:
             self._entries.popitem(last=False)
         return value
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key``'s entry if there is one."""
+        self._entries.pop(key, None)
+
     def clear(self) -> None:
         self._entries.clear()
         self.hits = 0
@@ -142,38 +146,81 @@ def circuit_loader(text: str, fingerprint: str) -> Callable[[], Any]:
     )
 
 
-def cached_sampler(circuit, fingerprint: str, sampler: str):
-    """The compiled ``sampler`` backend of ``circuit`` (canonical name),
-    built once per process under :func:`sampler_key`.
-    ``circuit`` may be a loader (see :func:`_loader`)."""
-    from repro.backends import compile_backend
+def cached_pass(circuit, fingerprint: str):
+    """Algorithm 1's symbolic pass of ``circuit`` (its
+    :class:`~repro.core.compiled_sampler.CompiledSampler`), built once
+    per process under ``("pass", fingerprint)``.
+
+    The one traversal every other artifact reads: it is the ``symbolic``
+    sampler, its constant column is the frame samplers' reference
+    record, and the DEM is read off its matrices.  Its own cache kind
+    keeps ``kind="sampler"`` lookups at one per chunk.  Tasks whose
+    sampler is not the pass drop it once it is spent (see
+    :func:`_release_pass`).  ``circuit`` may be a loader (see
+    :func:`_loader`)."""
+    from repro.core import compile_sampler
 
     load = _loader(circuit)
     return shared_cache().get_or_build(
-        sampler_key(fingerprint, sampler),
-        lambda: compile_backend(load(), sampler),
+        ("pass", fingerprint), lambda: compile_sampler(load())
     )
+
+
+def cached_sampler(circuit, fingerprint: str, sampler: str):
+    """The compiled ``sampler`` backend of ``circuit`` (canonical name),
+    built once per process under :func:`sampler_key`.  Backends that
+    read the symbolic pass get :func:`cached_pass`'s.
+    ``circuit`` may be a loader (see :func:`_loader`)."""
+    from repro.backends import get_backend
+
+    load = _loader(circuit)
+
+    def build():
+        backend = get_backend(sampler)
+        if not backend.info.reads_pass:
+            return backend.compile(load())
+        return backend.compile(load(), cached_pass(load, fingerprint))
+
+    built = shared_cache().get_or_build(
+        sampler_key(fingerprint, sampler), build
+    )
+    _release_pass(fingerprint, sampler)
+    return built
 
 
 def cached_dem(circuit, fingerprint: str, sampler: str):
     """The merged DEM of ``circuit``, built once per process under
-    ``("dem", fingerprint)``.
-
-    The DEM is read off Algorithm 1's compiled sampler.  When the
-    task's canonical sampler is ``symbolic`` that sampler is the task's
-    own cached one, so the symbolic pass runs once per circuit; any
-    other sampler compiles it transiently, so it is freed once the DEM
-    is built.  Either way the DEM is the same, bit for bit.  ``circuit``
-    may be a loader (see :func:`_loader`).
+    ``("dem", fingerprint)``, read off :func:`cached_pass` whatever the
+    task's canonical ``sampler`` (so it is the same DEM, bit for bit,
+    and no second pass runs).  ``circuit`` may be a loader (see
+    :func:`_loader`).
     """
     from repro.dem import extract_dem
 
-    def build():
-        if sampler == "symbolic":
-            return extract_dem(cached_sampler(circuit, fingerprint, sampler))
-        return extract_dem(_loader(circuit)())
+    dem = shared_cache().get_or_build(
+        ("dem", fingerprint),
+        lambda: extract_dem(cached_pass(circuit, fingerprint)),
+    )
+    _release_pass(fingerprint, sampler)
+    return dem
 
-    return shared_cache().get_or_build(("dem", fingerprint), build)
+
+def _release_pass(fingerprint: str, sampler: str) -> None:
+    """Drop the cached pass once the task's ``sampler`` and the DEM are
+    both built.
+
+    A frame sampler keeps only the pass's constant column and the DEM
+    its own arrays, so from then on the pass would hold memory (about
+    2 MB on surface d=9, r=9: 40% of what the task's other artifacts
+    hold) and an LRU slot for nothing.  The ``symbolic`` sampler *is*
+    the pass, so its tasks keep it."""
+    cache = shared_cache()
+    if (
+        sampler != "symbolic"
+        and ("dem", fingerprint) in cache
+        and sampler_key(fingerprint, sampler) in cache
+    ):
+        cache.discard(("pass", fingerprint))
 
 
 def cached_decoder(circuit, fingerprint: str, sampler: str, decoder: str):

@@ -230,7 +230,7 @@ def run_sparse(
         "n_symbols": sampler.symbols.n_symbols,
         "sparse_s": t_sparse,
         "dense_s": t_dense,
-        "auto": sampler.choose_strategy(),
+        "auto": sampler.record_strategy(shots),
     }
     print(f"\n== sparse sampling: surface code d={distance}, r={rounds}, "
           f"{shots} shots ==")

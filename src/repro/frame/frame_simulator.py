@@ -7,7 +7,12 @@ processes 64 shots at a time, mirroring Stim's SIMD batching.
 Correctness model (Rall et al. 2019; Gidney 2021):
 
 * a *reference sample* is produced once by a noiseless tableau run with
-  random outcomes pinned to 0;
+  random outcomes pinned to 0 (Stim's way, and the independent baseline
+  whose init time Fig. 3 compares against SymPhase's).  It equals the
+  constant column of Algorithm 1's measurement matrix
+  (:meth:`~repro.core.compiled_sampler.CompiledSampler.reference`), so
+  a caller that already holds the circuit's pass (the engine's cache)
+  passes that in as ``reference`` and skips the tableau run;
 * frames start as a uniformly random Z string (valid: Z stabilizes
   |0...0>), are conjugated through every Clifford gate, XOR-accumulate
   sampled Pauli faults, and flip recorded outcomes via their X part;
@@ -55,7 +60,11 @@ _MODES = ("compiled", "interpreted")
 
 
 class FrameSimulator:
-    """Samples a noisy circuit by per-batch Pauli-frame propagation."""
+    """Samples a noisy circuit by per-batch Pauli-frame propagation.
+
+    ``reference`` is the circuit's reference record (uint8, one entry
+    per measurement); without one, a noiseless tableau run computes it.
+    """
 
     def __init__(
         self,

@@ -110,7 +110,8 @@ class CompiledCircuit:
     @property
     def dem(self):
         """The merged detector error model (built on first access; read
-        off the cached sampler when that is the ``symbolic`` one)."""
+        off the circuit's one cached symbolic pass, whatever the
+        sampler)."""
         return cached_dem(self.circuit, self.fingerprint, self.sampler_name)
 
     @property

@@ -5,7 +5,9 @@ Aaronson & Gottesman (2004): n destabilizer rows + n stabilizer rows,
 O(n) Clifford gates and O(n^2) computational-basis measurements.
 :class:`TableauSimulator` executes whole circuits on it, sampling noise
 concretely (one shot per run) — the classic way to sample, and the
-source of the *reference sample* for the Pauli-frame baseline.
+source of the *reference sample* for a standalone Pauli-frame simulator
+(the engine's cache reads the same record off Algorithm 1's constant
+column instead).
 """
 
 from repro.tableau.clifford_map import CliffordMap

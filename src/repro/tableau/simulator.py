@@ -6,7 +6,8 @@ This is the classic Monte-Carlo way to sample a noisy stabilizer circuit
 * the correctness oracle for the fast samplers (shot-for-shot agreement
   when driven by the same fault patterns), and
 * the producer of the *reference sample* the Pauli-frame simulator needs
-  (noiseless execution with random outcomes pinned to 0).
+  (noiseless execution with random outcomes pinned to 0) when no caller
+  hands it Algorithm 1's constant column, which holds the same bits.
 """
 
 from __future__ import annotations
@@ -138,8 +139,11 @@ class TableauSimulator:
 def reference_sample(circuit: Circuit) -> np.ndarray:
     """A valid noiseless sample with all random outcomes pinned to 0.
 
-    This is the baseline record the Pauli-frame simulator XORs its frame
-    flips into.
+    The baseline record a Pauli-frame simulator XORs its frame flips
+    into, computed by a concrete traversal; it equals the constant
+    column of Algorithm 1's measurement matrix
+    (:meth:`~repro.core.compiled_sampler.CompiledSampler.reference`),
+    which the engine's cache hands the frame samplers instead.
     """
     sim = TableauSimulator(max(circuit.n_qubits, 1))
     return sim.run(circuit, force_random_outcomes=0, disable_noise=True)

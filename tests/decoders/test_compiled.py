@@ -7,15 +7,19 @@ between equal-weight paths (middle-of-the-code defects genuinely tie).
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 import repro.decoders.compiled as compiled_module
+import repro.decoders.matching as matching_module
 import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
-from repro.decoders.matching import dedupe_rows
+from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
 from repro.dem import DetectorErrorModel, ErrorMechanism
 from repro.engine import Task, collect
 from repro.engine.cache import reset_shared_cache
@@ -546,3 +550,170 @@ class TestCompileStages:
             "repro_decoder_exact_sources_total"
         )
         assert metric.value == exact >= 1
+
+
+def _networkx_lowering(dem: DetectorErrorModel):
+    """The CSR walk of the reference's NetworkX decoding graph: detector
+    rows then the boundary's, each in adjacency (edge-insertion) order."""
+    graph = build_decoding_graph(dem)
+    n = dem.n_detectors
+    index_of = {BOUNDARY: n, **{d: d for d in range(n)}}
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    indices, weights, masks = [], [], []
+    for node in [*range(n), BOUNDARY]:
+        for neighbor, data in graph.adj[node].items():
+            indices.append(index_of[neighbor])
+            weights.append(data["weight"])
+            masks.append(data["mask"])
+        indptr[index_of[node] + 1] = len(indices)
+    words = bitops.pack_rows(
+        np.stack(masks) if masks
+        else np.zeros((0, dem.n_observables), dtype=np.uint8)
+    )
+    return indptr, np.array(indices, dtype=np.int64), weights, words
+
+
+def _lowered(dem: DetectorErrorModel) -> CompiledMatchingDecoder:
+    """A decoder with only the CSR lowering run (no all-pairs tables)."""
+    decoder = CompiledMatchingDecoder.__new__(CompiledMatchingDecoder)
+    decoder.n_detectors = dem.n_detectors
+    decoder.n_observables = dem.n_observables
+    decoder._lower(dem)
+    return decoder
+
+
+def _assert_lowering_matches_networkx(dem: DetectorErrorModel) -> None:
+    try:
+        indptr, indices, weights, words = _networkx_lowering(dem)
+    except ValueError as reference_error:
+        with pytest.raises(ValueError) as error:
+            _lowered(dem)
+        assert str(error.value) == str(reference_error)
+        return
+    decoder = _lowered(dem)
+    assert decoder._indptr.dtype == indptr.dtype
+    assert np.array_equal(decoder._indptr, indptr)
+    assert decoder._indices.dtype == indices.dtype
+    assert np.array_equal(decoder._indices, indices)
+    assert [w.hex() for w in decoder._weights.tolist()] == [
+        float(w).hex() for w in weights
+    ]
+    assert decoder._edge_words.dtype == words.dtype
+    assert decoder._edge_words.shape == words.shape
+    assert np.array_equal(decoder._edge_words, words)
+    assert np.array_equal(
+        decoder._owner, np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    )
+
+
+@st.composite
+def _parallel_edge_dems(draw):
+    """Few detectors and multi-mechanism groups, so pairs repeat with
+    equal and with different masks; some mechanisms flip no detector or
+    more than two, detector order is arbitrary, and a few probabilities
+    exceed 0.5 (or merge past it)."""
+    n_detectors = draw(st.integers(0, 5))
+    n_observables = draw(st.integers(0, 2))
+    dem = DetectorErrorModel(n_detectors, n_observables)
+    detector = st.integers(0, max(n_detectors - 1, 0))
+    for _ in range(draw(st.integers(0, 6))):
+        group = []
+        for _ in range(draw(st.integers(1, 4))):
+            detectors = tuple(draw(st.lists(
+                detector, unique=True, max_size=min(3, n_detectors)
+            )))
+            observables = tuple(draw(st.lists(
+                st.integers(0, max(n_observables - 1, 0)), unique=True,
+                max_size=n_observables,
+            )))
+            probability = draw(st.sampled_from(
+                (0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6)
+            ))
+            group.append(ErrorMechanism(probability, detectors, observables))
+        dem.add_group(group)
+    return dem
+
+
+class TestLoweringWithoutNetworkX:
+    """The CSR arrays come straight from the DEM's graphlike mechanisms
+    and equal the NetworkX graph's walk bit for bit: adjacency order,
+    the sequential parallel-edge merge and the p > 0.5 error."""
+
+    @pytest.mark.parametrize("distance", [3, 5, 7, 9])
+    def test_surface_codes(self, distance):
+        _assert_lowering_matches_networkx(
+            surface_code_dem(distance, rounds=distance, probability=0.004)
+        )
+
+    def test_repetition_code(self):
+        _assert_lowering_matches_networkx(
+            repetition_code_dem(9, rounds=9, probability=0.01)
+        )
+
+    def test_parallel_edges_of_equal_and_different_masks(self):
+        dem = DetectorErrorModel(n_detectors=3, n_observables=2)
+        dem.add_group([
+            ErrorMechanism(0.1, (0, 1), (0,)),
+            ErrorMechanism(0.2, (1,), ()),
+        ])
+        dem.add_group([ErrorMechanism(0.3, (1, 0), (0,))])  # same mask
+        dem.add_group([
+            ErrorMechanism(0.05, (0, 1), (1,)),  # different, heavier
+            ErrorMechanism(0.4, (2,), (0, 1)),
+        ])
+        dem.add_group([ErrorMechanism(0.35, (1,), (1,))])  # lighter: wins
+        dem.add_group([ErrorMechanism(0.25, (1,), (1,))])  # then convolves
+        _assert_lowering_matches_networkx(dem)
+        decoder = _lowered(dem)
+        # Node 1 meets the (0, 1) edge before its boundary edge.
+        row = slice(decoder._indptr[1], decoder._indptr[2])
+        assert decoder._indices[row].tolist() == [0, 3]
+
+    def test_merge_past_half_names_the_edge(self):
+        dem = DetectorErrorModel(n_detectors=2, n_observables=0)
+        dem.add_group([ErrorMechanism(0.1, (0,), ())])
+        dem.add_group([ErrorMechanism(0.4, (1, 0), ())])
+        dem.add_group([ErrorMechanism(0.6, (0, 1), ())])  # merged: 0.52
+        with pytest.raises(ValueError, match=r"edge \(D0, D1\) has probability 0\.52 "):
+            _lowered(dem)
+        _assert_lowering_matches_networkx(dem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dem=_parallel_edge_dems())
+    def test_fuzz(self, dem):
+        _assert_lowering_matches_networkx(dem)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dem=_tie_heavy_dems())
+    def test_fuzz_tie_heavy_dems(self, dem):
+        _assert_lowering_matches_networkx(dem)
+
+    def test_compiled_decoding_never_imports_networkx(self):
+        """The reference decoder imports NetworkX on first use, so a
+        frame + compiled-matching run never loads it."""
+        code = (
+            "import sys\n"
+            "from repro.qec import surface_code_memory\n"
+            "circuit = surface_code_memory(\n"
+            "    3, rounds=2, after_clifford_depolarization=0.01)\n"
+            "circuit.compile(sampler='frame').logical_error_rate(500, seed=1)\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_builds_without_the_networkx_graph(self, surface_dems, monkeypatch):
+        dem = surface_dems[5]
+        reference = MatchingDecoder(dem)
+
+        def forbidden(dem):
+            raise AssertionError("the compiled decoder built a NetworkX graph")
+
+        monkeypatch.setattr(matching_module, "build_decoding_graph", forbidden)
+        compiled = CompiledMatchingDecoder(dem)
+        rng = np.random.default_rng(5)
+        syndromes = (rng.random((300, dem.n_detectors)) < 0.01).astype(np.uint8)
+        assert np.array_equal(
+            compiled.decode_batch(syndromes), reference.decode_batch(syndromes)
+        )

@@ -437,6 +437,9 @@ class TestExtractSpan:
             reset_shared_cache()
         outer = spans["cache.build.dem"]
         assert spans["dem.extract"].parent_id == outer.span_id
-        # The transient symbolic pass is a sibling, not part of the span.
-        assert spans["core.symbolic_pass"].parent_id == outer.span_id
+        # The shared symbolic pass is built once, as its own cache entry
+        # (a sibling of the extraction inside the DEM build).
+        shared = spans["cache.build.pass"]
+        assert shared.parent_id == outer.span_id
+        assert spans["core.symbolic_pass"].parent_id == shared.span_id
         assert 'stage="dem.extract"' in text

@@ -1,12 +1,20 @@
 """SamplerCache LRU semantics and build-on-miss accounting."""
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.dem import extract_dem
 from repro.engine import SamplerCache, Task, collect
-from repro.engine.cache import cached_dem, reset_shared_cache, shared_cache
+from repro.engine.cache import (
+    cached_dem,
+    cached_pass,
+    cached_sampler,
+    reset_shared_cache,
+    shared_cache,
+)
 from repro.qec import surface_code_memory
+from repro.tableau import TableauSimulator, reference_sample
 
 
 class TestSamplerCache:
@@ -75,9 +83,10 @@ def _dem_view(dem):
 
 
 class TestCachedDem:
-    """One Algorithm-1 compile per symbolic task: the DEM is read off the
-    task's cached ``symbolic`` sampler; other samplers compile the
-    symbolic pass transiently and do not keep it."""
+    """One Algorithm-1 pass per circuit whatever the sampler: the
+    ``symbolic`` sampler is the cached pass, the frame samplers take
+    their reference record from its constant column, and the DEM is
+    read off it."""
 
     @pytest.fixture()
     def circuit(self):
@@ -106,13 +115,65 @@ class TestCachedDem:
         collect([task], base_seed=3, workers=1, chunk_shots=100)
         assert self.symbolic_passes() == 1
 
-    def test_frame_task_compiles_transiently(self, circuit):
+    @pytest.fixture()
+    def no_tableau_run(self, monkeypatch):
+        """The frame samplers' reference comes from the pass, not from a
+        separate noiseless tableau run."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a tableau reference run")
+
+        monkeypatch.setattr(TableauSimulator, "run", forbidden)
+
+    @pytest.mark.parametrize("sampler", ["frame", "frame-interp"])
+    def test_frame_handle_runs_one_symbolic_pass(
+        self, circuit, sampler, no_tableau_run, monkeypatch
+    ):
+        obs.enable(tracing=True, metrics=False)
+        compiled = circuit.compile(sampler=sampler)
+        _ = compiled.sampler, compiled.decoder
+        assert self.symbolic_passes() == 1
+        assert _dem_view(compiled.dem) == _dem_view(extract_dem(circuit))
+        monkeypatch.undo()
+        assert np.array_equal(
+            compiled.sampler.reference, reference_sample(circuit)
+        )
+
+    def test_frame_collect_runs_one_symbolic_pass(self, circuit, no_tableau_run):
+        obs.enable(tracing=True, metrics=False)
+        task = Task(
+            circuit, decoder="compiled-matching", sampler="frame", max_shots=400
+        )
+        collect([task], base_seed=3, workers=1, chunk_shots=100)
+        assert self.symbolic_passes() == 1
+
+    @pytest.mark.parametrize("first", ["sampler", "decoder"])
+    @pytest.mark.parametrize("sampler", ["frame", "frame-interp", "tableau"])
+    def test_spent_pass_is_released(self, circuit, sampler, first):
+        """Once a non-symbolic task's sampler and DEM are both built the
+        pass is dropped, whichever was built first, after one pass."""
+        obs.enable(tracing=True, metrics=False)
+        compiled = circuit.compile(sampler=sampler)
+        for artifact in (first, {"sampler": "decoder"}.get(first, "sampler")):
+            getattr(compiled, artifact)
+        assert self.symbolic_passes() == 1
+        assert ("pass", compiled.fingerprint) not in shared_cache()
+        assert len(shared_cache()) == 3  # sampler, dem, decoder
+
+    def test_symbolic_task_keeps_the_pass(self, circuit):
+        compiled = circuit.compile(sampler="symbolic")
+        _ = compiled.sampler, compiled.decoder
+        assert ("pass", compiled.fingerprint) in shared_cache()
+
+    def test_every_sampler_shares_the_pass(self, circuit):
         fingerprint = circuit.fingerprint()
-        dem = cached_dem(circuit, fingerprint, "frame")
-        assert ("dem", fingerprint) in shared_cache()
-        assert ("sampler", fingerprint, "symbolic") not in shared_cache()
+        dem = cached_dem(circuit, fingerprint, "symbolic")
+        shared = cached_pass(circuit, fingerprint)
+        assert ("pass", fingerprint) in shared_cache()
         assert _dem_view(dem) == _dem_view(extract_dem(circuit))
-        assert cached_dem(circuit, fingerprint, "symbolic") is dem
+        assert cached_sampler(circuit, fingerprint, "symbolic") is shared
+        frame = cached_sampler(circuit, fingerprint, "frame")
+        assert np.array_equal(frame.reference, shared.reference())
 
 
 class TestSerialCollectReusesTheCircuit:
@@ -161,6 +222,7 @@ class TestSerialCollectReusesTheCircuit:
                 run_chunk(spec)
             cache = shared_cache()
             assert ("circuit", task.circuit_fingerprint()) in cache
-            assert cache.stats()["misses"] == 4  # circuit, sampler, dem, decoder
+            # circuit, pass, sampler (the pass itself), dem, decoder
+            assert cache.stats()["misses"] == 5
         finally:
             reset_shared_cache()

@@ -1,10 +1,22 @@
 """Tests for the Pauli-frame baseline sampler."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.obs as obs
+from repro.backends import compile_backend, get_backend
 from repro.circuit import Circuit
+from repro.core import compile_sampler
+from repro.engine.cache import reset_shared_cache
 from repro.frame import FrameSimulator
+from repro.qec import surface_code_memory
+from repro.tableau import reference_sample
+from repro.workloads import fig3c_circuit
+from tests.core.test_symbolic_pass import append_annotations, mixed_circuit
+from tests.helpers import random_clifford_circuit
 
 
 class TestDeterministicCircuits:
@@ -120,6 +132,109 @@ class TestReference:
         ).sample(10, rng)
         assert np.array_equal(shifted[:, 0], base[:, 0] ^ 1)
         assert np.array_equal(shifted[:, 1], base[:, 1])
+
+
+#: ``sample(130, 11)`` records and ``sample_detectors_packed(130, 12)``
+#: of the frame samplers, recorded when the reference sample came from a
+#: separate noiseless tableau run.
+FRAME_DIGESTS = {
+    "surface_d3": "2a80c0b7f59f172c6c6b054b926ca66ba8f7d30d9b289ba29e374172da3f1b95",
+    "surface_d5": "d2902b2d043305500683c345858dfef832e0b132534e02eef8b020834bd47a68",
+    "surface_d7": "4ee38ed9dd439073afdbf50e649f1ca470d547542d82091fb7faea76d13f8419",
+    "fig3c_n32": "0a4973e7de1e285277317257dcb3459ec71718b385dea53317738484fd881425",
+    "mixed": "242b8856a515be98da0450891a19a08a47aa158e8219bf64460683a36d56f7e5",
+}
+
+
+def _digest_circuits():
+    circuits = {
+        f"surface_d{d}": surface_code_memory(
+            d, rounds=d,
+            after_clifford_depolarization=0.002,
+            before_measure_flip_probability=0.002,
+        )
+        for d in (3, 5, 7)
+    }
+    circuits["fig3c_n32"] = fig3c_circuit(32, seed=3)
+    rng = np.random.default_rng(2024)
+    circuits["mixed"] = mixed_circuit(rng, 6, 80)
+    append_annotations(circuits["mixed"], rng)
+    return circuits
+
+
+def _frame_digest(sampler) -> str:
+    digest = hashlib.sha256(sampler.sample(130, 11).tobytes())
+    for part in sampler.sample_detectors_packed(130, 12):
+        digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+class TestReferenceFromSymbolicPass:
+    """The reference record is the constant column of Algorithm 1's
+    measurement matrix; it equals the tableau's noiseless run with
+    random outcomes pinned to 0, so every frame sample is unchanged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        n_qubits=st.integers(2, 7),
+        depth=st.integers(1, 60),
+    )
+    def test_constant_column_is_the_tableau_reference(
+        self, seed, n_qubits, depth
+    ):
+        # Every measure/reset basis, MR, feedback and every noise channel.
+        circuit = mixed_circuit(np.random.default_rng(seed), n_qubits, depth)
+        assert np.array_equal(
+            compile_sampler(circuit).reference(), reference_sample(circuit)
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_constant_column_on_random_clifford_circuits(self, seed):
+        circuit = random_clifford_circuit(
+            np.random.default_rng(seed), 5, 80, p_noise=0.2, p_measure=0.2,
+            p_reset=0.1, p_feedback=0.1,
+        )
+        assert np.array_equal(
+            compile_sampler(circuit).reference(), reference_sample(circuit)
+        )
+
+    @pytest.mark.parametrize("backend", ["frame", "frame-interp"])
+    @pytest.mark.parametrize("name", sorted(FRAME_DIGESTS))
+    def test_fixed_seed_samples_unchanged(self, name, backend):
+        circuit = _digest_circuits()[name]
+        assert _frame_digest(compile_backend(circuit, backend)) == (
+            FRAME_DIGESTS[name]
+        )
+        reset_shared_cache()
+        try:
+            cached = circuit.compile(sampler=backend).sampler
+            assert _frame_digest(cached) == FRAME_DIGESTS[name]
+        finally:
+            reset_shared_cache()
+
+    def test_given_pass_is_not_rerun(self):
+        circuit = surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        symbolic = compile_sampler(circuit)
+        obs.enable(tracing=True, metrics=False)
+        frame = get_backend("frame").compile(circuit, symbolic)
+        assert not [
+            r for r in obs.drain_spans() if r.name == "core.symbolic_pass"
+        ]
+        assert np.array_equal(frame.reference, reference_sample(circuit))
+
+    @pytest.mark.parametrize("backend", ["frame", "frame-interp"])
+    def test_standalone_frame_keeps_the_tableau_reference(self, backend):
+        """Without a pass handed in, the frame baseline runs no
+        Algorithm 1 pass, so its init time stays independent of
+        SymPhase's."""
+        circuit = surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        obs.enable(tracing=True, metrics=False)
+        frame = compile_backend(circuit, backend)
+        assert not [
+            r for r in obs.drain_spans() if r.name == "core.symbolic_pass"
+        ]
+        assert np.array_equal(frame.reference, reference_sample(circuit))
 
 
 class TestContiguity:

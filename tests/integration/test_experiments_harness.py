@@ -48,5 +48,5 @@ class TestFig2:
 class TestSparse:
     def test_sparse_result(self, capsys):
         result = run_sparse(distance=3, rounds=2, shots=500)
-        assert result["auto"] == "sparse"
+        assert result["auto"] == "scatter"
         assert result["avg_support"] > 0

@@ -239,6 +239,27 @@ class TestCollect:
         assert second.rstrip().endswith("resumed")
         assert len((tmp_path / "results.jsonl").read_text().splitlines()) == 1
 
+    def test_profile_compile_counts_nested_builds_once(self):
+        """A build nested inside another (the symbolic pass inside the
+        sampler, the DEM inside the decoder) is already part of the
+        outer build's time; the compile column counts it once."""
+        import time
+
+        import repro.obs as obs
+        from repro.cli import _compile_seconds, _stage_seconds
+        from repro.engine.cache import SamplerCache
+
+        obs.enable(tracing=False, metrics=True)
+        cache = SamplerCache()
+        cache.get_or_build(
+            ("sampler", "f", "frame"),
+            lambda: cache.get_or_build(("pass", "f"), lambda: time.sleep(0.02)),
+        )
+        reg = obs.registry()
+        outer = _stage_seconds(reg, "cache.build.sampler")
+        assert outer >= _stage_seconds(reg, "cache.build.pass") >= 0.02
+        assert _compile_seconds(reg) == outer
+
     def test_profile_prints_per_worker_table(self, capsys):
         assert main(self.ARGS + ["--profile", "--workers", "2"]) == 0
         out = capsys.readouterr().out
