@@ -260,9 +260,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     sim = _load(args.circuit).compile().symbolic()
-    print(f"# {sim.num_measurements} measurements, "
+    print(f"# {sim.n_measurements} measurements, "
           f"{sim.symbols.n_symbols} symbols")
-    for k in range(sim.num_measurements):
+    for k in range(sim.n_measurements):
         print(f"m{k} = {sim.measurement_expression(k)}")
     return 0
 

@@ -152,6 +152,11 @@ class CompiledSampler:
             return self._derived_supports
         return self._compute_supports(matrix)
 
+    def measurement_expression(self, index: int) -> str:
+        """Measurement ``index``'s symbolic expression, e.g.
+        ``"X3 ^ m5(q0)"`` (read off row ``index`` of ``M``)."""
+        return self.symbols.expression(self.measurement_matrix[index])
+
     def reference(self) -> np.ndarray:
         """Eq. 4 with every symbol 0: the constant column ``s_0`` of
         ``M`` as a uint8 record of shape (n_m,).

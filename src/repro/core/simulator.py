@@ -98,10 +98,7 @@ class SymPhaseSimulator:
 
     def measurement_expression(self, index: int) -> str:
         """Human-readable symbolic expression, e.g. ``"X3 ^ m5(q0)"``."""
-        support = self.measurement_support(index)
-        if support.size == 0:
-            return "0"
-        return " ^ ".join(self.symbols.label(int(s)) for s in support)
+        return self.symbols.expression(self.measurements[index])
 
     def expression(self, index: int):
         """Measurement ``index`` as a :class:`SymbolicExpression` object."""

@@ -133,6 +133,16 @@ class SymbolTable:
         action = record.source.actions(site)[symbol]
         return "*".join(f"{letter}{qubit}" for letter, qubit in action) or "I"
 
+    def expression(self, vector: np.ndarray) -> str:
+        """The symbols set in the packed bit-vector ``vector`` (one row
+        of ``M``) as a readable XOR, e.g. ``"X3 ^ m5(q0)"``; ``"0"``
+        when none is set."""
+        bits = bitops.unpack_bits(vector, min(self.width, vector.size * 64))
+        support = np.nonzero(bits)[0]
+        if support.size == 0:
+            return "0"
+        return " ^ ".join(self.label(int(s)) for s in support)
+
     def noise_symbol_indices(self) -> np.ndarray:
         """Indices of all noise-induced symbols."""
         ranges = [

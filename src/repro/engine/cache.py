@@ -236,14 +236,3 @@ def cached_decoder(circuit, fingerprint: str, sampler: str, decoder: str):
         ),
     )
 
-
-def cached_symbolic(circuit, fingerprint: str):
-    """The circuit's :class:`~repro.core.simulator.SymPhaseSimulator`
-    (Algorithm 1's Initialization), built once per process under
-    ``("symbolic-analysis", fingerprint)`` whatever the sampler backend."""
-    from repro.core import SymPhaseSimulator
-
-    return shared_cache().get_or_build(
-        ("symbolic-analysis", fingerprint),
-        lambda: SymPhaseSimulator.from_circuit(circuit),
-    )

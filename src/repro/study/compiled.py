@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.cache import cached_decoder, cached_dem, cached_sampler, cached_symbolic
+from repro.engine.cache import cached_decoder, cached_dem, cached_pass, cached_sampler
 from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import (
     NO_DECODER,
@@ -96,16 +96,14 @@ class CompiledCircuit:
         return cached_sampler(self.circuit, self.fingerprint, self.sampler_name)
 
     def symbolic(self):
-        """The circuit's symbolic-phase analysis (Algorithm 1's Init).
+        """The circuit's symbolic pass (Algorithm 1's Initialization).
 
-        A :class:`~repro.core.simulator.SymPhaseSimulator` exposing the
-        per-measurement symbolic expressions
-        (``measurement_expression``, ``measurement_support``) that the
-        compiled sampler's packed matrices no longer carry.  Built on
-        first access and memoized by circuit fingerprint, independent of
-        the chosen sampler backend.
+        The :class:`~repro.core.compiled_sampler.CompiledSampler` the
+        engine caches once per circuit, whatever the sampler backend:
+        ``measurement_expression(k)`` reads measurement ``k``'s
+        expression off its matrix ``M``.
         """
-        return cached_symbolic(self.circuit, self.fingerprint)
+        return cached_pass(self.circuit, self.fingerprint)
 
     @property
     def dem(self):

@@ -96,6 +96,31 @@ class TestDetect:
         assert all(len(line) == 3 for line in lines)
 
 
+#: Resets, both feedback forms and three noise channels in one circuit.
+MIXED_TEXT = """\
+H 0 1
+CNOT 0 2
+DEPOLARIZE1(0.01) 0 1
+M 0
+CX rec[-1] 3
+R 0
+X_ERROR(0.1) 0 3
+H 0
+MR 1
+CZ rec[-1] 2
+DEPOLARIZE2(0.02) 2 3
+M 0 2 3
+DETECTOR rec[-1] rec[-3]
+OBSERVABLE_INCLUDE(0) rec[-2]
+"""
+
+
+def _surface_d3_text():
+    from repro.qec import surface_code_memory
+
+    return surface_code_memory(3, 3, 0.001, 0.001).to_text()
+
+
 class TestAnalyze:
     def test_expressions_printed(self, circuit_file, capsys):
         assert main(["analyze", circuit_file]) == 0
@@ -103,6 +128,49 @@ class TestAnalyze:
         assert "m0 =" in out
         assert "m1 =" in out
         assert "symbols" in out
+
+    @pytest.mark.parametrize("name, digest, lines", [
+        ("mixed",
+         "6d3bbb45d9466760aac9bf94610c508585de5f26642038e0c042bd2b3e8ef161", 6),
+        ("surface_d3",
+         "2dd44ba2bc06c5358ad412f3b12c9c86b0f470945d4e427e6368084f292f73ac", 34),
+    ])
+    def test_output_is_pinned(self, tmp_path, capsys, name, digest, lines):
+        """The expressions come from the engine's one cached pass, and
+        print byte for byte what a standalone SymPhaseSimulator prints."""
+        import hashlib
+
+        from repro import Circuit
+        from repro.core import SymPhaseSimulator
+
+        text = MIXED_TEXT if name == "mixed" else _surface_d3_text()
+        path = tmp_path / f"{name}.stim"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(out.splitlines()) == lines
+
+        sim = SymPhaseSimulator.from_circuit(Circuit.from_text(text))
+        expected = [
+            f"# {sim.num_measurements} measurements, "
+            f"{sim.symbols.n_symbols} symbols"
+        ] + [
+            f"m{k} = {sim.measurement_expression(k)}"
+            for k in range(sim.num_measurements)
+        ]
+        assert out.splitlines() == expected
+
+    def test_served_from_the_cached_pass(self):
+        from repro import Circuit
+        from repro.engine.cache import cached_pass, shared_cache
+
+        compiled = Circuit.from_text(MIXED_TEXT).compile(sampler="frame")
+        analysis = compiled.symbolic()
+        assert analysis is cached_pass(compiled.circuit, compiled.fingerprint)
+        assert not any(
+            key[0] == "symbolic-analysis" for key in shared_cache()._entries
+        )
 
 
 class TestStats:
