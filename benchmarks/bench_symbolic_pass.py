@@ -17,6 +17,12 @@ for each a sha256 digest of everything the pass produces:
   — a fixed-seed ``sample_detectors_packed`` of 512 shots, the stream
   the engine decodes (the hit scatter at low noise, Eq. 4 at high).
 
+Fig. 3c n = 128 and surface d = 7 also split one pass into the seconds
+spent in gate (unitary and classically controlled), noise and
+measurement/reset instructions (``split_s``), timed bench-side around
+each ``do_instruction`` call of a fresh simulator, best of ``--repeats``
+per kind.
+
 ``--check-digests`` recomputes the digests and fails when any differs
 from the committed JSON, so a rewrite of the pass that changes a single
 output bit, symbol, probability or RNG draw is caught.  There is no
@@ -34,10 +40,12 @@ import argparse
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 
 import repro.obs as obs
+from repro import SymPhaseSimulator
 from repro.backends import compile_backend
 from repro.dem import extract_dem
 from repro.qec import surface_code_memory
@@ -51,6 +59,13 @@ DETECTOR_ROWS = (
     "surface_d3", "surface_d5", "surface_d7", "surface_d9",
     f"surface_d5_p{HIGH_NOISE_P}",
 )
+#: Rows that also split the pass by instruction kind.
+SPLIT_ROWS = ("fig3c_n128", "surface_d7")
+#: Instruction kind -> split key (annotations are not timed).
+SPLIT_KEYS = {
+    "noise": "noise_s", "measure": "measure_s", "reset": "measure_s",
+    "measure_reset": "measure_s",
+}
 FIG3C_SEED = 1
 DIGEST_SHOTS = 1000
 DIGEST_SEED = 7
@@ -124,6 +139,25 @@ def detectors_digest(sampler) -> str:
     return digest.hexdigest()
 
 
+def kind_split(circuit, repeats: int) -> dict[str, float]:
+    """Best-of-``repeats`` seconds of one pass per instruction kind:
+    ``gate_s``, ``noise_s`` and ``measure_s``."""
+    instructions = list(circuit.flattened())
+    best = dict.fromkeys(("gate_s", "noise_s", "measure_s"), float("inf"))
+    for _ in range(repeats):
+        simulator = SymPhaseSimulator(max(circuit.n_qubits, 1))
+        spent = dict.fromkeys(best, 0.0)
+        for instruction in instructions:
+            gate = instruction.gate
+            key = "gate_s" if gate.is_unitary else SPLIT_KEYS.get(gate.kind)
+            start = time.perf_counter()
+            simulator.do_instruction(instruction)
+            if key:
+                spent[key] += time.perf_counter() - start
+        best = {key: min(best[key], spent[key]) for key in best}
+    return best
+
+
 def measure(
     circuit, repeats: int, with_dem: bool = False, with_detectors: bool = False
 ) -> dict:
@@ -180,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
             circuit, args.repeats, with_dem=name.startswith("surface"),
             with_detectors=name in DETECTOR_ROWS,
         )
+        if name in SPLIT_ROWS:
+            row["split_s"] = kind_split(circuit, args.repeats)
         rows[name] = row
         verdict = ""
         if args.check_digests:
@@ -188,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
             if not ok:
                 failures.append(name)
         print(f"{name:<17} {row['symbols']:>8} {row['pass_s']:>8.4f}  {verdict}")
+        if "split_s" in row:
+            print("  " + ", ".join(
+                f"{key} {value:.4f}" for key, value in row["split_s"].items()
+            ))
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

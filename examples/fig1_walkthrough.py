@@ -19,7 +19,7 @@ def show_tableau(sim: SymPhaseSimulator, title: str) -> None:
         row = n + i  # stabilizer half
         pauli = "".join(
             "IXZY"[int(x) + 2 * int(z)]
-            for x, z in zip(sim.xs[row], sim.zs[row])
+            for x, z in zip(sim.xs[:, row], sim.zs[:, row])
         )
         support = sim.phases.row_support(row)
         phase = " ^ ".join(sim.symbols.label(int(s)) for s in support) or "0"

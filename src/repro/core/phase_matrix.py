@@ -59,7 +59,7 @@ class PhaseMatrix:
         """Flip the constant bit of the given rows (a concrete sign flip)."""
         self.words[rows - self.first_row, 0] ^= _U64(1)
 
-    def xor_symbol(self, rows: np.ndarray, symbol: int) -> None:
+    def xor_symbol(self, rows: np.ndarray | int, symbol: int) -> None:
         """XOR symbol ``s_symbol`` into the phases of the given rows."""
         self.ensure_width(symbol + 1)
         word, mask = bitops.bit_to_word(symbol)
@@ -71,17 +71,24 @@ class PhaseMatrix:
         noise instruction's faults)."""
         self.ensure_width(first + block.shape[1])
         word, shift = divmod(first, bitops.WORD_BITS)
-        aligned = np.zeros((self.n_rows, shift + block.shape[1]), dtype=np.uint8)
-        aligned[:, shift:] = block
-        packed = bitops.pack_rows(aligned)
-        self.words[:, word: word + packed.shape[1]] ^= packed
+        n_words = bitops.words_for(shift + block.shape[1])
+        aligned = np.zeros(
+            (self.n_rows, n_words * bitops.WORD_BITS), dtype=np.uint8
+        )
+        aligned[:, shift: shift + block.shape[1]] = block
+        packed = np.packbits(aligned, axis=1, bitorder="little").view(_U64)
+        self.words[:, word: word + n_words] ^= packed
 
-    def xor_rows(self, dst_rows: np.ndarray, src_row: int) -> None:
-        """Phase(dst) ^= Phase(src) for every dst (symbolic rowsum part)."""
+    def xor_rows(self, dst_rows: np.ndarray, src_row: int, flips: np.ndarray) -> None:
+        """Phase(dst) ^= Phase(src) for every dst (symbolic rowsum part),
+        then XOR ``flips`` (0/1, one per dst: the rowsum's sign flips)
+        into the dst constant bits."""
         live = self.live_words
-        self.words[dst_rows - self.first_row, :live] ^= self.words[
-            src_row - self.first_row, :live
-        ]
+        rows = dst_rows - self.first_row
+        block = self.words[rows, :live]
+        block ^= self.words[src_row - self.first_row, :live]
+        block[:, 0] ^= flips
+        self.words[rows, :live] = block
 
     def xor_vector(self, rows: np.ndarray, vector: np.ndarray) -> None:
         """XOR a packed phase vector into the given rows (symbolic-exponent

@@ -5,7 +5,7 @@ rules of §3.2.2:
 
 * **Init-C** — Clifford gates update the X/Z bit blocks exactly as in
   Aaronson–Gottesman, evaluated as the gate's ANF kernel
-  (:mod:`repro.gates.anf`) on the gathered columns of every target at
+  (:mod:`repro.gates.anf`) on the gathered rows of every target at
   once; the XOR of the per-target sign flips lands in the constant
   column of the phase matrix.
 * **Init-P** — a noise instruction allocates one record of fresh
@@ -26,6 +26,40 @@ stabilizer row, a determinate outcome is a product of stabilizer rows,
 and the collapse copies a stabilizer row into a destabilizer row, never
 back.  So no destabilizer phase can reach an outcome, and the pass skips
 them (the X/Z bits of all 2n rows still drive the control flow).
+
+**Two layouts of the X/Z bits** (the paper's Fig. 2 idea; the layouts
+alone are ablated in :mod:`repro.layout`).  Between measurements the
+bits are *qubit-major* uint8 blocks ``xs[q, g]``, ``zs[q, g]`` (qubit
+``q``, generator ``g``; destabilizers ``0 .. n-1``, stabilizers
+``n .. 2n-1``), so Init-C gathers and scatters contiguous rows and
+Init-P reads one contiguous row per noise site.  Each measurement or
+reset instruction runs as one *segment* on a packed generator-major
+table ``T = [X words | Z words | q word]`` (one uint64 row per
+generator), built once before the instruction's first target and
+unpacked once after its last, so every rowsum is a whole-row XOR.  A
+basis measurement or reset conjugates the instruction's distinct
+targets once before the segment and once after (the conjugations are
+self-inverse, and a single-qubit Clifford on qubit ``b`` commutes with
+a Z measurement or reset of qubit ``a != b``).
+
+**Sign convention inside a segment.**  An A-G row with sign bit ``c``
+is ``P = (-1)^c i^|x∧z| X^x Z^z`` (each ``Y`` is ``iXZ``).  The segment
+writes it ``P = i^φ X^x Z^z`` with ``φ = 2c + |x∧z| (mod 4)``, storing
+``q = bit0(φ) = |x∧z| mod 2`` in ``T``'s last word and
+``c' = bit1(φ) = c ⊕ bit1(|x∧z| mod 4)`` in the phase matrix's
+constant column (the conversion is applied at entry and undone with the
+new bits at exit; symbolic columns are untouched).  Moving ``Z^z_r``
+past ``X^x_p`` gives ``(i^φr X^xr Z^zr)(i^φp X^xp Z^zp) =
+i^(φr + φp + 2 z_r·x_p) X^(xr⊕xp) Z^(zr⊕zp)``; the q bits add with a
+carry, so a rowsum flips ``c'`` by ``parity(z_r·x_p) ⊕ (q_r ∧ q_p)``
+(one masked popcount, :func:`rowsum_sign_flips`) and XORs ``q`` with
+the rest of the row.  ``q`` stays equal to ``parity(|x∧z|)`` exactly
+when every product is of commuting rows, so one check at segment exit
+replaces A-G's per-rowsum "odd i-exponent" test.  A determinate
+outcome's product of ordered rows ``k`` has
+``φ = Σφ_k + 2 Σ_{i<j} z_i·x_j``; it is ``±Z``, so ``Σq_k`` is even and
+its sign bit is ``Σq_k / 2 + Σc'_k + Σ_{i<j} z_i·x_j (mod 2)``, the last
+sum a prefix XOR of the Z words.
 """
 
 from __future__ import annotations
@@ -41,7 +75,40 @@ from repro.gates.anf import gate_kernel
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gf2 import bitops
 from repro.noise.channels import noise_channel
-from repro.tableau.tableau import g_exponents
+
+_ONE = np.uint64(1)
+
+
+def pack_generators(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Qubit-major 0/1 blocks -> the segment table ``[X | Z | q]``: one
+    packed row per generator, ``q`` the parity of its ``|x∧z|``."""
+    n, w = xs.shape[0], bitops.words_for(xs.shape[0])
+    table = np.zeros((xs.shape[1], 2 * w + 1), dtype=np.uint64)
+    octets = table.view(np.uint8)
+    n_bytes = (n + 7) // 8
+    for block, first in ((xs, 0), (zs, 8 * w)):
+        octets[:, first: first + n_bytes] = np.packbits(
+            np.ascontiguousarray(block.T), axis=1, bitorder="little"
+        )
+    table[:, 2 * w] = y_counts(table) & 1
+    return table
+
+
+def y_counts(table: np.ndarray) -> np.ndarray:
+    """``|x∧z|`` (the number of Y factors) of every row of a segment table."""
+    w = table.shape[1] // 2
+    return np.bitwise_count(table[:, :w] & table[:, w: 2 * w]).sum(
+        axis=1, dtype=np.int64
+    )
+
+
+def rowsum_sign_flips(rows: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """0/1 flip of ``c'`` for each of ``rows`` (segment-table rows) when
+    multiplied by ``src``: ``parity(z_r·x_p) ⊕ (q_r ∧ q_p)``, as one
+    popcount of ``[Z_r | q_r] & [X_p | q_p]``."""
+    w = rows.shape[1] // 2
+    mask = np.concatenate((src[:w], src[2 * w:]))
+    return bitops.parity_words(rows[:, w:] & mask, axis=1)
 
 
 class SymPhaseSimulator:
@@ -52,11 +119,12 @@ class SymPhaseSimulator:
             raise ValueError("need at least one qubit")
         n = n_qubits
         self.n = n
-        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
-        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
+        # Qubit-major: xs[q, g] is generator g's X bit on qubit q.
+        self.xs = np.zeros((n, 2 * n), dtype=np.uint8)
+        self.zs = np.zeros((n, 2 * n), dtype=np.uint8)
         idx = np.arange(n)
         self.xs[idx, idx] = 1
-        self.zs[n + idx, idx] = 1
+        self.zs[idx, n + idx] = 1
         self.phases = PhaseMatrix(n, first_row=n)  # stabilizer rows only
         self.symbols = SymbolTable()
         self.measurements: list[np.ndarray] = []  # packed bit-vectors
@@ -126,15 +194,11 @@ class SymPhaseSimulator:
                 self._apply_feedback(instruction)
             else:
                 self._apply_gate(gate.name, instruction.targets)
-        elif gate.kind == "measure":
-            for qubit in instruction.targets:
-                self.measurements.append(self._measure(qubit, gate.basis))
-        elif gate.kind == "reset":
-            for qubit in instruction.targets:
-                self._reset(qubit, gate.basis, record=False)
-        elif gate.kind == "measure_reset":
-            for qubit in instruction.targets:
-                self._reset(qubit, gate.basis, record=True)
+        elif gate.kind in ("measure", "reset", "measure_reset"):
+            self._measure_segment(
+                instruction.targets, gate.basis,
+                record=gate.kind != "reset", reset=gate.kind != "measure",
+            )
         elif gate.kind == "noise":
             self._apply_noise(instruction)
         elif gate.kind == "annotation":
@@ -153,12 +217,12 @@ class SymPhaseSimulator:
             columns = [sites[:, slot] for slot in range(arity)]
             inputs = []
             for qubits in columns:
-                inputs += [self.xs[:, qubits], self.zs[:, qubits]]
+                inputs += [self.xs[qubits], self.zs[qubits]]
             *outputs, flip = kernel.evaluate(inputs)
             for slot, qubits in enumerate(columns):
-                self.xs[:, qubits] = outputs[2 * slot]
-                self.zs[:, qubits] = outputs[2 * slot + 1]
-            flipped = np.nonzero(np.bitwise_xor.reduce(flip[self.n:], axis=1))[0]
+                self.xs[qubits] = outputs[2 * slot]
+                self.zs[qubits] = outputs[2 * slot + 1]
+            flipped = np.flatnonzero(np.bitwise_xor.reduce(flip[:, self.n:], axis=0))
             if flipped.size:
                 self.phases.xor_constant(flipped + self.n)
 
@@ -176,9 +240,9 @@ class SymPhaseSimulator:
                 vector = self.measurements[
                     record_index(len(self.measurements), control)
                 ]
-                rows = self._anticommuting_stabilizers(letter, qubit)
+                rows = np.flatnonzero(self._anticommuting_mask(letter, qubit))
                 if rows.size:
-                    self.phases.xor_vector(rows, vector)
+                    self.phases.xor_vector(rows + self.n, vector)
             else:
                 self._apply_gate(instruction.name, (control, qubit))
 
@@ -186,19 +250,15 @@ class SymPhaseSimulator:
 
     def _anticommuting_mask(self, letter: str, qubits) -> np.ndarray:
         """0/1 mask of the stabilizer rows anticommuting with ``letter``
-        on ``qubits`` (one column per qubit when ``qubits`` is an array)."""
+        on ``qubits`` (one row per qubit when ``qubits`` is an array)."""
         stabilizers = slice(self.n, None)
         if letter == "X":
-            return self.zs[stabilizers, qubits]
+            return self.zs[qubits, stabilizers]
         if letter == "Z":
-            return self.xs[stabilizers, qubits]
+            return self.xs[qubits, stabilizers]
         if letter == "Y":
-            return self.xs[stabilizers, qubits] ^ self.zs[stabilizers, qubits]
+            return self.xs[qubits, stabilizers] ^ self.zs[qubits, stabilizers]
         raise ValueError(f"invalid Pauli letter {letter!r}")
-
-    def _anticommuting_stabilizers(self, letter: str, qubit: int) -> np.ndarray:
-        """Tableau indices of the stabilizer rows ``letter_qubit`` flips."""
-        return np.nonzero(self._anticommuting_mask(letter, qubit))[0] + self.n
 
     def _apply_noise(self, instruction: Instruction) -> None:
         """Apply ``P^s`` for every symbol of every site in one block XOR.
@@ -210,56 +270,88 @@ class SymPhaseSimulator:
             return
         first = self.symbols.allocate_noise(channel)
         block = np.zeros(
-            (self.n, channel.n_sites, len(channel.columns)), dtype=np.uint8
+            (channel.n_sites, len(channel.columns), self.n), dtype=np.uint8
         )
         for j, column in enumerate(channel.columns):
             for letter, slot in column:
-                block[:, :, j] ^= self._anticommuting_mask(
+                block[:, j] ^= self._anticommuting_mask(
                     letter, channel.qubits[:, slot]
                 )
-        self.phases.xor_block(first, block.reshape(self.n, -1))
+        self.phases.xor_block(first, block.reshape(-1, self.n).T)
 
-    # -- Init-M: measurements --------------------------------------------------
+    # -- Init-M: one segment per measurement or reset instruction -------------
 
-    def _rowsum_many(
-        self, destabilizers: np.ndarray, stabilizers: np.ndarray, src: int
+    def _measure_segment(
+        self, targets: tuple[int, ...], basis: str, record: bool, reset: bool
     ) -> None:
-        """Symbolic rowsum of stabilizer row ``src`` into the given rows:
-        the X/Z bits of every row, and for the stabilizer rows the phase
-        XOR plus the deterministic g-phase (destabilizer phases are not
-        kept)."""
-        if stabilizers.size:
-            g_sum = g_exponents(
-                self.xs[stabilizers], self.zs[stabilizers],
-                self.xs[src], self.zs[src],
-            ).sum(axis=1, dtype=np.int64)
-            g_mod4 = g_sum % 4
-            if np.any(g_mod4 & 1):
-                raise AssertionError("odd i-exponent on a stabilizer row")
-            self.phases.xor_rows(stabilizers, src)
-            const_rows = stabilizers[(g_mod4 >> 1) & 1 == 1]
-            if const_rows.size:
-                self.phases.xor_constant(const_rows)
-        rows = np.concatenate((destabilizers, stabilizers))
-        self.xs[rows] ^= self.xs[src]
-        self.zs[rows] ^= self.zs[src]
+        """Z-measure every target in order on one packed generator-major
+        table, recording each outcome (``record``) and/or applying the §6
+        conditional Pauli that forces the +1 eigenstate (``reset``)."""
+        conj = BASIS_CONJUGATION.get(basis)
+        distinct = tuple(dict.fromkeys(targets))
+        if conj:
+            self._apply_gate(conj, distinct)
+        table = self._enter_segment()
+        n, w = self.n, table.shape[1] // 2
+        for qubit in targets:
+            word, mask = bitops.bit_to_word(qubit)
+            vector = self._collapse(table, qubit, word, mask)
+            if record:
+                self.measurements.append(vector)
+            if reset:
+                rows = np.flatnonzero(table[n:, w + word] & mask)
+                if rows.size:
+                    self.phases.xor_vector(rows + n, vector)
+        self._leave_segment(table)
+        if conj:
+            self._apply_gate(conj, distinct)
 
-    def _measure_z(self, qubit: int) -> np.ndarray:
-        """Measure qubit in Z; returns the outcome's packed bit-vector."""
-        n = self.n
-        stab_hits = np.nonzero(self.xs[n:, qubit])[0] + n
-        if stab_hits.size:
-            p = int(stab_hits[0])
-            self._rowsum_many(
-                np.nonzero(self.xs[:n, qubit])[0], stab_hits[1:], p
+    def _flip_signs_by_y(self, y: np.ndarray) -> None:
+        """``c ↔ c'``: flip the constant of every stabilizer row whose
+        ``|x∧z| mod 4`` has bit 1 set (its own inverse)."""
+        flipped = np.flatnonzero(y[self.n:] & 2)
+        if flipped.size:
+            self.phases.xor_constant(flipped + self.n)
+
+    def _enter_segment(self) -> np.ndarray:
+        table = pack_generators(self.xs, self.zs)
+        self._flip_signs_by_y(y_counts(table))
+        return table
+
+    def _leave_segment(self, table: np.ndarray) -> None:
+        n, w = self.n, table.shape[1] // 2
+        y = y_counts(table)
+        if np.any(table[:, 2 * w] != (y & 1)):
+            raise AssertionError(
+                "odd i-exponent: a rowsum multiplied anticommuting rows"
             )
-            # A-G copies row p into destabilizer p - n; its phase is not
-            # kept, so only the X/Z bits move.
-            self.xs[p - n] = self.xs[p]
-            self.zs[p - n] = self.zs[p]
-            self.xs[p] = 0
-            self.zs[p] = 0
-            self.zs[p, qubit] = 1
+        self._flip_signs_by_y(y)
+        octets = table.view(np.uint8)
+        for block, first in ((self.xs, 0), (self.zs, 8 * w)):
+            block[:] = np.unpackbits(
+                octets[:, first: first + 8 * w], axis=1, count=n,
+                bitorder="little",
+            ).T
+
+    def _collapse(
+        self, table: np.ndarray, qubit: int, word: int, mask: np.uint64
+    ) -> np.ndarray:
+        """Z-measure ``qubit`` (bit ``mask`` of word ``word``) on the
+        segment table; returns the outcome's packed bit-vector."""
+        n, w = self.n, table.shape[1] // 2
+        hits = np.flatnonzero(table[:, word] & mask)
+        first = int(np.searchsorted(hits, n))
+        if first < hits.size:
+            p = int(hits[first])
+            others = hits[first + 1:]
+            src = table[p].copy()
+            self.phases.xor_rows(others, p, rowsum_sign_flips(table[others], src))
+            # Every row with X on the qubit times row p; row p zeroes
+            # itself, becomes Z_qubit, and its old value moves to
+            # destabilizer p - n (whose phase is not kept).
+            table[hits] ^= src
+            table[p - n] = src
+            table[p, w + word] = mask
             self.phases.clear_row(p)
             symbol = self.symbols.allocate_measurement(
                 len(self.measurements), qubit
@@ -270,52 +362,27 @@ class SymPhaseSimulator:
             # would also flip every other row containing Z_qubit, which
             # contradicts both the paper's own §3.1 tableau and the true
             # post-measurement state.)
-            self.phases.xor_symbol(np.array([p]), symbol)
+            self.phases.xor_symbol(p, symbol)
             vector = np.zeros(bitops.words_for(self.symbols.width), dtype=np.uint64)
             bitops.set_bit(vector, symbol, 1)
             return vector
 
         # Determinate outcome: product of the stabilizer rows selected by
         # the destabilizer X column (A-G), with symbolic phases XORed.
-        hits = np.nonzero(self.xs[:n, qubit])[0] + n
-        vector = self.phases.xor_reduce(hits)
-        if hits.size > 1:
-            # The g-phase of multiplying each row onto the product of the
-            # rows before it (the first row's is 0): the running products
-            # are a prefix XOR, so one g_exponents call covers them all.
-            xs, zs = self.xs[hits], self.zs[hits]
-            g_sum = g_exponents(
-                np.bitwise_xor.accumulate(xs[:-1], axis=0),
-                np.bitwise_xor.accumulate(zs[:-1], axis=0),
-                xs[1:], zs[1:],
-            ).sum(axis=1, dtype=np.int64)
-            if np.any(g_sum & 1):
-                raise AssertionError("odd i-exponent in determinate product")
-            if int(g_sum.sum()) & 2:
-                vector[0] ^= np.uint64(1)
+        rows = hits + n
+        vector = self.phases.xor_reduce(rows)
+        if rows.size == 1:
+            return vector
+        factors = table[rows]
+        y_total = int(factors[:, 2 * w].sum())
+        if y_total & 1:
+            raise AssertionError("odd i-exponent in determinate product")
+        # Σ_{i<j} z_i·x_j: each factor's X against the XOR of the Z words
+        # of the factors before it.
+        swaps = bitops.parity_words(
+            np.bitwise_xor.accumulate(factors[:-1, w: 2 * w], axis=0)
+            & factors[1:, :w]
+        )
+        if ((y_total >> 1) ^ int(swaps)) & 1:
+            vector[0] ^= _ONE
         return vector
-
-    def _measure(self, qubit: int, basis: str) -> np.ndarray:
-        conj = BASIS_CONJUGATION.get(basis)
-        if conj:
-            self._apply_gate(conj, (qubit,))
-        vector = self._measure_z(qubit)
-        if conj:
-            self._apply_gate(conj, (qubit,))
-        return vector
-
-    def _reset(self, qubit: int, basis: str, record: bool) -> None:
-        """Measure, optionally record, then apply the symbolic-exponent
-        conditional Pauli that forces the +1 eigenstate (§6 extension)."""
-        conj = BASIS_CONJUGATION.get(basis)
-        if conj:
-            self._apply_gate(conj, (qubit,))
-        vector = self._measure_z(qubit)
-        if record:
-            self.measurements.append(vector)
-        rows = self._anticommuting_stabilizers("X", qubit)
-        if rows.size:
-            self.phases.xor_vector(rows, vector)
-        if conj:
-            self._apply_gate(conj, (qubit,))
-

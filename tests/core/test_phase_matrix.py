@@ -53,10 +53,18 @@ class TestRowOps:
         pm = PhaseMatrix(3)
         pm.xor_symbol(np.array([0]), 3)
         pm.xor_constant(np.array([0]))
-        pm.xor_rows(np.array([1, 2]), 0)
+        pm.xor_rows(np.array([1, 2]), 0, np.zeros(2, dtype=np.uint8))
         for row in (1, 2):
             assert bitops.get_bit(pm.words[row], 3) == 1
             assert bitops.get_bit(pm.words[row], 0) == 1
+
+    def test_xor_rows_with_flips(self):
+        pm = PhaseMatrix(3, first_row=3)
+        pm.xor_symbol(3, 70)
+        pm.xor_rows(np.array([4, 5]), 3, np.array([1, 0], dtype=np.uint8))
+        assert list(pm.row_support(4)) == [0, 70]
+        assert list(pm.row_support(5)) == [70]
+        assert list(pm.row_support(3)) == [70]
 
     def test_clear_row(self):
         pm = PhaseMatrix(2)
@@ -95,7 +103,7 @@ class TestRowBand:
         pm = PhaseMatrix(2, first_row=3)
         pm.xor_symbol(np.array([3]), 70)
         pm.xor_constant(np.array([4]))
-        pm.xor_rows(np.array([4]), 3)
+        pm.xor_rows(np.array([4]), 3, np.zeros(1, dtype=np.uint8))
         assert list(pm.row_support(3)) == [70]
         assert list(pm.row_support(4)) == [0, 70]
         both = pm.row_vector(3) ^ pm.row_vector(4)
@@ -123,7 +131,7 @@ class TestRowBand:
         pm.ensure_width(130)
         assert pm.words.shape[1] > pm.live_words
         pm.words[0, pm.live_words:] = 7  # sentinel past the width
-        pm.xor_rows(np.array([1]), 0)
+        pm.xor_rows(np.array([1]), 0, np.zeros(1, dtype=np.uint8))
         pm.clear_row(0)
         assert not pm.words[1, pm.live_words:].any()
         assert (pm.words[0, pm.live_words:] == 7).all()

@@ -79,7 +79,7 @@ class TestPaperFig1Example:
         n = sim.n
         rows = ["".join(
             "IXZY"[int(x) + 2 * int(z)]
-            for x, z in zip(sim.xs[n + i], sim.zs[n + i])
+            for x, z in zip(sim.xs[:, n + i], sim.zs[:, n + i])
         ) for i in range(n)]
         assert rows == ["XXXX", "ZZII", "IZZI", "IIZZ"]
 

@@ -18,7 +18,7 @@ from benchmarks.bench_symbolic_pass import grid, pass_digests
 from repro.backends import compile_backend
 from repro.circuit import Circuit, RecTarget
 from repro.circuit.instructions import disjoint_runs
-from repro.circuit.transforms import record_index
+from repro.circuit.transforms import RecordAnnotations, record_index
 from repro.core import (
     CompiledSampler,
     PhaseMatrix,
@@ -28,6 +28,7 @@ from repro.core import (
     random_assignment,
     substituted_record,
 )
+from repro.core.simulator import pack_generators, rowsum_sign_flips, y_counts
 from repro.frame.program import FrameProgram
 from repro.gates.anf import gate_kernel
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
@@ -229,16 +230,71 @@ class TestCompileSpans:
         assert 'stage="core.sampler_build"' in text
 
 
-class TwoHalfReference(SymPhaseSimulator):
+class TwoHalfReference:
     """The pass as it was before it dropped the destabilizer phases: a
     2n-row phase matrix, every sign update on all rows it touches, the
     collapse copying row p's phase into destabilizer p - n, whole-row
-    phase XORs and a per-row loop for determinate outcomes.  Test-only;
-    the control flow (X/Z bits) is the same A-G as the real pass."""
+    phase XORs and a per-row loop for determinate outcomes.  Test-only
+    and self-contained: generator-major X/Z arrays, A-G's per-target
+    measurement with A-G's sign bits, and its own dispatch, so nothing of
+    the pass under test runs inside it."""
 
     def __init__(self, n_qubits: int):
-        super().__init__(n_qubits)
-        self.phases = PhaseMatrix(2 * n_qubits)
+        n = n_qubits
+        self.n = n
+        self.xs = np.zeros((2 * n, n), dtype=np.uint8)
+        self.zs = np.zeros((2 * n, n), dtype=np.uint8)
+        idx = np.arange(n)
+        self.xs[idx, idx] = 1
+        self.zs[n + idx, idx] = 1
+        self.phases = PhaseMatrix(2 * n)
+        self.symbols = SymbolTable()
+        self.measurements = []
+        self.annotations = RecordAnnotations()
+
+    @classmethod
+    def from_circuit(cls, circuit: Circuit) -> "TwoHalfReference":
+        reference = cls(max(circuit.n_qubits, 1))
+        for instruction in circuit.flattened():
+            reference.do_instruction(instruction)
+        return reference
+
+    @property
+    def detectors(self):
+        return self.annotations.detectors
+
+    @property
+    def observables(self):
+        return self.annotations.observables
+
+    @property
+    def num_measurements(self):
+        return len(self.measurements)
+
+    def do_instruction(self, instruction):
+        gate = instruction.gate
+        if gate.is_unitary:
+            if gate.name in FEEDBACK_LETTER and any(
+                isinstance(t, RecTarget) for t in instruction.targets[0::2]
+            ):
+                self._apply_feedback(instruction)
+            else:
+                self._apply_gate(gate.name, instruction.targets)
+        elif gate.kind == "measure":
+            for qubit in instruction.targets:
+                self.measurements.append(self._measure(qubit, gate.basis))
+        elif gate.kind == "reset":
+            for qubit in instruction.targets:
+                self._reset(qubit, gate.basis, record=False)
+        elif gate.kind == "measure_reset":
+            for qubit in instruction.targets:
+                self._reset(qubit, gate.basis, record=True)
+        elif gate.kind == "noise":
+            self._apply_noise(instruction)
+        elif gate.kind == "annotation":
+            self.annotations.add(instruction, len(self.measurements))
+        else:
+            raise ValueError(f"unhandled instruction kind {gate.kind!r}")
 
     def _apply_gate(self, name, targets):
         kernel = gate_kernel(get_gate(name).name)
@@ -346,6 +402,15 @@ class TwoHalfReference(SymPhaseSimulator):
             vector[0] ^= np.uint64(1)
         return vector[: bitops.words_for(self.symbols.width)].copy()
 
+    def _measure(self, qubit, basis):
+        conj = BASIS_CONJUGATION.get(basis)
+        if conj:
+            self._apply_gate(conj, (qubit,))
+        vector = self._measure_z(qubit)
+        if conj:
+            self._apply_gate(conj, (qubit,))
+        return vector
+
     def _reset(self, qubit, basis, record):
         conj = BASIS_CONJUGATION.get(basis)
         if conj:
@@ -429,6 +494,33 @@ class TestStabilizerOnlyPass:
     def test_grid_circuits_equal_reference(self, name):
         assert_matches_reference(grid()[name])
 
+    @settings(max_examples=9, deadline=None)
+    @given(seed=st.integers(0, 2**31), n_qubits=st.sampled_from((63, 64, 65)))
+    def test_packed_word_edges_equal_reference(self, seed, n_qubits):
+        """Qubits 63 and 64 sit on either side of a segment-table word
+        boundary; 65 qubits leave 63 padding bits in the last word."""
+        rng = np.random.default_rng(seed)
+        circuit = mixed_circuit(rng, n_qubits, depth=40)
+        append_annotations(circuit, rng)
+        assert_matches_reference(circuit)
+        assert_matches_reference(fig3c_circuit(n_qubits, seed=seed % 1000))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["H 0 1\nM 0 0 1", "H 0 1\nMX 0 1 0", "H 0 1\nMR 2 2",
+         "H 0 1\nM 0 0 1\nMX 0 1 0\nMR 2 2"],
+    )
+    def test_random_and_determinate_targets_in_one_instruction(self, text):
+        prefix = "X_ERROR(0.1) 0 1 2\nZ_ERROR(0.1) 0 1\n"
+        circuit = Circuit.from_text(prefix + text + "\nM 0 1 2")
+        assert_matches_reference(circuit)
+        assert_linear(circuit, np.random.default_rng(3), assignments=8)
+
+    def test_repeated_target_rereads_the_collapsed_outcome(self):
+        sim = SymPhaseSimulator.from_circuit(Circuit.from_text("H 0 1\nM 0 0 1"))
+        first, again, other = (sim.measurement_expression(k) for k in range(3))
+        assert first == again != other
+
     def test_destabilizer_row_has_no_phase(self):
         sim = SymPhaseSimulator.from_circuit(Circuit.from_text("H 0\nCX 0 1"))
         assert sim.phases.row_support(3).tolist() == []
@@ -445,10 +537,100 @@ class TestStabilizerOnlyPass:
         words = []
         xor_rows = PhaseMatrix.xor_rows
 
-        def counting(matrix, dst_rows, src_row):
+        def counting(matrix, dst_rows, src_row, flips):
             words.append(len(dst_rows) * matrix.live_words)
-            return xor_rows(matrix, dst_rows, src_row)
+            return xor_rows(matrix, dst_rows, src_row, flips)
 
         monkeypatch.setattr(PhaseMatrix, "xor_rows", counting)
         SymPhaseSimulator.from_circuit(grid()["fig3c_n128"])
         assert sum(words) <= 10_000_000
+
+
+def random_paulis(rng, n_qubits, count):
+    """``count`` random qubit-major Pauli columns on ``n_qubits`` qubits."""
+    return (
+        rng.integers(0, 2, (n_qubits, count), dtype=np.uint8),
+        rng.integers(0, 2, (n_qubits, count), dtype=np.uint8),
+    )
+
+
+def y_bit1(xs, zs):
+    """Bit 1 of ``|x∧z| mod 4`` per column."""
+    return (np.count_nonzero(xs & zs, axis=0) >> 1) & 1
+
+
+class TestSegmentSignConvention:
+    """Inside a segment a row is ``i^φ X^x Z^z`` with
+    ``φ = 2c + |x∧z|``; its sign bit is ``c' = c ⊕ bit1(|x∧z| mod 4)``."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 5, 63, 64, 65, 129, 130])
+    def test_flip_rule_equals_g_exponents(self, n_qubits):
+        """For commuting rows r, p the segment's flip of ``c'`` under
+        r := r·p is A-G's flip of ``c`` after converting both rows and the
+        product: ``f' = f ⊕ b(r) ⊕ b(p) ⊕ b(r·p)``, ``b = bit1(|x∧z|)``."""
+        rng = np.random.default_rng(n_qubits)
+        xs, zs = random_paulis(rng, n_qubits, 2000)
+        xr, zr, xp, zp = xs[:, 0::2], zs[:, 0::2], xs[:, 1::2], zs[:, 1::2]
+        commuting = (np.count_nonzero(xr & zp, axis=0)
+                     + np.count_nonzero(zr & xp, axis=0)) % 2 == 0
+        xr, zr, xp, zp = (a[:, commuting] for a in (xr, zr, xp, zp))
+        assert xr.shape[1] > 400
+        g_sum = g_exponents(xr.T, zr.T, xp.T, zp.T).sum(axis=1, dtype=np.int64)
+        assert not np.any(g_sum & 1)
+        ag_flip = (g_sum % 4) >> 1
+        expected = ag_flip ^ y_bit1(xr, zr) ^ y_bit1(xp, zp) ^ y_bit1(xr ^ xp, zr ^ zp)
+        rows = pack_generators(xr, zr)
+        sources = pack_generators(xp, zp)
+        flips = [
+            int(rowsum_sign_flips(rows[k: k + 1], sources[k])[0])
+            for k in range(rows.shape[0])
+        ]
+        assert flips == expected.tolist()
+
+    def test_q_word_is_y_parity(self):
+        xs, zs = random_paulis(np.random.default_rng(1), 70, 140)
+        table = pack_generators(xs, zs)
+        w = bitops.words_for(70)
+        assert table.shape == (140, 2 * w + 1)
+        assert table[:, 2 * w].tolist() == (
+            np.count_nonzero(xs & zs, axis=0) & 1
+        ).tolist()
+        assert np.array_equal(y_counts(table), np.count_nonzero(xs & zs, axis=0))
+
+    @pytest.mark.parametrize("n_qubits", [6, 64, 65])
+    def test_entry_then_exit_leaves_phases_and_bits(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        sim = SymPhaseSimulator.from_circuit(mixed_circuit(rng, n_qubits, 40))
+        # Mixed circuits end in a full Z measurement; this layer turns
+        # every generator with Z on qubit 0 into one with two or more Y's.
+        qubits = " ".join(map(str, range(n_qubits)))
+        sim.run(Circuit.from_text(f"H {qubits}\nCX 0 1\nS {qubits}"))
+        words, xs, zs = sim.phases.words.copy(), sim.xs.copy(), sim.zs.copy()
+        table = sim._enter_segment()
+        converted = sim.phases.words.copy()
+        sim._leave_segment(table)
+        assert np.array_equal(sim.phases.words, words)
+        assert np.array_equal(sim.xs, xs) and np.array_equal(sim.zs, zs)
+        # Entry really converts: the constants of rows with |x∧z| = 2, 3
+        # (mod 4) flip and nothing else moves.
+        flipped = y_bit1(xs[:, n_qubits:], zs[:, n_qubits:]).astype(np.uint64)
+        assert np.any(flipped)
+        assert np.array_equal(converted[:, 0] ^ words[:, 0], flipped)
+        assert np.array_equal(converted[:, 1:], words[:, 1:])
+
+    def test_corrupted_q_bit_fails_the_exit_check(self, monkeypatch):
+        """The mutation check for the per-rowsum odd-exponent assertion it
+        replaces: a q bit that no longer matches its row's bits (as an
+        anticommuting product would leave it) is caught at segment exit."""
+        collapse = SymPhaseSimulator._collapse
+
+        def corrupting(sim, table, *args):
+            vector = collapse(sim, table, *args)
+            table[sim.n, -1] ^= np.uint64(1)
+            return vector
+
+        circuit = Circuit.from_text("H 0\nCX 0 1\nX_ERROR(0.1) 1\nM 1 0")
+        SymPhaseSimulator.from_circuit(circuit)
+        monkeypatch.setattr(SymPhaseSimulator, "_collapse", corrupting)
+        with pytest.raises(AssertionError, match="odd i-exponent"):
+            SymPhaseSimulator.from_circuit(circuit)
