@@ -21,8 +21,9 @@ name, mirroring :mod:`repro.backends`:
     enumerated fault weight).
 
 :func:`logical_error_rate` runs the loop end to end: sample, decode,
-score; :func:`count_logical_errors` is its packed counting step, the
-same one the collection engine runs per chunk.
+score; :func:`count_logical_errors` is its packed counting step, one
+chunk of the :func:`~repro.decoders.metrics.count_chunk_errors` the
+collection engine runs per decode batch.
 
 Decoder *classes* are imported lazily (PEP 562) and the registry
 factories defer their imports, so name resolution — CLI ``choices=``,

@@ -37,10 +37,12 @@ compiled decoder does all path-finding at **compile time** instead:
      (:func:`~repro.decoders.blossom.min_weight_matching`): lists
      indexed by vertex, no graph objects.
 
-There is one batch path: ``decode_batch`` packs its rows and runs the
-packed-wire ``decode_batch_packed`` (zero-row short-circuit, void-view
-dedupe, defect extraction straight from the uint64 words), which hands
-its unique rows to the decode core as one CSR-style defect view.
+There is one batch path, ``decode_chunks_packed``: a list of packed-wire
+chunks, each with its own zero-row short-circuit and void-view dedupe,
+whose unique rows go to the decode core together as one CSR-style defect
+view (defect extraction straight from the uint64 words).
+``decode_batch_packed`` is that path on one chunk, and ``decode_batch``
+packs its rows and runs it.
 
 Predictions are bitwise identical to :class:`MatchingDecoder`: the
 vectorized tables equal the CSR Dijkstra's bit for bit, and that
@@ -61,6 +63,7 @@ import os
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
+from typing import Sequence
 
 import numpy as np
 
@@ -461,7 +464,7 @@ class CompiledMatchingDecoder:
         """Decode many detector samples: shape (shots, n_detectors).
 
         Packs the rows (any nonzero entry is a defect) and runs
-        :meth:`decode_batch_packed`, the one decode path."""
+        :meth:`decode_batch_packed`, the one decode path on one chunk."""
         syndromes = check_syndromes(syndromes, self.n_detectors)
         predictions = self.decode_batch_packed(bitops.pack_rows(syndromes != 0))
         return bitops.unpack_rows(predictions, self.n_observables)
@@ -469,31 +472,51 @@ class CompiledMatchingDecoder:
     def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode packed syndromes natively; returns packed predictions
         (the :class:`~repro.decoders.registry.SyndromeDecoder` wire
-        format).  All-zero rows (the bulk at low physical error rates)
-        short-circuit before dedupe, the surviving rows dedupe through
-        a contiguous void view, and defect indices come straight from
-        the nonzero words; the unique rows then run :meth:`_decode_unique`.
+        format).  :meth:`decode_chunks_packed` on one chunk."""
+        return self.decode_chunks_packed([syndromes])[0]
+
+    def decode_chunks_packed(self, chunks: Sequence[np.ndarray]) -> list:
+        """Decode a list of packed syndrome chunks in one pass; returns
+        each chunk's packed predictions.
+
+        Per chunk, all-zero rows (the bulk at low physical error rates)
+        short-circuit, the surviving rows dedupe through a contiguous
+        void view, and the row counters count that chunk.  The chunks'
+        unique rows then run :meth:`_decode_unique` once, so the DP's
+        per-call cost is paid once per batch.  Rows decode
+        independently, so each chunk's predictions are bitwise those of
+        decoding it alone.  Defect indices come straight from the
+        nonzero words.
         """
-        syndromes = check_packed_syndromes(syndromes, self.n_detectors)
-        out = np.zeros(
-            (syndromes.shape[0], bitops.words_for(self.n_observables)),
-            dtype=np.uint64,
-        )
-        nonzero = bitops.nonzero_rows_packed(syndromes)
-        if nonzero.size == 0:
+        width = bitops.words_for(self.n_observables)
+        outs, scatters, uniques = [], [], []
+        for syndromes in chunks:
+            syndromes = check_packed_syndromes(syndromes, self.n_detectors)
+            out = np.zeros((syndromes.shape[0], width), dtype=np.uint64)
+            outs.append(out)
+            nonzero = bitops.nonzero_rows_packed(syndromes)
+            if nonzero.size == 0:
+                if obs.is_metrics():
+                    _count_decode_rows(syndromes.shape[0], 0, 0)
+                continue
+            unique, inverse = bitops.dedupe_rows_packed(syndromes[nonzero])
             if obs.is_metrics():
-                _count_decode_rows(syndromes.shape[0], 0, 0)
-            return out
-        unique, inverse = bitops.dedupe_rows_packed(syndromes[nonzero])
-        if obs.is_metrics():
-            _count_decode_rows(
-                syndromes.shape[0], int(nonzero.size), int(unique.shape[0])
-            )
+                _count_decode_rows(
+                    syndromes.shape[0], int(nonzero.size), int(unique.shape[0])
+                )
+            scatters.append((out, nonzero, inverse, unique.shape[0]))
+            uniques.append(unique)
+        if not uniques:
+            return outs
+        unique = np.concatenate(uniques)
         rows, flat = bitops.nonzero_bits(unique)
         counts = np.bincount(rows, minlength=unique.shape[0])
-        decoded = self._decode_unique(counts, flat)
-        out[nonzero] = bitops.pack_rows(decoded)[inverse]
-        return out
+        decoded = bitops.pack_rows(self._decode_unique(counts, flat))
+        start = 0
+        for out, nonzero, inverse, n_unique in scatters:
+            out[nonzero] = decoded[start:start + n_unique][inverse]
+            start += n_unique
+        return outs
 
     def _decode_unique(
         self, counts: np.ndarray, flat: np.ndarray
@@ -501,7 +524,7 @@ class CompiledMatchingDecoder:
         """Decode deduplicated syndromes given per-row defect counts and
         the flat (row-major, ascending) defect index stream.
 
-        The decode core behind :meth:`decode_batch_packed`.  One and two
+        The decode core behind :meth:`decode_chunks_packed`.  One and two
         defects are pure array gathers; rows with more than
         :data:`_SPLIT_MIN_DEFECTS` defects split into independent
         clusters (:meth:`_split`); every row or piece of three or more

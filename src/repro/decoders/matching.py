@@ -29,7 +29,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.decoders.registry import check_syndromes, pack_decode_batch
+from repro.decoders.registry import (
+    check_syndromes,
+    loop_decode_chunks,
+    pack_decode_batch,
+)
 from repro.dem.model import DetectorErrorModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,6 +206,10 @@ class MatchingDecoder:
     def decode_batch_packed(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode packed syndromes through the generic pack-adapter."""
         return pack_decode_batch(self, syndromes)
+
+    def decode_chunks_packed(self, chunks) -> list:
+        """Decode each packed chunk through :meth:`decode_batch_packed`."""
+        return loop_decode_chunks(self, chunks)
 
     # -- internals -------------------------------------------------------------
 

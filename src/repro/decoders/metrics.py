@@ -1,8 +1,9 @@
 """End-to-end logical-error-rate estimation: sample, decode, score.
 
-:func:`count_logical_errors` is the one scoring step every caller —
-the engine's chunks, ``CompiledCircuit.logical_error_rate`` and
-:func:`logical_error_rate` — runs on packed samples.
+:func:`count_chunk_errors` is the one scoring step every caller —
+the engine's decode batches, and through :func:`count_logical_errors`
+``CompiledCircuit.logical_error_rate`` and :func:`logical_error_rate` —
+runs on packed samples.
 
 Also the statistics used by the collection engine's aggregation:
 :func:`wilson_interval` (score confidence interval on a binomial
@@ -70,19 +71,34 @@ def count_logical_errors(decoder, detectors, observables) -> int:
     """Shots whose decoded prediction misses the observable flips.
 
     ``detectors`` and ``observables`` are packed uint64 rows (the
-    ``sample_detectors_packed`` wire format); predictions come from
-    ``decoder.decode_batch_packed``, and a shot fails when its
+    ``sample_detectors_packed`` wire format), and a shot fails when its
     prediction row differs from its observable row.  ``decoder=None``
     skips decoding: any raw observable flip counts as an error (the
     engine's ``none`` decoder).  Equal to the unpacked count
     ``(decode_batch(det) != obs).any(axis=1).sum()``, bit for bit.
+    :func:`count_chunk_errors` on one chunk.
     """
+    return count_chunk_errors(decoder, [(detectors, observables)])[0]
+
+
+def count_chunk_errors(decoder, chunks) -> list[int]:
+    """:func:`count_logical_errors` of each ``(detectors, observables)``
+    chunk, with every chunk decoded by one
+    ``decoder.decode_chunks_packed`` call (the engine's decode batch).
+    Each count is the chunk's own: decoding chunks together predicts
+    what decoding each alone does."""
     if decoder is None:
-        return int(bitops.nonzero_rows_packed(observables).size)
-    predictions = decoder.decode_batch_packed(detectors)
-    return int(
-        np.count_nonzero(bitops.xor_rows_any(predictions, observables))
+        return [
+            int(bitops.nonzero_rows_packed(observables).size)
+            for _, observables in chunks
+        ]
+    predictions = decoder.decode_chunks_packed(
+        [detectors for detectors, _ in chunks]
     )
+    return [
+        int(np.count_nonzero(bitops.xor_rows_any(predicted, observables)))
+        for predicted, (_, observables) in zip(predictions, chunks)
+    ]
 
 
 def logical_error_rate(

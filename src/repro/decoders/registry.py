@@ -10,7 +10,7 @@ examples all resolve decoders through this registry, so adding a decoder
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -53,6 +53,17 @@ class SyndromeDecoder(Protocol):
         sample -> decode -> count path uses; a decoder that does not
         work in the packed domain natively answers it with the
         :func:`pack_decode_batch` adapter.
+        """
+        ...
+
+    def decode_chunks_packed(self, chunks: Sequence[np.ndarray]) -> list:
+        """Packed predictions for each of a list of packed syndrome
+        chunks: bitwise ``[decode_batch_packed(c) for c in chunks]``.
+
+        The engine decodes a run of consecutive chunks through this one
+        call, so a decoder with a per-call cost pays it once per run.
+        A decoder without a batched core answers it with the
+        :func:`loop_decode_chunks` adapter.
         """
         ...
 
@@ -118,6 +129,15 @@ def pack_decode_batch(
         bitops.unpack_rows(syndromes, decoder.n_detectors)
     )
     return bitops.pack_rows(predictions)
+
+
+def loop_decode_chunks(
+    decoder: SyndromeDecoder, chunks: Sequence[np.ndarray]
+) -> list:
+    """Generic chunk-list adapter: one ``decode_batch_packed`` call per
+    chunk.  Decoders with no per-call cost to share implement
+    ``decode_chunks_packed`` with this helper."""
+    return [decoder.decode_batch_packed(chunk) for chunk in chunks]
 
 
 @dataclass(frozen=True)

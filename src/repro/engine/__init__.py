@@ -35,6 +35,7 @@ from repro.engine.workers import (
     ChunkSpec,
     plan_chunks,
     run_chunk,
+    run_chunks,
 )
 
 __all__ = [
@@ -53,5 +54,6 @@ __all__ = [
     "fresh_base_seed",
     "plan_chunks",
     "run_chunk",
+    "run_chunks",
     "shared_cache",
 ]

@@ -181,11 +181,9 @@ def cached_sampler(circuit, fingerprint: str, sampler: str):
             return backend.compile(load())
         return backend.compile(load(), cached_pass(load, fingerprint))
 
-    built = shared_cache().get_or_build(
-        sampler_key(fingerprint, sampler), build
+    return _build_then_release(
+        sampler_key(fingerprint, sampler), build, fingerprint, sampler
     )
-    _release_pass(fingerprint, sampler)
-    return built
 
 
 def cached_dem(circuit, fingerprint: str, sampler: str):
@@ -197,17 +195,30 @@ def cached_dem(circuit, fingerprint: str, sampler: str):
     """
     from repro.dem import extract_dem
 
-    dem = shared_cache().get_or_build(
+    return _build_then_release(
         ("dem", fingerprint),
         lambda: extract_dem(cached_pass(circuit, fingerprint)),
+        fingerprint,
+        sampler,
     )
-    _release_pass(fingerprint, sampler)
-    return dem
+
+
+def _build_then_release(key: tuple, build, fingerprint: str, sampler: str):
+    """``get_or_build`` that runs :func:`_release_pass` only when this
+    lookup built ``key``: a hit finds the pass already released or
+    still needed, so it must not drop a pass that ``symbolic()`` has
+    since rebuilt."""
+    cache = shared_cache()
+    built = key not in cache
+    value = cache.get_or_build(key, build)
+    if built:
+        _release_pass(fingerprint, sampler)
+    return value
 
 
 def _release_pass(fingerprint: str, sampler: str) -> None:
-    """Drop the cached pass once the task's ``sampler`` and the DEM are
-    both built.
+    """Drop the cached pass once a build completes the task's
+    (``sampler``, DEM) pair.
 
     A frame sampler keeps only the pass's constant column and the DEM
     its own arrays, so from then on the pass would hold memory (about

@@ -286,9 +286,11 @@ def collect(
     * ``workers`` — process-pool size (``1`` = in-process serial);
       aggregate counts are identical for every value, by construction.
     * ``chunk_shots`` — shots per chunk.  Part of the statistical
-      protocol (it sets the early-stop granularity and the RNG chunking),
-      so changing it changes which shots are drawn — keep it fixed
-      across runs that share a store.
+      protocol (it sets the RNG chunking, the per-chunk accounting and
+      the early-stop granularity), so changing it changes which shots
+      are drawn — keep it fixed across runs that share a store.  It
+      does not set the decode call's size: consecutive chunks of a task
+      are decoded together, up to 4096 shots per call.
     * ``base_seed`` — int for reproducible runs; ``None`` draws one
       fresh OS-entropy seed for the whole run (recorded in every row)
       and accepts any completed stored row on resume.

@@ -44,8 +44,12 @@ class ExecutionOptions:
     * ``workers`` — process-pool size (``1`` = in-process serial).
       Aggregate counts are identical for every value, by construction.
     * ``chunk_shots`` — shots per derived-seed chunk.  Part of the
-      statistical protocol (it sets the RNG chunking and the early-stop
-      granularity), so keep it fixed across runs that share a store.
+      statistical protocol (it sets the RNG chunking, the per-chunk
+      accounting and the early-stop granularity), so keep it fixed
+      across runs that share a store.  The decode batch is separate:
+      up to 4096 shots of consecutive chunks of one task per decode
+      call (a larger chunk is a batch of one), with every count still
+      the chunk's own.
     * ``base_seed`` — int for reproducible runs, ``None`` (the
       default, matching every other seed entry point in the package)
       for fresh OS entropy — see the module docstring for the resume

@@ -22,7 +22,8 @@ directly:
   chunk bitwise identical, so recovery can never skew counts.
 
 The worker main loop (:func:`worker_main`) is deliberately dumb: recv a
-message, do the work, send the reply.  All policy — retry budgets,
+message (and any leases of the same run and task already queued behind
+it), do the work, send one reply per lease.  All policy — retry budgets,
 quarantine, lease deadlines — lives with the scheduler in
 :mod:`repro.engine.workers`; all *mechanism* for keeping processes
 alive lives here.  This split is the single-node version of the
@@ -59,46 +60,78 @@ def worker_main(conn, wire_config: tuple, fault_plan) -> None:
     Messages out: ``("result", token, index, ChunkResult)``,
     ``("error", token, index, message)``.
 
-    A chunk that raises does **not** kill the worker: the error is
-    reported and the loop continues — the parent decides whether to
-    retry or quarantine.  Only a ``stop`` message, a closed
-    pipe, or an actual process death ends the loop.
+    On a chunk lease the worker also takes, without waiting, the leases
+    of the same run already queued in its pipe that
+    :func:`~repro.engine.workers.joins_batch` allows, and runs them as one
+    :func:`~repro.engine.workers.execute_chunks` batch (one decode call);
+    it still answers one message per lease.  A message that does not
+    join the batch is handled next.
+
+    A chunk that raises does **not** kill the worker: a failed batch
+    re-runs its chunks one at a time, so only the failing chunk reports
+    the error, and the loop continues — the parent decides whether to
+    retry or quarantine.  Only a ``stop`` message, a closed pipe, or an
+    actual process death ends the loop.
     """
     # Imported lazily: workers imports this module at top level, and
-    # the late import also means a monkeypatched workers.run_chunk
+    # the late import also means a monkeypatched workers.run_chunks
     # (inherited under fork) is honored.
     from repro.engine import workers
 
     workers.enter_worker(wire_config)
     faults.install(fault_plan)
+    held = None  # read while gathering a batch; handled next
     try:
         while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
+            message, held = held, None
+            if message is None:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    break
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "chunk":
-                token, index, payload = message[1], message[2], message[3]
-                try:
-                    result = workers.execute_chunk(payload)
-                except Exception as exc:
-                    _send(
-                        conn,
-                        (
-                            "error",
-                            token,
-                            index,
-                            f"{type(exc).__name__}: {exc}",
-                        ),
-                    )
-                else:
-                    _send(conn, ("result", token, index, result))
+            if kind != "chunk":
+                continue
+            batch = [message]
+            try:
+                while held is None and conn.poll(0):
+                    queued = conn.recv()
+                    if (
+                        queued[0] == "chunk"
+                        and queued[1] == message[1]
+                        and workers.joins_batch(
+                            [lease[3] for lease in batch], queued[3]
+                        )
+                    ):
+                        batch.append(queued)
+                    else:
+                        held = queued
+            except (EOFError, OSError):
+                held = ("stop",)  # the parent is gone: end after the batch
+            _execute(conn, workers, batch)
     finally:
         with contextlib.suppress(OSError):
             conn.close()
+
+
+def _execute(conn, workers, batch: list[tuple]) -> None:
+    """Run a batch of ``("chunk", token, index, spec)`` leases and send
+    one reply per lease; a failed batch of several re-runs its leases
+    one at a time."""
+    try:
+        results = workers.execute_chunks([message[3] for message in batch])
+    except Exception as exc:
+        if len(batch) > 1:
+            for message in batch:
+                _execute(conn, workers, [message])
+            return
+        _, token, index, _ = batch[0]
+        _send(conn, ("error", token, index, f"{type(exc).__name__}: {exc}"))
+        return
+    for (_, token, index, _), result in zip(batch, results):
+        _send(conn, ("result", token, index, result))
 
 
 def _send(conn, message: tuple) -> None:

@@ -27,6 +27,12 @@ construction), every later chunk is pure Eq. 4 sampling + decoding.
 So ``backend.compile`` runs at most once per worker per circuit, and
 only on workers that actually receive a chunk of it.
 
+Decoding is batched across chunks: :func:`run_chunks` samples a run of
+consecutive chunks of one task (up to :data:`_DECODE_BATCH_SHOTS`), each
+from its own generator, and decodes them with one call, so a matcher's
+per-call cost is paid once per batch while every count stays the
+chunk's own.
+
 The parent-worker wire is the pipe itself: each leased chunk ships as a
 pickled :class:`ChunkSpec` and comes back as a pickled
 :class:`ChunkResult` (counts plus any buffered telemetry).
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 import repro.obs as obs
-from repro.decoders.metrics import count_logical_errors
+from repro.decoders.metrics import count_chunk_errors
 from repro.engine import faults
 from repro.engine.cache import (
     cached_decoder,
@@ -90,7 +96,8 @@ class ChunkResult:
 
     ``started_at``/``finished_at`` are the worker's ``perf_counter``
     stamps (comparable with the parent's on one machine; their
-    difference is the chunk's in-worker time) and ``pid`` the process
+    difference is the chunk's in-worker time, which for the last chunk
+    of a decode batch includes the batch's decode) and ``pid`` the process
     that ran the chunk.  Per-stage times come from the ``obs`` spans
     (``repro collect --profile`` reads them from the metrics registry).
     ``queue_wait_seconds`` (submit -> worker start) and
@@ -109,8 +116,9 @@ class ChunkResult:
     of counting it).
 
     ``spans``/``metrics`` piggyback the worker's buffered
-    :mod:`repro.obs` telemetry back to the parent (wire tuples; the
-    runner absorbs them and strips both before yielding).
+    :mod:`repro.obs` telemetry back to the parent, once per decode
+    batch on its last result (wire tuples; the runner absorbs them and
+    strips both before yielding).
     """
 
     task_id: str
@@ -168,95 +176,157 @@ def plan_chunks(
     return specs
 
 
+#: Most shots one decode batch holds: :meth:`ChunkRunner.run` and the
+#: pool workers hand :func:`run_chunks` runs of consecutive chunks of one
+#: task up to this size (a larger chunk is a batch of one), so the
+#: matcher's per-call cost is paid once per run, not once per chunk.
+_DECODE_BATCH_SHOTS = 4096
+
+
+def joins_batch(batch: list[ChunkSpec], spec: ChunkSpec) -> bool:
+    """Whether ``spec`` may extend the decode ``batch``: a chunk of the
+    same task that keeps it within :data:`_DECODE_BATCH_SHOTS` shots."""
+    return (
+        spec.task_id == batch[0].task_id
+        and sum(chunk.shots for chunk in batch) + spec.shots
+        <= _DECODE_BATCH_SHOTS
+    )
+
+
+def decode_batches(specs: Iterable[ChunkSpec]) -> Iterator[list[ChunkSpec]]:
+    """Group ``specs`` into the longest runs of consecutive chunks that
+    :func:`joins_batch` allows.  Pulls one spec past each run, lazily."""
+    batch: list[ChunkSpec] = []
+    for spec in specs:
+        if batch and not joins_batch(batch, spec):
+            yield batch
+            batch = []
+        batch.append(spec)
+    if batch:
+        yield batch
+
+
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
-    """Sample + decode one chunk (runs in a worker or in-process).
+    """Sample + decode one chunk: :func:`run_chunks` on a batch of one."""
+    return run_chunks([spec])[0]
 
-    Reproducible in isolation: the RNG is seeded purely from the spec's
-    ``(base_seed, task_entropy, chunk_index)`` triple — never from the
-    attempt number, so a retried chunk replays the same shots.
 
-    One path for every sampler and decoder: one
-    ``sample_detectors_packed`` call, then (unless the decoder is
-    ``none``) :func:`~repro.decoders.metrics.count_logical_errors` over
-    ``decode_batch_packed``.  Decoders that are not packed-native
-    answer that through the registry's pack-adapter.  Counts are
-    bitwise those of the unpacked pipeline: the packed and unpacked
-    views of one seed are the same sample, and packed predictions are
-    the unpacked ones, packed.
+def run_chunks(specs: list[ChunkSpec]) -> list[ChunkResult]:
+    """Sample a decode batch of chunks, decode it with one call, and
+    count each chunk (runs in a worker or in-process).
+
+    ``specs`` are chunks of one task.  Each chunk is reproducible in
+    isolation: the RNG is seeded purely from the spec's ``(base_seed,
+    task_entropy, chunk_index)`` triple — never from the attempt number
+    or the batch it rides in, so a retried or differently batched chunk
+    replays the same shots and the same count.
+
+    Per chunk, inside its own ``chunk`` span: one cache lookup of the
+    sampler (and of the decoder), one ``sample_detectors_packed`` call
+    from the chunk's generator in its own ``sample`` span, and the
+    decode fault hook.  Then, unless the decoder is ``none``, one
+    ``decode`` span inside the last chunk's ``chunk`` span runs
+    :func:`~repro.decoders.metrics.count_chunk_errors` over the whole
+    batch (``decode_chunks_packed``; decoders with no batched core
+    answer it through the registry's adapters), and each chunk gets its
+    own :class:`ChunkResult`.  Counts are bitwise those
+    of the unpacked pipeline, one chunk at a time: the packed and
+    unpacked views of one seed are the same sample, and a chunk's
+    packed predictions are its unpacked ones, packed, whatever it is
+    decoded with.
     """
-    started = time.perf_counter()
+    if len({spec.task_id for spec in specs}) != 1:
+        raise ValueError("a decode batch holds one or more chunks of one task")
     pid = os.getpid()
     cache = shared_cache()
-    with obs.span(
-        "chunk",
-        task=spec.task_id,
-        chunk=spec.chunk_index,
-        shots=spec.shots,
-        sampler=spec.sampler,
-        decoder=spec.decoder,
-    ) as chunk_sp:
-        if obs.is_tracing():
-            key = sampler_key(spec.fingerprint, spec.sampler)
-            chunk_sp.set(sampler_cache="hit" if key in cache else "miss")
-        circuit = circuit_loader(spec.circuit_text, spec.fingerprint)
-        sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
-        rng = chunk_generator(
-            spec.base_seed, spec.task_entropy, spec.chunk_index
-        )
-        with obs.span("sample", chunk=spec.chunk_index) as sp:
-            detectors, observables = sampler.sample_detectors_packed(
-                spec.shots, rng
-            )
-            sp.set(
-                detector_bytes=int(detectors.nbytes),
-                observable_bytes=int(observables.nbytes),
-            )
-        if spec.decoder == "none":
-            errors = count_logical_errors(None, detectors, observables)
-        else:
+    chunks, stamps, chunk_spans = [], [], []
+    decoder = None
+    for position, spec in enumerate(specs):
+        started = time.perf_counter()
+        with obs.span(
+            "chunk",
+            task=spec.task_id,
+            chunk=spec.chunk_index,
+            shots=spec.shots,
+            sampler=spec.sampler,
+            decoder=spec.decoder,
+        ) as chunk_sp:
             if obs.is_tracing():
-                key = decoder_key(spec.fingerprint, spec.decoder)
-                chunk_sp.set(decoder_cache="hit" if key in cache else "miss")
-            # spec.decoder is already canonical (Task resolves aliases).
-            decoder = cached_decoder(
-                circuit, spec.fingerprint, spec.sampler, spec.decoder
+                key = sampler_key(spec.fingerprint, spec.sampler)
+                chunk_sp.set(sampler_cache="hit" if key in cache else "miss")
+            circuit = circuit_loader(spec.circuit_text, spec.fingerprint)
+            sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
+            rng = chunk_generator(
+                spec.base_seed, spec.task_entropy, spec.chunk_index
             )
-            faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
-            with obs.span("decode", chunk=spec.chunk_index):
-                errors = count_logical_errors(
-                    decoder, detectors, observables
+            with obs.span("sample", chunk=spec.chunk_index) as sp:
+                detectors, observables = sampler.sample_detectors_packed(
+                    spec.shots, rng
                 )
-        chunk_sp.set(errors=errors)
-    finished = time.perf_counter()
-    if obs.is_metrics():
-        worker = str(pid)
-        obs.counter("repro_chunks_total", pid=worker).inc()
-        obs.counter("repro_shots_total", pid=worker).inc(spec.shots)
-        obs.counter("repro_errors_total", pid=worker).inc(errors)
-        obs.histogram("repro_chunk_seconds", pid=worker).observe(
-            finished - started
+                sp.set(
+                    detector_bytes=int(detectors.nbytes),
+                    observable_bytes=int(observables.nbytes),
+                )
+            chunks.append((detectors, observables))
+            if spec.decoder != "none":
+                if obs.is_tracing():
+                    key = decoder_key(spec.fingerprint, spec.decoder)
+                    chunk_sp.set(
+                        decoder_cache="hit" if key in cache else "miss"
+                    )
+                # spec.decoder is already canonical (Task resolves aliases).
+                decoder = cached_decoder(
+                    circuit, spec.fingerprint, spec.sampler, spec.decoder
+                )
+                faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
+            if position == len(specs) - 1:
+                if decoder is None:
+                    errors = count_chunk_errors(None, chunks)
+                else:
+                    with obs.span(
+                        "decode", chunk=spec.chunk_index, chunks=len(specs)
+                    ):
+                        errors = count_chunk_errors(decoder, chunks)
+        stamps.append((started, time.perf_counter()))
+        chunk_spans.append(chunk_sp)
+    results = []
+    for spec, count, (started, finished), chunk_sp in zip(
+        specs, errors, stamps, chunk_spans
+    ):
+        # Counts arrive with the batch decode; a closed span's record
+        # still takes attributes (see obs.span).
+        chunk_sp.set(errors=count)
+        if obs.is_metrics():
+            worker = str(pid)
+            obs.counter("repro_chunks_total", pid=worker).inc()
+            obs.counter("repro_shots_total", pid=worker).inc(spec.shots)
+            obs.counter("repro_errors_total", pid=worker).inc(count)
+            obs.histogram("repro_chunk_seconds", pid=worker).observe(
+                finished - started
+            )
+        results.append(
+            ChunkResult(
+                task_id=spec.task_id,
+                chunk_index=spec.chunk_index,
+                shots=spec.shots,
+                errors=count,
+                started_at=started,
+                finished_at=finished,
+                pid=pid,
+                attempt=spec.attempt,
+            )
         )
-    return ChunkResult(
-        task_id=spec.task_id,
-        chunk_index=spec.chunk_index,
-        shots=spec.shots,
-        errors=errors,
-        started_at=started,
-        finished_at=finished,
-        pid=pid,
-        attempt=spec.attempt,
-        # Piggyback buffered telemetry only when running in a pool
-        # worker: in-process runs already share the parent's buffers,
-        # and shipping+merging there would double-count every metric.
-        spans=(
-            obs.drain_wire_spans()
-            if _IN_WORKER and obs.is_tracing()
-            else ()
-        ),
-        metrics=(
-            obs.flush_wire() if _IN_WORKER and obs.is_metrics() else ()
-        ),
-    )
+    # Piggyback buffered telemetry only when running in a pool worker,
+    # once per batch, on its last result: in-process runs already share
+    # the parent's buffers, and shipping+merging there would
+    # double-count every metric.
+    if _IN_WORKER and (obs.is_tracing() or obs.is_metrics()):
+        results[-1] = replace(
+            results[-1],
+            spans=obs.drain_wire_spans() if obs.is_tracing() else (),
+            metrics=obs.flush_wire() if obs.is_metrics() else (),
+        )
+    return results
 
 
 _IN_WORKER = False
@@ -264,7 +334,7 @@ _IN_WORKER = False
 
 def enter_worker(config) -> None:
     """Worker initializer: adopt the parent's telemetry flags and mark
-    this process as a worker so ``run_chunk`` ships its telemetry back
+    this process as a worker so ``run_chunks`` ships its telemetry back
     on the wire (spawned children start with everything off; forked
     ones inherit flags but still need the worker mark).
 
@@ -280,11 +350,12 @@ def enter_worker(config) -> None:
     obs.configure(config)
 
 
-def execute_chunk(spec: ChunkSpec) -> ChunkResult:
-    """Worker-side execution of one leased chunk: fire the chunk-start
-    fault hooks, then run the chunk."""
-    faults.on_chunk_start(spec.chunk_index, spec.attempt, _IN_WORKER)
-    return run_chunk(spec)
+def execute_chunks(specs: list[ChunkSpec]) -> list[ChunkResult]:
+    """Worker-side execution of a batch of leased chunks: fire each
+    chunk's chunk-start fault hooks, then run the batch."""
+    for spec in specs:
+        faults.on_chunk_start(spec.chunk_index, spec.attempt, _IN_WORKER)
+    return run_chunks(specs)
 
 
 @dataclass
@@ -449,6 +520,13 @@ class ChunkRunner:
     def run(self, specs: Iterable[ChunkSpec]) -> Iterator[ChunkResult]:
         """Yield results in chunk-submission order.
 
+        In-process execution runs :func:`decode_batches` of the specs —
+        the longest runs of consecutive chunks of one task up to
+        :data:`_DECODE_BATCH_SHOTS` shots — through :func:`run_chunks`,
+        one decode call per run, and yields each chunk's result.  A
+        consumer that stops early therefore discards at most one batch
+        minus one chunk of finished work.
+
         Pooled execution leases chunks to supervised workers with a
         bounded in-flight window of ``2 * workers`` and an
         order-restoring reorder buffer, so downstream aggregation sees
@@ -456,6 +534,9 @@ class ChunkRunner:
         slow chunk never barriers its peers.  The window doubles as the
         speculative-overrun bound the max-errors early stop relies on:
         a consumer that stops early wastes at most one window of work.
+        Each worker decodes the leases it already holds as one batch
+        (see :func:`~repro.engine.supervise.worker_main`), within that
+        window.
 
         Failed leases (worker death, expiry, in-chunk exception) are
         retried in place — the retried chunk re-enters the window it
@@ -470,17 +551,18 @@ class ChunkRunner:
         stale token and are dropped.
         """
         if self._pool is None:
-            for spec in specs:
+            for batch in decode_batches(specs):
                 submitted = time.perf_counter()
-                result = run_chunk(spec)
-                # In-process there is no transport or queue; received
-                # coincides with the worker finish stamp and the bytes
-                # stay 0 so profiles never invent overhead.
-                yield self._finalize(
-                    result,
-                    submitted=submitted,
-                    received=result.finished_at,
-                )
+                for result in run_chunks(batch):
+                    # In-process there is no transport; a chunk queues
+                    # behind its batch-mates, received coincides with
+                    # its finish stamp, and the bytes stay 0 so
+                    # profiles never invent overhead.
+                    yield self._finalize(
+                        result,
+                        submitted=submitted,
+                        received=result.finished_at,
+                    )
             return
         yield from self._run_pooled(specs)
 

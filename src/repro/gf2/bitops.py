@@ -57,14 +57,27 @@ def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D array of 0/1 values row-wise into a packed matrix."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    """Pack a 2-D array of 0/1 values row-wise into a packed matrix.
+
+    Each entry contributes its lowest bit (of its uint8 value, for
+    non-integer input).  The masked bits are written straight into the
+    zero-padded buffer ``np.packbits`` reads, so the input is copied
+    once.
+    """
+    bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError("pack_rows expects a 2-D array")
+    if bits.dtype.kind not in "biu":
+        bits = bits.astype(np.uint8)
     n_rows, n_cols = bits.shape
     n_words = words_for(n_cols)
     padded = np.zeros((n_rows, n_words * WORD_BITS), dtype=np.uint8)
-    padded[:, :n_cols] = bits & 1
+    if bits.dtype == bool:
+        np.copyto(padded[:, :n_cols], bits)
+    else:
+        np.bitwise_and(
+            bits, np.uint8(1), out=padded[:, :n_cols], casting="unsafe"
+        )
     return np.packbits(padded, axis=1, bitorder="little").view(_U64)
 
 

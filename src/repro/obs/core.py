@@ -211,7 +211,9 @@ class _Span:
         self._cpu = 0.0
 
     def set(self, **attrs: Any) -> "_Span":
-        """Attach attributes discovered inside the region."""
+        """Attach attributes discovered inside the region — or after it:
+        the finished record shares this attribute dict, so a late
+        ``set`` lands on it until the record is drained."""
         self.attrs.update(attrs)
         return self
 
@@ -266,7 +268,8 @@ def span(name: str, **attrs: Any):
     """A context manager timing one named region (no-op when disabled).
 
     Attributes are free-form JSON-compatible values; more can be added
-    inside the region via ``.set(**attrs)`` on the yielded span.
+    via ``.set(**attrs)`` on the yielded span, inside the region or
+    after it until the record is drained.
     """
     if not _state.timing:
         return _NOOP

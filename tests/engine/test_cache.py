@@ -160,6 +160,33 @@ class TestCachedDem:
         assert ("pass", compiled.fingerprint) not in shared_cache()
         assert len(shared_cache()) == 3  # sampler, dem, decoder
 
+    def test_symbolic_reads_do_not_rerun_the_pass(self, circuit):
+        """Only a build that completes the (sampler, DEM) pair drops the
+        pass: a later ``sampler`` hit leaves the pass ``symbolic()``
+        rebuilt in place, so the second ``symbolic()`` is a hit."""
+        compiled = circuit.compile(sampler="frame")
+        cache = shared_cache()
+        _ = compiled.sampler, compiled.dem
+        assert cache.stats()["misses"] == 3  # pass, sampler, dem
+        first = compiled.symbolic()
+        assert cache.stats()["misses"] == 4
+        _ = compiled.sampler
+        assert compiled.symbolic() is first
+        assert cache.stats()["misses"] == 4
+
+    def test_frame_task_setup_drops_the_pass(self, circuit):
+        """A frame collect still releases the pass once its chunks have
+        built both the sampler and the DEM."""
+        task = Task(
+            circuit, decoder="compiled-matching", sampler="frame", max_shots=300
+        )
+        collect([task], base_seed=3, workers=1, chunk_shots=100)
+        fingerprint = task.circuit_fingerprint()
+        cache = shared_cache()
+        assert ("pass", fingerprint) not in cache
+        assert ("dem", fingerprint) in cache
+        assert ("sampler", fingerprint, "frame") in cache
+
     def test_symbolic_task_keeps_the_pass(self, circuit):
         compiled = circuit.compile(sampler="symbolic")
         _ = compiled.sampler, compiled.decoder

@@ -104,10 +104,10 @@ class TestResume:
         # A resumed run must not sample a single chunk.
         import repro.engine.workers as workers_module
 
-        def forbidden(spec):
+        def forbidden(specs):
             raise AssertionError("resume re-ran a completed chunk")
 
-        monkeypatch.setattr(workers_module, "run_chunk", forbidden)
+        monkeypatch.setattr(workers_module, "run_chunks", forbidden)
         second = collect(
             tasks, base_seed=SEED, workers=1, chunk_shots=500,
             store=store_path,

@@ -87,14 +87,14 @@ class TestEarlyStopShutdown:
         import repro.engine.workers as workers_mod
 
         executed = multiprocessing.Manager().list()
-        real_run_chunk = workers_mod.run_chunk
+        real_run_chunks = workers_mod.run_chunks
 
-        def tracking_run_chunk(spec):
-            executed.append(spec.chunk_index)
-            return real_run_chunk(spec)
+        def tracking_run_chunks(specs):
+            executed.extend(spec.chunk_index for spec in specs)
+            return real_run_chunks(specs)
 
         # Patched before __enter__ so forked workers inherit the hook.
-        monkeypatch.setattr(workers_mod, "run_chunk", tracking_run_chunk)
+        monkeypatch.setattr(workers_mod, "run_chunks", tracking_run_chunks)
         specs = make_specs(n_chunks=40, chunk_shots=50)
         with ChunkRunner(workers=2) as runner:
             window = 2 * runner.workers

@@ -71,6 +71,48 @@ class TestPackUnpack:
         assert packed.shape == (17, 3)
         assert np.array_equal(bitops.unpack_rows(packed, 131), bits)
 
+    @staticmethod
+    def _two_copy_pack_rows(bits):
+        """The earlier ``pack_rows``: a ``bits & 1`` temporary, then a
+        zero-padded copy, then ``np.packbits``."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        n_rows, n_cols = bits.shape
+        padded = np.zeros(
+            (n_rows, bitops.words_for(n_cols) * bitops.WORD_BITS), np.uint8
+        )
+        padded[:, :n_cols] = bits & 1
+        return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["bool", "uint8 0/1", "uint8 any"])
+    @pytest.mark.parametrize(
+        "view", ["contiguous", "every other row", "reversed columns",
+                 "fortran"]
+    )
+    def test_pack_rows_equals_two_copy_version(self, width, kind, view):
+        """Writing the masked bits straight into the padded buffer packs
+        what masking into a temporary did: entries contribute their low
+        bit (so uint8 values above 1 pack ``value & 1``), whatever the
+        input's dtype and memory layout."""
+        rng = np.random.default_rng(width)
+        if kind == "uint8 any":
+            bits = rng.integers(0, 256, size=(9, width), dtype=np.uint8)
+        else:
+            bits = rng.random((9, width)) < 0.5
+            if kind == "uint8 0/1":
+                bits = bits.astype(np.uint8)
+        bits = {
+            "contiguous": bits,
+            "every other row": bits[::2],
+            "reversed columns": bits[:, ::-1],
+            "fortran": np.asfortranarray(bits),
+        }[view]
+        packed = bitops.pack_rows(bits)
+        expected = self._two_copy_pack_rows(bits)
+        assert packed.dtype == np.uint64
+        assert packed.shape == expected.shape
+        assert np.array_equal(packed, expected)
+
     def test_pack_rows_rejects_1d(self):
         with pytest.raises(ValueError):
             bitops.pack_rows(np.zeros(5, dtype=np.uint8))
