@@ -29,11 +29,11 @@ compiled decoder does all path-finding at **compile time** instead:
      each cluster decodes alone (the locality sparse blossom exploits);
   3. **DP** — every piece of up to 18 nodes is matched exactly by one
      vectorized subset dynamic program per defect-count group
-     (:func:`_min_pairing`) over the dense distance submatrices, and a
-     row predicts the XOR of its pieces;
+     (:func:`_min_pairing`, in memory-bounded slabs) over the weights
+     of its node pairs, and a row predicts the XOR of its pieces;
   4. **blossom** — a row with a piece past the DP ceiling, a near-tie
      or an unreachable pair goes whole, one row at a time, to an exact
-     blossom matcher on the same dense submatrix
+     blossom matcher on the dense distance submatrix
      (:func:`~repro.decoders.blossom.min_weight_matching`): lists
      indexed by vertex, no graph objects.
 
@@ -97,11 +97,20 @@ def _count_decode_rows(total: int, nonzero: int, unique: int) -> None:
 # workloads (d=7: ~0.99 vs ~0.64 ms; d=5, 512-shot chunks: ~3.5 vs
 # ~1.2 ms).
 _MAX_DP_NODES = 18
-# Bound on elements materialized per dynamic-program slab, so one dense
-# defect-count group cannot blow up memory.  The largest intermediate
-# is one level's (states, candidates, rows) total-weight tensor: 4M
-# float64 ~= 32 MB.
-_DP_SLAB_ELEMENTS = 1 << 22
+# The dynamic program's memory budget: a defect-count group runs in
+# slabs of rows whose estimated working set (see _dp_slab_rows; within
+# ~15% of tracemalloc peaks for k = 6..18, 195 against 168 bytes a row
+# at k = 4) stays within 512 KiB, but never in slabs of fewer than
+# _DP_MIN_SLAB_ROWS rows.  A call's fixed cost grows from ~0.07 ms at
+# k = 4 to ~1.6 ms at k = 18, so small slabs of wide groups would pay it
+# over and over; the floor keeps d=7 memory's k = 14 and k = 18 groups
+# (up to ~300 and ~28 rows per 4096 shots) whole.  The real bound is
+# therefore the larger of 512 KiB and 320 rows: ~1.2 MB at k = 10, ~58 MB
+# at k = 18.  A 32,768-shot d=5 batch's k = 4..8 groups (~7000, ~3300
+# and ~1300 rows) run in 3-4 slabs each; their decode time is unchanged
+# within noise.
+_DP_SLAB_BYTES = 1 << 19
+_DP_MIN_SLAB_ROWS = 320
 # Rows with more defects than this are split into independent clusters
 # before the dynamic program.  The split pays only where the DP it cuts
 # is costly: per batch (sum of per-chunk best-of-9 timings against the
@@ -132,10 +141,11 @@ def _plan(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     lowest of them with any other, so from the full set only
     Fibonacci-many subsets are reachable (233 at k=12 against 10,395
     pairings).  Level ``t`` holds the states with ``t`` pairs made, as
-    two ``(states, candidates)`` arrays: ``pair`` — the flat ``low * k
-    + j`` index of the candidate pair — and ``child`` — the index of the
-    remaining state in level ``t + 1``.  The last level leads to the
-    single empty state.  Built level by level with array operations.
+    two ``(states, candidates)`` arrays: ``pair`` — the index of the
+    candidate pair ``(low, j)`` among the ``k (k - 1) / 2`` pairs
+    ``i < j`` in ``np.triu_indices`` order — and ``child`` — the index
+    of the remaining state in level ``t + 1``.  The last level leads to
+    the single empty state.  Built level by level with array operations.
     """
     if k not in _PLANS:
         bits = np.int64(1) << np.arange(k, dtype=np.int64)
@@ -148,9 +158,13 @@ def _plan(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
             partner = np.nonzero(member)[1].reshape(states.size, -1)
             remaining = states[:, None] - bits[low][:, None] - bits[partner]
             states, child = np.unique(remaining, return_inverse=True)
-            levels.append(
-                (low[:, None] * k + partner, child.reshape(partner.shape))
-            )
+            # Pairs before row ``low`` of the upper triangle, then j's
+            # place within that row.
+            first = low * (2 * k - low - 1) // 2
+            levels.append((
+                first[:, None] + partner - low[:, None] - 1,
+                child.reshape(partner.shape),
+            ))
         _PLANS[k] = levels
     return _PLANS[k]
 
@@ -160,23 +174,22 @@ def _min_pairing(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-weight perfect pairing of many rows at once.
 
-    ``dist`` is ``(rows, k, k)`` pair weights and ``masks`` the
-    ``(rows, k, k, n_observables)`` pair corrections (only ``i < j`` is
-    read).  Runs ``f[S] = min_j dist[low(S), j] + f[S - {low(S), j}]``
-    over :func:`_plan` from the empty set up, vectorized over rows, and
-    returns per row the optimal total, the correction of the pairings
-    within :data:`_TIE_TOL` of it (the XOR of their pairs' masks) and
-    an *ambiguous* flag.  A state is ambiguous when its near-optimal
-    candidates predict different corrections or one leads to an
-    ambiguous state, so an unflagged row's correction is the one every
-    pairing within ``_TIE_TOL`` of the optimum predicts (a flagged
-    row's is meaningless).  Rows with no finite pairing return an
-    infinite total.
+    Each row is ``k`` nodes, read as their ``k (k - 1) / 2`` pairs
+    ``i < j`` in ``np.triu_indices(k, 1)`` order: ``dist`` is the
+    ``(pairs, rows)`` pair weights and ``masks`` the ``(pairs,
+    n_observables, rows)`` bool pair corrections.  Runs ``f[S] = min_j
+    dist[low(S), j] + f[S - {low(S), j}]`` over :func:`_plan` from the
+    empty set up, vectorized over rows, and returns per row the optimal
+    total, the correction of the pairings within :data:`_TIE_TOL` of it
+    (the XOR of their pairs' masks) and an *ambiguous* flag.  A state is
+    ambiguous when its near-optimal candidates predict different
+    corrections or one leads to an ambiguous state, so an unflagged
+    row's correction is the one every pairing within ``_TIE_TOL`` of the
+    optimum predicts (a flagged row's is meaningless).  Rows with no
+    finite pairing return an infinite total.
     """
-    rows, k = dist.shape[:2]
-    dist = dist.reshape(rows, k * k).T
-    masks = masks.reshape(rows, k * k, masks.shape[-1]).transpose(1, 2, 0)
-    masks = masks.astype(bool)
+    pairs, rows = dist.shape
+    k = (1 + math.isqrt(1 + 8 * pairs)) // 2
     best = np.zeros((1, rows))
     prediction = np.zeros((1, masks.shape[1], rows), dtype=bool)
     ambiguous = np.zeros((1, rows), dtype=bool)
@@ -193,6 +206,20 @@ def _min_pairing(
         tied = (near & ambiguous[child]).any(axis=1)
         ambiguous = (prediction & zeros).any(axis=1) | tied
     return best[0], prediction[0].T.astype(np.uint8), ambiguous[0]
+
+
+def _dp_slab_rows(k: int, n_observables: int) -> int:
+    """Rows of a ``k``-node defect-count group one :func:`_min_pairing`
+    call takes (see :data:`_DP_SLAB_BYTES`).  A row costs, per node pair,
+    two int32 indices, its float64 weight and its mask bytes (gathered
+    and as bool), and per candidate of the widest level its float64
+    total and child optimum plus the bool near flag and corrections."""
+    widest = max(pair.size for pair, _ in _plan(k))
+    row_bytes = (
+        k * (k - 1) // 2 * (16 + 2 * n_observables)
+        + widest * (16 + 4 * n_observables)
+    )
+    return max(_DP_MIN_SLAB_ROWS, _DP_SLAB_BYTES // row_bytes)
 
 
 class CompiledMatchingDecoder:
@@ -486,14 +513,21 @@ class CompiledMatchingDecoder:
         per-call cost is paid once per batch.  Rows decode
         independently, so each chunk's predictions are bitwise those of
         decoding it alone.  Defect indices come straight from the
-        nonzero words.
+        nonzero words, as an int32 CSR stream.
+
+        The working set grows with the batch only by what each row
+        must keep: a chunk holds one int32 code per row (its row in the
+        batch's prediction table) until the end, and the packed unique
+        rows live only until the defect stream is read.
         """
         width = bitops.words_for(self.n_observables)
-        outs, scatters, uniques = [], [], []
+        codes, uniques, n_unique = [], [], 0
         for syndromes in chunks:
             syndromes = check_packed_syndromes(syndromes, self.n_detectors)
-            out = np.zeros((syndromes.shape[0], width), dtype=np.uint64)
-            outs.append(out)
+            # A chunk's row r predicts row code[r] of the batch's table,
+            # whose row 0 is the all-zero prediction.
+            code = np.zeros(syndromes.shape[0], dtype=np.int32)
+            codes.append(code)
             nonzero = bitops.nonzero_rows_packed(syndromes)
             if nonzero.size == 0:
                 if obs.is_metrics():
@@ -504,19 +538,17 @@ class CompiledMatchingDecoder:
                 _count_decode_rows(
                     syndromes.shape[0], int(nonzero.size), int(unique.shape[0])
                 )
-            scatters.append((out, nonzero, inverse, unique.shape[0]))
+            code[nonzero] = inverse + (n_unique + 1)
+            n_unique += unique.shape[0]
             uniques.append(unique)
-        if not uniques:
-            return outs
-        unique = np.concatenate(uniques)
-        rows, flat = bitops.nonzero_bits(unique)
-        counts = np.bincount(rows, minlength=unique.shape[0])
-        decoded = bitops.pack_rows(self._decode_unique(counts, flat))
-        start = 0
-        for out, nonzero, inverse, n_unique in scatters:
-            out[nonzero] = decoded[start:start + n_unique][inverse]
-            start += n_unique
-        return outs
+        table = np.zeros((n_unique + 1, width), dtype=np.uint64)
+        if uniques:
+            unique = np.concatenate(uniques)
+            uniques.clear()
+            counts, flat = bitops.nonzero_bits_csr(unique)
+            del unique  # the defect stream is all the core reads
+            table[1:] = bitops.pack_rows(self._decode_unique(counts, flat))
+        return [table[code] for code in codes]
 
     def _decode_unique(
         self, counts: np.ndarray, flat: np.ndarray
@@ -532,7 +564,7 @@ class CompiledMatchingDecoder:
         unsettled, or any of whose pieces it does, goes whole to the
         blossom matcher.
         """
-        offsets = np.zeros(counts.size, dtype=np.int64)
+        offsets = np.zeros(counts.size, dtype=counts.dtype)
         np.cumsum(counts[:-1], out=offsets[1:])
         decoded = np.zeros((counts.size, self.n_observables), np.uint8)
         self._gather(counts, offsets, flat, decoded)
@@ -540,31 +572,36 @@ class CompiledMatchingDecoder:
         # Three or more defects.  Each tier is one span per batch
         # (stages decode.dp and decode.blossom in
         # repro_stage_seconds_total); the split runs inside decode.dp.
+        # Rows and pieces are two CSR views; a DP group gathers its
+        # nodes from both, numbering piece i as row n_rows + i.
         n_rows = counts.size
         with obs.span("decode.dp"):
-            owner, p_counts, p_offsets, p_flat = self._split(
-                counts, offsets, flat
-            )
+            owner, whole, pieces = self._split(counts, offsets, flat)
+            views = [(0, (whole, offsets, flat))]
             if owner.size:
+                views.append((n_rows, pieces))
                 decoded = np.concatenate([
                     decoded,
                     np.zeros((owner.size, self.n_observables), np.uint8),
                 ])
-                self._gather(
-                    p_counts[n_rows:], p_offsets[n_rows:], p_flat,
-                    decoded[n_rows:],
-                )
-            unsettled = [np.nonzero(p_counts > _MAX_DP_NODES)[0]]
+                self._gather(*pieces, decoded[n_rows:])
+            unsettled = [
+                first + np.nonzero(view[0] > _MAX_DP_NODES)[0]
+                for first, view in views
+            ]
             for padded in range(4, _MAX_DP_NODES + 2, 2):
+                rows, nodes = zip(*(
+                    self._group(*view, padded, first) for first, view in views
+                ))
                 unsettled.append(self._match_group(
-                    p_counts, p_offsets, p_flat, padded, decoded
+                    np.concatenate(rows), np.concatenate(nodes), decoded
                 ))
             fallback = np.concatenate(unsettled)
             if owner.size:
                 # A split row predicts the XOR of its pieces; one
                 # unsettled piece sends the whole row on.
-                pieces, decoded = decoded[n_rows:], decoded[:n_rows]
-                np.bitwise_xor.at(decoded, owner, pieces)
+                decoded, split = decoded[:n_rows], decoded[n_rows:]
+                np.bitwise_xor.at(decoded, owner, split)
                 row_of = np.concatenate([np.arange(n_rows), owner])
                 fallback = np.unique(row_of[fallback])
         if obs.is_metrics():
@@ -617,20 +654,19 @@ class CompiledMatchingDecoder:
 
     def _split(
         self, counts: np.ndarray, offsets: np.ndarray, flat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Cut the rows with more than :data:`_SPLIT_MIN_DEFECTS` defects
         into their :meth:`_clusters` where that split is exact.
 
-        Returns ``(owner, counts, offsets, flat)``: a CSR view whose
-        first rows are the input rows, with each split row emptied, and
-        whose extra rows are the pieces (appended to ``flat``, each
-        ascending), ``owner`` giving each piece's row.  With nothing
-        split these are the inputs and no owners.
+        Returns ``(owner, whole, pieces)``: ``whole`` is ``counts`` with
+        each split row emptied, ``pieces`` the ``(counts, offsets,
+        flat)`` CSR view of the pieces alone (each ascending) and
+        ``owner`` each piece's row.  The input stream is not copied:
+        with nothing split, ``whole`` is ``counts`` and there are no
+        owners or pieces.
         """
         (big,) = np.nonzero(counts > _SPLIT_MIN_DEFECTS)
-        if not big.size:
-            return big, counts, offsets, flat
-        split_rows, defects, labels = [], [], []
+        split_rows, defects, labels = [big[:0]], [], []
         for k in np.unique(counts[big]):
             group = big[counts[big] == k]
             nodes = flat[offsets[group][:, None] + np.arange(k)]
@@ -640,7 +676,8 @@ class CompiledMatchingDecoder:
             labels.append(label[split].ravel())
         split_rows = np.concatenate(split_rows)
         if not split_rows.size:
-            return split_rows, counts, offsets, flat
+            none = flat[:0]
+            return split_rows, counts, (none, none, none)
         # Order each split row's defects by cluster (stable, so each
         # cluster stays ascending) and cut where the cluster changes.
         defects = np.concatenate(defects)
@@ -649,13 +686,12 @@ class CompiledMatchingDecoder:
         order = np.argsort(key, kind="stable")
         key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        emptied = counts.copy()
-        emptied[split_rows] = 0
+        whole = counts.copy()
+        whole[split_rows] = 0
         return (
             split_rows[key[starts] // flat.size],
-            np.concatenate([emptied, np.diff(starts, append=key.size)]),
-            np.concatenate([offsets, flat.size + starts]),
-            np.concatenate([flat, defects[order]]),
+            whole,
+            (np.diff(starts, append=key.size), starts, defects[order]),
         )
 
     def _clusters(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -711,40 +747,48 @@ class CompiledMatchingDecoder:
             ).all(axis=(1, 2))
         return split, label
 
-    def _match_group(
+    def _group(
         self,
         counts: np.ndarray,
         offsets: np.ndarray,
         flat: np.ndarray,
         padded: int,
-        decoded: np.ndarray,
-    ) -> np.ndarray:
-        """Decode every row whose defect set pads to ``padded`` nodes
-        with :func:`_min_pairing`; return the rows it leaves to blossom
-        (ambiguous or without a finite perfect pairing)."""
+        first: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of a CSR view whose defect set pads to ``padded``
+        nodes, numbered from ``first``, and their ``(rows, padded)``
+        nodes.  An odd defect set ends with the boundary (its extra
+        slot's index is clamped in bounds, then replaced).  Defects
+        ascend and the boundary is the largest node index, so local pair
+        (i < j) reads the mask in the reference's direction."""
         (rows,) = np.nonzero(counts + counts % 2 == padded)
-        if not rows.size:
-            return rows
-        # An odd defect set ends with the boundary (its extra slot's
-        # index is clamped in bounds, then replaced).  Defects ascend and
-        # the boundary is the largest node index, so local pair (i < j)
-        # reads the mask in the reference's direction.
         slot = np.arange(padded)
         index = np.minimum(offsets[rows][:, None] + slot, flat.size - 1)
         nodes = np.where(
             slot < counts[rows][:, None], flat[index], self._boundary
         )
-        # Slab the group so one level's (states, candidates, rows)
-        # tensor stays memory-bounded; rows are independent, so slabbing
-        # cannot change any prediction.
-        widest = max(pair.size for pair, _ in _plan(padded))
-        slab = max(1, _DP_SLAB_ELEMENTS // widest)
+        return first + rows, nodes
+
+    def _match_group(
+        self, rows: np.ndarray, nodes: np.ndarray, decoded: np.ndarray
+    ) -> np.ndarray:
+        """Decode ``rows`` (one :meth:`_group`, ``nodes`` their padded
+        defect sets) with :func:`_min_pairing`; return the rows it
+        leaves to blossom (ambiguous or without a finite perfect
+        pairing)."""
+        if not rows.size:
+            return rows
+        # Slab the group so the DP's temporaries stay memory-bounded;
+        # rows are independent, so slabbing cannot change any prediction.
+        slab = _dp_slab_rows(nodes.shape[1], self.n_observables)
+        low, high = np.triu_indices(nodes.shape[1], 1)
         unsettled = []
         for start in range(0, rows.size, slab):
             part, local = rows[start:start + slab], nodes[start:start + slab]
-            grid = (local[:, :, None], local[:, None, :])
+            grid = (local[:, low].T, local[:, high].T)
             best, prediction, ambiguous = _min_pairing(
-                self._dist[grid], self._mask[grid]
+                self._dist[grid],
+                self._mask[grid].transpose(0, 2, 1).astype(bool, order="C"),
             )
             settled = np.isfinite(best) & ~ambiguous
             decoded[part[settled]] = prediction[settled]

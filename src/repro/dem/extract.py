@@ -234,8 +234,7 @@ def _merge(
 
 def _index_tuples(words: np.ndarray) -> list[tuple[int, ...]]:
     """Set-bit indices of every packed row, one tuple per row."""
-    rows, bits = bitops.nonzero_bits(words)
-    counts = np.bincount(rows, minlength=words.shape[0])
+    counts, bits = bitops.nonzero_bits_csr(words)
     starts = np.cumsum(counts) - counts
     out: list[tuple[int, ...]] = [()] * words.shape[0]
     # Rows with equal bit counts gather as one (rows, count) block.

@@ -166,10 +166,14 @@ def cached_pass(circuit, fingerprint: str):
     )
 
 
-def cached_sampler(circuit, fingerprint: str, sampler: str):
+def cached_sampler(
+    circuit, fingerprint: str, sampler: str, *, builds_dem: bool = True
+):
     """The compiled ``sampler`` backend of ``circuit`` (canonical name),
     built once per process under :func:`sampler_key`.  Backends that
-    read the symbolic pass get :func:`cached_pass`'s.
+    read the symbolic pass get :func:`cached_pass`'s.  ``builds_dem=False``
+    says no DEM will follow (a task whose decoder is ``none``), so the
+    pass is spent once the sampler is built (see :func:`_release_pass`).
     ``circuit`` may be a loader (see :func:`_loader`)."""
     from repro.backends import get_backend
 
@@ -182,7 +186,8 @@ def cached_sampler(circuit, fingerprint: str, sampler: str):
         return backend.compile(load(), cached_pass(load, fingerprint))
 
     return _build_then_release(
-        sampler_key(fingerprint, sampler), build, fingerprint, sampler
+        sampler_key(fingerprint, sampler), build, fingerprint, sampler,
+        builds_dem,
     )
 
 
@@ -203,7 +208,9 @@ def cached_dem(circuit, fingerprint: str, sampler: str):
     )
 
 
-def _build_then_release(key: tuple, build, fingerprint: str, sampler: str):
+def _build_then_release(
+    key: tuple, build, fingerprint: str, sampler: str, builds_dem: bool = True
+):
     """``get_or_build`` that runs :func:`_release_pass` only when this
     lookup built ``key``: a hit finds the pass already released or
     still needed, so it must not drop a pass that ``symbolic()`` has
@@ -212,23 +219,25 @@ def _build_then_release(key: tuple, build, fingerprint: str, sampler: str):
     built = key not in cache
     value = cache.get_or_build(key, build)
     if built:
-        _release_pass(fingerprint, sampler)
+        _release_pass(fingerprint, sampler, builds_dem)
     return value
 
 
-def _release_pass(fingerprint: str, sampler: str) -> None:
-    """Drop the cached pass once a build completes the task's
-    (``sampler``, DEM) pair.
+def _release_pass(fingerprint: str, sampler: str, builds_dem: bool) -> None:
+    """Drop the cached pass once a build completes what the task needs
+    of it: its (``sampler``, DEM) pair, or the sampler alone when
+    ``builds_dem`` is false (no decoder).
 
     A frame sampler keeps only the pass's constant column and the DEM
     its own arrays, so from then on the pass would hold memory (about
     2 MB on surface d=9, r=9: 40% of what the task's other artifacts
-    hold) and an LRU slot for nothing.  The ``symbolic`` sampler *is*
-    the pass, so its tasks keep it."""
+    hold) and an LRU slot for nothing.  A DEM wanted later reruns the
+    pass and drops it again.  The ``symbolic`` sampler *is* the pass,
+    so its tasks keep it."""
     cache = shared_cache()
     if (
         sampler != "symbolic"
-        and ("dem", fingerprint) in cache
+        and (not builds_dem or ("dem", fingerprint) in cache)
         and sampler_key(fingerprint, sampler) in cache
     ):
         cache.discard(("pass", fingerprint))

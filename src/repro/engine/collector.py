@@ -290,7 +290,9 @@ def collect(
       the early-stop granularity), so changing it changes which shots
       are drawn — keep it fixed across runs that share a store.  It
       does not set the decode call's size: consecutive chunks of a task
-      are decoded together, up to 4096 shots per call.
+      are decoded together, up to 4,096 shots per call for a task with
+      an error budget (so an early stop wastes at most that) and, in
+      process, up to 32,768 for one without.
     * ``base_seed`` — int for reproducible runs; ``None`` draws one
       fresh OS-entropy seed for the whole run (recorded in every row)
       and accepts any completed stored row on resume.
@@ -387,7 +389,9 @@ def _collect_one(
     with obs.span(
         "task", task=stats.task_id, decoder=task.decoder, sampler=task.sampler
     ) as task_sp:
-        for result in runner.run(specs):
+        # Without an error budget the fold never breaks, so the runner
+        # may decode longer runs of chunks per call.
+        for result in runner.run(specs, may_stop_early=max_errors is not None):
             if result.failed:
                 # Quarantined: the chunk's shots never happened, so
                 # they must not enter the counts.  Record the failure

@@ -28,10 +28,11 @@ So ``backend.compile`` runs at most once per worker per circuit, and
 only on workers that actually receive a chunk of it.
 
 Decoding is batched across chunks: :func:`run_chunks` samples a run of
-consecutive chunks of one task (up to :data:`_DECODE_BATCH_SHOTS`), each
-from its own generator, and decodes them with one call, so a matcher's
-per-call cost is paid once per batch while every count stays the
-chunk's own.
+consecutive chunks of one task (up to :data:`_DECODE_BATCH_SHOTS` while
+an early stop may discard the batch, up to :data:`_DECODE_RUN_SHOTS`
+in-process when none can), each from its own generator, and decodes
+them with one call, so a matcher's per-call cost is paid once per batch
+while every count stays the chunk's own.
 
 The parent-worker wire is the pipe itself: each leased chunk ships as a
 pickled :class:`ChunkSpec` and comes back as a pickled
@@ -60,7 +61,7 @@ from repro.engine.cache import (
 )
 from repro.engine.options import ExecutionOptions
 from repro.engine.supervise import SupervisedPool
-from repro.engine.tasks import Task
+from repro.engine.tasks import NO_DECODER, Task
 from repro.rng import chunk_generator
 
 #: Base supervisor poll tick: the longest the scheduler sleeps when no
@@ -176,29 +177,42 @@ def plan_chunks(
     return specs
 
 
-#: Most shots one decode batch holds: :meth:`ChunkRunner.run` and the
-#: pool workers hand :func:`run_chunks` runs of consecutive chunks of one
-#: task up to this size (a larger chunk is a batch of one), so the
-#: matcher's per-call cost is paid once per run, not once per chunk.
+#: Most shots one decode batch holds while its consumer may stop early:
+#: the pool workers, and :meth:`ChunkRunner.run` for a task with an error
+#: budget, hand :func:`run_chunks` runs of consecutive chunks of one task
+#: up to this size (a larger chunk is a batch of one), so the matcher's
+#: per-call cost is paid once per run, not once per chunk.  An early stop
+#: then discards at most one such batch minus one chunk.
 _DECODE_BATCH_SHOTS = 4096
+#: Most shots one in-process decode batch holds when nothing can stop
+#: the task before its shot budget, so no batch can be wasted: a whole
+#: ``surface_d5_chunked`` operation (64 chunks of 512 shots) is one call.
+_DECODE_RUN_SHOTS = 32_768
 
 
-def joins_batch(batch: list[ChunkSpec], spec: ChunkSpec) -> bool:
+def joins_batch(
+    batch: list[ChunkSpec], spec: ChunkSpec, limit: int = _DECODE_BATCH_SHOTS
+) -> bool:
     """Whether ``spec`` may extend the decode ``batch``: a chunk of the
-    same task that keeps it within :data:`_DECODE_BATCH_SHOTS` shots."""
+    same task that keeps it within ``limit`` shots."""
     return (
         spec.task_id == batch[0].task_id
-        and sum(chunk.shots for chunk in batch) + spec.shots
-        <= _DECODE_BATCH_SHOTS
+        and sum(chunk.shots for chunk in batch) + spec.shots <= limit
     )
 
 
-def decode_batches(specs: Iterable[ChunkSpec]) -> Iterator[list[ChunkSpec]]:
+def decode_batches(
+    specs: Iterable[ChunkSpec], limit: int = _DECODE_BATCH_SHOTS
+) -> Iterator[list[ChunkSpec]]:
     """Group ``specs`` into the longest runs of consecutive chunks that
-    :func:`joins_batch` allows.  Pulls one spec past each run, lazily."""
+    :func:`joins_batch` allows within ``limit`` shots: the default
+    :data:`_DECODE_BATCH_SHOTS` (4,096) while the consumer may stop
+    early, so a stop wastes at most one batch minus one chunk, and
+    :data:`_DECODE_RUN_SHOTS` (32,768) when it takes every chunk.
+    Pulls one spec past each run, lazily."""
     batch: list[ChunkSpec] = []
     for spec in specs:
-        if batch and not joins_batch(batch, spec):
+        if batch and not joins_batch(batch, spec, limit):
             yield batch
             batch = []
         batch.append(spec)
@@ -255,7 +269,10 @@ def run_chunks(specs: list[ChunkSpec]) -> list[ChunkResult]:
                 key = sampler_key(spec.fingerprint, spec.sampler)
                 chunk_sp.set(sampler_cache="hit" if key in cache else "miss")
             circuit = circuit_loader(spec.circuit_text, spec.fingerprint)
-            sampler = cached_sampler(circuit, spec.fingerprint, spec.sampler)
+            sampler = cached_sampler(
+                circuit, spec.fingerprint, spec.sampler,
+                builds_dem=spec.decoder != NO_DECODER,
+            )
             rng = chunk_generator(
                 spec.base_seed, spec.task_entropy, spec.chunk_index
             )
@@ -268,7 +285,7 @@ def run_chunks(specs: list[ChunkSpec]) -> list[ChunkResult]:
                     observable_bytes=int(observables.nbytes),
                 )
             chunks.append((detectors, observables))
-            if spec.decoder != "none":
+            if spec.decoder != NO_DECODER:
                 if obs.is_tracing():
                     key = decoder_key(spec.fingerprint, spec.decoder)
                     chunk_sp.set(
@@ -517,15 +534,23 @@ class ChunkRunner:
             metrics=(),
         )
 
-    def run(self, specs: Iterable[ChunkSpec]) -> Iterator[ChunkResult]:
+    def run(
+        self, specs: Iterable[ChunkSpec], *, may_stop_early: bool = True
+    ) -> Iterator[ChunkResult]:
         """Yield results in chunk-submission order.
 
         In-process execution runs :func:`decode_batches` of the specs —
         the longest runs of consecutive chunks of one task up to
-        :data:`_DECODE_BATCH_SHOTS` shots — through :func:`run_chunks`,
-        one decode call per run, and yields each chunk's result.  A
-        consumer that stops early therefore discards at most one batch
-        minus one chunk of finished work.
+        :data:`_DECODE_BATCH_SHOTS` (4,096) shots — through
+        :func:`run_chunks`, one decode call per run, and yields each
+        chunk's result.  A consumer that stops early therefore discards
+        at most one batch minus one chunk of finished work.  A consumer
+        that promises to take every result (``may_stop_early=False``,
+        as :func:`~repro.engine.collector.collect` does for a task
+        without ``max_errors``) gets runs of up to
+        :data:`_DECODE_RUN_SHOTS` (32,768) shots instead; breaking out of
+        such a run may discard up to that many shots of work, never
+        miscount them.
 
         Pooled execution leases chunks to supervised workers with a
         bounded in-flight window of ``2 * workers`` and an
@@ -536,7 +561,8 @@ class ChunkRunner:
         a consumer that stops early wastes at most one window of work.
         Each worker decodes the leases it already holds as one batch
         (see :func:`~repro.engine.supervise.worker_main`), within that
-        window.
+        window and within :data:`_DECODE_BATCH_SHOTS`, whatever
+        ``may_stop_early`` says.
 
         Failed leases (worker death, expiry, in-chunk exception) are
         retried in place — the retried chunk re-enters the window it
@@ -551,18 +577,25 @@ class ChunkRunner:
         stale token and are dropped.
         """
         if self._pool is None:
-            for batch in decode_batches(specs):
+            limit = (
+                _DECODE_BATCH_SHOTS if may_stop_early else _DECODE_RUN_SHOTS
+            )
+            for batch in decode_batches(specs, limit):
                 submitted = time.perf_counter()
-                for result in run_chunks(batch):
-                    # In-process there is no transport; a chunk queues
-                    # behind its batch-mates, received coincides with
-                    # its finish stamp, and the bytes stay 0 so
-                    # profiles never invent overhead.
+                results = run_chunks(batch)
+                # In-process there is no transport.  A chunk is submitted
+                # when the runner is free for it (its predecessor's
+                # finish), and its count is received once the batch
+                # decode has returned and the consumer asks for it, so
+                # queue waits and holds never overlap each other or the
+                # chunks: their sum stays within the run's wall time.
+                # The bytes stay 0 so profiles never invent overhead.
+                for result in results:
                     yield self._finalize(
-                        result,
-                        submitted=submitted,
-                        received=result.finished_at,
+                        result, submitted=submitted,
+                        received=time.perf_counter(),
                     )
+                    submitted = result.finished_at
             return
         yield from self._run_pooled(specs)
 

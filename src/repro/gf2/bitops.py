@@ -22,6 +22,9 @@ _ONE = _U64(1)
 #: Words one :func:`xor_reduce_csr` gather may hold (16 MiB), so sparse
 #: Eq. 4 on many shots does not copy every nonzero's row at once.
 _GATHER_WORDS = 1 << 21
+#: Nonzero words :func:`nonzero_bits_csr` expands to bytes at once (a
+#: 256 KiB byte view), so its working set does not grow with the matrix.
+_EXPAND_WORDS = 1 << 12
 
 
 def words_for(n_bits: int) -> int:
@@ -60,9 +63,11 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a 2-D array of 0/1 values row-wise into a packed matrix.
 
     Each entry contributes its lowest bit (of its uint8 value, for
-    non-integer input).  The masked bits are written straight into the
-    zero-padded buffer ``np.packbits`` reads, so the input is copied
-    once.
+    non-integer input).  The masked bits are written into a buffer whose
+    rows are padded to whole bytes only, which packs as one flat
+    ``np.packbits`` call (several times faster than packing along an
+    axis whose length is not a multiple of 64); the bytes are then
+    copied into rows of whole words.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
@@ -70,15 +75,19 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     if bits.dtype.kind not in "biu":
         bits = bits.astype(np.uint8)
     n_rows, n_cols = bits.shape
-    n_words = words_for(n_cols)
-    padded = np.zeros((n_rows, n_words * WORD_BITS), dtype=np.uint8)
+    n_bytes = (n_cols + 7) // 8
+    padded = np.zeros((n_rows, n_bytes * 8), dtype=np.uint8)
     if bits.dtype == bool:
         np.copyto(padded[:, :n_cols], bits)
     else:
         np.bitwise_and(
             bits, np.uint8(1), out=padded[:, :n_cols], casting="unsafe"
         )
-    return np.packbits(padded, axis=1, bitorder="little").view(_U64)
+    packed = np.zeros((n_rows, words_for(n_cols) * 8), dtype=np.uint8)
+    packed[:, :n_bytes] = np.packbits(
+        padded.reshape(-1), bitorder="little"
+    ).reshape(n_rows, n_bytes)
+    return packed.view(_U64)
 
 
 def unpack_rows(words: np.ndarray, n_cols: int) -> np.ndarray:
@@ -196,26 +205,48 @@ def nonzero_bits(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Set-bit coordinates of a packed matrix: ``(row_indices, bit_indices)``.
 
     The packed counterpart of ``np.nonzero`` on the unpacked matrix
-    (same ordering: row-major, bits ascending within a row), touching
-    only the nonzero *words*: each one expands through a little-endian
-    byte view, so cost scales with the number of set words, not with
-    the unpacked width.
+    (same ordering: row-major, bits ascending within a row, int64):
+    :func:`nonzero_bits_csr` with each row's index repeated by its count.
+    """
+    counts, bits = nonzero_bits_csr(matrix)
+    rows = np.repeat(np.arange(counts.size), counts)
+    return rows, bits.astype(np.intp, copy=False)
+
+
+def nonzero_bits_csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set bits of a packed matrix as a CSR stream: ``(counts, bits)``.
+
+    ``counts[r]`` is row ``r``'s set-bit count and ``bits`` the column
+    indices of every set bit, row-major and ascending within a row.  Both
+    are int32 (int64 past 2**31 columns).  Only the nonzero *words*
+    expand, each through a little-endian byte view, so cost scales with
+    the set words, not with the unpacked width.  They expand
+    :data:`_EXPAND_WORDS` at a time, so beyond its output and one index
+    per nonzero word the call holds a few hundred KiB however large the
+    matrix is.
     """
     matrix = np.asarray(matrix, dtype=_U64)
     if matrix.ndim != 2:
-        raise ValueError("nonzero_bits expects a 2-D packed matrix")
-    # Flat indices of bool masks, split with divmod: several times
-    # faster than a 2-D ``np.nonzero`` (here and on the bit expansion).
-    flat = np.flatnonzero(matrix != 0)
-    rows, words = np.divmod(flat, max(matrix.shape[1], 1))
-    if rows.size == 0:
-        return rows, words
-    values = np.ascontiguousarray(matrix[rows, words])
-    bits = np.unpackbits(
-        values[:, None].view(np.uint8), axis=1, bitorder="little"
-    )
-    word_row, bit_position = np.divmod(np.flatnonzero(bits.view(bool)), WORD_BITS)
-    return rows[word_row], words[word_row] * WORD_BITS + bit_position
+        raise ValueError("nonzero_bits_csr expects a 2-D packed matrix")
+    n_words = matrix.shape[1]
+    dtype = np.int32 if n_words * WORD_BITS <= np.iinfo(np.int32).max else np.int64
+    counts = np.bitwise_count(matrix).sum(axis=1, dtype=dtype)
+    bits = np.empty(int(counts.sum()), dtype=dtype)
+    flat = np.ascontiguousarray(matrix).reshape(-1)
+    # Flat indices of a bool mask, split with divmod: several times
+    # faster than a 2-D ``np.nonzero`` (here and on the expansion).
+    words = np.flatnonzero(flat != 0)
+    filled = 0
+    for start in range(0, words.size, _EXPAND_WORDS):
+        slab = words[start:start + _EXPAND_WORDS]
+        expanded = np.unpackbits(
+            flat[slab][:, None].view(np.uint8), axis=1, bitorder="little"
+        )
+        word, position = np.divmod(np.flatnonzero(expanded.view(bool)), WORD_BITS)
+        position += (slab % n_words * WORD_BITS)[word]
+        bits[filled:filled + position.size] = position
+        filled += position.size
+    return counts, bits
 
 
 def pack_sorted_bits(

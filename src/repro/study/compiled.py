@@ -93,7 +93,10 @@ class CompiledCircuit:
     @property
     def sampler(self):
         """The compiled backend sampler (built on first access)."""
-        return cached_sampler(self.circuit, self.fingerprint, self.sampler_name)
+        return cached_sampler(
+            self.circuit, self.fingerprint, self.sampler_name,
+            builds_dem=self.decoder_name != NO_DECODER,
+        )
 
     def symbolic(self):
         """The circuit's symbolic pass (Algorithm 1's Initialization).

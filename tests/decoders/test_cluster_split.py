@@ -53,9 +53,9 @@ def unsplit_reference(decoder, counts, flat):
         decoded[two[finite]] = decoder._mask[pairs[finite, 0], pairs[finite, 1]]
     fallback = [np.nonzero(counts > _MAX_DP_NODES)[0]]
     for padded in range(4, _MAX_DP_NODES + 2, 2):
-        fallback.append(
-            decoder._match_group(counts, offsets, flat, padded, decoded)
-        )
+        fallback.append(decoder._match_group(
+            *decoder._group(counts, offsets, flat, padded), decoded
+        ))
     for row in np.concatenate(fallback):
         decoded[row] = decoder._match(
             flat[offsets[row]: offsets[row] + counts[row]]
@@ -69,8 +69,7 @@ def unique_rows(syndromes):
     packed = bitops.pack_rows(syndromes)
     nonzero = bitops.nonzero_rows_packed(packed)
     unique, _ = bitops.dedupe_rows_packed(packed[nonzero])
-    rows, flat = bitops.nonzero_bits(unique)
-    return np.bincount(rows, minlength=unique.shape[0]), flat
+    return bitops.nonzero_bits_csr(unique)
 
 
 def split_rows_total():

@@ -62,6 +62,13 @@ def random_instance(seed, rows, k, n_observables, integer, unreachable):
     return dist, masks
 
 
+def upper(dist, masks):
+    """``(rows, k, k)`` weights and ``(rows, k, k, n_observables)``
+    corrections in the pair layout ``_min_pairing`` reads."""
+    low, high = np.triu_indices(dist.shape[1], 1)
+    return dist[:, low, high].T, masks[:, low, high].transpose(1, 2, 0) != 0
+
+
 class TestPlan:
     @pytest.mark.parametrize(
         "k,states",
@@ -90,7 +97,7 @@ class TestMinPairing:
         dist, masks = random_instance(
             seed, rows, k, n_observables, integer, unreachable
         )
-        best, prediction, ambiguous = _min_pairing(dist, masks)
+        best, prediction, ambiguous = _min_pairing(*upper(dist, masks))
         assert prediction.shape == (rows, n_observables)
         for r in range(rows):
             candidates = brute_force(dist[r], masks[r])
@@ -122,21 +129,21 @@ class TestMinPairing:
         dist = np.full((1, 4, 4), 3.0)
         masks = np.zeros((1, 4, 4, 1), dtype=np.uint8)
         masks[0, 0, 1] = masks[0, 1, 0] = 1
-        best, _, ambiguous = _min_pairing(dist, masks)
+        best, _, ambiguous = _min_pairing(*upper(dist, masks))
         assert best[0] == 6.0
         assert ambiguous[0]
 
     def test_planted_tie_with_equal_predictions_is_not_flagged(self):
         dist = np.full((1, 4, 4), 3.0)
         masks = np.ones((1, 4, 4, 1), dtype=np.uint8)
-        _, prediction, ambiguous = _min_pairing(dist, masks)
+        _, prediction, ambiguous = _min_pairing(*upper(dist, masks))
         assert not ambiguous[0]
         assert prediction[0].tolist() == [0]
 
     def test_no_finite_pairing_gives_infinite_total(self):
         dist = np.full((1, 4, 4), 1.0)
         dist[0, 0, 1:] = dist[0, 1:, 0] = np.inf
-        best, _, _ = _min_pairing(dist, np.zeros((1, 4, 4, 1), np.uint8))
+        best, _, _ = _min_pairing(*upper(dist, np.zeros((1, 4, 4, 1), np.uint8)))
         assert best[0] == np.inf
 
 

@@ -187,6 +187,52 @@ class TestCachedDem:
         assert ("dem", fingerprint) in cache
         assert ("sampler", fingerprint, "frame") in cache
 
+    @pytest.mark.parametrize("sampler", ["frame", "frame-interp", "tableau"])
+    def test_decoderless_frame_task_drops_the_pass(self, circuit, sampler):
+        """A task that decodes nothing builds no DEM, so its pass is
+        spent once the sampler is built: the cache keeps only the
+        circuit and the sampler.  A later ``dem`` reruns the pass and
+        reads the same DEM off it."""
+        task = Task(circuit, decoder="none", sampler=sampler, max_shots=300)
+        collect([task], base_seed=3, workers=1, chunk_shots=100)
+        fingerprint = task.circuit_fingerprint()
+        cache = shared_cache()
+        assert len(cache) == 2
+        assert ("circuit", fingerprint) in cache
+        assert ("sampler", fingerprint, sampler) in cache
+        compiled = circuit.compile(sampler=sampler, decoder="none")
+        assert _dem_view(compiled.dem) == _dem_view(extract_dem(circuit))
+        assert ("pass", fingerprint) not in cache
+
+    def test_decoderless_handle_drops_the_pass(self, circuit):
+        compiled = circuit.compile(sampler="frame", decoder="none")
+        _ = compiled.sampler
+        assert len(shared_cache()) == 1
+        assert ("sampler", compiled.fingerprint, "frame") in shared_cache()
+
+    def test_mixed_decoder_sweep_reruns_the_pass(self, circuit):
+        """Known cost of dropping a decoder-less task's pass: a decoding
+        task on the same circuit and sampler that follows it hits the
+        sampler, misses the DEM and runs Algorithm 1's pass a second
+        time (keeping the pass while a later task still decodes would
+        make it one).  Its counts are those of the task run alone."""
+        obs.enable(tracing=True, metrics=False)
+        decoding = Task(
+            circuit, decoder="compiled-matching", sampler="frame",
+            max_shots=300,
+        )
+        alone = collect([decoding], base_seed=3, workers=1, chunk_shots=100)
+        obs.drain_spans()
+        reset_shared_cache()
+        decoderless = Task(circuit, decoder="none", sampler="frame", max_shots=300)
+        swept = collect(
+            [decoderless, decoding], base_seed=3, workers=1, chunk_shots=100
+        )
+        assert (swept[1].shots, swept[1].errors) == (
+            alone[0].shots, alone[0].errors
+        )
+        assert self.symbolic_passes() == 2
+
     def test_symbolic_task_keeps_the_pass(self, circuit):
         compiled = circuit.compile(sampler="symbolic")
         _ = compiled.sampler, compiled.decoder

@@ -10,6 +10,8 @@ telemetry off (or into the span buffer of a metrics-only run).  Every
 span feeds ``repro_stage_seconds_total`` from the same clock reading.
 """
 
+import time
+
 import pytest
 
 import repro.obs as obs
@@ -182,6 +184,27 @@ class TestSchedulerSpanInvariants:
         durations = [r.duration for r in obs.drain_spans() if r.name == stage]
         assert durations
         assert stage_total(stage) == pytest.approx(sum(durations), abs=1e-9)
+
+
+class TestInProcessBatchStamps:
+    def test_stamps_tile_the_wall_time(self):
+        """16 chunks decoded as one in-process batch: each chunk's queue
+        wait, in-worker time and hold are disjoint stretches of the run,
+        so their sum stays within its wall time (a chunk's hold starts
+        once the batch decode has returned, not at its own finish)."""
+        specs = make_specs(n_chunks=16, chunk_shots=512)
+        obs.enable(tracing=True, metrics=True)
+        start = time.perf_counter()
+        with ChunkRunner(workers=1) as runner:
+            results = list(runner.run(specs, may_stop_early=False))
+        wall = time.perf_counter() - start
+        decodes = [r for r in obs.drain_spans() if r.name == "decode"]
+        assert [r.attrs["chunks"] for r in decodes] == [16]
+        assert sum(
+            r.queue_wait_seconds + (r.finished_at - r.started_at)
+            + r.hold_seconds
+            for r in results
+        ) <= wall
 
 
 class TestTransportAccounting:

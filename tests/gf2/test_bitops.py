@@ -83,7 +83,7 @@ class TestPackUnpack:
         padded[:, :n_cols] = bits & 1
         return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
-    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("width", [0, 1, 7, 63, 64, 65, 120, 130])
     @pytest.mark.parametrize("kind", ["bool", "uint8 0/1", "uint8 any"])
     @pytest.mark.parametrize(
         "view", ["contiguous", "every other row", "reversed columns",
@@ -385,3 +385,23 @@ class TestPackedRowKernels:
     def test_nonzero_bits_empty(self):
         rows, bits = bitops.nonzero_bits(np.zeros((4, 2), dtype=np.uint64))
         assert rows.size == 0 and bits.size == 0
+
+    @pytest.mark.parametrize("expand_words", [1, 7, 1 << 12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nonzero_bits_csr_matches_dense_nonzero(
+        self, seed, expand_words, monkeypatch
+    ):
+        """Slabs of any size (one nonzero word, seven, every word at
+        once) give the CSR form of ``np.nonzero``, as int32."""
+        monkeypatch.setattr(bitops, "_EXPAND_WORDS", expand_words)
+        dense, packed = self.random_rows(seed, p=0.2)
+        counts, bits = bitops.nonzero_bits_csr(packed)
+        assert counts.dtype == bits.dtype == np.int32
+        assert np.array_equal(counts, dense.sum(axis=1))
+        assert np.array_equal(bits, np.nonzero(dense)[1])
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 0), (3, 2)])
+    def test_nonzero_bits_csr_empty(self, shape):
+        counts, bits = bitops.nonzero_bits_csr(np.zeros(shape, dtype=np.uint64))
+        assert np.array_equal(counts, np.zeros(shape[0]))
+        assert bits.size == 0
