@@ -23,6 +23,14 @@ the table locates the crossover the model's ``_SCATTER_COST_RATIO`` and
 ``_EQ4_ROW_WORDS`` are calibrated against; ``auto`` must never be much
 slower than Eq. 4 (its choice before the scatter).
 
+A kernel table times the detector scatter at the engine's call size
+(surface d = 5, p = 0.002, 512- and 4096-shot calls): the draw, the
+whole ``sample_detectors(strategy="scatter")`` call, and the two ways to
+reduce the draw's (site, pattern) rows into their shots on the same
+keys, ``np.bitwise_xor.at`` (what the sampler runs) and a stable
+``uint16`` sort + ``bitwise_xor.reduceat``.  It is the evidence for
+running one reduction form at every size.
+
 A fourth table does the same for ``sample`` (measurement records) on the
 Fig. 3c circuit (128 qubits x 128 layers) and the surface memory, in
 512- and 5000-shot calls: Eq. 4 (``choose_strategy``, which fills
@@ -49,8 +57,9 @@ import numpy as np
 
 from repro.backends import compile_backend
 from repro.circuit import Circuit, Instruction
-from repro.noise import noise_channel, sample_hits, sample_patterns_batch
+from repro.noise import hit_plan, noise_channel, sample_hits, sample_patterns_batch
 from repro.qec import repetition_code_memory, surface_code_memory
+from repro.rng import as_generator
 from repro.workloads import layered_random_circuit
 
 P_GRID = (0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -68,6 +77,10 @@ DETECTOR_CODES = {
 }
 DETECTOR_SHOTS = (512, 4096)
 DETECTOR_REPEATS = 25
+KERNEL_CODE = "surface d=5"
+KERNEL_P = 0.002
+KERNEL_CALLS = 64
+KERNEL_REPEATS = 7
 RECORD_P_GRID = (0.001, 0.01, 0.05, 0.15)
 RECORD_CODES = {
     "Fig. 3c n=128": lambda p: layered_random_circuit(
@@ -110,7 +123,7 @@ def draw_rows(sites, shots, p_grid, repeats, seed) -> dict:
             )
             hit_s, hits = _best_seconds(
                 lambda rng: sum(s.size for s, _, _ in sample_hits(
-                    probabilities, sites, shots, rng
+                    hit_plan(probabilities), sites, shots, rng
                 )),
                 repeats, seed,
             )
@@ -184,6 +197,79 @@ def detector_rows(p_grid, seed) -> list[dict]:
                        for name, seconds in best.items()},
                     "auto_over_sparse": best["auto"] / best["sparse"],
                 })
+    return rows
+
+
+def _reduce_xor_at(constant, table, rows, shot_of, shots):
+    out = np.repeat(constant, shots, axis=0)
+    np.bitwise_xor.at(out, shot_of, table.take(rows, axis=0))
+    return out
+
+
+def _reduce_sorted(constant, table, rows, shot_of, shots):
+    out = np.repeat(constant, shots, axis=0)
+    order = np.argsort(shot_of.astype(np.uint16), kind="stable")
+    shot_of = shot_of.take(order)
+    starts = np.flatnonzero(np.concatenate(([True], shot_of[1:] != shot_of[:-1])))
+    out[shot_of[starts]] ^= np.bitwise_xor.reduceat(
+        table.take(rows.take(order), axis=0), starts, axis=0
+    )
+    return out
+
+
+def kernel_rows(seed) -> list[dict]:
+    """The detector scatter at the engine's call size, in ms per call.
+
+    Each figure is the best of ``KERNEL_REPEATS`` rounds of
+    ``KERNEL_CALLS`` calls on fixed seeds; the two reductions read the
+    same precomputed keys and must agree bit for bit.
+    """
+    sampler = compile_backend(DETECTOR_CODES[KERNEL_CODE](KERNEL_P), "symbolic")
+    sampler.sample_detectors(64, seed, strategy="scatter")  # builds the table
+    table, constant = sampler._detector_rows, sampler._columns[:1]
+    rows = []
+    for shots in DETECTOR_SHOTS:
+        seeds = range(seed, seed + KERNEL_CALLS)
+        keys = []
+        for draw in (sampler.symbols.draw(shots, as_generator(s)) for s in seeds):
+            keys.append((
+                np.concatenate([hits.rows for hits in draw.hits]),
+                np.concatenate([hits.shots for hits in draw.hits]),
+            ))
+        for hit_rows, shot_of in keys:
+            assert np.array_equal(
+                _reduce_xor_at(constant, table, hit_rows, shot_of, shots),
+                _reduce_sorted(constant, table, hit_rows, shot_of, shots),
+            )
+        calls = {
+            "draw": lambda: [
+                sampler.symbols.draw(shots, as_generator(s)) for s in seeds
+            ],
+            "scatter": lambda: [
+                sampler.sample_detectors(shots, s, strategy="scatter")
+                for s in seeds
+            ],
+            "xor_at": lambda: [
+                _reduce_xor_at(constant, table, r, o, shots) for r, o in keys
+            ],
+            "sort_reduceat": lambda: [
+                _reduce_sorted(constant, table, r, o, shots) for r, o in keys
+            ],
+        }
+        best = dict.fromkeys(calls, float("inf"))
+        for _ in range(KERNEL_REPEATS):
+            for name, call in calls.items():
+                started = time.perf_counter()
+                call()
+                best[name] = min(best[name], time.perf_counter() - started)
+        rows.append({
+            "code": KERNEL_CODE,
+            "p": KERNEL_P,
+            "shots": shots,
+            "hits_per_call": float(np.mean([r.size for r, _ in keys])),
+            **{f"{name}_ms": seconds * 1e3 / KERNEL_CALLS
+               for name, seconds in best.items()},
+        })
     return rows
 
 
@@ -288,6 +374,16 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['auto_picks']:>8} {row['sparse_ms']:>9.2f} "
                   f"{row['scatter_ms']:>10.2f} {row['auto_ms']:>8.2f} "
                   f"{row['auto_over_sparse']:>10.2f}x")
+
+        result["scatter_kernel"] = kernel_rows(args.seed)
+        print(f"\ndetector scatter kernel, {KERNEL_CODE}, p = {KERNEL_P}, "
+              f"ms per call (best of {KERNEL_REPEATS} x {KERNEL_CALLS} calls)")
+        print(f"{'shots':>5} {'hits':>7} {'draw':>7} {'scatter':>8} "
+              f"{'xor.at':>7} {'sort+reduceat':>13}")
+        for row in result["scatter_kernel"]:
+            print(f"{row['shots']:>5} {row['hits_per_call']:>7.0f} "
+                  f"{row['draw_ms']:>7.3f} {row['scatter_ms']:>8.3f} "
+                  f"{row['xor_at_ms']:>7.3f} {row['sort_reduceat_ms']:>13.3f}")
 
         result["records"] = record_rows(RECORD_P_GRID, args.seed)
         print(f"\nsample (measurement records), best of {RECORD_REPEATS}")

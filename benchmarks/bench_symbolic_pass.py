@@ -130,12 +130,14 @@ def dem_digest(sampler) -> str:
     return digest.hexdigest()
 
 
-def detectors_digest(sampler) -> str:
-    """sha256 of a fixed-seed packed detector + observable sample."""
+def detectors_digest(sampler, shots=(DETECTOR_SHOTS,)) -> str:
+    """sha256 of fixed-seed packed detector + observable samples, one
+    ``sample_detectors_packed`` call per entry of ``shots``."""
     digest = hashlib.sha256()
-    for packed in sampler.sample_detectors_packed(DETECTOR_SHOTS, DIGEST_SEED):
-        digest.update(repr(packed.shape).encode())
-        digest.update(np.ascontiguousarray(packed).tobytes())
+    for count in shots:
+        for packed in sampler.sample_detectors_packed(count, DIGEST_SEED):
+            digest.update(repr(packed.shape).encode())
+            digest.update(np.ascontiguousarray(packed).tobytes())
     return digest.hexdigest()
 
 

@@ -17,31 +17,38 @@ Eq. 4 on that draw, all bitwise equal for one generator:
   (the paper's sparse implementation, one gather and one
   ``bitwise_xor.reduceat``), cost O(n_smp · nnz / 64);
 * **hit scatter** — no ``B``: at QEC noise strengths the draw is far
-  sparser than ``M``, so the kernel walks the set symbols instead.
+  sparser than ``M``, so the kernel walks the hits instead.
 
-The scatter has one form per method.  ``sample_detectors`` XORs each set
-``(symbol j, shot s)``'s packed detector+observable column into shot
-``s``'s row, starting from the constant column; the pairs are grouped by
-shot with a ``uint16`` radix sort and one ``bitwise_xor.reduceat``, at
-O(n_smp · hits · words_for(n_det + n_obs)).  ``sample`` runs sparse
-Eq. 4 on the fair coins alone (many measurements carry one), complements
-the rows of ``s_0``, transposes once to shot-major rows and then flips,
-for each set noise symbol, the measurements of its column of ``M`` (one
-``bitwise_xor.at``), at O(n_smp · hits · column length).  Both plans
-(the symbol-major detector columns; the coin and noise CSR of ``M``) are
-built on a sampler's first scatter.
+The scatter reads one row per hit.  Every noise site has one row per
+joint pattern of its symbols, which holds what that outcome does to the
+output; the draw hands each hit its row index
+(:attr:`~repro.core.symbols.Hits.rows`), so no hit is split into its
+set symbols at sample time.  ``sample_detectors`` XORs each hit's row
+(the XOR of its pattern's packed detector+observable columns, from
+:func:`~repro.gf2.bitops.pattern_combos`), and the column of every set
+live coin, into its shot's row, starting from the constant column: one
+gather and one ``bitwise_xor.at``, at O(n_smp · hits ·
+words_for(n_det + n_obs)).  ``sample`` runs sparse Eq. 4 on the fair
+coins alone (many measurements carry one), complements the rows of
+``s_0``, transposes once to shot-major rows and then flips, for each
+hit, the measurement columns of the symbols its pattern sets (a
+per-pattern table of runs of consecutive set symbols, each run one
+range of a symbol-major CSR of ``M``'s columns; one ``bitwise_xor.at``),
+at O(n_smp · hits · column length).  Both tables are built on a
+sampler's first scatter.
 
 ``strategy="auto"`` is one rule for both methods
 (:meth:`CompiledSampler.scatter_cost_ratio`): the scatter while its
 expected words per shot are at most Eq. 4's for the call's shot count,
 else Eq. 4, which is sparse unless supports are a sizable fraction of
 ``n_s`` (the dense matmul wins only on small or dense circuits).  Eq. 4
-pays per nonzero plus a fixed cost per row and call, so small calls and
-low noise favour the scatter (the crossover is measured in
-``benchmarks/bench_noise_draw.py``).  ``sample_detectors`` on surface
-d = 5 runs it up to p = 0.05 on 512-shot calls and up to p = 0.02 on
-4096-shot ones; ``sample`` runs it up to p ≈ 0.005 on surface d = 5 and
-the Fig. 3c circuit, including the paper's p = 0.001 workload.
+pays for filling ``B``, per nonzero, and a fixed cost per row and call,
+so small calls and low noise favour the scatter (the crossover is
+measured in ``benchmarks/bench_noise_draw.py``).  ``sample_detectors``
+on surface d = 5 runs it up to p ≈ 0.13 on 512-shot calls and up to
+p ≈ 0.07 on 4096-shot ones; ``sample`` on 5000-shot calls runs it up
+to p ≈ 0.009 on surface d = 5 and p ≈ 0.012 on the Fig. 3c circuit,
+including the paper's p = 0.001 workload.
 ``symbol_values=`` (a drawn ``B``) always runs Eq. 4.
 """
 
@@ -55,7 +62,6 @@ import numpy as np
 import repro.obs as obs
 from repro.circuit.circuit import Circuit
 from repro.core.simulator import SymPhaseSimulator
-from repro.core.symbols import Hits
 from repro.gf2 import bitops
 from repro.gf2.matmul import mul_packed_abt, mul_sparse_columns
 from repro.gf2.transpose import transpose_bitmatrix
@@ -65,22 +71,21 @@ _SPARSE_SUPPORT_THRESHOLD_FRACTION = 0.125
 _SCATTER_COST_RATIO = 1.0
 #: Sparse Eq. 4's fixed cost per row and call (transpose, unpack and its
 #: share of the reduce), in the words of :meth:`scatter_cost_ratio`; per
-#: shot it weighs ``_EQ4_ROW_WORDS / shots``.  Fitted to
-#: ``bench_noise_draw.py``'s 4096-shot detector calls, where the kernels
-#: tie near the threshold (0.1 words per row and shot there), when Eq. 4
-#: still ran one ``reduce`` per row; on 512-shot calls it puts the
-#: crossover where the timings do (surface d = 5: scatter at p = 0.05,
-#: Eq. 4 from p = 0.15), and with the one-``reduceat`` Eq. 4 every
-#: detector row of that table where it picks the scatter still times the
-#: scatter faster.
-_EQ4_ROW_WORDS = 410.0
-#: The record scatter's cost per measurement a set noise symbol flips
-#: (one ``bitwise_xor.at`` entry and its share of the pair expansion), in
-#: the words of :meth:`scatter_cost_ratio`.  Fitted to
-#: ``bench_noise_draw.py``'s ``sample`` table so that ``auto`` runs the
-#: scatter only where it is measured faster: surface d = 5 ties near
-#: p = 0.01, Fig. 3c n = 128 between p = 0.02 and 0.05.
-_XOR_AT_WORDS = 8.0
+#: shot it weighs ``_EQ4_ROW_WORDS / shots``.  Fitted, with
+#: :data:`_XOR_AT_WORDS`, to ``bench_noise_draw.py``'s ``sample_detectors``
+#: and ``sample`` tables: every row where one kernel is more than 5%
+#: faster gets that kernel from ``auto`` for any value from 120 to 520
+#: (over two runs of the bench), and this is near the middle.  On
+#: surface d = 5 the scatter then runs up to p ~ 0.13 on 512-shot calls
+#: and p ~ 0.07 on 4096-shot ones.
+_EQ4_ROW_WORDS = 320.0
+#: The record scatter's cost per measurement a hit flips (one
+#: ``bitwise_xor.at`` entry and its share of the hit's expansion into
+#: column ranges), in the words of :meth:`scatter_cost_ratio`.  Any value
+#: from 4 to 5.25 fits the tables (see :data:`_EQ4_ROW_WORDS`): 5000-shot
+#: calls at p = 0.01 time the scatter ~1.4x faster on Fig. 3c n = 128
+#: and 1.03-1.2x slower on surface d = 5.
+_XOR_AT_WORDS = 4.5
 
 
 class CompiledSampler:
@@ -187,58 +192,60 @@ class CompiledSampler:
         detector+observable matrix (the default, ``sample_detectors``)
         or :attr:`measurement_matrix` (``sample``).
 
-        The scatter pays per set symbol: the expected pattern bits of
-        every noise site's outcome (its ``p_hit`` spread over its
-        non-identity patterns), each weighted by the words its column
-        costs (:meth:`_scatter_costs`).  Sparse Eq. 4 XORs one 64-shot
-        word per nonzero of ``matrix``, ``nnz / 64`` words per shot,
-        plus a fixed ``_EQ4_ROW_WORDS`` per row and call: on repetition
-        memories (few nonzeros per row) and small calls the per-row
-        work, not the nonzeros, is Eq. 4's cost.
+        The scatter pays per hit: every noise site's expected
+        non-identity outcomes, each weighted by the words its (site,
+        pattern) row costs (:meth:`_scatter_costs`).  Sparse Eq. 4
+        fills ``B`` and XORs one 64-shot word per nonzero of ``matrix``,
+        ``(width + nnz) / 64`` words per shot, plus a fixed
+        ``_EQ4_ROW_WORDS`` per row and call: on repetition memories (few
+        nonzeros per row) and small calls the per-row work, not the
+        nonzeros, is Eq. 4's cost.
         """
         if matrix is None:
             matrix = self._derived()
         if matrix is not self.measurement_matrix and matrix is not self._derived():
             raise ValueError("matrix must be the measurement or derived matrix")
-        scatter_words, nonzero_words = self._scatter_costs(matrix)
-        if nonzero_words == 0:
-            return 0.0
+        scatter_words, eq4_words = self._scatter_costs(matrix)
         rows = matrix.shape[0]
-        eq4_words = nonzero_words + _EQ4_ROW_WORDS * rows / max(shots, 1)
+        eq4_words += _EQ4_ROW_WORDS * rows / max(shots, 1)
         return scatter_words / eq4_words
 
     def _scatter_costs(self, matrix: np.ndarray) -> tuple[float, float]:
         """The shot-independent parts of :meth:`scatter_cost_ratio`: the
-        scatter's expected words per shot and Eq. 4's nonzero words per
-        shot (cached for the two standing matrices).
+        scatter's expected words per shot and Eq. 4's words per shot
+        (cached for the two standing matrices).
 
-        The detector scatter XORs a whole packed column of
-        ``words_for(rows)`` words per set symbol, live coins included
-        (each set half the time).  The record scatter flips each
-        measurement of a set noise symbol's column,
-        ``_XOR_AT_WORDS`` apiece, and runs Eq. 4 on the coins, which
-        therefore count as Eq. 4 nonzeros.
+        Each hit costs the scatter one row of its per-(site, pattern)
+        table.  The detector scatter XORs a whole packed row of
+        ``words_for(rows)`` words per hit, ``p_hit`` per site and shot,
+        and a column per set live coin (each set half the time).  The
+        record scatter flips the measurements of each symbol the hit's
+        pattern sets, ``_XOR_AT_WORDS`` apiece, and runs Eq. 4 on the
+        coins, which therefore count as Eq. 4 nonzeros.  Eq. 4 fills
+        ``B``, ``width / 64`` words per shot, and XORs one word per
+        nonzero of ``matrix`` per 64 shots.
         """
         records = matrix is self.measurement_matrix
         if records in self._costs:
             return self._costs[records]
+        _, clusters = self.symbols.draw_plan()
         if records:
             plan = self._record_plan
             column_words = _XOR_AT_WORDS * np.diff(plan.noise_indptr)
             scatter = plan.coin_indices.size / 64.0
+            for cluster in clusters:
+                k = cluster.symbols_per_site
+                probs = np.asarray(cluster.probabilities, dtype=np.float64)
+                set_probability = probs @ _pattern_bits(k) / probs.sum()
+                columns = column_words[cluster.offsets[:, None] + np.arange(k)]
+                scatter += float(columns.sum(axis=0) @ set_probability)
         else:
             words = bitops.words_for(matrix.shape[0])
-            column_words = np.full(self.width, float(words))
             scatter = 0.5 * self._live_coins.size * words
-        _, clusters = self.symbols.draw_plan()
-        for cluster in clusters:
-            k = cluster.symbols_per_site
-            probs = np.asarray(cluster.probabilities, dtype=np.float64)
-            set_probability = probs @ _pattern_bits(k) / probs.sum()
-            columns = column_words[cluster.offsets[:, None] + np.arange(k)]
-            scatter += float(columns.sum(axis=0) @ set_probability)
+            for cluster in clusters:
+                scatter += words * cluster.offsets.size * cluster.hits.p_hit
         nonzeros = int(bitops.popcount_rows(matrix).sum())
-        self._costs[records] = scatter, nonzeros / 64.0
+        self._costs[records] = scatter, (self.width + nonzeros) / 64.0
         return self._costs[records]
 
     def detector_strategy(self, shots: int) -> str:
@@ -351,37 +358,49 @@ class CompiledSampler:
         bits = words >> (coin_symbols & 63).astype(np.uint64) & 1
         return np.flatnonzero(bits.any(axis=0))
 
-    def _scatter(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Detector+observable rows by hit scatter: every set symbol
-        ``(j, shot)`` of the draw XORs column ``j`` into row ``shot``.
+    @functools.cached_property
+    def _detector_rows(self) -> np.ndarray:
+        """The detector scatter's table: each cluster's per-(site,
+        pattern) rows, the XOR of the pattern's symbol columns
+        (:func:`~repro.gf2.bitops.pattern_combos` of :attr:`_columns`),
+        then the column of every live coin (built on first use)."""
+        columns = self._columns
+        coin_symbols, clusters = self.symbols.draw_plan()
+        tables = []
+        for cluster in clusters:
+            k = cluster.symbols_per_site
+            combos = bitops.pattern_combos(
+                columns[cluster.offsets[:, None] + np.arange(k)]
+            )
+            tables.append(combos.reshape(combos.shape[0] << k, columns.shape[1]))
+        tables.append(columns[coin_symbols[self._live_coins]])
+        return np.concatenate(tables)
 
-        Each ``(symbol, shot)`` pair occurs at most once in a draw, so
-        this is exactly ``derived · Bᵀ`` for the ``B`` that
-        :meth:`draw_symbols` returns from the same generator.
+    def _scatter(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """Detector+observable rows by hit scatter: every hit of the draw
+        XORs its (site, pattern) row, and every set live coin its
+        column, into its shot's row.
+
+        The rows are XORs of symbol columns, so this is exactly
+        ``derived · Bᵀ`` for the ``B`` that :meth:`draw_symbols` returns
+        from the same generator.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
-        columns = self._columns
+        table = self._detector_rows
         draw = self.symbols.draw(shots, rng)
-        symbols, shot_of = _set_symbols(draw.hits)
+        rows = [hits.rows for hits in draw.hits]
+        shot_of = [hits.shots for hits in draw.hits]
         if self._live_coins.size:
-            rows, coin_shots = bitops.nonzero_bits(draw.coins[self._live_coins])
-            symbols = np.concatenate(
-                [draw.coin_symbols[self._live_coins][rows], symbols]
-            )
-            shot_of = np.concatenate([coin_shots, shot_of])
-        out = np.repeat(columns[:1], shots, axis=0)
-        if symbols.size:
-            # uint16 keys take numpy's linear-time radix sort.
-            keys = shot_of.astype(np.uint16) if shots <= 1 << 16 else shot_of
-            order = np.argsort(keys, kind="stable")
-            shot_of = shot_of.take(order)
-            starts = np.flatnonzero(
-                np.concatenate(([True], shot_of[1:] != shot_of[:-1]))
-            )
+            coins, coin_shots = bitops.nonzero_bits(draw.coins[self._live_coins])
+            rows.append(coins + self.symbols.pattern_rows())
+            shot_of.append(coin_shots)
+        out = np.repeat(self._columns[:1], shots, axis=0)
+        if rows:
             # take: ~10x faster than fancy indexing for a few-word row.
-            out[shot_of[starts]] ^= np.bitwise_xor.reduceat(
-                columns.take(symbols.take(order), axis=0), starts, axis=0
+            np.bitwise_xor.at(
+                out, np.concatenate(shot_of),
+                table.take(np.concatenate(rows), axis=0),
             )
         return bitops.unpack_rows(out, self._derived().shape[0])
 
@@ -413,8 +432,8 @@ class CompiledSampler:
     ) -> np.ndarray:
         """Measurement records without ``B``: sparse Eq. 4 on the fair
         coins, the constant column, one transpose to shot-major rows,
-        then every set noise symbol ``(j, shot)`` flips the measurements
-        of column ``j`` in row ``shot`` (one ``bitwise_xor.at``).
+        then every hit flips, in its shot's row, the measurements of the
+        symbols its (site, pattern) row sets (one ``bitwise_xor.at``).
 
         Bitwise ``M · Bᵀ`` for the ``B`` that :meth:`draw_symbols`
         returns from the same generator, like :meth:`_scatter`.
@@ -433,16 +452,19 @@ class CompiledSampler:
         # the size of one sample_hits slab.
         flat = out.reshape(-1)
         for hits in draw.hits:
-            symbols, shot_of = _set_symbols([hits])
-            first = plan.noise_indptr.take(symbols)
-            counts = plan.noise_indptr.take(symbols + 1) - first
-            ends = np.cumsum(counts)
-            if not ends.size or not ends[-1]:
+            cluster = hits.cluster
+            k = cluster.symbols_per_site
+            local = hits.rows - cluster.base
+            lo, hi = _pattern_runs(k)
+            patterns = local & ((1 << k) - 1)
+            symbols = cluster.offsets.take(local >> k)[:, None]
+            first = plan.noise_indptr.take(symbols + lo.take(patterns, axis=0))
+            counts = plan.noise_indptr.take(symbols + hi.take(patterns, axis=0))
+            counts -= first
+            entries = _ranges(first.reshape(-1), counts.reshape(-1))
+            if not entries.size:
                 continue
-            # Entries first[i] .. first[i] + counts[i] - 1 for every pair;
-            # symbols with an empty column repeat zero times.
-            entries = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
-            targets = np.repeat(shot_of * out.shape[1], counts)
+            targets = np.repeat(hits.shots * out.shape[1], counts.sum(axis=1))
             targets += plan.noise_words.take(entries)
             np.bitwise_xor.at(flat, targets, plan.noise_masks.take(entries))
         return bitops.unpack_rows(out, n_m)
@@ -493,17 +515,13 @@ class _RecordPlan(NamedTuple):
     noise_masks: np.ndarray
 
 
-def _set_symbols(batches: list[Hits]) -> tuple[np.ndarray, np.ndarray]:
-    """``(symbol, shot)`` of every symbol some batch of hits sets, one
-    bit of the joint patterns at a time (the kernels XOR, so order is
-    free)."""
-    symbols, shots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for hits in batches:
-        for j in range(hits.symbols_per_site):
-            hit = np.flatnonzero(hits.patterns & (1 << j) != 0)
-            symbols.append(hits.symbols.take(hit) + j)
-            shots.append(hits.shots.take(hit))
-    return np.concatenate(symbols), np.concatenate(shots)
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``first[i], ..., first[i] + counts[i] - 1`` for every ``i``, end
+    to end (an empty range for a zero count)."""
+    ends = np.cumsum(counts)
+    if not ends.size:
+        return ends
+    return np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
 
 
 def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
@@ -519,6 +537,23 @@ def _pattern_bits(symbols_per_site: int) -> np.ndarray:
     """``[pattern, j]``: whether joint pattern ``pattern`` sets symbol ``j``."""
     patterns = np.arange(1 << symbols_per_site)[:, None]
     return (patterns >> np.arange(symbols_per_site) & 1).astype(bool)
+
+
+@functools.cache
+def _pattern_runs(symbols_per_site: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, each ``(2**k, ceil(k / 2))``: joint pattern ``t``
+    sets the site's symbols ``lo[t, r] .. hi[t, r] - 1`` over its runs
+    ``r`` of consecutive set bits (unused runs are empty).  A site's
+    symbols are consecutive, so each run is one contiguous range of
+    :class:`_RecordPlan`'s noise CSR."""
+    bits = _pattern_bits(symbols_per_site)
+    lo = np.zeros((bits.shape[0], (symbols_per_site + 1) // 2), dtype=np.int64)
+    hi = np.zeros_like(lo)
+    for pattern, row in enumerate(bits):
+        edges = np.flatnonzero(np.diff(row, prepend=False, append=False))
+        lo[pattern, : edges.size // 2] = edges[0::2]
+        hi[pattern, : edges.size // 2] = edges[1::2]
+    return lo, hi
 
 
 def compile_sampler(circuit: Circuit) -> CompiledSampler:

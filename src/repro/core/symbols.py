@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.gf2 import bitops
-from repro.noise.channels import NoiseChannel, sample_hits
+from repro.noise.channels import HitPlan, NoiseChannel, hit_plan, sample_hits
 
 # The distribution behind one random measurement outcome.
 _FAIR_COIN = (0.5, 0.5)
@@ -53,22 +53,28 @@ class SymbolRecord(NamedTuple):
 
 class Cluster(NamedTuple):
     """Noise sites sharing one joint distribution, drawn together:
-    ``offsets`` holds each site's first symbol index."""
+    ``offsets`` holds each site's first symbol index, ``hits`` the
+    distribution's :class:`~repro.noise.channels.HitPlan`, and ``base``
+    the cluster's first row in the per-(site, pattern) tables (site
+    ``i``'s pattern ``t`` is row ``base + (i << symbols_per_site) + t``;
+    the clusters' rows follow each other in draw order)."""
 
     probabilities: tuple[float, ...]
     symbols_per_site: int
     offsets: np.ndarray
+    hits: HitPlan
+    base: int
 
 
 class Hits(NamedTuple):
-    """One batch of non-identity site outcomes: the first symbol of the
-    hit site, the shot and the joint pattern (bit ``j`` sets symbol
-    ``symbols[i] + j``), sorted by ``(symbol, shot)``."""
+    """One batch of non-identity outcomes of ``cluster``'s sites: each
+    hit's shot and its per-(site, pattern) row, ``cluster.base + (site
+    << symbols_per_site) + pattern`` (bit ``j`` of the pattern sets the
+    site's symbol ``j``), sorted by ``(site, shot)``."""
 
-    symbols: np.ndarray
+    cluster: Cluster
     shots: np.ndarray
-    patterns: np.ndarray
-    symbols_per_site: int
+    rows: np.ndarray
 
 
 class Draw(NamedTuple):
@@ -164,7 +170,8 @@ class SymbolTable:
     def draw_plan(self) -> tuple[np.ndarray, list[Cluster]]:
         """``(coin symbols, clusters)``: the symbol index of every random
         measurement's coin, and the noise records grouped by their joint
-        distribution, in first-allocation order (cached until the next
+        distribution, in first-allocation order, each with its hit
+        constants and first pattern row (cached until the next
         allocation)."""
         if self._draw_plan is None:
             groups: dict[tuple[float, ...], list[SymbolRecord]] = {}
@@ -174,16 +181,24 @@ class SymbolTable:
                     coins.append(record.first)
                 else:
                     groups.setdefault(record.probabilities, []).append(record)
-            clusters = [
-                Cluster(
-                    probabilities,
-                    records[0].symbols_per_site,
-                    np.concatenate([record.offsets() for record in records]),
+            clusters, base = [], 0
+            for probabilities, records in groups.items():
+                k = records[0].symbols_per_site
+                offsets = np.concatenate([record.offsets() for record in records])
+                clusters.append(
+                    Cluster(probabilities, k, offsets, hit_plan(probabilities), base)
                 )
-                for probabilities, records in groups.items()
-            ]
+                base += offsets.size << k
             self._draw_plan = np.array(coins, dtype=np.int64), clusters
         return self._draw_plan
+
+    def pattern_rows(self) -> int:
+        """How many per-(site, pattern) rows the clusters span."""
+        _, clusters = self.draw_plan()
+        if not clusters:
+            return 0
+        last = clusters[-1]
+        return last.base + (last.offsets.size << last.symbols_per_site)
 
     def draw(self, n_shots: int, rng: np.random.Generator) -> Draw:
         """The random part of one sample, in the order the RNG is walked.
@@ -192,9 +207,13 @@ class SymbolTable:
         ``random_packed`` call), then one
         :func:`~repro.noise.channels.sample_hits` call per cluster of
         sites sharing a joint distribution (e.g. every DEPOLARIZE1(p)
-        site in the circuit): at QEC noise strengths the cost follows
-        the few non-identity outcomes.  Every consumer of a sample goes
-        through here, so all of them read the same values off one seed.
+        site in the circuit), from the hit constants the draw plan
+        holds: at QEC noise strengths the cost follows the few
+        non-identity outcomes.  Each hit comes with its (site, pattern)
+        row, so a consumer that tabulates what every pattern of every
+        site does reads one row per hit.  Every consumer of a sample
+        goes through here, so all of them read the same values off one
+        seed.
         """
         coin_symbols, clusters = self.draw_plan()
         n_words = bitops.words_for(n_shots)
@@ -205,13 +224,12 @@ class SymbolTable:
             )
         hits = []
         for cluster in clusters:
+            k = cluster.symbols_per_site
             for sites, shot_indices, patterns in sample_hits(
-                cluster.probabilities, cluster.offsets.size, n_shots, rng
+                cluster.hits, cluster.offsets.size, n_shots, rng
             ):
-                hits.append(Hits(
-                    cluster.offsets[sites], shot_indices, patterns,
-                    cluster.symbols_per_site,
-                ))
+                rows = cluster.base + (sites << k) + patterns
+                hits.append(Hits(cluster, shot_indices, rows))
         return Draw(coin_symbols, coins, hits)
 
     def sample_symbol_major(
@@ -231,9 +249,12 @@ class SymbolTable:
         draw = self.draw(n_shots, rng)
         out[draw.coin_symbols] = draw.coins
         for hits in draw.hits:
+            k = hits.cluster.symbols_per_site
+            local = hits.rows - hits.cluster.base
             word_rows, word_cols, words = bitops.pack_sorted_bits(
-                hits.symbols, hits.shots, hits.patterns, hits.symbols_per_site
+                hits.cluster.offsets[local >> k], hits.shots,
+                (local & ((1 << k) - 1)).astype(np.uint8), k,
             )
-            for j in range(hits.symbols_per_site):
+            for j in range(k):
                 out[word_rows + j, word_cols] |= words[j]
         return out

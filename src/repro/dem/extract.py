@@ -142,14 +142,7 @@ def _raw_signatures(
         columns = symbol_rows[record.first : record.stop].reshape(
             record.n_sites, k, n_words
         )
-        # combos[:, pattern] = XOR of the pattern's symbol rows, each
-        # pattern one XOR away from the pattern without its lowest bit.
-        combos = np.zeros((record.n_sites, 1 << k, n_words), dtype=np.uint64)
-        for pattern in range(1, 1 << k):
-            low = pattern & -pattern
-            combos[:, pattern] = combos[:, pattern ^ low] ^ columns[
-                :, low.bit_length() - 1
-            ]
+        combos = bitops.pattern_combos(columns)
         signatures.append(combos[:, kept].reshape(-1, n_words))
         probabilities.append(np.tile(weights[kept], record.n_sites))
         site_sizes.append(np.full(record.n_sites, kept.size, dtype=np.int64))

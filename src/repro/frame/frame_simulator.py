@@ -50,7 +50,7 @@ from repro.frame.program import (
 )
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER
 from repro.gf2 import bitops
-from repro.noise.channels import noise_channel
+from repro.noise.channels import hit_plan, noise_channel
 from repro.rng import as_generator
 from repro.tableau.simulator import reference_sample
 
@@ -295,8 +295,8 @@ class FrameSimulator:
         # All sites of one instruction share the same joint distribution,
         # so one draw covers them (the compiled NoiseOp's call).
         faults = fault_rows(
-            channel.probabilities, len(channel.columns), channel.n_sites,
-            shots, rng,
+            hit_plan(channel.probabilities), len(channel.columns),
+            channel.n_sites, shots, rng,
         )
         for site in range(channel.n_sites):
             for j, action in enumerate(channel.actions(site)):

@@ -45,7 +45,7 @@ from repro.circuit.instructions import Instruction, RecTarget, disjoint_runs
 from repro.circuit.transforms import resolve_record_annotations
 from repro.gates.database import BASIS_CONJUGATION, FEEDBACK_LETTER, get_gate
 from repro.gf2 import bitops
-from repro.noise.channels import noise_channel, sample_hits
+from repro.noise.channels import HitPlan, hit_plan, noise_channel, sample_hits
 from repro.rng import as_generator
 
 _U64 = np.uint64
@@ -166,12 +166,12 @@ class NoiseOp:
     fast fancy-``^=`` path instead of ``np.bitwise_xor.at``.
     """
 
-    __slots__ = ("probabilities", "n_sites", "plans")
+    __slots__ = ("hit_plan", "n_sites", "plans")
 
     def __init__(self, instruction: Instruction):
         channel = noise_channel(instruction)
         self.n_sites = channel.n_sites
-        self.probabilities = channel.probabilities
+        self.hit_plan = hit_plan(channel.probabilities)
         self.plans = tuple(
             (
                 self._plan(channel.qubits, column, ("X", "Y")),
@@ -201,7 +201,7 @@ class NoiseOp:
 
     def run(self, st: _RunState) -> None:
         faults = fault_rows(
-            self.probabilities, len(self.plans), self.n_sites,
+            self.hit_plan, len(self.plans), self.n_sites,
             st.shots, st.rng,
         )
         for j in np.flatnonzero(faults.any(axis=(1, 2))):
@@ -213,18 +213,19 @@ class NoiseOp:
 
 
 def fault_rows(
-    probabilities, n_symbols: int, n_sites: int, shots: int,
+    plan: HitPlan, n_symbols: int, n_sites: int, shots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Packed per-symbol fault rows of ``n_sites`` equal-channel sites.
 
     ``out[j, s]`` holds, bit per shot, whether site ``s`` sets symbol
-    ``j``: one :func:`~repro.noise.channels.sample_hits` draw, so the
-    compiled and interpreted frame paths consume the RNG identically.
+    ``j``: one :func:`~repro.noise.channels.sample_hits` draw from the
+    channel's ``plan``, so the compiled and interpreted frame paths
+    consume the RNG identically.
     """
     out = np.zeros((n_symbols, n_sites, bitops.words_for(shots)), dtype=_U64)
     for sites, shot_indices, patterns in sample_hits(
-        probabilities, n_sites, shots, rng
+        plan, n_sites, shots, rng
     ):
         word_sites, word_cols, words = bitops.pack_sorted_bits(
             sites, shot_indices, patterns, n_symbols

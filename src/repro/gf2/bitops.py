@@ -315,6 +315,26 @@ def xor_select_rows(matrix: np.ndarray, index_lists) -> np.ndarray:
     return xor_reduce_csr(matrix, indices, indptr)
 
 
+def pattern_combos(columns: np.ndarray) -> np.ndarray:
+    """XOR of every subset of each group's ``k`` packed rows.
+
+    ``columns`` has shape ``(n, k, words)``.  Returns ``(n, 2**k,
+    words)`` whose ``[i, pattern]`` is the XOR of ``columns[i, j]`` over
+    the bits ``j`` set in ``pattern`` (row 0 is zero): each pattern is
+    one XOR away from the pattern without its lowest bit, so the table
+    costs one vector XOR per pattern.
+    """
+    n, k, n_words = columns.shape
+    combos = np.zeros((n, 1 << k, n_words), dtype=_U64)
+    for pattern in range(1, 1 << k):
+        low = pattern & -pattern
+        np.bitwise_xor(
+            combos[:, pattern ^ low], columns[:, low.bit_length() - 1],
+            out=combos[:, pattern],
+        )
+    return combos
+
+
 def xor_reduce_csr(
     matrix: np.ndarray, indices: np.ndarray, indptr: np.ndarray
 ) -> np.ndarray:

@@ -8,20 +8,25 @@ the encoding §3.1 of the paper prescribes (e.g. DEPOLARIZE1 ->
 plus a ``(sites, arity)`` array of the target qubits every site applies
 it to.  The symbolic simulator allocates the symbols of a whole
 instruction at once, the batch samplers draw only the non-identity
-outcomes (:func:`sample_hits`) and scatter them by whole target columns,
+outcomes (:func:`sample_hits`, from a :class:`HitPlan` built once per
+channel by :func:`hit_plan`) and scatter them by whole target columns,
 and the per-shot oracles draw one pattern per site
 (:func:`sample_patterns_batch`).
 """
 
 from repro.noise.channels import (
+    HitPlan,
     NoiseChannel,
+    hit_plan,
     noise_channel,
     sample_hits,
     sample_patterns_batch,
 )
 
 __all__ = [
+    "HitPlan",
     "NoiseChannel",
+    "hit_plan",
     "noise_channel",
     "sample_hits",
     "sample_patterns_batch",

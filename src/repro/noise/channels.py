@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +39,55 @@ def sample_patterns_batch(
     this per site and shot: :func:`sample_hits` draws only the
     non-identity outcomes.
     """
+    return _threshold(_thresholds(probabilities), size, rng)
+
+
+def _thresholds(probabilities: tuple[float, ...] | np.ndarray) -> np.ndarray:
+    """Cumulative thresholds of a categorical distribution (normalized)."""
     probs = np.asarray(probabilities, dtype=np.float64)
-    thresholds = np.cumsum(probs / probs.sum())[:-1]
+    return np.cumsum(probs / probs.sum())[:-1]
+
+
+def _threshold(
+    thresholds: np.ndarray, size: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """One outcome per uniform float: the thresholds at or below it."""
     uniforms = rng.random(size)
     # <= 16 outcomes fit a uint8 easily.
     return np.searchsorted(thresholds, uniforms, side="right").astype(np.uint8)
+
+
+class HitPlan(NamedTuple):
+    """What :func:`sample_hits` needs of one joint distribution, computed
+    once per channel: the probability ``p_hit`` that a site's outcome
+    is not the identity, and the cumulative thresholds of patterns
+    ``1, 2, ...`` conditional on a hit."""
+
+    p_hit: float
+    thresholds: np.ndarray
+
+
+def hit_plan(probabilities: tuple[float, ...] | np.ndarray) -> HitPlan:
+    """The :class:`HitPlan` of the joint distribution ``probabilities``
+    (pattern 0 is the identity; normalized here).  Shared between equal
+    distributions (a circuit repeats a few channels many times), so its
+    thresholds are read-only."""
+    return _hit_plan(tuple(map(float, probabilities)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _hit_plan(probabilities: tuple[float, ...]) -> HitPlan:
+    probs = np.asarray(probabilities, dtype=np.float64)
+    probs = probs / probs.sum()
+    # Not 1 - probs[0]: exact at tiny p.  Clipped so a certain fault's
+    # rounding cannot push it past 1.
+    p_hit = min(probs[1:].sum(), 1.0)
+    if p_hit <= 0.0:
+        p_hit, thresholds = 0.0, np.zeros(0)
+    else:
+        thresholds = _thresholds(probs[1:])
+    thresholds.flags.writeable = False
+    return HitPlan(p_hit, thresholds)
 
 
 #: Expected hits one slab of :func:`sample_hits` draws, so the
@@ -50,34 +96,27 @@ _SLAB_ELEMENTS = 4_000_000
 
 
 def sample_hits(
-    probabilities: tuple[float, ...] | np.ndarray,
-    n_sites: int,
-    shots: int,
-    rng: np.random.Generator,
+    plan: HitPlan, n_sites: int, shots: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Non-identity outcomes of ``n_sites`` i.i.d. sites over ``shots`` shots.
 
-    Every site draws pattern ``k`` with probability ``probabilities[k]``
-    in every shot, and pattern 0 is the identity.  Yields, per slab of
-    sites, ``(sites, shot_indices, patterns)`` for the outcomes that are
-    *not* the identity, sorted by ``(site, shot)``; the slabs come in
-    site order.  Hit positions in the flattened ``(site, shot)`` grid
-    come from geometric gaps, then each hit's pattern from the
-    conditional distribution ``probabilities[1:] / p_hit``, so the cost
+    Every site draws its joint pattern from the distribution that
+    ``plan`` (:func:`hit_plan`) was built from, and pattern 0 is the
+    identity.  Yields, per slab of sites, ``(sites, shot_indices,
+    patterns)`` for the outcomes that are *not* the identity, sorted by
+    ``(site, shot)``; the slabs come in site order.  Hit positions in
+    the flattened ``(site, shot)`` grid come from geometric gaps, then
+    each hit's pattern from the conditional thresholds, so the cost
     follows the number of hits, not of sites.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    probs = probs / probs.sum()
-    # Not 1 - probs[0]: exact at tiny p.  Clipped so a certain fault's
-    # rounding cannot push it past 1.
-    p_hit = min(probs[1:].sum(), 1.0)
+    p_hit = plan.p_hit
     if n_sites == 0 or shots == 0 or p_hit <= 0.0:
         return
     slab_sites = max(1, int(_SLAB_ELEMENTS // max(shots * p_hit, 1.0)))
     for start in range(0, n_sites, slab_sites):
         n_cells = min(slab_sites, n_sites - start) * shots
         cells = _hit_positions(n_cells, p_hit, rng)
-        patterns = 1 + sample_patterns_batch(probs[1:], (cells.size,), rng)
+        patterns = 1 + _threshold(plan.thresholds, (cells.size,), rng)
         sites, shot_indices = np.divmod(cells, shots)
         yield sites + start, shot_indices, patterns
 

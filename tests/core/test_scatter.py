@@ -15,7 +15,7 @@ import repro.core.compiled_sampler as compiled_sampler
 from repro.circuit import Circuit
 from repro.core import compile_sampler
 from repro.gf2 import bitops
-from repro.noise.channels import sample_hits
+from repro.noise.channels import hit_plan, sample_hits
 from repro.qec import repetition_code_memory, surface_code_memory
 from tests.helpers import append_random_annotations, random_clifford_circuit
 
@@ -87,7 +87,7 @@ def old_symbol_walk(table, shots, rng) -> np.ndarray:
         k = records[0].symbols_per_site
         offsets = np.concatenate([r.offsets() for r in records])
         for sites, shot_indices, patterns in sample_hits(
-            probabilities, offsets.size, shots, rng
+            hit_plan(probabilities), offsets.size, shots, rng
         ):
             for i in range(sites.size):
                 for j in range(k):
@@ -184,8 +184,8 @@ class TestAutoRule:
         assert sampler.detector_strategy(512) == "scatter"
         assert sampler.detector_strategy(4096) == "scatter"
 
-    @pytest.mark.parametrize("p", [0.03, 0.05, 0.3])
-    def test_surface_from_p_003_runs_eq4(self, p):
+    @pytest.mark.parametrize("p", [0.1, 0.15, 0.3])
+    def test_surface_from_p_01_runs_eq4(self, p):
         """On 4096-shot calls; smaller calls shift the crossover up."""
         sampler = compile_sampler(surface_code_memory(
             5, rounds=5, after_clifford_depolarization=p,
@@ -194,12 +194,12 @@ class TestAutoRule:
         assert sampler.detector_strategy(4096) == "sparse"
 
     def test_small_calls_take_the_scatter_longer(self):
-        """Eq. 4's per-row cost is per call: at p = 0.03 the scatter is
-        ~1.7x faster on 512-shot engine chunks, while the kernels tie on
+        """Eq. 4's per-row cost is per call: at p = 0.1 the scatter is
+        ~1.1x faster on 512-shot engine chunks, while the kernels tie on
         4096-shot calls."""
         sampler = compile_sampler(surface_code_memory(
-            5, rounds=5, after_clifford_depolarization=0.03,
-            before_measure_flip_probability=0.03,
+            5, rounds=5, after_clifford_depolarization=0.1,
+            before_measure_flip_probability=0.1,
         ))
         assert sampler.detector_strategy(512) == "scatter"
         assert sampler.detector_strategy(4096) == "sparse"
@@ -212,8 +212,8 @@ class TestAutoRule:
     def test_strategy_follows_each_calls_shots(self, monkeypatch):
         """``auto`` decides per call, not once per sampler."""
         sampler = compile_sampler(surface_code_memory(
-            5, rounds=5, after_clifford_depolarization=0.03,
-            before_measure_flip_probability=0.03,
+            5, rounds=5, after_clifford_depolarization=0.1,
+            before_measure_flip_probability=0.1,
         ))
         ran = []
         scatter = sampler._scatter
@@ -228,16 +228,26 @@ class TestAutoRule:
         sampler.sample_detectors(512, 2)
         assert ran == [512, 512]
 
-    def test_repetition_counts_eq4_per_row_cost(self, monkeypatch):
-        """Few nonzeros per detector row: Eq. 4's per-row loop, not its
-        nonzeros, is its cost, so the scatter runs (~2.7x faster at 512
-        shots) although its words outnumber Eq. 4's nonzero words."""
+    def test_repetition_low_noise_runs_the_scatter(self):
+        """~2.2x faster at 512 shots and ~1.4x at 4096 (p = 0.02)."""
         sampler = compile_sampler(repetition_code_memory(
             9, rounds=9, data_flip_probability=0.02,
             measure_flip_probability=0.02,
         ))
         assert sampler.detector_strategy(512) == "scatter"
         assert sampler.detector_strategy(4096) == "scatter"
+
+    def test_repetition_counts_eq4_per_row_cost(self, monkeypatch):
+        """Few nonzeros per detector row: Eq. 4's per-row loop, not its
+        nonzeros, is its cost, so the scatter runs (~1.4x faster at 512
+        shots, p = 0.05) although its words outnumber Eq. 4's fill and
+        nonzero words; 4096-shot calls, where the kernels tie, run Eq. 4."""
+        sampler = compile_sampler(repetition_code_memory(
+            9, rounds=9, data_flip_probability=0.05,
+            measure_flip_probability=0.05,
+        ))
+        assert sampler.detector_strategy(512) == "scatter"
+        assert sampler.detector_strategy(4096) == "sparse"
         monkeypatch.setattr(compiled_sampler, "_EQ4_ROW_WORDS", 0.0)
         assert sampler.scatter_cost_ratio(512) > 1.0
 
@@ -282,6 +292,198 @@ class TestAutoRule:
             )
             assert detectors.shape == (10, 0)
             assert observables.shape == (10, 0)
+
+
+def kinds_circuit() -> Circuit:
+    """One instruction of every channel kind, repeated targets, zero-
+    probability patterns, a random measurement and feedback, with
+    detectors over every measurement so each symbol has a column."""
+    return Circuit.from_text(
+        """
+        R 0 1 2 3
+        H 0 2
+        CX 0 1 2 3
+        X_ERROR(0.05) 1 1 3 1
+        DEPOLARIZE1(0.04) 0 2 2
+        DEPOLARIZE2(0.03) 0 1 1 0 2 3
+        PAULI_CHANNEL_2(0,0.01,0,0,0.02,0,0,0,0,0.03,0,0,0,0,0.04) 1 2 3 0
+        CORRELATED_ERROR(0.06) X0 Z2 Y3 X0
+        M 0
+        CX rec[-1] 1
+        Z_ERROR(0.05) 1 2
+        M 1 2 3
+        DETECTOR rec[-3] rec[-2]
+        DETECTOR rec[-2] rec[-1]
+        DETECTOR rec[-1]
+        DETECTOR rec[-4] rec[-3]
+        OBSERVABLE_INCLUDE(0) rec[-4] rec[-1]
+        """
+    )
+
+
+def set_symbols(table, shots, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``(symbol, shot)`` of every noise symbol one draw sets, replayed
+    from ``sample_hits`` and split one bit of the joint patterns at a
+    time: the expansion the scatters ran before they read one (site,
+    pattern) row per hit."""
+    coin_symbols, clusters = table.draw_plan()
+    if coin_symbols.size:
+        bitops.random_packed(
+            (coin_symbols.size, bitops.words_for(shots)), shots, rng
+        )
+    symbols, shot_of = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for cluster in clusters:
+        for sites, shot_indices, patterns in sample_hits(
+            hit_plan(cluster.probabilities), cluster.offsets.size, shots, rng
+        ):
+            first = cluster.offsets[sites]
+            for j in range(cluster.symbols_per_site):
+                hit = np.flatnonzero(patterns & (1 << j) != 0)
+                symbols.append(first.take(hit) + j)
+                shot_of.append(shot_indices.take(hit))
+    return np.concatenate(symbols), np.concatenate(shot_of)
+
+
+def pattern_symbols(table):
+    """Row -> ``(site's first symbol, symbols its pattern sets)``, for
+    every row of the clusters' per-(site, pattern) tables, by a scalar
+    walk."""
+    _, clusters = table.draw_plan()
+    out = []
+    for cluster in clusters:
+        k = cluster.symbols_per_site
+        assert cluster.base == len(out)
+        for offset in cluster.offsets.tolist():
+            for pattern in range(1 << k):
+                out.append(
+                    (offset, [offset + j for j in range(k) if pattern >> j & 1])
+                )
+    assert len(out) == table.pattern_rows()
+    return out
+
+
+@pytest.fixture(scope="module", params=["kinds", "mixed", "surface_d3_p0.01"])
+def row_sampler(request):
+    build = kinds_circuit if request.param == "kinds" else CIRCUITS[request.param]
+    return compile_sampler(build())
+
+
+class TestPatternRows:
+    """Each hit reads one (site, pattern) row: the XOR of its pattern's
+    symbol columns (detectors) or the measurements of those columns
+    (records)."""
+
+    def test_kinds_circuit_covers_every_channel_shape(self):
+        table = compile_sampler(kinds_circuit()).symbols
+        coins, clusters = table.draw_plan()
+        assert coins.size >= 1
+        assert sorted(c.symbols_per_site for c in clusters) == [1, 1, 2, 4, 4]
+        pc2 = [c for c in clusters if c.symbols_per_site == 4
+               and 0.0 in c.probabilities]
+        assert len(pc2) == 1
+
+    def test_detector_rows_are_pattern_xors(self, row_sampler):
+        columns = row_sampler._columns
+        table = row_sampler._detector_rows
+        rows = pattern_symbols(row_sampler.symbols)
+        for row, (_, symbols) in enumerate(rows):
+            expected = np.zeros(columns.shape[1], dtype=np.uint64)
+            for symbol in symbols:
+                expected ^= columns[symbol]
+            assert np.array_equal(table[row], expected), (row, symbols)
+        coin_symbols, _ = row_sampler.symbols.draw_plan()
+        live = coin_symbols[row_sampler._live_coins]
+        assert np.array_equal(table[len(rows):], columns[live])
+
+    def test_record_rows_read_the_pattern_columns(self, row_sampler):
+        """A row's runs of consecutive set symbols, read from the plan's
+        symbol-major CSR, list each set symbol's measurement column in
+        turn, so their flips, XORed, are the XOR of those columns."""
+        plan = row_sampler._record_plan
+        # [symbol, measurement]: whether the measurement holds the symbol.
+        by_symbol = bitops.unpack_rows(
+            row_sampler.measurement_matrix, row_sampler.width
+        ).T.astype(bool)
+        flips = plan.noise_words * 64 + np.log2(
+            plan.noise_masks.astype(np.float64)
+        ).astype(np.int64)
+        _, clusters = row_sampler.symbols.draw_plan()
+        rows = pattern_symbols(row_sampler.symbols)
+        for cluster in clusters:
+            k = cluster.symbols_per_site
+            lo, hi = compiled_sampler._pattern_runs(k)
+            for row in range(cluster.base, cluster.base + (cluster.offsets.size << k)):
+                offset, symbols = rows[row]
+                pattern = (row - cluster.base) & ((1 << k) - 1)
+                runs = [range(offset + a, offset + b)
+                        for a, b in zip(lo[pattern], hi[pattern])]
+                assert [s for run in runs for s in run] == symbols, row
+                listed = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+                    flips[plan.noise_indptr[run.start] : plan.noise_indptr[run.stop]]
+                    for run in runs
+                ])
+                expected = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+                    np.flatnonzero(by_symbol[symbol]) for symbol in symbols
+                ])
+                assert listed.tolist() == expected.tolist(), row
+
+    @pytest.mark.parametrize("shots", [1, 64, 130, 4097])
+    def test_hit_rows_map_back_to_the_set_symbols(self, row_sampler, shots):
+        """Every drawn hit's row names exactly the (symbol, shot) pairs
+        the bit-by-bit walk expands it to."""
+        table = row_sampler.symbols
+        rows = pattern_symbols(table)
+        draw = table.draw(shots, np.random.default_rng(shots))
+        symbols, shot_of = set_symbols(
+            table, shots, np.random.default_rng(shots)
+        )
+        expected = sorted(zip(symbols.tolist(), shot_of.tolist()))
+        got = sorted(
+            (symbol, shot)
+            for hits in draw.hits
+            for row, shot in zip(hits.rows.tolist(), hits.shots.tolist())
+            for symbol in rows[row][1]
+        )
+        assert got == expected
+        for hits in draw.hits:
+            cluster = hits.cluster
+            k = cluster.symbols_per_site
+            stop = cluster.base + (cluster.offsets.size << k)
+            assert np.all((hits.rows >= cluster.base) & (hits.rows < stop))
+
+    @pytest.mark.parametrize("name", ["kinds", "surface_d5_p0.002"])
+    def test_detector_table_at_most_four_columns(self, name):
+        """2^k rows per site of k symbols, k <= 4, and at most one per
+        coin: never more than 4x the symbol-major columns (about
+        0.11 MiB at d = 5)."""
+        build = kinds_circuit if name == "kinds" else CIRCUITS[name]
+        sampler = compile_sampler(build())
+        assert sampler._detector_rows.nbytes <= 4 * sampler._columns.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    shots=st.sampled_from([1, 63, 64, 65, 512]),
+)
+def test_fuzz_scatters_equal_dense_eq4_on_the_draw(seed, shots):
+    """Both scatters are Eq. 4 on the ``B`` that ``draw_symbols``
+    returns from the same seed."""
+    rng = np.random.default_rng(seed)
+    circuit = random_clifford_circuit(
+        rng, int(rng.integers(1, 6)), depth=20,
+        p_noise=0.35, p_measure=0.15, p_reset=0.05, p_feedback=0.1,
+        noise_strength=float(rng.choice([0.01, 0.1, 0.4])),
+    )
+    append_random_annotations(circuit, rng, n_detectors=3)
+    sampler = compile_sampler(circuit)
+    symbol_values = sampler.draw_symbols(shots, seed)
+    for matrix, scatter in (
+        (sampler._derived(), sampler._scatter),
+        (sampler.measurement_matrix, sampler._scatter_records),
+    ):
+        eq4 = sampler._sample_rows(matrix, shots, None, "dense", symbol_values)
+        assert np.array_equal(scatter(shots, np.random.default_rng(seed)), eq4)
 
 
 @settings(max_examples=40, deadline=None)

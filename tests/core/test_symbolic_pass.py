@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.noise.channels as channels
 import repro.obs as obs
-from benchmarks.bench_symbolic_pass import grid, pass_digests
+from benchmarks.bench_symbolic_pass import detectors_digest, grid, pass_digests
 from repro.backends import compile_backend
 from repro.circuit import Circuit, RecTarget
 from repro.circuit.instructions import disjoint_runs
@@ -37,6 +37,7 @@ from repro.gf2 import bitops
 from repro.noise.channels import noise_channel
 from repro.tableau.tableau import g_exponents
 from repro.workloads import fig3c_circuit
+from tests.helpers import append_random_annotations
 
 DIGESTS = {
     "fig3c_n128": {
@@ -63,8 +64,13 @@ DIGESTS = {
         "matrices": "0b72ddbfaf3eb5139632205b59cb228c5f70b75da9e389ed3d255462640fa658",
         "symbols": "66062dbc0645843f9fabb61369bac600bf7cf5b372e41a21dcc9ef2ee4689872",
         "sample": "da41c598af386f81dfb88bf15600e92bb67c842a3e97c801ab5ef33515a2ede3",
+        "detectors": "3bde68eb3c8f287401eb9e1f5b5762b47ec71dbbb66ef4c9e841a66427e3df82",
     },
 }
+
+#: The mixed circuit's detector digest: one engine chunk, and a call
+#: whose last word is partial.
+MIXED_DETECTOR_SHOTS = (512, 4097)
 
 NOISE_1Q = ("X_ERROR", "Y_ERROR", "Z_ERROR", "DEPOLARIZE1")
 MEASURES = ("M", "MX", "MY", "R", "RX", "RY", "MR", "MRX", "MRY")
@@ -149,8 +155,19 @@ class TestDigests:
         assert pass_digests(sampler) == DIGESTS[name]
 
     def test_mixed_circuit_reproduces_recorded_digests(self):
+        """The pass digests read the plain circuit, which has no
+        detectors; ``detectors`` reads it with random annotations
+        appended, so every channel kind and feedback reaches the
+        detector sample."""
         circuit = mixed_circuit(np.random.default_rng(2024), 6, 120)
-        assert pass_digests(compile_backend(circuit, "symbolic")) == DIGESTS["mixed"]
+        digests = pass_digests(compile_backend(circuit, "symbolic"))
+        append_random_annotations(
+            circuit, np.random.default_rng(2025), n_detectors=12
+        )
+        digests["detectors"] = detectors_digest(
+            compile_backend(circuit, "symbolic"), MIXED_DETECTOR_SHOTS
+        )
+        assert digests == DIGESTS["mixed"]
 
 
 class TestDuplicateTargets:

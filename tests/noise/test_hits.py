@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit.instructions import Instruction
 from repro.noise import channels
-from repro.noise.channels import noise_channel, sample_hits
+from repro.noise.channels import hit_plan, noise_channel, sample_hits
 
 
 def _probabilities(name, p):
@@ -13,7 +13,7 @@ def _probabilities(name, p):
 
 
 def _collect(probabilities, n_sites, shots, rng):
-    slabs = list(sample_hits(probabilities, n_sites, shots, rng))
+    slabs = list(sample_hits(hit_plan(probabilities), n_sites, shots, rng))
     if not slabs:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, np.zeros(0, dtype=np.uint8)
@@ -49,7 +49,7 @@ class TestLayout:
     def test_slabs_come_in_site_order(self, rng, monkeypatch, p):
         monkeypatch.setattr(channels, "_SLAB_ELEMENTS", 20)
         probabilities = _probabilities("DEPOLARIZE1", p)
-        slabs = list(sample_hits(probabilities, 400, 70, rng))
+        slabs = list(sample_hits(hit_plan(probabilities), 400, 70, rng))
         assert len(slabs) > 1
         sites, shot_indices, _ = (np.concatenate(x) for x in zip(*slabs))
         assert np.all(np.diff(sites * 70 + shot_indices) > 0)
@@ -69,13 +69,13 @@ class TestEdges:
     def test_zero_probability_draws_nothing(self):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        assert list(sample_hits((1.0, 0.0), 100, 100, rng)) == []
+        assert list(sample_hits(hit_plan((1.0, 0.0)), 100, 100, rng)) == []
         assert rng.bit_generator.state == state
 
     def test_no_sites_draws_nothing(self):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        assert list(sample_hits((0.5, 0.5), 0, 100, rng)) == []
+        assert list(sample_hits(hit_plan((0.5, 0.5)), 0, 100, rng)) == []
         assert rng.bit_generator.state == state
 
     def test_vanishing_probability_terminates(self, rng):
