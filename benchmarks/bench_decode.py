@@ -22,6 +22,9 @@ over a slab of sources, exact Dijkstra only for sources whose tied
 shortest paths disagree) against the exact per-source path (the
 NetworkX-identical Dijkstra from every node), checks that both give
 bitwise identical distance and mask tables, and records both times.
+It also records the CSR lowering alone (``lower_seconds``) and the
+engine's set-up path after the pass (``fresh_compile_seconds``:
+``extract_dem`` plus the compile, from a fresh compiled sampler).
 
 Run:  PYTHONPATH=src python benchmarks/bench_decode.py \\
           [--distance 7] [--shots 1024] [--min-speedup 4] \\
@@ -39,11 +42,13 @@ import time
 import networkx as nx
 import numpy as np
 
+from repro.backends import compile_backend
 from repro.decoders import compile_decoder
 from repro.decoders.blossom import min_weight_matching
+from repro.dem import extract_dem
 from repro.gf2 import bitops
 from repro.obs import format_rate, safe_rate
-from repro.qec import surface_code_dem
+from repro.qec import surface_code_dem, surface_code_memory
 
 DECODERS = ("matching", "compiled-matching")
 REFERENCE = "matching"
@@ -207,14 +212,33 @@ def run_tail(p: float, repeats: int, seed: int) -> dict:
     return result
 
 
+def _fresh_compile_seconds(circuit, repeats: int) -> float:
+    """Best-of time of the engine's set-up path after the pass: extract
+    the DEM from a fresh compiled sampler, then compile the decoder."""
+    best = float("inf")
+    for _ in range(repeats):
+        sampler = compile_backend(circuit, "symbolic")
+        started = time.perf_counter()
+        compile_decoder(extract_dem(sampler), "compiled-matching")
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
 def run_compile(p: float, repeats: int) -> dict:
-    """Vectorized all-pairs build vs the exact per-source Dijkstra."""
+    """Vectorized all-pairs build vs the exact per-source Dijkstra, plus
+    the CSR lowering alone and the fresh extract + compile."""
     result = {"p": p, "distances": {}}
     for distance in COMPILE_DISTANCES:
-        dem = surface_code_dem(distance, distance, p)
+        circuit = surface_code_memory(
+            distance, rounds=distance, after_clifford_depolarization=p,
+            before_measure_flip_probability=p,
+        )
+        dem = extract_dem(circuit)
         compile_s, decoder = _best_of(
             lambda: compile_decoder(dem, "compiled-matching"), repeats
         )
+        lower_s, _ = _best_of(lambda: decoder._lower(dem), repeats)
+        fresh_s = _fresh_compile_seconds(circuit, repeats)
         vectorized_s, (dist, mask, exact) = _best_of(
             decoder._all_pairs, repeats
         )
@@ -226,6 +250,8 @@ def run_compile(p: float, repeats: int) -> dict:
             "n_nodes": int(dist.shape[0]),
             "csr_slots": int(decoder._indices.size),
             "compile_seconds": compile_s,
+            "lower_seconds": lower_s,
+            "fresh_compile_seconds": fresh_s,
             "all_pairs_seconds": vectorized_s,
             "exact_seconds": exact_s,
             "exact_sources": exact,
@@ -314,12 +340,16 @@ def main(argv: list[str] | None = None) -> int:
           f"{'-' if tail_speedup is None else format(tail_speedup, '.2f') + 'x'}")
     print(f"compile: memory DEMs, rounds = d, p={args.p}, best of "
           f"{args.repeats}")
-    print(f"{'d':>3} {'nodes':>6} {'compile (s)':>12} {'all-pairs (s)':>14} "
-          f"{'exact (s)':>10} {'exact rows':>11} {'identical':>10}")
+    print(f"{'d':>3} {'nodes':>6} {'compile (s)':>12} {'lower (s)':>10} "
+          f"{'fresh (s)':>10} {'all-pairs (s)':>14} {'exact (s)':>10} "
+          f"{'exact rows':>11} {'identical':>10}")
     for distance, leg in compiled["distances"].items():
         print(f"{distance:>3} {leg['n_nodes']:>6} {leg['compile_seconds']:>12.3f} "
+              f"{leg['lower_seconds']:>10.4f} {leg['fresh_compile_seconds']:>10.3f} "
               f"{leg['all_pairs_seconds']:>14.3f} {leg['exact_seconds']:>10.3f} "
               f"{leg['exact_sources']:>11} {str(leg['tables_identical']):>10}")
+    print("  lower: the CSR lowering alone; fresh: extract_dem + compile "
+          "from a fresh compiled sampler (the engine's set-up after the pass)")
     compile_speedup = compiled["speedup"]
     print(f"vectorized all-pairs speedup over per-source Dijkstra at "
           f"d={COMPILE_DISTANCES[-1]}: "

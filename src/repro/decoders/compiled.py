@@ -6,17 +6,21 @@ graph (amortized by a path cache, but still per-pair Python work).  The
 compiled decoder does all path-finding at **compile time** instead:
 
 * the decoding graph is lowered into flat CSR adjacency arrays straight
-  from the DEM's graphlike mechanisms, without NetworkX; they equal
-  the walk of :func:`~repro.decoders.matching.build_decoding_graph`'s
-  NetworkX graph bit for bit (adjacency order, parallel-edge merge,
-  the p > 0.5 error);
+  from the DEM's array form (its packed signature rows: the graphlike
+  rows are the edges), without NetworkX or per-mechanism objects; they
+  equal the walk of
+  :func:`~repro.decoders.matching.build_decoding_graph`'s NetworkX
+  graph bit for bit (adjacency order, parallel-edge merge, the p > 0.5
+  error);
 * an all-pairs distance matrix and a per-pair *path observable mask*
   (the XOR of edge masks along the shortest path) are built with array
   operations over slabs of sources at once: a min-plus Bellman-Ford
   relaxation for the distances, masks spread along shortest-path edges
   and then checked against every tied shortest path.  Only sources whose
   tied paths carry different masks (12 of 337 at d=7, rounds = 7) run
-  the exact per-source Dijkstra, which picks the path NetworkX picks;
+  the exact per-source Dijkstra, which picks the path NetworkX picks.
+  The uint8 mask table is read off the packed path words by shift and
+  mask;
 * decoding a batch then dedupes identical syndromes and runs four
   tiers over the unique rows:
 
@@ -242,73 +246,87 @@ class CompiledMatchingDecoder:
 
     def _lower(self, dem: DetectorErrorModel) -> None:
         """CSR lowering of the decoding graph, straight from the DEM's
-        graphlike mechanisms: detectors 0..n-1, boundary -> index n.
+        :attr:`~repro.dem.model.DetectorErrorModel.arrays`: detectors
+        0..n-1, boundary -> index n.
 
-        The same walk as
-        :func:`~repro.decoders.matching.build_decoding_graph` over
-        insertion-ordered dicts instead of a NetworkX graph, so the
-        arrays equal that graph's CSR walk bit for bit: each row lists
-        its neighbours in edge-creation order (the order the reference's
-        Dijkstra visits and tie-breaks by), parallel edges merge in
-        mechanism order, and the p > 0.5 error names the same edge.
+        The graphlike rows (one or two detector bits) are edges, read
+        from one :func:`~repro.gf2.bitops.nonzero_bits_csr` pass, their
+        masks straight from the observable words.  The arrays equal the
+        CSR walk of
+        :func:`~repro.decoders.matching.build_decoding_graph`'s NetworkX
+        graph bit for bit: each row lists its neighbours in
+        edge-creation order (the order the reference's Dijkstra visits
+        and tie-breaks by), parallel edges merge in walk order (equal
+        masks XOR-convolve, else the lighter edge stays, the first on a
+        tie), and the p > 0.5 error names the same edge.  Weights are
+        the scalar :func:`~repro.decoders.matching.edge_weight`, so they
+        round as the reference's do.
         """
         n = self.n_detectors
         self._boundary = n
-        # rows[u][v] is edge (u, v)'s [probability, weight, mask]; both
-        # rows hold the same list.  Masks are ints, bit o = observable o.
-        rows: list[dict[int, list]] = [{} for _ in range(n + 1)]
-        for group in dem.groups:
-            for index in group:
-                mechanism = dem.mechanisms[index]
-                if len(mechanism.detectors) == 1:
-                    u, v = mechanism.detectors[0], n
-                elif len(mechanism.detectors) == 2:
-                    u, v = mechanism.detectors
-                else:
-                    continue
-                p = mechanism.probability
-                mask = 0
-                for o in mechanism.observables:
-                    mask |= 1 << o
-                edge = rows[u].get(v)
-                if edge is None:
-                    rows[u][v] = rows[v][u] = [p, edge_weight(p), mask]
-                elif edge[2] == mask:
-                    q = edge[0]
-                    edge[0] = p * (1 - q) + q * (1 - p)
-                    edge[1] = edge_weight(edge[0])
-                elif edge_weight(p) < edge[1]:
-                    edge[:] = p, edge_weight(p), mask
-        # The reference's node order: the boundary first.
-        for u in [n, *range(n)]:
-            for v, (p, w, _) in rows[u].items():
-                if w < 0:
-                    if u == n:
-                        u, v = v, u  # name the detector first
-                    raise negative_edge_error(
-                        u, BOUNDARY if v == n else v, p, w
-                    )
-        lengths = np.fromiter(map(len, rows), np.int64, n + 1)
+        arrays = dem.arrays
+        counts, bits = bitops.nonzero_bits_csr(arrays.detectors)
+        (rows,) = np.nonzero((counts == 1) | (counts == 2))
+        first_bit = (np.cumsum(counts) - counts)[rows]
+        u = bits[first_bit].astype(np.int64)
+        # A one-bit row's second index is clamped in bounds, then replaced.
+        second = bits[np.minimum(first_bit + 1, bits.size - 1)]
+        v = np.where(counts[rows] == 2, second, n).astype(np.int64)
+        # Edges in creation order: the walk row that first names each pair.
+        _, created, edge_of = np.unique(
+            u * (n + 1) + v, return_index=True, return_inverse=True
+        )
+        order = np.argsort(created)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        edge_of = rank[np.asarray(edge_of).reshape(-1)]
+        created = created[order]
+        u, v = u[created], v[created]
+        # Each edge's probability, weight and mask row, then its later
+        # walk rows merged in turn.
+        mask_row = rows[created]
+        probabilities = arrays.probabilities[mask_row].tolist()
+        weights = list(map(edge_weight, probabilities))
+        later = np.ones(rows.size, dtype=bool)
+        later[created] = False
+        masks = arrays.observables
+        for row, edge in zip(rows[later].tolist(), edge_of[later].tolist()):
+            p = float(arrays.probabilities[row])
+            if np.array_equal(masks[row], masks[mask_row[edge]]):
+                q = probabilities[edge]
+                probabilities[edge] = p * (1 - q) + q * (1 - p)
+                weights[edge] = edge_weight(probabilities[edge])
+            elif edge_weight(p) < weights[edge]:
+                probabilities[edge], weights[edge] = p, edge_weight(p)
+                mask_row[edge] = row
+        # Two CSR slots per edge; a row lists its slots in creation order.
+        n_edges = u.size
+        owner = np.concatenate([u, v])
+        self._indices = np.concatenate([v, u])
+        slot_edge = np.tile(np.arange(n_edges), 2)
+        by_row = np.argsort(owner * max(n_edges, 1) + slot_edge)
+        self._owner, self._indices = owner[by_row], self._indices[by_row]
+        slot_edge = slot_edge[by_row]
         self._indptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(lengths, out=self._indptr[1:])
-        self._indices = np.fromiter(
-            (v for row in rows for v in row), np.int64, self._indptr[-1]
+        np.cumsum(
+            np.bincount(self._owner, minlength=n + 1), out=self._indptr[1:]
         )
-        edges = [edge for row in rows for edge in row.values()]
-        self._weights = np.array([e[1] for e in edges], dtype=np.float64)
-        # The node whose adjacency row holds each CSR slot.
-        self._owner = np.repeat(np.arange(n + 1), lengths)
-        # Edge observable masks packed into uint64 words, so paths XOR
-        # whole words; one word up to 64 observables.
-        n_words = bitops.words_for(self.n_observables)
-        self._edge_words = (
-            np.frombuffer(
-                b"".join(e[2].to_bytes(8 * n_words, "little") for e in edges),
-                dtype="<u8",
+        self._weights = np.array(weights, dtype=np.float64)[slot_edge]
+        negative = self._weights < 0
+        if negative.any():
+            # The reference walks the boundary's row first.
+            walk = np.roll(np.arange(slot_edge.size), -int(self._indptr[n]))
+            slot = int(walk[negative[walk].argmax()])
+            a, b = int(self._owner[slot]), int(self._indices[slot])
+            if a == n:
+                a, b = b, a  # name the detector first
+            edge = int(slot_edge[slot])
+            raise negative_edge_error(
+                a, BOUNDARY if b == n else b, probabilities[edge], weights[edge]
             )
-            .astype(np.uint64)
-            .reshape(len(edges), n_words)
-        )
+        # Edge observable masks as uint64 words, so paths XOR whole
+        # words; one word up to 64 observables.
+        self._edge_words = masks[mask_row[slot_edge]]
 
     # -- all-pairs tables ------------------------------------------------------
 
@@ -473,12 +491,12 @@ class CompiledMatchingDecoder:
         return dist, self._unpack(words.transpose(0, 2, 1))
 
     def _unpack(self, words: np.ndarray) -> np.ndarray:
-        """``(sources, nodes, words)`` packed masks -> 0/1 mask rows."""
-        rows = words.shape[0] * words.shape[1]
-        bits = bitops.unpack_rows(
-            words.reshape(rows, words.shape[2]), self.n_observables
-        )
-        return bits.reshape(words.shape[0], words.shape[1], self.n_observables)
+        """``(sources, nodes, words)`` packed masks -> 0/1 mask rows, by
+        shift and mask: observable ``o`` is bit ``o % 64`` of word
+        ``o // 64``."""
+        bit = np.arange(self.n_observables)
+        shifted = words[..., bit >> 6] >> (bit & 63).astype(np.uint64)
+        return (shifted & np.uint64(1)).astype(np.uint8)
 
     # -- decoding -----------------------------------------------------------
 

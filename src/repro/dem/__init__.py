@@ -11,12 +11,13 @@ the paper's introduction motivates.
 :func:`extract_dem` reads them with array operations only: one
 transpose into symbol-major rows, one XOR per pattern over all sites of
 a noise instruction, one ``np.unique`` over the signatures and a
-vectorized merge.  :meth:`DetectorErrorModel.merged` is the readable
+vectorized merge.  The model it returns is those arrays
+(:class:`DemArrays`); its mechanism objects are built on first read.  :meth:`DetectorErrorModel.merged` is the readable
 reference for that merge; the extracted model equals ``merged()`` of the
 raw (``merge=False``) model bit for bit, order and floats included.
 """
 
 from repro.dem.extract import extract_dem
-from repro.dem.model import DetectorErrorModel, ErrorMechanism
+from repro.dem.model import DemArrays, DetectorErrorModel, ErrorMechanism
 
-__all__ = ["DetectorErrorModel", "ErrorMechanism", "extract_dem"]
+__all__ = ["DemArrays", "DetectorErrorModel", "ErrorMechanism", "extract_dem"]

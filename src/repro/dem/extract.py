@@ -13,7 +13,12 @@ a sort.  The pipeline never builds a per-site or per-pattern object:
    ``np.unique``;
 4. merge: sum within a site in pattern order, then XOR-convolve across
    sites in site order, one vector step per occurrence rank;
-5. build one :class:`ErrorMechanism` per output row.
+5. hand the rows over as the model's
+   :class:`~repro.dem.model.DemArrays` (the distinct signature rows and
+   merged probabilities, or with ``merge=False`` the raw rows and site
+   sizes).  No :class:`~repro.dem.model.ErrorMechanism` is built here:
+   decoders read the arrays, and the model builds its ``mechanisms``
+   and ``groups`` lists the first time someone reads them.
 
 The floats and the order equal :meth:`DetectorErrorModel.merged` on the
 raw per-pattern model bit for bit, because every sum and every
@@ -27,7 +32,7 @@ import numpy as np
 import repro.obs as obs
 from repro.circuit.circuit import Circuit
 from repro.core.compiled_sampler import CompiledSampler, compile_sampler
-from repro.dem.model import DetectorErrorModel, ErrorMechanism
+from repro.dem.model import DemArrays, DetectorErrorModel
 from repro.gf2 import bitops
 from repro.gf2.transpose import transpose_bitmatrix
 
@@ -73,36 +78,20 @@ def _extract(
     sampler: CompiledSampler, min_probability: float, merge: bool
 ) -> DetectorErrorModel:
     n_detectors, n_observables = sampler.n_detectors, sampler.n_observables
-    dem = DetectorErrorModel(n_detectors, n_observables)
-    raw, probabilities, site_sizes = _raw_signatures(sampler, min_probability)
-    if raw.shape[0] == 0:
-        return dem
-
-    signature, distinct = _first_occurrence_ids(raw)
+    rows, probabilities, group_sizes = _raw_signatures(sampler, min_probability)
+    if merge and rows.shape[0]:
+        signature, rows = _first_occurrence_ids(rows)
+        site = np.repeat(np.arange(group_sizes.size), group_sizes)
+        probabilities = _merge(site, signature, probabilities, rows.shape[0])
+        group_sizes = np.ones(rows.shape[0], dtype=np.int64)
     split = bitops.words_for(n_detectors)
-    detectors = _index_tuples(distinct[:, :split])
-    observables = _index_tuples(distinct[:, split:])
-    # Every mechanism below is valid by construction, so the model's
-    # lists are filled directly, as add_group does.
-    if merge:
-        site = np.repeat(np.arange(site_sizes.size), site_sizes)
-        merged = _merge(site, signature, probabilities, len(detectors))
-        dem.mechanisms = [
-            ErrorMechanism(p, d, o)
-            for p, d, o in zip(merged.tolist(), detectors, observables)
-        ]
-        dem.groups = [[index] for index in range(len(dem.mechanisms))]
-        return dem
-    dem.mechanisms = [
-        ErrorMechanism(p, detectors[s], observables[s])
-        for p, s in zip(probabilities.tolist(), signature.tolist())
-    ]
-    stops = np.cumsum(site_sizes).tolist()
-    dem.groups = [
-        list(range(stop - size, stop))
-        for stop, size in zip(stops, site_sizes.tolist())
-    ]
-    return dem
+    arrays = DemArrays(
+        rows[:, :split],
+        rows[:, split : split + bitops.words_for(n_observables)],
+        probabilities,
+        group_sizes,
+    )
+    return DetectorErrorModel.from_arrays(n_detectors, n_observables, arrays)
 
 
 def _raw_signatures(
@@ -224,16 +213,3 @@ def _merge(
         merged[index] = q
     return merged
 
-
-def _index_tuples(words: np.ndarray) -> list[tuple[int, ...]]:
-    """Set-bit indices of every packed row, one tuple per row."""
-    counts, bits = bitops.nonzero_bits_csr(words)
-    starts = np.cumsum(counts) - counts
-    out: list[tuple[int, ...]] = [()] * words.shape[0]
-    # Rows with equal bit counts gather as one (rows, count) block.
-    for count in np.unique(counts[counts > 0]).tolist():
-        chosen = np.flatnonzero(counts == count)
-        block = bits[starts[chosen, None] + np.arange(count)]
-        for row, indices in zip(chosen.tolist(), block.tolist()):
-            out[row] = tuple(indices)
-    return out

@@ -28,7 +28,7 @@ import numpy as np
 import repro.obs as obs
 from repro.decoders.metrics import wilson_interval
 from repro.engine.options import ExecutionOptions
-from repro.engine.tasks import Task
+from repro.engine.tasks import NO_DECODER, Task
 from repro.engine.workers import ChunkRunner, plan_chunks
 
 
@@ -330,10 +330,20 @@ def collect(
         restore_flags = obs.wire_config()
         obs.enable(tracing=obs.is_tracing(), metrics=True)
 
+    # A decoder-less task keeps its circuit's pass when a later task
+    # decodes that circuit, so a mixed sweep runs Algorithm 1 once.
+    decoded: set[str] = set()
+    decoded_later = []
+    for task in reversed(task_list):
+        decoded_later.append(task.circuit_fingerprint() in decoded)
+        if task.decoder != NO_DECODER:
+            decoded.add(task.circuit_fingerprint())
+    decoded_later.reverse()
+
     results: list[TaskStats] = []
     try:
         with ChunkRunner(options) as runner:
-            for task in task_list:
+            for task, keeps_pass in zip(task_list, decoded_later):
                 task_id = task.strong_id()
                 stored = completed.get(task_id)
                 # A row only satisfies this run if it was collected
@@ -350,7 +360,9 @@ def collect(
                     if progress is not None:
                         progress(stored)
                     continue
-                stats = _collect_one(task, runner, run_seed, options, store)
+                stats = _collect_one(
+                    task, runner, run_seed, options, store, int(keeps_pass)
+                )
                 # A task with quarantined chunks is incomplete: its
                 # quarantine rows are already in the store, but no task
                 # row is written, so a resume re-attempts the whole
@@ -372,8 +384,10 @@ def _collect_one(
     base_seed: int,
     options: ExecutionOptions,
     store: ResultStore | None = None,
+    keeps_pass: int = 0,
 ) -> TaskStats:
-    """Run one task's chunks through the runner with ordered early stop."""
+    """Run one task's chunks through the runner with ordered early stop
+    (``keeps_pass``: see :attr:`~repro.engine.workers.ChunkSpec.keeps_pass`)."""
     stats = TaskStats(
         task_id=task.strong_id(),
         decoder=task.decoder,
@@ -384,7 +398,7 @@ def _collect_one(
     max_errors = (
         task.max_errors if task.max_errors is not None else options.max_errors
     )
-    specs = plan_chunks(task, base_seed, options.chunk_shots)
+    specs = plan_chunks(task, base_seed, options.chunk_shots, keeps_pass)
     wall_start = time.perf_counter()
     with obs.span(
         "task", task=stats.task_id, decoder=task.decoder, sampler=task.sampler

@@ -77,6 +77,11 @@ class ChunkSpec:
     first try).  It exists for observability and fault-plan matching
     only — the RNG seed derives from ``(base_seed, task_entropy,
     chunk_index)`` alone, so every attempt replays identical shots.
+
+    ``keeps_pass`` is 1 when a later task of the same collection decodes
+    this circuit: a decoder-less chunk then keeps the cached pass for
+    that task's DEM instead of dropping it (see
+    :func:`~repro.engine.cache.cached_sampler`).
     """
 
     task_id: str
@@ -89,6 +94,7 @@ class ChunkSpec:
     base_seed: int
     task_entropy: int
     attempt: int = 0
+    keeps_pass: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,10 @@ class ChunkResult:
 
 
 def plan_chunks(
-    task: Task, base_seed: int, chunk_shots: int
+    task: Task, base_seed: int, chunk_shots: int, keeps_pass: int = 0
 ) -> list[ChunkSpec]:
-    """Split ``task``'s budget into deterministic chunk specs.
+    """Split ``task``'s budget into deterministic chunk specs (each with
+    :attr:`ChunkSpec.keeps_pass` ``keeps_pass``).
 
     The split depends only on the task and ``chunk_shots``, never on
     scheduling, so chunk ``i`` is the same work in every run.
@@ -170,6 +177,7 @@ def plan_chunks(
                 shots=shots,
                 base_seed=base_seed,
                 task_entropy=entropy,
+                keeps_pass=keeps_pass,
             )
         )
         remaining -= shots
@@ -271,7 +279,7 @@ def run_chunks(specs: list[ChunkSpec]) -> list[ChunkResult]:
             circuit = circuit_loader(spec.circuit_text, spec.fingerprint)
             sampler = cached_sampler(
                 circuit, spec.fingerprint, spec.sampler,
-                builds_dem=spec.decoder != NO_DECODER,
+                builds_dem=spec.decoder != NO_DECODER or spec.keeps_pass == 1,
             )
             rng = chunk_generator(
                 spec.base_seed, spec.task_entropy, spec.chunk_index

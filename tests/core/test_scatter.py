@@ -167,6 +167,16 @@ class TestSharedDraw:
 
 
 class TestAutoRule:
+    @pytest.mark.parametrize("name", sorted(CIRCUITS))
+    def test_record_nonzeros_read_from_the_plan(self, name):
+        """The record rule counts ``M``'s nonzeros from its record plan
+        (constants, coin and noise entries), not with a second pass."""
+        sampler = compile_sampler(CIRCUITS[name]())
+        matrix = sampler.measurement_matrix
+        _, eq4_words = sampler._scatter_costs(matrix)
+        nonzeros = int(bitops.popcount_rows(matrix).sum())
+        assert eq4_words == (sampler.width + nonzeros) / 64.0
+
     def test_high_noise_keeps_eq4(self):
         sampler = compile_sampler(surface_code_memory(
             5, rounds=5, after_clifford_depolarization=0.15,

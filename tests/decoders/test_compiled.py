@@ -19,12 +19,18 @@ import repro.decoders.compiled as compiled_module
 import repro.decoders.matching as matching_module
 import repro.obs as obs
 from repro.decoders import CompiledMatchingDecoder, MatchingDecoder
-from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
-from repro.dem import DetectorErrorModel, ErrorMechanism
+from repro.decoders.matching import (
+    BOUNDARY,
+    build_decoding_graph,
+    dedupe_rows,
+    edge_weight,
+)
+from repro.dem import DetectorErrorModel, ErrorMechanism, extract_dem
 from repro.engine import Task, collect
 from repro.engine.cache import reset_shared_cache
 from repro.gf2 import bitops
 from repro.qec import repetition_code_dem, surface_code_dem, surface_code_memory
+from tests.core.test_scatter import kinds_circuit, mixed_circuit
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +438,18 @@ class TestVectorizedCompile:
             bitops.pack_rows(expected),
         )
 
+    def test_tie_heavy_repetition_tables_exact(self):
+        """Repetition memories tie almost everywhere: nearly every
+        source takes the exact Dijkstra, and the tables still equal the
+        per-source build."""
+        compiled = CompiledMatchingDecoder(
+            repetition_code_dem(9, rounds=9, probability=0.01)
+        )
+        n_nodes = compiled._indptr.size - 1
+        _, _, exact = compiled._all_pairs()
+        assert exact >= n_nodes // 2
+        _assert_tables_exact(compiled)
+
     def test_slabbing_does_not_change_tables(self, monkeypatch):
         dem = _grid_dem(5, 4)
         whole = CompiledMatchingDecoder(dem)
@@ -511,6 +529,89 @@ def test_split_matches_reference_on_grid_dems(monkeypatch, width, height):
     assert obs.registry().value(
         "repro_decode_split_rows_total", pid=str(os.getpid())
     ) > 0
+
+
+_HANDOFF_CIRCUITS = {
+    "surface_3_3": lambda: surface_code_memory(
+        3, rounds=3, after_clifford_depolarization=0.01,
+        before_measure_flip_probability=0.01,
+    ),
+    "surface_5_5": lambda: surface_code_memory(
+        5, rounds=5, after_clifford_depolarization=0.002,
+        before_measure_flip_probability=0.002,
+    ),
+    "kinds": kinds_circuit,
+    "mixed": mixed_circuit,
+}
+
+
+class TestLoweringFromArrays:
+    """The decoder reads only the DEM's array form: an extracted model
+    (arrays, no mechanism objects) and a hand-built copy of its
+    mechanisms (arrays converted from the lists) lower and tabulate
+    identically."""
+
+    @pytest.mark.parametrize("name", sorted(_HANDOFF_CIRCUITS))
+    def test_extracted_equals_hand_rebuilt(self, name):
+        dem = extract_dem(_HANDOFF_CIRCUITS[name]())
+        extracted = CompiledMatchingDecoder(dem)
+        rebuilt_dem = DetectorErrorModel(
+            dem.n_detectors, dem.n_observables, list(dem.mechanisms),
+            [list(group) for group in dem.groups],
+        )
+        for got, want in zip(rebuilt_dem.arrays, dem.arrays):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        rebuilt = CompiledMatchingDecoder(rebuilt_dem)
+        for attr in ("_indptr", "_indices", "_owner", "_edge_words", "_mask"):
+            got, want = getattr(extracted, attr), getattr(rebuilt, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        assert extracted._weights.tobytes() == rebuilt._weights.tobytes()
+        assert extracted._dist.tobytes() == rebuilt._dist.tobytes()
+        assert extracted._indices.size
+
+    @staticmethod
+    def edge(decoder, a: int, b: int):
+        """Edge (a, b)'s weight and mask words, read from a's row."""
+        row = slice(decoder._indptr[a], decoder._indptr[a + 1])
+        slot = row.start + decoder._indices[row].tolist().index(b)
+        return decoder._weights[slot].hex(), decoder._edge_words[slot].tolist()
+
+    def test_parallel_edge_rules(self):
+        dem = DetectorErrorModel(n_detectors=3, n_observables=2)
+        dem.add_group([
+            ErrorMechanism(0.1, (0, 1), (0,)),
+            ErrorMechanism(0.2, (1, 2), (0,)),
+        ])
+        dem.add_group([ErrorMechanism(0.3, (1, 0), (0,))])  # same mask
+        dem.add_group([ErrorMechanism(0.2, (2, 1), (1,))])  # a tie: first stays
+        dem.add_group([ErrorMechanism(0.15, (0,), ())])
+        dem.add_group([ErrorMechanism(0.25, (0,), (1,))])  # lighter: wins
+        decoder = _lowered(dem)
+        convolved = 0.3 * (1 - 0.1) + 0.1 * (1 - 0.3)
+        assert self.edge(decoder, 0, 1) == (edge_weight(convolved).hex(), [1])
+        assert self.edge(decoder, 2, 1) == (edge_weight(0.2).hex(), [1])
+        assert self.edge(decoder, 3, 0) == (edge_weight(0.25).hex(), [2])
+        _assert_lowering_matches_networkx(dem)
+
+    def test_heavy_edge_error_names_the_edge(self):
+        dem = DetectorErrorModel(n_detectors=3, n_observables=1)
+        dem.add_group([ErrorMechanism(0.1, (0, 2), ())])
+        dem.add_group([ErrorMechanism(0.7, (2, 1), (0,))])
+        dem.add_group([ErrorMechanism(0.6, (2,), ())])
+        with pytest.raises(ValueError) as error:
+            _lowered(dem)
+        # The reference walks the boundary's row first.
+        assert str(error.value).startswith(
+            "decoding-graph edge (D2, boundary) has probability 0.6 > 0.5"
+        )
+        _assert_lowering_matches_networkx(dem)
+
+    def test_repeated_detector_has_no_array_form(self):
+        dem = DetectorErrorModel(n_detectors=2, n_observables=0)
+        dem.add_group([ErrorMechanism(0.1, (1, 1), ())])
+        with pytest.raises(ValueError, match=r"detectors \(1, 1\) repeat"):
+            CompiledMatchingDecoder(dem)
 
 
 class TestCompileStages:

@@ -299,6 +299,44 @@ class TestArrayPipelineMatchesLoop:
             ) == exact_view(loop_reference(sampler, min_probability, merge))
 
 
+class TestArrayForm:
+    """An extracted model is its array form; its mechanism lists are
+    built on first read and equal the loop reference's eager lists."""
+
+    @pytest.mark.parametrize("merge", [True, False], ids=["merged", "raw"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
+    def test_lists_built_on_first_read(self, name, merge, monkeypatch):
+        sampler = compile_sampler(REFERENCE_CIRCUITS[name]())
+
+        def forbidden(self):
+            raise AssertionError("an ErrorMechanism was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ErrorMechanism, "__post_init__", forbidden)
+            dem = extract_dem(sampler, merge=merge)
+            arrays = dem.arrays
+        reference = loop_reference(sampler, merge=merge)
+        assert exact_view(dem) == exact_view(reference)
+        assert dem == reference
+        # The hand-built reference converts to the same arrays.
+        for got, want in zip(reference.arrays, arrays):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_add_group_extends_the_lists_and_the_arrays(self):
+        circuit = surface_code_memory(3, rounds=2, after_clifford_depolarization=0.01)
+        dem = extract_dem(circuit)
+        before = len(dem.arrays.probabilities)
+        extra = ErrorMechanism(0.125, (0, 1), (0,))
+        dem.add_group([extra])
+        assert dem.mechanisms[-1] == extra and dem.groups[-1] == [before]
+        arrays = dem.arrays
+        assert arrays.probabilities.size == before + 1
+        assert arrays.probabilities[-1] == 0.125
+        assert bitops.unpack_rows(arrays.detectors[-1:], 2).tolist() == [[1, 1]]
+        assert arrays.group_sizes[-1] == 1
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize(
         "text",

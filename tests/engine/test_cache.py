@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.dem import extract_dem
+from repro.dem import ErrorMechanism, extract_dem
 from repro.engine import SamplerCache, Task, collect
 from repro.engine.cache import (
     cached_dem,
@@ -210,12 +210,12 @@ class TestCachedDem:
         assert len(shared_cache()) == 1
         assert ("sampler", compiled.fingerprint, "frame") in shared_cache()
 
-    def test_mixed_decoder_sweep_reruns_the_pass(self, circuit):
-        """Known cost of dropping a decoder-less task's pass: a decoding
-        task on the same circuit and sampler that follows it hits the
-        sampler, misses the DEM and runs Algorithm 1's pass a second
-        time (keeping the pass while a later task still decodes would
-        make it one).  Its counts are those of the task run alone."""
+    def test_mixed_decoder_sweep_runs_one_pass(self, circuit):
+        """A decoder-less task keeps its pass while a later task of the
+        same collect decodes that circuit: the decoding task hits the
+        sampler, reads its DEM off the kept pass, and Algorithm 1 runs
+        once.  Its counts are those of the task run alone, and the pass
+        is dropped once the DEM is built."""
         obs.enable(tracing=True, metrics=False)
         decoding = Task(
             circuit, decoder="compiled-matching", sampler="frame",
@@ -231,7 +231,23 @@ class TestCachedDem:
         assert (swept[1].shots, swept[1].errors) == (
             alone[0].shots, alone[0].errors
         )
-        assert self.symbolic_passes() == 2
+        assert self.symbolic_passes() == 1
+        assert ("pass", decoding.circuit_fingerprint()) not in shared_cache()
+
+    @pytest.mark.parametrize("sampler", ["frame", "symbolic"])
+    def test_setup_builds_no_error_mechanism(self, circuit, sampler, monkeypatch):
+        """The engine's set-up hands the decoder the DEM's arrays: no
+        per-mechanism object is built between the pass and the tables."""
+
+        def forbidden(self):
+            raise AssertionError("an ErrorMechanism was built")
+
+        monkeypatch.setattr(ErrorMechanism, "__post_init__", forbidden)
+        task = Task(
+            circuit, decoder="compiled-matching", sampler=sampler, max_shots=300
+        )
+        (stats,) = collect([task], base_seed=3, workers=1, chunk_shots=100)
+        assert stats.shots == 300
 
     def test_symbolic_task_keeps_the_pass(self, circuit):
         compiled = circuit.compile(sampler="symbolic")
